@@ -158,17 +158,17 @@ pub struct RunReport {
     pub faults: FaultReport,
 }
 
-/// DRAM image that is either dense (fresh simulation) or a run-length
-/// encoding expanded on first read (cache-loaded report). Expansion
-/// writes only the non-zero runs into a zero-initialized [`Storage`],
-/// so a report whose image is never inspected costs a few hundred
-/// bytes instead of the full word count.
+/// DRAM image that is either dense (fresh simulation) or the compact
+/// encoding a result-cache entry carries (see
+/// [`RunReport::encode_dram_image`]), expanded on first read. A
+/// cache-loaded report whose image is never inspected keeps only the
+/// encoded bytes.
 #[derive(Debug, Clone)]
 struct LazyDram {
     dense: std::sync::OnceLock<Storage>,
-    /// `(total words, runs as (length, value))`; present only for
-    /// cache-loaded reports.
-    runs: Option<(usize, Vec<(usize, Value)>)>,
+    /// `(total words, encoded image)`; present only for cache-loaded
+    /// reports, whose image was checked by [`walk_image`] on arrival.
+    encoded: Option<(usize, Vec<u8>)>,
 }
 
 impl LazyDram {
@@ -177,34 +177,101 @@ impl LazyDram {
         let _ = cell.set(storage);
         LazyDram {
             dense: cell,
-            runs: None,
-        }
-    }
-
-    fn rle(len: usize, runs: Vec<(usize, Value)>) -> Self {
-        LazyDram {
-            dense: std::sync::OnceLock::new(),
-            runs: Some((len, runs)),
+            encoded: None,
         }
     }
 
     fn get(&self) -> &Storage {
         self.dense.get_or_init(|| {
-            let (len, runs) = self
-                .runs
+            let (len, bytes) = self
+                .encoded
                 .as_ref()
-                .expect("report holds either a dense image or RLE runs");
+                .expect("report holds either a dense image or an encoded one");
             let mut s = Storage::new(*len);
-            let mut pos: Addr = 0;
-            for &(n, v) in runs {
-                if v != 0 {
-                    s.fill(pos, n, v);
-                }
-                pos += n as Addr;
-            }
+            walk_image(bytes, |addr, v| s.write(addr as Addr, v))
+                .expect("encoded image was checked when the report was built");
             s
         })
     }
+}
+
+/// Appends `v` as an LEB128 varint.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Reads one LEB128 varint off the front of `rest`; `None` if it is
+/// cut short or does not fit 64 bits.
+fn get_varint(rest: &mut &[u8]) -> Option<u64> {
+    let mut v = 0u64;
+    let mut shift = 0;
+    loop {
+        let (&b, tail) = rest.split_first()?;
+        *rest = tail;
+        if shift == 63 && b > 1 {
+            return None;
+        }
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return Some(v);
+        }
+        shift += 7;
+    }
+}
+
+/// Zig-zag mapping: small negative words encode as short varints too.
+fn zigzag(v: Value) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+fn unzigzag(u: u64) -> Value {
+    (u >> 1) as Value ^ -((u & 1) as Value)
+}
+
+/// Encodes a DRAM image as `varint(words)` followed by one
+/// `varint(gap) varint(n) zigzag-varint(word) × n` record per maximal
+/// non-zero segment, where `gap` counts the zero words since the end of
+/// the previous segment. Zero words are never written.
+fn encode_image(words: &[Value], out: &mut Vec<u8>) {
+    put_varint(out, words.len() as u64);
+    let mut rest = words;
+    while let Some(gap) = rest.iter().position(|&w| w != 0) {
+        let seg = &rest[gap..];
+        let n = seg.iter().position(|&w| w == 0).unwrap_or(seg.len());
+        put_varint(out, gap as u64);
+        put_varint(out, n as u64);
+        for &w in &seg[..n] {
+            put_varint(out, zigzag(w));
+        }
+        rest = &seg[n..];
+    }
+}
+
+/// Walks an image written by [`encode_image`], checking every varint
+/// and bound, and hands each segment word to `word(addr, value)`.
+/// Returns the image's total word count.
+fn walk_image(mut rest: &[u8], mut word: impl FnMut(usize, Value)) -> Result<usize, String> {
+    let len = get_varint(&mut rest).ok_or("dram image: bad word count")?;
+    let mut addr = 0u64;
+    while !rest.is_empty() {
+        let gap = get_varint(&mut rest).ok_or("dram image: bad segment gap")?;
+        let n = get_varint(&mut rest).ok_or("dram image: bad segment length")?;
+        let start = addr.checked_add(gap).filter(|&s| s <= len);
+        let end = start.and_then(|s| s.checked_add(n)).filter(|&e| e <= len);
+        let (Some(start), Some(end)) = (start, end) else {
+            return Err("dram image: segment runs past the image".into());
+        };
+        for a in start..end {
+            let v = get_varint(&mut rest).ok_or("dram image: bad word")?;
+            word(a as usize, unzigzag(v));
+        }
+        addr = end;
+    }
+    usize::try_from(len).map_err(|_| "dram image: word count overflows".into())
 }
 
 impl RunReport {
@@ -276,41 +343,64 @@ impl RunReport {
         self.dram.get().read_range(base, len)
     }
 
-    /// Size of the final DRAM image, in words. Together with
-    /// [`RunReport::dram_range`] this lets external serializers (the
-    /// bench harness's persistent result cache) capture the whole
-    /// image without the report exposing its private [`Storage`].
+    /// Size of the final DRAM image, in words.
     pub fn dram_len(&self) -> usize {
-        match self.dram.dense.get() {
-            Some(s) => s.len(),
-            None => self.dram.runs.as_ref().expect("RLE runs present").0,
+        match (self.dram.dense.get(), &self.dram.encoded) {
+            (Some(s), _) => s.len(),
+            (None, Some((len, _))) => *len,
+            (None, None) => unreachable!("report holds either a dense image or an encoded one"),
+        }
+    }
+
+    /// Appends the final DRAM image in its compact encoding, the form
+    /// the bench harness's result cache persists: the word count, then
+    /// each maximal run of non-zero words as its offset from the
+    /// previous run, its length and its words as zig-zag varints. Zero
+    /// words cost nothing, so a multi-megaword image that is mostly
+    /// untouched encodes in a few kilobytes. A cache-loaded report that
+    /// was never expanded hands back its encoded bytes unchanged.
+    pub fn encode_dram_image(&self, out: &mut Vec<u8>) {
+        match (self.dram.dense.get(), &self.dram.encoded) {
+            (None, Some((_, bytes))) => out.extend_from_slice(bytes),
+            _ => {
+                let s = self.dram.get();
+                encode_image(s.read_range(0, s.len()), out);
+            }
         }
     }
 
     /// Reassembles a report from externally persisted parts — the
     /// constructor behind the bench harness's content-addressed result
-    /// cache. The DRAM image arrives run-length encoded
-    /// (`dram_len` total words, runs as `(length, value)` pairs) and is
-    /// expanded only if something reads it — the sweep pipeline never
-    /// does, so a warm cache hit skips the multi-megabyte materialize.
+    /// cache. `dram_image` is the output of
+    /// [`RunReport::encode_dram_image`]. Its structure is checked here,
+    /// but it is expanded only on the first [`RunReport::dram`] or
+    /// [`RunReport::dram_range`] call. The sweep pipeline never makes
+    /// one, so a warm cache hit skips the multi-megabyte materialize.
     /// Carries no event trace (`trace` is observability output, never
     /// persisted; cached runs come back with an empty one).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if `dram_image` is not a well-formed image.
     #[allow(clippy::too_many_arguments)]
     pub fn from_cached_parts(
         cycles: u64,
         stats: Report,
-        dram_len: usize,
-        dram_runs: Vec<(usize, Value)>,
+        dram_image: Vec<u8>,
         tasks_completed: u64,
         timeline: Vec<(u64, u32)>,
         skipped_cycles: u64,
         profile: SimProfile,
         faults: FaultReport,
-    ) -> Self {
-        RunReport {
+    ) -> Result<Self, String> {
+        let len = walk_image(&dram_image, |_, _| {})?;
+        Ok(RunReport {
             cycles,
             stats,
-            dram: LazyDram::rle(dram_len, dram_runs),
+            dram: LazyDram {
+                dense: std::sync::OnceLock::new(),
+                encoded: Some((len, dram_image)),
+            },
             tasks_completed,
             timeline,
             skipped_cycles,
@@ -318,7 +408,7 @@ impl RunReport {
             trace: Vec::new(),
             trace_dropped: 0,
             faults,
-        }
+        })
     }
 
     /// Per-tile busy cycles, in tile order.
@@ -460,5 +550,84 @@ impl RunReport {
                 violations.join("\n  ")
             ))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report_with(words: &[Value]) -> RunReport {
+        let mut dram = Storage::new(words.len());
+        dram.load(0, words);
+        RunReport::new(
+            7,
+            Report::new(),
+            dram,
+            0,
+            Vec::new(),
+            0,
+            SimProfile::default(),
+            Vec::new(),
+            0,
+            FaultReport::default(),
+        )
+    }
+
+    #[test]
+    fn dram_images_roundtrip_through_the_lazy_report() {
+        let images: [Vec<Value>; 5] = [
+            Vec::new(),
+            vec![0; 300],
+            vec![i64::MIN, i64::MAX, -1, 1, 0, -64, 64],
+            (0..1000)
+                .map(|i| if i % 7 < 3 { 0 } else { i * -37 })
+                .collect(),
+            vec![0, 0, 0, 9],
+        ];
+        for words in &images {
+            let mut bytes = Vec::new();
+            report_with(words).encode_dram_image(&mut bytes);
+            let lazy = RunReport::from_cached_parts(
+                7,
+                Report::new(),
+                bytes.clone(),
+                0,
+                Vec::new(),
+                0,
+                SimProfile::default(),
+                FaultReport::default(),
+            )
+            .expect("encoded image is well formed");
+            assert_eq!(lazy.dram_len(), words.len());
+            let mut again = Vec::new();
+            lazy.encode_dram_image(&mut again);
+            assert_eq!(again, bytes, "unexpanded image re-encodes as is");
+            assert_eq!(lazy.dram_range(0, words.len()), &words[..]);
+        }
+    }
+
+    #[test]
+    fn zero_words_cost_nothing() {
+        let mut bytes = Vec::new();
+        report_with(&[0; 100_000]).encode_dram_image(&mut bytes);
+        assert_eq!(bytes.len(), 3, "just the varint word count");
+    }
+
+    #[test]
+    fn malformed_images_are_errors() {
+        let ok = |b: &[u8]| walk_image(b, |_, _| {}).is_ok();
+        assert!(ok(&[2, 0, 2, 1, 1]));
+        assert!(!ok(&[]), "missing word count");
+        assert!(!ok(&[2, 1, 2, 1, 1]), "segment past the end");
+        assert!(!ok(&[2, 0, 2, 1]), "missing word");
+        assert!(!ok(&[2, 0]), "missing segment length");
+        assert!(!ok(&[0x80]), "truncated varint");
+        let mut overflow = vec![0xff; 9];
+        overflow.push(0x02);
+        assert!(!ok(&overflow), "varint past 64 bits");
+        let mut max = vec![0xff; 9];
+        max.push(0x01);
+        assert!(ok(&max), "u64::MAX words, no segments");
     }
 }

@@ -155,6 +155,9 @@ stats: print the persistent result cache's location, entry count, and
 size on disk.
 clear: delete every cached result (the directory itself stays).
 
+Both cover every file the cache owns: current entries, entries left by
+an older cache format, and temp files orphaned by a killed sweep.
+
 The cache lives in ./.ts-cache unless TS_CACHE_DIR points elsewhere.
 Entries are keyed by configuration, program content, and build salt,
 so a stale entry can only be read back by the build that wrote it —

@@ -19,31 +19,38 @@
 //!   parameters are captured without per-workload code;
 //! * the full `Debug` form of the [`DeltaConfig`] *after* the
 //!   process-wide fast-path forces are applied;
-//! * a code-version salt: an FNV-1a hash of the running executable's
+//! * a code-version salt: a 64-bit hash of the running executable's
 //!   bytes, so a rebuilt simulator never reads stale entries. Tests
 //!   and benchmarking override it via `TS_CACHE_SALT` when they *want*
 //!   cross-binary sharing or a forced miss.
 //!
 //! **Value** = the full [`RunReport`] (or the wedged outcome of a
-//! fault run), serialized with the same hand-rolled strings-only JSON
-//! the goldens use ([`crate::golden`]) — numbers travel as decimal
-//! strings, `f64`s as bit-pattern hex (exact round-trip), and the DRAM
-//! image as one run-length-encoded string. Event traces are never
-//! cached: a traced run bypasses the cache entirely.
+//! fault run) as a compact binary entry (layout on `encode`): a magic
+//! and format header, the scalar and profile/fault counters as
+//! little-endian `u64`s, the stats as `(key, f64 bits)` records, the
+//! occupancy timeline, and the DRAM image in the zero-skipping varint
+//! encoding of [`RunReport::encode_dram_image`]. Every field
+//! round-trips bit-exactly. A hit keeps the image encoded and expands
+//! it only if something reads DRAM, which the sweep pipeline never
+//! does. Event traces are never cached: a traced run bypasses the
+//! cache entirely.
 //!
 //! The cache is **disabled by default** and switched on by the `repro`
 //! CLI (`repro sweep`, unless `--no-cache`). Entries live under
-//! `$TS_CACHE_DIR` (default `./.ts-cache`), one file per key, written
-//! atomically (temp file + rename) so concurrent sweeps never observe
-//! a torn entry. A corrupt or unreadable entry degrades to a miss.
+//! `$TS_CACHE_DIR` (default `./.ts-cache`), one `<key>.bin` file per
+//! key, written atomically (temp file + rename) so concurrent sweeps
+//! never observe a torn entry. The header carries the body's length and
+//! a checksum, so a truncated, corrupt or unreadable entry degrades to
+//! a miss, never a panic or a wrong hit.
 
-use crate::golden::{json_str, Json, Parser};
 use crate::FaultOutcome;
+use std::collections::BTreeSet;
+use std::fmt::Write as _;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-use taskstream_model::{Program, Spawner, Value};
+use std::sync::{Mutex, MutexGuard, OnceLock};
+use taskstream_model::{Program, Spawner};
 use ts_delta::{DeltaConfig, FaultReport, RunReport, SimProfile, STRETCH_BUCKETS};
 use ts_workloads::Workload;
 
@@ -53,6 +60,16 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static STORES: AtomicU64 = AtomicU64::new(0);
+/// Keys stored since the last [`reset_stats`], so a key written twice
+/// counts as one store.
+static STORED_KEYS: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
+/// Makes every temp file name unique, even for two threads storing
+/// the same key.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+fn stored_keys() -> MutexGuard<'static, BTreeSet<String>> {
+    STORED_KEYS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Explicit directory override (`repro --cache-dir` / tests); takes
 /// precedence over `TS_CACHE_DIR` and the `./.ts-cache` default.
@@ -111,7 +128,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Runs that had to simulate (no entry, or unreadable entry).
     pub misses: u64,
-    /// Fresh results persisted.
+    /// Distinct results persisted.
     pub stores: u64,
 }
 
@@ -129,103 +146,127 @@ pub fn reset_stats() {
     HITS.store(0, Ordering::Relaxed);
     MISSES.store(0, Ordering::Relaxed);
     STORES.store(0, Ordering::Relaxed);
+    stored_keys().clear();
 }
 
-/// Counts entries and total bytes on disk (for `repro cache stats`).
+/// Whether a file in the cache directory belongs to the cache: a
+/// current entry, a `.json` entry left by a format-1 build, or a
+/// `.tmp-*` file orphaned by a store that was killed before its rename.
+fn owned_by_cache(path: &Path) -> bool {
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+    name.starts_with(".tmp-") || path.extension().is_some_and(|x| x == "bin" || x == "json")
+}
+
+/// Every file the cache owns, with its size. A missing directory holds
+/// none.
+fn cache_files() -> Result<Vec<(PathBuf, u64)>, String> {
+    let d = dir();
+    let rd = match fs::read_dir(&d) {
+        Ok(rd) => rd,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(format!("cannot read {}: {e}", d.display())),
+    };
+    let mut files = Vec::new();
+    for ent in rd {
+        let ent = ent.map_err(|e| format!("cannot read {}: {e}", d.display()))?;
+        let p = ent.path();
+        if owned_by_cache(&p) {
+            files.push((p, ent.metadata().map(|m| m.len()).unwrap_or(0)));
+        }
+    }
+    Ok(files)
+}
+
+/// Counts the files the cache owns and their total bytes (for `repro
+/// cache stats`): current entries, format-1 leftovers and orphaned temp
+/// files alike.
 ///
 /// # Errors
 ///
 /// Returns a message if the directory exists but cannot be read. A
 /// missing directory is an empty cache, not an error.
 pub fn disk_stats() -> Result<(u64, u64), String> {
-    let d = dir();
-    let mut entries = 0u64;
-    let mut bytes = 0u64;
-    let rd = match fs::read_dir(&d) {
-        Ok(rd) => rd,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((0, 0)),
-        Err(e) => return Err(format!("cannot read {}: {e}", d.display())),
-    };
-    for ent in rd {
-        let ent = ent.map_err(|e| format!("cannot read {}: {e}", d.display()))?;
-        if ent.path().extension().is_some_and(|x| x == "json") {
-            entries += 1;
-            bytes += ent.metadata().map(|m| m.len()).unwrap_or(0);
-        }
-    }
-    Ok((entries, bytes))
+    let files = cache_files()?;
+    Ok((
+        files.len() as u64,
+        files.iter().map(|(_, bytes)| bytes).sum(),
+    ))
 }
 
-/// Deletes every cache entry (for `repro cache clear`); returns how
-/// many were removed. A missing directory clears zero entries.
+/// Deletes every file the cache owns (for `repro cache clear`) —
+/// current entries, format-1 leftovers and orphaned temp files — and
+/// returns how many were removed. A missing directory clears zero.
 ///
 /// # Errors
 ///
-/// Returns a message if the directory or an entry cannot be removed.
+/// Returns a message if the directory or a file cannot be removed.
 pub fn clear() -> Result<u64, String> {
-    let d = dir();
-    let rd = match fs::read_dir(&d) {
-        Ok(rd) => rd,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(format!("cannot read {}: {e}", d.display())),
-    };
-    let mut removed = 0u64;
-    for ent in rd {
-        let ent = ent.map_err(|e| format!("cannot read {}: {e}", d.display()))?;
-        let p = ent.path();
-        if p.extension().is_some_and(|x| x == "json") {
-            fs::remove_file(&p).map_err(|e| format!("cannot remove {}: {e}", p.display()))?;
-            removed += 1;
-        }
+    let files = cache_files()?;
+    for (p, _) in &files {
+        fs::remove_file(p).map_err(|e| format!("cannot remove {}: {e}", p.display()))?;
     }
-    Ok(removed)
+    Ok(files.len() as u64)
 }
 
 // ------------------------------------------------------------------ keys
 
-/// FNV-1a 64-bit — the workspace's standard cheap content hash (same
-/// construction as `experiments::derive_seed` and the CGRA mapping
-/// cache).
-struct Fnv(u64);
+/// Word-at-a-time 64-bit hash behind the program fingerprints, the
+/// code-version salt and the entry checksum. Each step is a bijection
+/// of the running state for a fixed word and of the word for a fixed
+/// state, so a change confined to one word (in particular any
+/// single-byte flip) always changes the result.
+struct Hash64(u64);
 
-impl Fnv {
+impl Hash64 {
     fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Hash64(0xcbf2_9ce4_8422_2325)
     }
 
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0 ^ w)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(29);
+    }
+
+    /// Hashes `bytes` eight at a time, zero-padding the last word. Not
+    /// self-delimiting: variable-length input goes through
+    /// [`Hash64::write_str`] or is framed by the caller.
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.write_u64(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rest.len()].copy_from_slice(rest);
+            self.write_u64(u64::from_le_bytes(tail));
         }
     }
 
+    /// Length-prefixed, so `"ab"+"c"` and `"a"+"bc"` differ.
     fn write_str(&mut self, s: &str) {
+        self.write_u64(s.len() as u64);
         self.write(s.as_bytes());
-        self.write(&[0xff]); // separator: "ab"+"c" != "a"+"bc"
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
     }
 }
 
-/// Code-version salt: FNV-1a over the running executable's bytes, so a
-/// rebuilt binary addresses a fresh slice of the cache. `TS_CACHE_SALT`
-/// overrides it (tests force hits across binaries / misses within one).
+/// Code-version salt: a [`Hash64`] of the running executable's bytes,
+/// so a rebuilt binary addresses a fresh slice of the cache.
+/// `TS_CACHE_SALT` overrides it (tests force hits across binaries /
+/// misses within one).
 fn exe_salt() -> u64 {
     static SALT: OnceLock<u64> = OnceLock::new();
     *SALT.get_or_init(|| {
-        if let Ok(s) = std::env::var("TS_CACHE_SALT") {
-            let mut h = Fnv::new();
-            h.write_str(&s);
-            return h.0;
+        let mut h = Hash64::new();
+        match std::env::var("TS_CACHE_SALT") {
+            Ok(s) => h.write_str(&s),
+            Err(_) => h.write(
+                &std::env::current_exe()
+                    .and_then(fs::read)
+                    .unwrap_or_default(),
+            ),
         }
-        let bytes = std::env::current_exe()
-            .and_then(fs::read)
-            .unwrap_or_default();
-        let mut h = Fnv::new();
-        h.write(&bytes);
         h.0
     })
 }
@@ -244,20 +285,27 @@ pub(crate) fn program_fingerprint(wl: &dyn Workload, baseline: bool) -> u64 {
     } else {
         wl.make_program()
     };
-    let mut h = Fnv::new();
+    let mut h = Hash64::new();
+    // One buffer for every `Debug` form: a program has thousands.
+    let mut text = String::new();
+    let mut write_debug = |h: &mut Hash64, v: &dyn std::fmt::Debug| {
+        text.clear();
+        write!(text, "{v:?}").expect("formatting into a String");
+        h.write_str(&text);
+    };
     h.write_str(wl.name());
     h.write_str(program.name());
     for tt in program.task_types() {
-        h.write_str(&format!("{tt:?}"));
+        write_debug(&mut h, &tt);
     }
     let image = program.memory_image();
     for (tag, segments) in [(b'd', &image.dram), (b's', &image.spad)] {
         for (base, words) in segments {
-            h.write(&[tag]);
+            h.write_u64(u64::from(tag));
             h.write_u64(*base);
             h.write_u64(words.len() as u64);
             for w in words {
-                h.write(&(*w as u64).to_le_bytes());
+                h.write_u64(*w as u64);
             }
         }
     }
@@ -266,10 +314,10 @@ pub(crate) fn program_fingerprint(wl: &dyn Workload, baseline: bool) -> u64 {
     let (tasks, pipes) = spawner.take();
     h.write_u64(tasks.len() as u64);
     for t in &tasks {
-        h.write_str(&format!("{t:?}"));
+        write_debug(&mut h, t);
     }
     for p in &pipes {
-        h.write_str(&format!("{p:?}"));
+        write_debug(&mut h, p);
     }
     h.0
 }
@@ -312,7 +360,7 @@ pub(crate) fn key_from_fingerprint(
     salt: u64,
 ) -> String {
     let canon = format!(
-        "format=1\nmode={}\nbaseline={}\nprogram={fingerprint:016x}\ncfg={:?}\nsalt={salt:016x}\n",
+        "format=2\nmode={}\nbaseline={}\nprogram={fingerprint:016x}\ncfg={:?}\nsalt={salt:016x}\n",
         if faulted { "faulted" } else { "validated" },
         baseline as u8,
         cfg,
@@ -328,80 +376,31 @@ pub(crate) fn current_salt() -> u64 {
 
 // ------------------------------------------------------------------ codec
 
-/// Encodes a `u64` for the strings-only JSON format.
-fn enc_u64(v: u64) -> Json {
-    Json::Str(v.to_string())
+/// First bytes of every entry. The trailing digit is the entry format,
+/// the same number as the key canon's `format=` field.
+const MAGIC: &[u8; 8] = b"tscache2";
+
+/// Header: [`MAGIC`], then the body's length and [`checksum`] as
+/// little-endian `u64`s.
+const HEADER: usize = 24;
+
+const KIND_COMPLETED: u8 = 0;
+const KIND_WEDGED: u8 = 1;
+
+/// Number of `u64` counters a [`SimProfile`] is stored as.
+const PROFILE_WORDS: usize = 13 + 4 * STRETCH_BUCKETS;
+
+/// Checksum of an entry body: a [`Hash64`] of its length and bytes,
+/// so any single-byte flip is caught.
+fn checksum(body: &[u8]) -> u64 {
+    let mut h = Hash64::new();
+    h.write_u64(body.len() as u64);
+    h.write(body);
+    h.0
 }
 
-/// Encodes an `f64` exactly: its IEEE-754 bit pattern in hex.
-fn enc_f64(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn dec_u64(j: &Json, what: &str) -> Result<u64, String> {
-    j.as_str()
-        .ok_or_else(|| format!("{what} must be a string"))?
-        .parse()
-        .map_err(|e| format!("{what}: {e}"))
-}
-
-fn dec_f64(s: &str, what: &str) -> Result<f64, String> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|e| format!("{what}: {e}"))
-}
-
-/// DRAM image as one run-length-encoded string: `len;count:value,...`.
-/// Final images are dominated by long runs (untouched regions, zero
-/// fills), so this keeps multi-megaword images to a few kilobytes.
-fn enc_dram(report: &RunReport) -> String {
-    let words = report.dram_range(0, report.dram_len());
-    let mut out = format!("{};", words.len());
-    let mut i = 0;
-    while i < words.len() {
-        let v = words[i];
-        let mut j = i + 1;
-        while j < words.len() && words[j] == v {
-            j += 1;
-        }
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{}:{}", j - i, v));
-        i = j;
-    }
-    out
-}
-
-/// Parses the RLE string into `(total words, runs)` without expanding:
-/// the report materializes the image lazily, so a warm hit whose DRAM
-/// is never read keeps just these few hundred bytes of runs.
-fn dec_dram(s: &str) -> Result<(usize, Vec<(usize, Value)>), String> {
-    let (len_s, runs_s) = s.split_once(';').ok_or("dram: missing length prefix")?;
-    let len: usize = len_s.parse().map_err(|e| format!("dram length: {e}"))?;
-    let mut runs = Vec::new();
-    let mut total = 0usize;
-    if !runs_s.is_empty() {
-        for run in runs_s.split(',') {
-            let (n, v) = run.split_once(':').ok_or("dram: malformed run")?;
-            let n: usize = n.parse().map_err(|e| format!("dram run count: {e}"))?;
-            let v: Value = v.parse().map_err(|e| format!("dram run value: {e}"))?;
-            if n == 0 || total + n > len {
-                return Err("dram: runs disagree with length".into());
-            }
-            total += n;
-            runs.push((n, v));
-        }
-    }
-    if total != len {
-        return Err("dram: runs disagree with length".into());
-    }
-    Ok((len, runs))
-}
-
-/// `SimProfile` as a fixed-order list of decimal strings.
-fn enc_profile(p: &SimProfile) -> Json {
-    let mut v: Vec<u64> = vec![
+fn profile_words(p: &SimProfile) -> [u64; PROFILE_WORDS] {
+    let head = [
         p.tile_ticks,
         p.tile_skipped,
         p.tile_bulk_cycles,
@@ -416,217 +415,240 @@ fn enc_profile(p: &SimProfile) -> Json {
         p.jump_cycles,
         p.loop_cycles,
     ];
-    v.extend(p.jump_hist);
-    v.extend(p.tile_stretch_hist);
-    v.extend(p.mem_stretch_hist);
-    v.extend(p.noc_stretch_hist);
-    Json::Arr(v.into_iter().map(enc_u64).collect())
-}
-
-fn dec_profile(j: &Json) -> Result<SimProfile, String> {
-    let arr = j.as_arr().ok_or("profile must be an array")?;
-    let want = 13 + 4 * STRETCH_BUCKETS;
-    if arr.len() != want {
-        return Err(format!(
-            "profile must have {want} entries, got {}",
-            arr.len()
-        ));
-    }
-    let mut it = arr.iter();
-    let mut next = || dec_u64(it.next().expect("length checked"), "profile entry");
-    let mut p = SimProfile {
-        tile_ticks: next()?,
-        tile_skipped: next()?,
-        tile_bulk_cycles: next()?,
-        tile_wakes: next()?,
-        tile_next_event_calls: next()?,
-        mem_ticks: next()?,
-        mem_skipped: next()?,
-        mem_wakes: next()?,
-        noc_ticks: next()?,
-        noc_skipped: next()?,
-        noc_wakes: next()?,
-        jump_cycles: next()?,
-        loop_cycles: next()?,
-        ..SimProfile::default()
-    };
-    for hist in [
-        &mut p.jump_hist,
-        &mut p.tile_stretch_hist,
-        &mut p.mem_stretch_hist,
-        &mut p.noc_stretch_hist,
-    ] {
-        for b in hist.iter_mut() {
-            *b = next()?;
-        }
-    }
-    Ok(p)
-}
-
-/// `FaultReport` as a fixed-order list of decimal strings.
-fn enc_faults(f: &FaultReport) -> Json {
-    Json::Arr(
-        [
-            f.tile_fail_stops,
-            f.tile_stalls,
-            f.noc_flits_dropped,
-            f.noc_flits_corrupted,
-            f.dram_retries,
-            f.watchdog_fires,
-            f.tasks_redispatched,
-            f.pipe_replays,
-            f.backoff_cycles,
-            f.wasted_cycles,
-        ]
+    let hists = [
+        p.jump_hist,
+        p.tile_stretch_hist,
+        p.mem_stretch_hist,
+        p.noc_stretch_hist,
+    ];
+    let words: Vec<u64> = head
         .into_iter()
-        .map(enc_u64)
-        .collect(),
-    )
+        .chain(hists.into_iter().flatten())
+        .collect();
+    words.try_into().expect("13 counters and 4 histograms")
 }
 
-fn dec_faults(j: &Json) -> Result<FaultReport, String> {
-    let arr = j.as_arr().ok_or("faults must be an array")?;
-    if arr.len() != 10 {
-        return Err(format!("faults must have 10 entries, got {}", arr.len()));
+fn profile_from_words(w: &[u64; PROFILE_WORDS]) -> SimProfile {
+    let hist = |i: usize| -> [u64; STRETCH_BUCKETS] {
+        let at = 13 + i * STRETCH_BUCKETS;
+        w[at..at + STRETCH_BUCKETS]
+            .try_into()
+            .expect("bucket slice")
+    };
+    SimProfile {
+        tile_ticks: w[0],
+        tile_skipped: w[1],
+        tile_bulk_cycles: w[2],
+        tile_wakes: w[3],
+        tile_next_event_calls: w[4],
+        mem_ticks: w[5],
+        mem_skipped: w[6],
+        mem_wakes: w[7],
+        noc_ticks: w[8],
+        noc_skipped: w[9],
+        noc_wakes: w[10],
+        jump_cycles: w[11],
+        loop_cycles: w[12],
+        jump_hist: hist(0),
+        tile_stretch_hist: hist(1),
+        mem_stretch_hist: hist(2),
+        noc_stretch_hist: hist(3),
     }
-    let mut it = arr.iter();
-    let mut next = || dec_u64(it.next().expect("length checked"), "faults entry");
-    Ok(FaultReport {
-        tile_fail_stops: next()?,
-        tile_stalls: next()?,
-        noc_flits_dropped: next()?,
-        noc_flits_corrupted: next()?,
-        dram_retries: next()?,
-        watchdog_fires: next()?,
-        tasks_redispatched: next()?,
-        pipe_replays: next()?,
-        backoff_cycles: next()?,
-        wasted_cycles: next()?,
-    })
 }
 
-/// Serializes a run outcome to the on-disk entry format.
-fn encode(outcome: &FaultOutcome) -> String {
-    let report = match outcome {
+fn fault_words(f: &FaultReport) -> [u64; 10] {
+    [
+        f.tile_fail_stops,
+        f.tile_stalls,
+        f.noc_flits_dropped,
+        f.noc_flits_corrupted,
+        f.dram_retries,
+        f.watchdog_fires,
+        f.tasks_redispatched,
+        f.pipe_replays,
+        f.backoff_cycles,
+        f.wasted_cycles,
+    ]
+}
+
+fn faults_from_words(w: &[u64; 10]) -> FaultReport {
+    FaultReport {
+        tile_fail_stops: w[0],
+        tile_stalls: w[1],
+        noc_flits_dropped: w[2],
+        noc_flits_corrupted: w[3],
+        dram_retries: w[4],
+        watchdog_fires: w[5],
+        tasks_redispatched: w[6],
+        pipe_replays: w[7],
+        backoff_cycles: w[8],
+        wasted_cycles: w[9],
+    }
+}
+
+/// Serializes a run outcome to the on-disk entry format:
+///
+/// ```text
+/// header    magic "tscache2", body length u64, body checksum u64
+/// body      kind u8 (0 completed, 1 wedged), cycles u64
+/// completed tasks_completed u64, skipped_cycles u64,
+///           SimProfile counters (33 × u64), FaultReport counters (10 × u64),
+///           stats: count u32, then (key length u32, key, f64 bits u64) each,
+///           timeline: count u32, then (cycle u64, busy u32) each,
+///           the DRAM image (RunReport::encode_dram_image) to the end
+/// ```
+///
+/// Every integer is little-endian.
+fn encode(outcome: &FaultOutcome) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(4096);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&[0; HEADER - MAGIC.len()]);
+    let put = |buf: &mut Vec<u8>, v: u64| buf.extend_from_slice(&v.to_le_bytes());
+    let put32 = |buf: &mut Vec<u8>, n: usize| {
+        let n = u32::try_from(n).expect("entry section count fits u32");
+        buf.extend_from_slice(&n.to_le_bytes());
+    };
+    match outcome {
         FaultOutcome::Wedged { cycles } => {
-            return format!(
-                "{{\"format\": \"1\", \"kind\": \"wedged\", \"cycles\": {}}}\n",
-                json_str(&cycles.to_string())
-            );
+            buf.push(KIND_WEDGED);
+            put(&mut buf, *cycles);
         }
-        FaultOutcome::Completed(r) => r,
-    };
-    let mut s = String::from("{\n\"format\": \"1\",\n\"kind\": \"completed\",\n");
-    s.push_str(&format!(
-        "\"cycles\": {},\n",
-        json_str(&report.cycles.to_string())
-    ));
-    s.push_str(&format!(
-        "\"tasks_completed\": {},\n",
-        json_str(&report.tasks_completed.to_string())
-    ));
-    s.push_str(&format!(
-        "\"skipped_cycles\": {},\n",
-        json_str(&report.skipped_cycles.to_string())
-    ));
-    let stats: Vec<String> = report
-        .stats
-        .iter()
-        .map(|(k, v)| format!("[{}, {}]", json_str(k), json_str(&enc_f64(v))))
-        .collect();
-    s.push_str(&format!("\"stats\": [{}],\n", stats.join(", ")));
-    let timeline: Vec<String> = report
-        .timeline
-        .iter()
-        .map(|(c, b)| format!("{c}:{b}"))
-        .collect();
-    s.push_str(&format!(
-        "\"timeline\": {},\n",
-        json_str(&timeline.join(" "))
-    ));
-    s.push_str(&format!("\"dram\": {},\n", json_str(&enc_dram(report))));
-    let to_text = |j: &Json| match j {
-        Json::Arr(items) => {
-            let parts: Vec<String> = items
-                .iter()
-                .map(|e| json_str(e.as_str().expect("counter lists hold strings")))
-                .collect();
-            format!("[{}]", parts.join(", "))
+        FaultOutcome::Completed(r) => {
+            buf.push(KIND_COMPLETED);
+            for v in [r.cycles, r.tasks_completed, r.skipped_cycles]
+                .into_iter()
+                .chain(profile_words(&r.profile))
+                .chain(fault_words(&r.faults))
+            {
+                put(&mut buf, v);
+            }
+            put32(&mut buf, r.stats.len());
+            for (k, v) in r.stats.iter() {
+                put32(&mut buf, k.len());
+                buf.extend_from_slice(k.as_bytes());
+                put(&mut buf, v.to_bits());
+            }
+            put32(&mut buf, r.timeline.len());
+            for &(c, b) in &r.timeline {
+                put(&mut buf, c);
+                buf.extend_from_slice(&b.to_le_bytes());
+            }
+            r.encode_dram_image(&mut buf);
         }
-        _ => unreachable!("counter lists are arrays"),
-    };
-    s.push_str(&format!(
-        "\"profile\": {},\n",
-        to_text(&enc_profile(&report.profile))
-    ));
-    s.push_str(&format!(
-        "\"faults\": {}\n}}\n",
-        to_text(&enc_faults(&report.faults))
-    ));
-    s
+    }
+    let body_len = (buf.len() - HEADER) as u64;
+    let sum = checksum(&buf[HEADER..]);
+    buf[8..16].copy_from_slice(&body_len.to_le_bytes());
+    buf[16..24].copy_from_slice(&sum.to_le_bytes());
+    buf
 }
 
-/// Parses an on-disk entry back into a run outcome.
-fn decode(text: &str) -> Result<FaultOutcome, String> {
-    let value = Parser::new(text).parse()?;
-    let obj = value.as_obj().ok_or("entry must be an object")?;
-    let field = |name: &str| {
-        obj.iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field '{name}'"))
-    };
-    if field("format")?.as_str() != Some("1") {
-        return Err("unknown format version".into());
+/// Bounds-checked reader over an entry body.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        let (head, tail) = self
+            .0
+            .split_first_chunk::<N>()
+            .ok_or("entry body ends early")?;
+        self.0 = tail;
+        Ok(*head)
     }
-    let cycles = dec_u64(field("cycles")?, "cycles")?;
-    match field("kind")?.as_str() {
-        Some("wedged") => return Ok(FaultOutcome::Wedged { cycles }),
-        Some("completed") => {}
-        _ => return Err("kind must be 'completed' or 'wedged'".into()),
-    }
-    let mut stats = ts_sim::stats::Report::new();
-    for pair in field("stats")?.as_arr().ok_or("stats must be an array")? {
-        let pair = pair.as_arr().ok_or("stats entries must be pairs")?;
-        match pair {
-            [k, v] => {
-                let k = k.as_str().ok_or("stat key must be a string")?;
-                let v = v.as_str().ok_or("stat value must be a string")?;
-                stats.set(k, dec_f64(v, "stat value")?);
-            }
-            _ => return Err("stats entries must be [key, value]".into()),
+
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8], String> {
+        if n > self.0.len() {
+            return Err("entry body ends early".into());
         }
+        let (head, tail) = self.0.split_at(n);
+        self.0 = tail;
+        Ok(head)
     }
-    let mut timeline = Vec::new();
-    let tl = field("timeline")?
-        .as_str()
-        .ok_or("timeline must be a string")?;
-    for sample in tl.split_whitespace() {
-        let (c, b) = sample.split_once(':').ok_or("timeline: malformed sample")?;
-        timeline.push((
-            c.parse().map_err(|e| format!("timeline cycle: {e}"))?,
-            b.parse().map_err(|e| format!("timeline busy: {e}"))?,
-        ));
+
+    fn u64(&mut self) -> Result<u64, String> {
+        self.take().map(u64::from_le_bytes)
     }
-    let (dram_len, dram_runs) = dec_dram(field("dram")?.as_str().ok_or("dram must be a string")?)?;
+
+    fn words<const N: usize>(&mut self) -> Result<[u64; N], String> {
+        let mut w = [0u64; N];
+        for slot in &mut w {
+            *slot = self.u64()?;
+        }
+        Ok(w)
+    }
+
+    /// A section count, rejected up front if its records (each at least
+    /// `min_record` bytes) cannot fit in what is left of the body.
+    fn count(&mut self, min_record: usize) -> Result<usize, String> {
+        let n = u32::from_le_bytes(self.take()?) as usize;
+        if n.saturating_mul(min_record) > self.0.len() {
+            return Err("entry section count exceeds the body".into());
+        }
+        Ok(n)
+    }
+}
+
+/// Parses an on-disk entry back into a run outcome. The header's length
+/// and checksum must match the body before any field is read, so a
+/// truncated or corrupted file is an error, never a wrong result.
+fn decode(mut bytes: Vec<u8>) -> Result<FaultOutcome, String> {
+    let header = bytes.get(..HEADER).ok_or("entry shorter than its header")?;
+    if header[..8] != MAGIC[..] {
+        return Err("not a format-2 entry".into());
+    }
+    let word = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+    let (body_len, sum) = (word(8), word(16));
+    let body = &bytes[HEADER..];
+    if body_len != body.len() as u64 {
+        return Err("entry length disagrees with its header".into());
+    }
+    if checksum(body) != sum {
+        return Err("entry checksum mismatch".into());
+    }
+    let mut r = Reader(body);
+    let [kind] = r.take()?;
+    let cycles = r.u64()?;
+    match kind {
+        KIND_WEDGED if r.0.is_empty() => return Ok(FaultOutcome::Wedged { cycles }),
+        KIND_COMPLETED => {}
+        _ => return Err("bad entry kind or length".into()),
+    }
+    let [tasks_completed, skipped_cycles] = r.words()?;
+    let profile = profile_from_words(&r.words()?);
+    let faults = faults_from_words(&r.words()?);
+    // Stat records and timeline samples both take at least 12 bytes.
+    let stats = (0..r.count(12)?)
+        .map(|_| {
+            let len = u32::from_le_bytes(r.take()?) as usize;
+            let key = std::str::from_utf8(r.bytes(len)?).map_err(|_| "stat key is not UTF-8")?;
+            Ok((key.to_string(), f64::from_bits(r.u64()?)))
+        })
+        .collect::<Result<ts_sim::stats::Report, String>>()?;
+    let n = r.count(12)?;
+    let mut timeline = Vec::with_capacity(n);
+    for _ in 0..n {
+        let c = r.u64()?;
+        timeline.push((c, u32::from_le_bytes(r.take()?)));
+    }
+    let image_at = bytes.len() - r.0.len();
+    bytes.drain(..image_at);
     let report = RunReport::from_cached_parts(
         cycles,
         stats,
-        dram_len,
-        dram_runs,
-        dec_u64(field("tasks_completed")?, "tasks_completed")?,
+        bytes,
+        tasks_completed,
         timeline,
-        dec_u64(field("skipped_cycles")?, "skipped_cycles")?,
-        dec_profile(field("profile")?)?,
-        dec_faults(field("faults")?)?,
-    );
+        skipped_cycles,
+        profile,
+        faults,
+    )?;
     Ok(FaultOutcome::Completed(Box::new(report)))
 }
 
 // ------------------------------------------------------------------ disk
 
 fn entry_path(key: &str) -> PathBuf {
-    dir().join(format!("{key}.json"))
+    dir().join(format!("{key}.bin"))
 }
 
 /// Looks a key up on disk. `faulted` is the run mode the caller
@@ -634,9 +656,9 @@ fn entry_path(key: &str) -> PathBuf {
 /// edited by hand) degrades to a miss like any other corruption.
 /// Counts one hit or one miss.
 pub fn load(key: &str, faulted: bool) -> Option<FaultOutcome> {
-    let loaded = fs::read_to_string(entry_path(key))
+    let loaded = fs::read(entry_path(key))
         .ok()
-        .and_then(|text| decode(&text).ok())
+        .and_then(|bytes| decode(bytes).ok())
         .filter(|out| faulted || matches!(out, FaultOutcome::Completed(_)));
     match &loaded {
         Some(_) => HITS.fetch_add(1, Ordering::Relaxed),
@@ -649,19 +671,25 @@ pub fn load(key: &str, faulted: bool) -> Option<FaultOutcome> {
 /// cache directory is renamed over the final name, so a concurrent
 /// reader sees either the whole entry or none of it. IO failure is
 /// silent (the cache is an accelerator, not a correctness surface) —
-/// it just doesn't count as a store.
+/// it just doesn't count as a store. A key this process already stored
+/// since the last [`reset_stats`] (two in-flight jobs of one sweep with
+/// the same key) is rewritten but not counted again, so the store
+/// count is the number of entries written.
 pub fn store(key: &str, outcome: &FaultOutcome) {
     let d = dir();
     if fs::create_dir_all(&d).is_err() {
         return;
     }
-    let tmp = d.join(format!(".tmp-{}-{key}", std::process::id()));
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = d.join(format!(".tmp-{}-{seq}-{key}", std::process::id()));
     if fs::write(&tmp, encode(outcome)).is_err() {
         let _ = fs::remove_file(&tmp);
         return;
     }
     if fs::rename(&tmp, entry_path(key)).is_ok() {
-        STORES.fetch_add(1, Ordering::Relaxed);
+        if stored_keys().insert(key.to_string()) {
+            STORES.fetch_add(1, Ordering::Relaxed);
+        }
     } else {
         let _ = fs::remove_file(&tmp);
     }
@@ -741,6 +769,9 @@ fn sha256_hex(data: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taskstream_model::{CompletedTask, MemoryImage, TaskType, Value};
+    use ts_delta::Accelerator;
+    use ts_workloads::spmv::Spmv;
 
     #[test]
     fn sha256_matches_fips_vectors() {
@@ -759,85 +790,161 @@ mod tests {
         );
     }
 
-    #[test]
-    fn dram_rle_roundtrips() {
-        for words in [
-            vec![],
-            vec![0i64],
-            vec![5, 5, 5, -2, 0, 0, 0, 0, 9],
-            vec![1; 1000],
-        ] {
-            let mut s = format!("{};", words.len());
-            let mut i = 0;
-            while i < words.len() {
-                let v = words[i];
-                let mut j = i + 1;
-                while j < words.len() && words[j] == v {
-                    j += 1;
-                }
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("{}:{}", j - i, v));
-                i = j;
-            }
-            let (len, runs) = dec_dram(&s).unwrap();
-            assert_eq!(len, words.len());
-            let expanded: Vec<Value> = runs
-                .iter()
-                .flat_map(|&(n, v)| std::iter::repeat_n(v, n))
-                .collect();
-            assert_eq!(expanded, words);
+    /// A program that spawns no tasks, so its final DRAM image is its
+    /// initial image: a real simulator report holding chosen words.
+    struct Image(Vec<Value>);
+
+    impl Program for Image {
+        fn name(&self) -> &str {
+            "image"
         }
-        assert!(dec_dram("3;1:5").is_err(), "short runs must be rejected");
-        assert!(dec_dram("1;2:5").is_err(), "long runs must be rejected");
+
+        fn task_types(&self) -> Vec<TaskType> {
+            Vec::new()
+        }
+
+        fn memory_image(&self) -> MemoryImage {
+            MemoryImage::new().dram_segment(100, self.0.clone())
+        }
+
+        fn initial(&mut self, _: &mut Spawner) {}
+
+        fn on_complete(&mut self, _: &CompletedTask, _: &mut Spawner) {}
     }
 
+    fn simulate_image(words: Vec<Value>) -> RunReport {
+        Accelerator::new(DeltaConfig::delta(2))
+            .run(&mut Image(words))
+            .expect("an empty program runs")
+    }
+
+    /// Compares every field of two reports bit for bit.
+    fn assert_identical(a: &RunReport, b: &RunReport) {
+        assert_eq!(a.cycles, b.cycles);
+        let bits = |r: &RunReport| -> Vec<(String, u64)> {
+            r.stats
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(a), bits(b));
+        assert_eq!(a.dram_len(), b.dram_len());
+        assert_eq!(a.dram_range(0, a.dram_len()), b.dram_range(0, b.dram_len()));
+        assert_eq!(a.tasks_completed, b.tasks_completed);
+        assert_eq!(a.timeline, b.timeline);
+        assert_eq!(a.skipped_cycles, b.skipped_cycles);
+        assert_eq!(a.profile, b.profile);
+        assert_eq!(a.faults, b.faults);
+        assert!(b.trace.is_empty() && b.trace_dropped == 0);
+    }
+
+    /// Real reports through the production codec. The simulator always
+    /// allocates a spill region, so it never produces an empty (0-word)
+    /// image; the image codec's own tests in `ts-delta` cover that one.
     #[test]
-    fn f64_bits_roundtrip_exactly() {
-        for v in [0.0, -0.0, 1.5, 1.0 / 3.0, f64::MAX, 1e-300] {
-            let back = dec_f64(&enc_f64(v), "t").unwrap();
-            assert_eq!(v.to_bits(), back.to_bits());
+    fn entries_roundtrip_every_field_bit_exactly() {
+        let mut workload = crate::run_validated(&Spmv::tiny(42), DeltaConfig::delta(4), false);
+        let specials = [
+            -0.0,
+            f64::NAN,
+            f64::from_bits(0xfff4_dead_beef_0001), // negative signalling NaN with payload
+            f64::from_bits(1),                     // smallest subnormal
+            f64::MIN_POSITIVE / 3.0,
+            f64::NEG_INFINITY,
+        ];
+        for (i, v) in specials.into_iter().enumerate() {
+            workload.stats.set(format!("zz.special{i}"), v);
+        }
+        let reports = [
+            workload,
+            simulate_image(vec![-1, i64::MIN, i64::MAX, 0, 0, -300, 7, i64::MIN + 1]),
+            simulate_image(Vec::new()), // all-zero image
+        ];
+        assert!(reports[2]
+            .dram_range(0, reports[2].dram_len())
+            .iter()
+            .all(|&w| w == 0));
+        for r in reports {
+            let bytes = encode(&FaultOutcome::Completed(Box::new(r.clone())));
+            let back = decode(bytes.clone()).expect("fresh entry decodes");
+            // Unexpanded, the loaded report re-encodes its image as is.
+            assert_eq!(encode(&back), bytes);
+            assert_identical(&r, back.report().expect("completed"));
+            // Expanded (by the comparison above), it re-encodes the same.
+            assert_eq!(encode(&back), bytes);
         }
     }
 
     #[test]
     fn wedged_entries_roundtrip() {
-        let out = FaultOutcome::Wedged { cycles: 123456 };
-        match decode(&encode(&out)).unwrap() {
-            FaultOutcome::Wedged { cycles } => assert_eq!(cycles, 123456),
+        let out = FaultOutcome::Wedged {
+            cycles: u64::MAX - 7,
+        };
+        match decode(encode(&out)).unwrap() {
+            FaultOutcome::Wedged { cycles } => assert_eq!(cycles, u64::MAX - 7),
             _ => panic!("wrong kind"),
         }
     }
 
     #[test]
-    fn profile_codec_roundtrips() {
-        let mut p = SimProfile {
-            tile_ticks: 1,
-            tile_skipped: 2,
-            tile_bulk_cycles: 3,
-            tile_wakes: 4,
-            tile_next_event_calls: 5,
-            mem_ticks: 6,
-            mem_skipped: 7,
-            mem_wakes: 8,
-            noc_ticks: 9,
-            noc_skipped: 10,
-            noc_wakes: 11,
-            jump_cycles: 12,
-            loop_cycles: 13,
-            ..SimProfile::default()
-        };
-        p.jump_hist = [1, 2, 3, 4, 5];
-        p.noc_stretch_hist = [9, 8, 7, 6, 5];
-        assert_eq!(dec_profile(&enc_profile(&p)).unwrap(), p);
+    fn counter_blocks_fill_every_field() {
+        let w: [u64; PROFILE_WORDS] = std::array::from_fn(|i| i as u64 + 1);
+        assert_eq!(profile_words(&profile_from_words(&w)), w);
+        let f: [u64; 10] = std::array::from_fn(|i| 100 + i as u64);
+        assert_eq!(fault_words(&faults_from_words(&f)), f);
+    }
+
+    /// Frames `body` with a valid header, as `encode` does.
+    fn seal(body: &[u8]) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&checksum(body).to_le_bytes());
+        buf.extend_from_slice(body);
+        buf
     }
 
     #[test]
-    fn corrupt_entries_are_rejected() {
-        assert!(decode("").is_err());
-        assert!(decode("{}").is_err());
-        assert!(decode("{\"format\": \"2\", \"kind\": \"wedged\", \"cycles\": \"1\"}").is_err());
-        assert!(decode("{\"format\": \"1\", \"kind\": \"lost\", \"cycles\": \"1\"}").is_err());
+    fn malformed_entries_are_rejected() {
+        assert!(decode(Vec::new()).is_err());
+        assert!(decode(MAGIC.to_vec()).is_err());
+        assert!(
+            decode(b"{\"format\": \"1\", \"kind\": \"wedged\", \"cycles\": \"1\"}".to_vec())
+                .is_err()
+        );
+
+        // Well-framed bodies whose content is wrong.
+        let wedged = encode(&FaultOutcome::Wedged { cycles: 9 });
+        let mut body = wedged[HEADER..].to_vec();
+        assert!(decode(seal(&body)).is_ok());
+        body[0] = 7;
+        assert!(decode(seal(&body)).is_err(), "unknown kind");
+        body[0] = KIND_WEDGED;
+        body.push(0);
+        assert!(decode(seal(&body)).is_err(), "trailing bytes after a wedge");
+
+        let report = simulate_image(vec![5, 6]);
+        let mut image = Vec::new();
+        report.encode_dram_image(&mut image);
+        let done = encode(&FaultOutcome::Completed(Box::new(report)));
+        let body = &done[HEADER..];
+        let stats_at = 1 + 8 * (3 + PROFILE_WORDS + 10);
+        let mut huge = body.to_vec();
+        huge[stats_at..stats_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode(seal(&huge)).is_err(), "stat count past the body");
+        let head = &body[..body.len() - image.len()];
+        let with_image = |img: &[u8]| seal(&[head, img].concat());
+        assert!(decode(with_image(&image)).is_ok());
+        assert!(
+            decode(with_image(&[4, 3, 2, 1, 1])).is_err(),
+            "segment past the image"
+        );
+        assert!(
+            decode(with_image(&image[..image.len() - 1])).is_err(),
+            "image cut short"
+        );
+        assert!(
+            decode(with_image(&[0xff; 11])).is_err(),
+            "varint past 64 bits"
+        );
     }
 }

@@ -28,6 +28,8 @@
 //! | `fig_lanes` | extension: vector-lane scaling |
 //! | `fig_timeline` | tile-occupancy sparklines over the run |
 //! | `fig_faults` | fault injection: Delta recovery vs wedging baseline |
+//! | `fig_tenancy` | multi-tenant co-residency: per-tenant latency, slowdown, fairness |
+//! | `fig_streams` | streaming-graph workloads, Delta vs static, pipes direct vs spilled |
 //! | `tbl_energy` | per-workload energy, Delta vs static |
 //! | `tbl_area` | area breakdown + TaskStream overhead |
 
@@ -49,7 +51,7 @@ use taskstream_model::Program;
 use ts_delta::{oracle, Accelerator, DeltaConfig, RunError, RunReport};
 use ts_workloads::Workload;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -315,22 +317,29 @@ impl SweepJob {
     }
 }
 
+/// Program fingerprints by [`fingerprint_id`], for the jobs of one sweep.
+type Fingerprints = HashMap<(usize, bool), u64>;
+
+/// A job's cache key, from the sweep's precomputed fingerprints. `cfg`
+/// is the job's config with the fast-path forces applied.
+fn job_key(j: &SweepJob, cfg: &DeltaConfig, fingerprints: &Fingerprints) -> String {
+    let fp = fingerprints
+        .get(&fingerprint_id(j))
+        .copied()
+        .unwrap_or_else(|| cache::program_fingerprint(j.wl.as_ref(), j.baseline));
+    cache::key_from_fingerprint(fp, cfg, j.baseline, j.faulted, cache::current_salt())
+}
+
 /// Executes one flattened sweep job, consulting the persistent result
 /// cache when it is enabled (and the run is untraced): hash the
 /// post-force config + program content, return the disk entry on a
 /// hit, otherwise simulate and persist. Cached reports still feed the
 /// in-process [`profile`] tally so `--profile` reflects the original
 /// simulations' cycle attribution either way.
-fn run_sweep_job(j: &SweepJob, fingerprints: &HashMap<(usize, bool), u64>) -> FaultOutcome {
+fn run_sweep_job(j: &SweepJob, fingerprints: &Fingerprints) -> FaultOutcome {
     let mut cfg = j.cfg.clone();
     apply_forces(&mut cfg);
-    let key = (cache::is_enabled() && !cfg.trace).then(|| {
-        let fp = fingerprints
-            .get(&fingerprint_id(j))
-            .copied()
-            .unwrap_or_else(|| cache::program_fingerprint(j.wl.as_ref(), j.baseline));
-        cache::key_from_fingerprint(fp, &cfg, j.baseline, j.faulted, cache::current_salt())
-    });
+    let key = (cache::is_enabled() && !cfg.trace).then(|| job_key(j, &cfg, fingerprints));
     if let Some(k) = &key {
         if let Some(out) = cache::load(k, j.faulted) {
             if let Some(r) = out.report() {
@@ -361,22 +370,37 @@ fn run_sweep_job(j: &SweepJob, fingerprints: &HashMap<(usize, bool), u64>) -> Fa
 /// order-preserving). Validated (non-`faulted`) jobs always come back
 /// [`FaultOutcome::Completed`].
 pub fn run_jobs(jobs: &[SweepJob]) -> Vec<FaultOutcome> {
-    // A sweep reuses each workload across many design points (every
-    // `Arc` appears in dozens of jobs), but the program fingerprint
-    // behind the cache key depends only on (workload, formulation) —
-    // so build and hash each distinct program once, up front, instead
-    // of once per job. This is what keeps a warm cache hit cheaper
-    // than the tiny-scale simulation it replaces.
-    let mut fingerprints: HashMap<(usize, bool), u64> = HashMap::new();
-    if cache::is_enabled() {
-        for j in jobs {
-            fingerprints
-                .entry(fingerprint_id(j))
-                .or_insert_with(|| cache::program_fingerprint(j.wl.as_ref(), j.baseline));
-        }
-    }
+    let fingerprints = if cache::is_enabled() {
+        fingerprints(jobs)
+    } else {
+        Fingerprints::new()
+    };
     jobs.par_iter()
         .map(|j| run_sweep_job(j, &fingerprints))
+        .collect()
+}
+
+/// Builds and hashes each distinct program of a sweep once, in
+/// parallel on the pool. A sweep reuses each workload across many
+/// design points (every `Arc` appears in dozens of jobs), but the
+/// program fingerprint behind the cache key depends only on (workload,
+/// formulation), so hashing once per program instead of once per job
+/// is what keeps a warm cache hit cheaper than the tiny-scale
+/// simulation it replaces.
+fn fingerprints(jobs: &[SweepJob]) -> Fingerprints {
+    let mut seen = HashSet::new();
+    let distinct: Vec<&SweepJob> = jobs
+        .iter()
+        .filter(|j| seen.insert(fingerprint_id(j)))
+        .collect();
+    let fps: Vec<u64> = distinct
+        .par_iter()
+        .map(|j| cache::program_fingerprint(j.wl.as_ref(), j.baseline))
+        .collect();
+    distinct
+        .iter()
+        .map(|j| fingerprint_id(j))
+        .zip(fps)
         .collect()
 }
 
@@ -392,4 +416,43 @@ fn fingerprint_id(j: &SweepJob) -> (usize, bool) {
 /// tables, not part of the harness API.
 pub(crate) fn fmt_x(v: f64) -> String {
     format!("{v:.2}x")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ts_workloads::Scale;
+
+    /// The pool-computed fingerprints give every job of a tiny sweep the
+    /// same program fingerprint and cache key as computing each job on
+    /// its own.
+    #[test]
+    fn pool_fingerprints_match_serial_ones() {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build_global()
+            .expect("pool width");
+        let jobs: Vec<SweepJob> = experiments::ALL
+            .iter()
+            .flat_map(|id| experiments::plan(id, Scale::Tiny).jobs)
+            .collect();
+        let fps = fingerprints(&jobs);
+        rayon::ThreadPoolBuilder::new()
+            .build_global()
+            .expect("pool width");
+        for j in &jobs {
+            assert_eq!(
+                fps[&fingerprint_id(j)],
+                cache::program_fingerprint(j.wl.as_ref(), j.baseline),
+                "{}",
+                j.wl.name()
+            );
+            assert_eq!(
+                job_key(j, &j.cfg, &fps),
+                cache::key(j.wl.as_ref(), &j.cfg, j.baseline, j.faulted),
+                "{}",
+                j.wl.name()
+            );
+        }
+    }
 }

@@ -1,15 +1,15 @@
 //! Integration tests of the persistent result cache: a warm re-run
-//! answers every job from disk with byte-identical output, and the
+//! answers every job from disk with byte-identical output, the
 //! content-addressed key misses whenever the configuration, the seed,
-//! or the build salt changes.
+//! or the build salt changes, and a damaged entry is a miss.
 //!
 //! The cache is process-global state (enabled flag, directory
 //! override, counters), so every test takes `LOCK` and scopes its
 //! enablement with [`CacheGuard`].
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
-use ts_bench::{cache, experiments};
+use ts_bench::{cache, experiments, run_jobs, FaultOutcome, SweepJob};
 use ts_delta::DeltaConfig;
 use ts_workloads::{spmv::Spmv, Scale};
 
@@ -144,7 +144,7 @@ fn key_changes_with_config_seed_and_salt() {
 
 #[test]
 fn clear_and_disk_stats_track_the_store() {
-    let _guard = CacheGuard::new("clear");
+    let guard = CacheGuard::new("clear");
 
     experiments::run_doc("fig_noc", Scale::Tiny);
     let stored = cache::stats().stores;
@@ -154,16 +154,100 @@ fn clear_and_disk_stats_track_the_store() {
     assert_eq!(entries, stored, "one file per stored outcome");
     assert!(bytes > 0);
 
+    // Stale files the cache still owns: an entry written by a format-1
+    // build and the temp file of a store killed before its rename.
+    let stale = [
+        ("0123abcd.json", &b"{\"format\": \"1\"}"[..]),
+        (".tmp-999-0-deadbeef", &b"partial"[..]),
+    ];
+    for (name, body) in stale {
+        std::fs::write(guard.dir.join(name), body).expect("plant stale file");
+    }
+    let (with_stale, stale_bytes) = cache::disk_stats().expect("still readable");
+    assert_eq!(with_stale, stored + 2, "stale files are counted");
+    let planted: usize = stale.iter().map(|(_, body)| body.len()).sum();
+    assert_eq!(stale_bytes, bytes + planted as u64);
+
     let removed = cache::clear().expect("clear succeeds");
-    assert_eq!(removed, stored);
+    assert_eq!(removed, stored + 2);
     let (entries, bytes) = cache::disk_stats().expect("still readable");
     assert_eq!((entries, bytes), (0, 0));
+    assert_eq!(
+        std::fs::read_dir(&guard.dir).expect("dir kept").count(),
+        0,
+        "nothing is left behind"
+    );
 
     // A cleared cache is a cold cache, not an error.
     cache::reset_stats();
     experiments::run_doc("fig_noc", Scale::Tiny);
     assert_eq!(cache::stats().hits, 0);
     assert!(cache::stats().stores > 0);
+}
+
+/// Stores `job`'s outcome alone in the (empty) cache directory and
+/// returns the entry's path and bytes.
+fn only_entry(dir: &Path, job: &SweepJob) -> (PathBuf, Vec<u8>) {
+    run_jobs(std::slice::from_ref(job));
+    let files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("cache dir exists")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    assert_eq!(files.len(), 1, "one job stores one entry");
+    let bytes = std::fs::read(&files[0]).expect("entry readable");
+    (files[0].clone(), bytes)
+}
+
+/// Every truncation and every single-byte flip of a real completed
+/// entry and a real wedged one loads as a miss: no panic, no hit.
+#[test]
+fn damaged_entries_load_as_misses() {
+    let guard = CacheGuard::new("damaged");
+    let jobs = experiments::plan("fig_faults", Scale::Tiny).jobs;
+    let outcomes = run_jobs(&jobs);
+    let pick = |wedged: bool| {
+        let i = outcomes
+            .iter()
+            .position(|o| matches!(o, FaultOutcome::Wedged { .. }) == wedged)
+            .expect("fig_faults has both outcomes");
+        &jobs[i]
+    };
+
+    for job in [pick(false), pick(true)] {
+        let key = cache::key(job.wl.as_ref(), &job.cfg, job.baseline, job.faulted);
+        cache::clear().expect("clear succeeds");
+        let (path, good) = only_entry(&guard.dir, job);
+        cache::reset_stats();
+        assert!(
+            cache::load(&key, job.faulted).is_some(),
+            "intact entry hits"
+        );
+
+        let mut damaged = 0;
+        let mut check = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).expect("rewrite entry");
+            assert!(
+                cache::load(&key, job.faulted).is_none(),
+                "damaged entry hit"
+            );
+            damaged += 1;
+        };
+        for len in 0..good.len() {
+            check(&good[..len]);
+        }
+        let mut flipped = good.clone();
+        for i in 0..good.len() {
+            flipped[i] ^= 0x5a;
+            check(&flipped);
+            flipped[i] = good[i];
+        }
+        let s = cache::stats();
+        assert_eq!(
+            (s.hits, s.misses),
+            (1, damaged),
+            "every damaged load is a miss"
+        );
+    }
 }
 
 #[test]

@@ -98,19 +98,6 @@ impl Storage {
         self.words[start..start + data.len()].copy_from_slice(data);
     }
 
-    /// Fills `len` consecutive words starting at `base` with `value`.
-    /// The bulk form of [`Storage::write`] for constant runs — decoding
-    /// a run-length-encoded image this way touches each word once
-    /// instead of materializing an intermediate slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run does not fit.
-    pub fn fill(&mut self, base: Addr, len: usize, value: Value) {
-        let start = self.check_span(base, len);
-        self.words[start..start + len].fill(value);
-    }
-
     /// Reads `len` consecutive words starting at `base`.
     ///
     /// # Panics

@@ -96,6 +96,15 @@ impl Report {
     }
 }
 
+/// Builds a report in one pass.
+impl FromIterator<(String, f64)> for Report {
+    fn from_iter<I: IntoIterator<Item = (String, f64)>>(iter: I) -> Self {
+        Report {
+            values: iter.into_iter().collect(),
+        }
+    }
+}
+
 impl fmt::Display for Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (k, v) in &self.values {
