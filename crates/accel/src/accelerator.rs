@@ -126,12 +126,36 @@ impl Accelerator {
         let mut state = RunState::build(&self.cfg, program)?;
         state.main_loop(program)
     }
+
+    /// Runs a program by plain dense ticking: every component ticks on
+    /// every cycle and nothing is jumped over or replayed in closed
+    /// form. A slow reference that differential tests hold
+    /// [`run`](Self::run) to; everything but [`RunReport::profile`] and
+    /// [`RunReport::skipped_cycles`] must match exactly.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Self::run).
+    #[doc(hidden)]
+    pub fn run_dense<P: Program + ?Sized>(
+        &mut self,
+        program: &mut P,
+    ) -> Result<RunReport, RunError> {
+        let mut state = RunState::build(&self.cfg, program)?;
+        state.dense = true;
+        state.main_loop(program)
+    }
 }
 
 const SPILL_RESERVE: u64 = 1 << 20;
 
 struct RunState {
     cfg: DeltaConfig,
+    /// Dense reference mode ([`Accelerator::run_dense`]): no jumps, and
+    /// every tile, the memory controller and the mesh tick every cycle.
+    /// The lazy-schedule markers below stay current, so nothing is ever
+    /// deferred.
+    dense: bool,
     types: Vec<TypeInfo>,
     tiles: Vec<Tile>,
     mesh: Mesh<Msg>,
@@ -155,13 +179,12 @@ struct RunState {
     timeline: Vec<(u64, u32)>,
     skipped_cycles: u64,
     /// Per-tile lazy-schedule marker: the count of cycles this tile has
-    /// been advanced through (ticked or replayed). A live tile is kept
-    /// at `now + 1` by its dense tick; an idle tile under `active_set`
-    /// falls behind and is caught up in closed form when a dispatch or
-    /// steal wakes it.
+    /// been advanced through (ticked or replayed). A ticked tile is kept
+    /// at `now + 1`; a tile whose next event is still ahead falls behind
+    /// and is caught up in closed form when it comes due or external
+    /// state it observes changes.
     tile_synced: Vec<u64>,
-    /// Per-tile cached activity under the event-driven tile scheduler
-    /// (`cfg.tile_events`): the clamped result of the tile's last
+    /// Per-tile cached activity: the clamped result of the tile's last
     /// post-tick [`Tile::next_event`] evaluation. Invalidated to
     /// `Activity::Now` by [`touch_tile`](Self::touch_tile) whenever
     /// external state the tile observes changes.
@@ -355,6 +378,7 @@ impl RunState {
         let tile_synced = vec![0; cfg.tiles];
         let mut state = RunState {
             cfg: cfg.clone(),
+            dense: false,
             types,
             tiles,
             mesh,
@@ -638,7 +662,6 @@ impl RunState {
     // ---------------------------------------------------------------- main
 
     fn main_loop<P: Program + ?Sized>(&mut self, program: &mut P) -> Result<RunReport, RunError> {
-        let active = self.cfg.active_set;
         loop {
             if self.now >= self.cfg.max_cycles
                 || self.now - self.last_progress > self.cfg.stall_limit
@@ -653,7 +676,7 @@ impl RunState {
             // and every pending event is due at a known future cycle,
             // fast-forward to the earliest one instead of looping
             // through dead cycles.
-            if self.cfg.idle_skip {
+            if !self.dense {
                 if let Some(target) = self.skip_target() {
                     self.skip_idle_until(target);
                 }
@@ -750,9 +773,9 @@ impl RunState {
                 }
             }
 
-            // tiles execute: under active-set scheduling only live tiles
-            // tick; an idle tile's marker freezes and its skipped
-            // stretch is replayed when a dispatch or steal wakes it
+            // tiles execute: only tiles whose next event is due tick; a
+            // deferred tile's marker freezes and its stretch is replayed
+            // in closed form when it comes due or is touched
             let mut completed = Vec::new();
             {
                 let (tiles, mesh, memctrl, pipes) = (
@@ -770,38 +793,20 @@ impl RunState {
                     trace: &mut self.trace,
                 };
                 for (t, tile) in tiles.iter_mut().enumerate() {
-                    if active {
-                        if self.cfg.tile_events {
-                            // event-driven: skip tiles whose next
-                            // interesting cycle is still ahead; on a due
-                            // event, replay the deferred stretch in
-                            // closed form before the dense tick
-                            if !self.tile_next[t].is_active(self.now) {
-                                continue;
-                            }
-                            let behind = self.now - self.tile_synced[t];
-                            if behind > 0 {
-                                if tile.is_idle() {
-                                    tile.skip_idle_cycles(behind);
-                                    self.profile.tile_skipped += behind;
-                                } else {
-                                    tile.bulk_advance(behind);
-                                    self.profile.tile_bulk_cycles += behind;
-                                }
-                                self.profile.tile_stretch_hist[stretch_bucket(behind)] += 1;
-                                self.profile.tile_wakes += 1;
-                            }
-                            self.tile_synced[t] = self.now + 1;
-                        } else if tile.is_idle() {
+                    // skip tiles whose next interesting cycle is still
+                    // ahead; on a due event, replay the deferred stretch
+                    // in closed form before the tick
+                    if !self.dense {
+                        if !self.tile_next[t].is_active(self.now) {
                             continue;
-                        } else {
-                            debug_assert_eq!(
-                                self.tile_synced[t], self.now,
-                                "tile {t} ticking without catch-up"
-                            );
-                            self.tile_synced[t] = self.now + 1;
+                        }
+                        let behind = self.now - self.tile_synced[t];
+                        if behind > 0 {
+                            replay_tile(tile, behind, &mut self.profile);
+                            self.profile.tile_wakes += 1;
                         }
                     }
+                    self.tile_synced[t] = self.now + 1;
                     // a failed or transiently stalled tile with queued
                     // work burns the cycle without executing (degenerate
                     // tick); an *idle* down tile follows the normal idle
@@ -824,37 +829,34 @@ impl RunState {
                                 }
                             }
                             self.profile.tile_ticks += 1;
-                            if self.cfg.tile_events {
-                                // down tiles stay dense: recovery
-                                // decisions and stall-window edges are
-                                // cycle-granular
-                                self.tile_next[t] = Activity::Now;
-                            }
+                            // down tiles stay dense: recovery decisions
+                            // and stall-window edges are cycle-granular
+                            self.tile_next[t] = Activity::Now;
                             continue;
                         }
                     }
                     completed.extend(tile.tick(&mut io, &self.cfg));
                     self.profile.tile_ticks += 1;
-                    if self.cfg.tile_events {
-                        // post-tick contract: cache where the next tick
-                        // could matter, clamped to the tile's next
-                        // possible fault transition so degenerate ticks
-                        // and stall-window traces stay cycle-accurate
-                        self.profile.tile_next_event_calls += 1;
-                        let mut next = tile.next_event(self.now, io.pipes, self.cfg.prefetch_depth);
-                        if let Some(fs) = &self.fsched {
-                            if !tile.is_idle() {
-                                if let Some(c) = fs.next_tile_transition(t, self.now) {
-                                    // even a blocked tile with no
-                                    // intrinsic event must take its
-                                    // degenerate ticks if it goes down
-                                    // mid-stretch
-                                    next = next.clamp_to(c);
-                                }
+                    if self.dense {
+                        continue;
+                    }
+                    // post-tick contract: cache where the next tick could
+                    // matter, clamped to the tile's next possible fault
+                    // transition so degenerate ticks and stall-window
+                    // traces stay cycle-accurate
+                    self.profile.tile_next_event_calls += 1;
+                    let mut next = tile.next_event(self.now, io.pipes, self.cfg.prefetch_depth);
+                    if let Some(fs) = &self.fsched {
+                        if !tile.is_idle() {
+                            if let Some(c) = fs.next_tile_transition(t, self.now) {
+                                // even a blocked tile with no intrinsic
+                                // event must take its degenerate ticks
+                                // if it goes down mid-stretch
+                                next = next.clamp_to(c);
                             }
                         }
-                        self.tile_next[t] = next;
                     }
+                    self.tile_next[t] = next;
                 }
             }
             for done in completed {
@@ -868,40 +870,30 @@ impl RunState {
             // memory controller: defer while its only pending state is
             // time-gated (in-flight DRAM words, not-yet-due requests)
             // or absent; a deferred stretch replays as bandwidth refill
-            if active {
-                if self.memctrl.activity().is_active(self.now) {
-                    let behind = self.now - self.mem_synced;
-                    if behind > 0 {
-                        self.memctrl.replay_idle_cycles(behind);
-                        self.profile.mem_skipped += behind;
-                        self.profile.mem_wakes += 1;
-                    }
-                    self.memctrl.tick(self.now, &mut self.mesh);
-                    self.mem_synced = self.now + 1;
-                    self.profile.mem_ticks += 1;
+            if self.dense || self.memctrl.activity().is_active(self.now) {
+                let behind = self.now - self.mem_synced;
+                if behind > 0 {
+                    self.memctrl.replay_idle_cycles(behind);
+                    self.profile.mem_skipped += behind;
+                    self.profile.mem_wakes += 1;
                 }
-            } else {
                 self.memctrl.tick(self.now, &mut self.mesh);
+                self.mem_synced = self.now + 1;
                 self.profile.mem_ticks += 1;
             }
 
             // mesh: defer while no flit is in transit (pending ejections
             // need the consumers above, not the router sweep); a
             // deferred stretch replays as arbitration-rotation advance
-            if active {
-                if !self.mesh.is_idle() {
-                    let behind = self.now - self.mesh_synced;
-                    if behind > 0 {
-                        self.mesh.replay_idle_cycles(behind);
-                        self.profile.noc_skipped += behind;
-                        self.profile.noc_wakes += 1;
-                    }
-                    self.mesh.tick();
-                    self.mesh_synced = self.now + 1;
-                    self.profile.noc_ticks += 1;
+            if self.dense || !self.mesh.is_idle() {
+                let behind = self.now - self.mesh_synced;
+                if behind > 0 {
+                    self.mesh.replay_idle_cycles(behind);
+                    self.profile.noc_skipped += behind;
+                    self.profile.noc_wakes += 1;
                 }
-            } else {
                 self.mesh.tick();
+                self.mesh_synced = self.now + 1;
                 self.profile.noc_ticks += 1;
             }
 
@@ -933,37 +925,28 @@ impl RunState {
             }
         }
 
-        // settle every lazily skipped component so final stats match
-        // the densely ticked machine cycle for cycle
+        // settle every deferred component so final stats match the
+        // densely ticked machine cycle for cycle
         self.catch_up();
         Ok(self.final_report())
     }
 
     /// The component activities folded into one machine-level need, plus
     /// the due-queue fronts. `Now` suppresses jumping; `At(t)` names the
-    /// next event. Reads only state that is identical whether components
-    /// are ticked densely or lazily (queue contents, time-gated fronts
-    /// and the cached per-tile next events — which both `active_set`
-    /// modes maintain identically — never budget levels), so the jump
-    /// decision — and with it `skipped_cycles` — is bit-identical across
-    /// `active_set` modes.
+    /// next event. Reads only queue contents, time-gated fronts and the
+    /// cached per-tile next events, never budget levels.
     ///
-    /// Under `tile_events` a blocked tile contributes its cached next
-    /// event instead of the pessimistic `Now`, which is what lets the
-    /// machine jump over stretches where every queued task is provably
-    /// waiting on stream data.
+    /// A blocked tile contributes its cached next event instead of a
+    /// pessimistic `Now`, which is what lets the machine jump over
+    /// stretches where every queued task is provably waiting on stream
+    /// data.
     ///
     /// `Now` is absorbing, so the scan returns the moment any component
     /// reports it — this runs every densely ticked cycle, and on a busy
     /// machine the first tile usually answers.
     fn machine_activity(&self) -> Activity {
         let mut act = Activity::Idle;
-        for (t, tile) in self.tiles.iter().enumerate() {
-            let a = if self.cfg.tile_events {
-                self.tile_next[t]
-            } else {
-                tile.activity()
-            };
+        for &a in &self.tile_next {
             match a {
                 Activity::Now => return Activity::Now,
                 a => act = act.merge(a),
@@ -1035,89 +1018,68 @@ impl RunState {
         let mut target = next_due
             .min(self.cfg.max_cycles)
             .min(self.last_progress + self.cfg.stall_limit + 1);
-        // Event-driven tiles let the machine jump while tasks are still
-        // queued (legacy jumps require every queue empty), which exposes
-        // per-cycle machinery the all-idle case proves inert:
-        if self.cfg.tile_events {
-            // the steal scan acts (attempt traces, migrations) whenever
-            // an idle tile coexists with a loaded one, and a transiently
-            // stalled idle tile can become a thief mid-stretch — only a
-            // fail-stopped tile provably never will
-            if self.cfg.work_stealing
-                && self.tiles.iter().any(|t| t.queue.len() >= 2)
-                && self.tiles.iter().enumerate().any(|(t, tile)| {
-                    tile.is_idle()
-                        && !self
-                            .fsched
-                            .as_ref()
-                            .is_some_and(|fs| fs.tile_failed(t, self.now))
-                })
-            {
-                return None;
+        // The machine may jump while tasks are still queued, which
+        // exposes per-cycle machinery the all-idle case proves inert.
+        // The steal scan acts (attempt traces, migrations) whenever an
+        // idle tile coexists with a loaded one, and a transiently
+        // stalled idle tile can become a thief mid-stretch — only a
+        // fail-stopped tile provably never will.
+        if self.cfg.work_stealing
+            && self.tiles.iter().any(|t| t.queue.len() >= 2)
+            && self.tiles.iter().enumerate().any(|(t, tile)| {
+                tile.is_idle()
+                    && !self
+                        .fsched
+                        .as_ref()
+                        .is_some_and(|fs| fs.tile_failed(t, self.now))
+            })
+        {
+            return None;
+        }
+        // Fault transitions (fail-stops, stall-window edges) and
+        // recovery-watchdog scans happen in dense loop iterations; clamp
+        // the jump so none is skipped while work is in flight. All-idle
+        // jumps observe fail-stops of empty tiles late, which changes
+        // nothing but the cycle of the `FaultTileDown` trace event, so
+        // only a traced run stops at them.
+        if let Some(fs) = &self.fsched {
+            if self.trace.enabled() {
+                for t in (0..self.tiles.len()).filter(|&t| !self.fail_seen[t]) {
+                    if let Some(c) = fs.fail_at(t) {
+                        target = target.min(c);
+                    }
+                }
             }
-            // fault transitions (fail-stops, stall-window edges) and
-            // recovery-watchdog scans happen in dense loop iterations;
-            // clamp the jump so none is skipped while work is in flight.
-            // All-idle jumps keep the legacy behaviour (transitions of
-            // empty tiles are observed late, exactly as before).
-            if let Some(fs) = &self.fsched {
-                if self.tiles.iter().any(|t| !t.is_idle()) {
-                    for t in 0..self.tiles.len() {
-                        if let Some(c) = fs.next_tile_transition(t, self.now) {
-                            target = target.min(c);
-                        }
+            if self.tiles.iter().any(|t| !t.is_idle()) {
+                for t in 0..self.tiles.len() {
+                    if let Some(c) = fs.next_tile_transition(t, self.now) {
+                        target = target.min(c);
                     }
-                    if fs.recovery() {
-                        target = target.min((self.now / WATCHDOG_STRIDE + 1) * WATCHDOG_STRIDE);
-                    }
+                }
+                if fs.recovery() {
+                    target = target.min(self.now.next_multiple_of(WATCHDOG_STRIDE));
                 }
             }
         }
         (target > self.now).then_some(target)
     }
 
-    /// Fast-forwards from `now` to `target`. Under `active_set` the
-    /// skipped window simply never executes — each component's marker
-    /// stays put and its replay happens at the next wake. Under dense
-    /// ticking every component is replayed eagerly here: per-tile budget
-    /// refills and `idle_cycles` accounting, the DRAM bandwidth refill,
-    /// the NoC arbitration rotation. Either way the all-idle timeline
-    /// samples are backfilled, so a skipped region is bit-identical to a
-    /// dense one.
+    /// Fast-forwards from `now` to `target`. The skipped window simply
+    /// never executes: each component's marker stays put and its replay
+    /// happens at the next wake (or in [`catch_up`](Self::catch_up)).
+    /// The timeline samples are backfilled, so a skipped region is
+    /// bit-identical to a densely ticked one.
     fn skip_idle_until(&mut self, target: u64) {
         let k = target - self.now;
-        if !self.cfg.active_set {
-            // markers are not maintained under dense ticking, so the
-            // whole machine replays eagerly here instead; tiles holding
-            // blocked work (reachable only under `tile_events`) replay
-            // as a bulk advance rather than an idle skip
-            for tile in &mut self.tiles {
-                if tile.is_idle() {
-                    tile.skip_idle_cycles(k);
-                    self.profile.tile_skipped += k;
-                } else {
-                    tile.bulk_advance(k);
-                    self.profile.tile_bulk_cycles += k;
-                }
-                self.profile.tile_stretch_hist[stretch_bucket(k)] += 1;
-            }
-            self.memctrl.replay_idle_cycles(k);
-            self.mesh.skip_idle_cycles(k);
-            self.profile.mem_skipped += k;
-            self.profile.noc_skipped += k;
-            self.profile.mem_stretch_hist[stretch_bucket(k)] += 1;
-            self.profile.noc_stretch_hist[stretch_bucket(k)] += 1;
-        }
         // Timeline samples at stride multiples in [now, target) all see
-        // the frozen busy-tile count (zero on legacy all-idle jumps; the
-        // queues cannot change mid-jump either way). Trace samples at
-        // the same points see the *frozen* component state: a skippable
-        // stretch has no gated requests, no backlog, no DRAM service
-        // work and an empty mesh (any of those forces dense ticking),
-        // while the admission queue holds only not-yet-due entries that
-        // dense ticking would leave untouched — so backfilling from the
-        // current state reproduces the densely ticked sample stream
-        // exactly.
+        // the frozen busy-tile count (the queues cannot change mid-jump).
+        // Trace samples at the same points see the *frozen* component
+        // state: a skippable stretch has no gated requests, no backlog,
+        // no DRAM service work and an empty mesh (any of those forces
+        // dense ticking), while the admission queue holds only
+        // not-yet-due entries that dense ticking would leave untouched —
+        // so backfilling from the current state reproduces the densely
+        // ticked sample stream exactly.
         let stride = RunReport::TIMELINE_STRIDE;
         let busy = self.tiles.iter().filter(|t| !t.is_idle()).count() as u32;
         let mut t = self.now.next_multiple_of(stride);
@@ -1148,57 +1110,33 @@ impl RunState {
         self.now = target;
     }
 
-    /// Catches a lazily deferred tile up to cycle `upto` (exclusive)
-    /// *before* external state it can observe changes — a dispatch, a
-    /// steal, an arriving flit, a recovery eviction, a producer
-    /// completing. The deferred stretch replays in closed form (an idle
-    /// skip when the queue is empty, a blocked-head bulk advance
-    /// otherwise), and under `tile_events` the cached next event drops
-    /// to `Now` so the tile re-evaluates the changed state densely. A
-    /// no-op for live tiles, whose markers are already current; under
-    /// dense ticking only the cache invalidation applies.
+    /// Catches a deferred tile up to cycle `upto` (exclusive) *before*
+    /// external state it can observe changes — a dispatch, a steal, an
+    /// arriving flit, a recovery eviction, a producer completing. The
+    /// deferred stretch replays in closed form (an idle skip when the
+    /// queue is empty, a blocked-head bulk advance otherwise), and the
+    /// cached next event drops to `Now` so the tile re-evaluates the
+    /// changed state densely. The replay is a no-op for ticked tiles,
+    /// whose markers are already current.
     fn touch_tile(&mut self, t: usize, upto: u64) {
-        if self.cfg.active_set {
-            let behind = upto - self.tile_synced[t];
-            if behind > 0 {
-                if self.tiles[t].is_idle() {
-                    self.tiles[t].skip_idle_cycles(behind);
-                    self.profile.tile_skipped += behind;
-                } else {
-                    self.tiles[t].bulk_advance(behind);
-                    self.profile.tile_bulk_cycles += behind;
-                }
-                self.profile.tile_stretch_hist[stretch_bucket(behind)] += 1;
-                self.tile_synced[t] = upto;
-                self.profile.tile_wakes += 1;
-            }
+        let behind = upto - self.tile_synced[t];
+        if behind > 0 {
+            replay_tile(&mut self.tiles[t], behind, &mut self.profile);
+            self.tile_synced[t] = upto;
+            self.profile.tile_wakes += 1;
         }
-        if self.cfg.tile_events {
-            self.tile_next[t] = Activity::Now;
-        }
+        self.tile_next[t] = Activity::Now;
     }
 
     /// Replays every component's outstanding skipped stretch (without
     /// waking it for new work) so component-local statistics — idle
     /// cycles, budget levels, arbitration rotation — match the densely
     /// ticked machine exactly. Called once, after the run completes.
-    /// Under dense ticking nothing is ever deferred (and markers are
-    /// not maintained), so there is nothing to settle.
     fn catch_up(&mut self) {
-        if !self.cfg.active_set {
-            return;
-        }
         for t in 0..self.tiles.len() {
             let behind = self.now - self.tile_synced[t];
             if behind > 0 {
-                if self.tiles[t].is_idle() {
-                    self.tiles[t].skip_idle_cycles(behind);
-                    self.profile.tile_skipped += behind;
-                } else {
-                    self.tiles[t].bulk_advance(behind);
-                    self.profile.tile_bulk_cycles += behind;
-                }
-                self.profile.tile_stretch_hist[stretch_bucket(behind)] += 1;
+                replay_tile(&mut self.tiles[t], behind, &mut self.profile);
                 self.tile_synced[t] = self.now;
             }
         }
@@ -1927,7 +1865,7 @@ impl RunState {
             return;
         }
         // recorded only past the loaded-victim check: during idle
-        // stretches (which idle_skip fast-forwards) every queue is
+        // stretches (which next-event jumps skip) every queue is
         // empty, so the densely ticked machine emits nothing either
         self.trace
             .emit(self.now, TraceEvent::StealAttempt { thief, victim });
@@ -1998,7 +1936,15 @@ impl RunState {
     /// can take it.
     fn dispatch_one_at(&mut self, pos: usize) -> Result<bool, RunError> {
         let idle_only = self.has_live_pipe_dep(&self.pending[pos].inst);
-        let part = self.partition_of(&self.pending[pos].inst);
+        let mut part = self.partition_of(&self.pending[pos].inst);
+        // under recovery, a task whose whole partition has fail-stopped
+        // spills onto the rest of the fabric, as re-dispatch does;
+        // otherwise it could never place and the run would wedge
+        if let Some(fs) = self.fsched.as_ref().filter(|f| f.recovery()) {
+            if part.clone().all(|t| fs.tile_failed(t, self.now)) {
+                part = 0..self.cfg.tiles;
+            }
+        }
         self.fill_mask(idle_only, part);
         let Some(tile) = self
             .picker
@@ -2504,6 +2450,19 @@ impl RunState {
 /// direct mode their fabric time overlaps the producers' runtime), so
 /// counting their full hint would double-count work and repel unrelated
 /// tasks from their tile; they are discounted instead.
+/// Replays `behind` deferred cycles of `tile` in closed form: an idle
+/// skip when its queue is empty, a blocked-head bulk advance otherwise.
+fn replay_tile(tile: &mut Tile, behind: u64, profile: &mut SimProfile) {
+    if tile.is_idle() {
+        tile.skip_idle_cycles(behind);
+        profile.tile_skipped += behind;
+    } else {
+        tile.bulk_advance(behind);
+        profile.tile_bulk_cycles += behind;
+    }
+    profile.tile_stretch_hist[stretch_bucket(behind)] += 1;
+}
+
 fn placement_hint(inst: &TaskInstance) -> u64 {
     let all_pipes = !inst.inputs.is_empty()
         && inst

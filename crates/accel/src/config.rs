@@ -102,40 +102,6 @@ pub struct DeltaConfig {
     /// not started (outside the prefetch window, no pipes, no
     /// scratchpad side effects) are eligible.
     pub work_stealing: bool,
-    /// Simulator fast path (not a modelled mechanism): when no component
-    /// reports dense activity and every pending event — spawn/host
-    /// latency queues, admitted-but-not-due memory requests, in-flight
-    /// DRAM words — is due at a known future cycle, jump the cycle
-    /// counter to the earliest of those events instead of ticking every
-    /// component through dead cycles (a min-over-components next-event
-    /// jump; busy tiles or in-transit flits suppress it). Results are
-    /// bit-identical either way (each component's idle tick is replayed
-    /// in closed form); the toggle exists so equivalence can be
-    /// regression-tested.
-    pub idle_skip: bool,
-    /// Simulator fast path (not a modelled mechanism): tick only the
-    /// components that report activity — tiles with queued tasks, the
-    /// memory controller while requests or in-flight DRAM words exist,
-    /// the mesh while flits are in transit or ejections are pending —
-    /// and replay each skipped component's idle cycles in closed form
-    /// when an event (dispatch, steal, injection, due request) wakes
-    /// it. Results are bit-identical either way; the toggle exists so
-    /// equivalence can be regression-tested, and it composes with
-    /// `idle_skip` in any combination.
-    pub active_set: bool,
-    /// Simulator fast path (not a modelled mechanism): event-driven
-    /// tile execution. After each dense tile tick, compute the tile's
-    /// next *interesting* cycle in closed form — a task provably
-    /// blocked on stream/pipe arrivals, a staging front coming due, a
-    /// stall-rotation boundary — and until then replay the tile's
-    /// cycles in bulk (budget refills, busy/stall accounting, slot
-    /// credit) instead of ticking it densely. Results are bit-identical
-    /// either way (the bulk replay mirrors the dense tick on a frozen
-    /// queue exactly, and external events force an eager catch-up);
-    /// the toggle exists so equivalence can be regression-tested, and
-    /// it composes with `idle_skip` and `active_set` in any
-    /// combination.
-    pub tile_events: bool,
     /// Record a structured event trace of the run (task lifecycle,
     /// steals, pipe resolution, multicast windows, sampled queue
     /// depths) into [`RunReport::trace`](crate::RunReport::trace).
@@ -199,9 +165,6 @@ impl DeltaConfig {
             policy: Policy::WorkAware,
             features: Features::all(),
             work_stealing: false,
-            idle_skip: true,
-            active_set: true,
-            tile_events: true,
             trace: false,
             faults: FaultsConfig::none(),
             tenancy: TenancyConfig::none(),
@@ -496,25 +459,6 @@ impl DeltaConfigBuilder {
     /// Idle tiles steal queued tasks from the most loaded tile.
     pub fn work_stealing(mut self, on: bool) -> Self {
         self.cfg.work_stealing = on;
-        self
-    }
-
-    /// Simulator fast path: next-event jump over quiescent stretches.
-    pub fn idle_skip(mut self, on: bool) -> Self {
-        self.cfg.idle_skip = on;
-        self
-    }
-
-    /// Simulator fast path: tick only components reporting activity.
-    pub fn active_set(mut self, on: bool) -> Self {
-        self.cfg.active_set = on;
-        self
-    }
-
-    /// Simulator fast path: event-driven tile execution (closed-form
-    /// bulk advance between a tile's interesting cycles).
-    pub fn tile_events(mut self, on: bool) -> Self {
-        self.cfg.tile_events = on;
         self
     }
 

@@ -389,23 +389,12 @@ impl Tile {
         self.queue.is_empty()
     }
 
-    /// The tile's activity contract: a queued task needs dense ticking
-    /// (feed/fire/drain timing depends on budgets and backpressure,
-    /// none of it closed-form); an empty queue has no pending event at
-    /// all — [`on_msg`](Tile::on_msg) only touches queued-task state,
-    /// so only a dispatch or a steal can wake the tile.
-    pub(crate) fn activity(&self) -> Activity {
-        if self.queue.is_empty() {
-            Activity::Idle
-        } else {
-            Activity::Now
-        }
-    }
-
-    /// Event-driven refinement of [`activity`](Tile::activity): computes
-    /// the next cycle at which a [`tick`](Tile::tick) could do anything a
+    /// The tile's activity contract: computes the next cycle at which a
+    /// [`tick`](Tile::tick) could do anything a
     /// [`bulk_advance`](Tile::bulk_advance) cannot reproduce in closed
-    /// form.
+    /// form. An empty queue has no pending event at all —
+    /// [`on_msg`](Tile::on_msg) only touches queued-task state, so only
+    /// a dispatch or a steal can wake the tile.
     ///
     /// The contract is **post-tick**: callers evaluate this immediately
     /// after a dense tick, and the answer stays valid until either the

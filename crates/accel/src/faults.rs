@@ -309,6 +309,11 @@ impl FaultSchedule {
         &self.cfg
     }
 
+    /// The cycle tile `t` fail-stops at, if it ever does.
+    pub(crate) fn fail_at(&self, t: usize) -> Option<u64> {
+        self.fail_at[t]
+    }
+
     /// True once tile `t` has fail-stopped.
     pub(crate) fn tile_failed(&self, t: usize, now: u64) -> bool {
         self.fail_at[t].is_some_and(|c| now >= c)

@@ -29,8 +29,9 @@ pub fn stretch_bucket(len: u64) -> usize {
 /// was actually ticked versus replayed in closed form, and how often it
 /// was woken from a skipped stretch. Simulator bookkeeping, not a
 /// modelled quantity — like [`RunReport::skipped_cycles`] it is kept
-/// out of [`RunReport::stats`] so reports stay bit-identical whichever
-/// scheduler fast paths are enabled. The invariant `ticks + skipped ==
+/// out of [`RunReport::stats`] so reports stay bit-identical to a densely
+/// ticked run ([`Accelerator::run_dense`](crate::Accelerator::run_dense)).
+/// The invariant `ticks + skipped ==
 /// cycles` holds per component (tile counters additionally fold in
 /// `tile_bulk_cycles` and sum over all tiles, so theirs is
 /// `ticks + skipped + bulk == cycles × tiles`).
@@ -42,7 +43,7 @@ pub struct SimProfile {
     /// over all tiles.
     pub tile_skipped: u64,
     /// Blocked busy tile-cycles replayed in closed form by the
-    /// event-driven scheduler (`tile_events`), summed over all tiles.
+    /// event-driven tile scheduler, summed over all tiles.
     pub tile_bulk_cycles: u64,
     /// Times a tile was woken out of a skipped stretch.
     pub tile_wakes: u64,
@@ -61,7 +62,7 @@ pub struct SimProfile {
     pub noc_skipped: u64,
     /// Times the mesh was woken out of a skipped stretch.
     pub noc_wakes: u64,
-    /// Cycles covered by whole-loop next-event jumps (`idle_skip`).
+    /// Cycles covered by whole-loop next-event jumps.
     pub jump_cycles: u64,
     /// Main-loop iterations actually executed (densely ticked cycles).
     pub loop_cycles: u64,
@@ -71,12 +72,6 @@ pub struct SimProfile {
     /// Histogram of per-tile replayed stretch lengths (idle skips and
     /// bulk advances), bucketed by [`stretch_bucket`].
     pub tile_stretch_hist: [u64; STRETCH_BUCKETS],
-    /// Histogram of memory-controller replayed stretch lengths,
-    /// bucketed by [`stretch_bucket`].
-    pub mem_stretch_hist: [u64; STRETCH_BUCKETS],
-    /// Histogram of mesh replayed stretch lengths, bucketed by
-    /// [`stretch_bucket`].
-    pub noc_stretch_hist: [u64; STRETCH_BUCKETS],
 }
 
 impl SimProfile {
@@ -110,8 +105,6 @@ impl SimProfile {
         for b in 0..STRETCH_BUCKETS {
             self.jump_hist[b] += other.jump_hist[b];
             self.tile_stretch_hist[b] += other.tile_stretch_hist[b];
-            self.mem_stretch_hist[b] += other.mem_stretch_hist[b];
-            self.noc_stretch_hist[b] += other.noc_stretch_hist[b];
         }
     }
 }
@@ -135,10 +128,10 @@ pub struct RunReport {
     /// Sampled occupancy: `(cycle, busy tiles)` every
     /// [`RunReport::TIMELINE_STRIDE`] cycles.
     pub timeline: Vec<(u64, u32)>,
-    /// Cycles covered by the idle-skip fast path instead of dense
-    /// ticking. Simulator bookkeeping, not a modelled quantity — kept
-    /// out of [`RunReport::stats`] so reports are bit-identical whether
-    /// skipping is enabled or not.
+    /// Cycles covered by next-event jumps instead of dense ticking.
+    /// Simulator bookkeeping, not a modelled quantity — kept out of
+    /// [`RunReport::stats`] so reports are bit-identical to a densely
+    /// ticked run.
     pub skipped_cycles: u64,
     /// Per-component cycle attribution (ticked vs skipped vs woken).
     /// Simulator bookkeeping, excluded from equivalence comparisons.
@@ -146,8 +139,7 @@ pub struct RunReport {
     /// Structured event trace, empty unless `DeltaConfig::trace` was
     /// set. Observability output, not a modelled quantity — kept out of
     /// [`RunReport::stats`] so tracing never perturbs goldens. The
-    /// stream itself is identical across the `active_set × idle_skip`
-    /// fast-path combinations.
+    /// stream itself is identical under dense ticking.
     pub trace: Vec<TraceRecord>,
     /// Trace records evicted because the trace ring overflowed.
     pub trace_dropped: u64,
@@ -453,8 +445,8 @@ impl RunReport {
     }
 
     /// Checks the run's conservation invariants: quantities that must
-    /// balance at quiescence whatever the configuration, policy, or
-    /// scheduler fast paths in force.
+    /// balance at quiescence whatever the configuration or policy, and
+    /// whether the run was event-driven or densely ticked.
     ///
     /// * every spawned task was dispatched and completed (host,
     ///   dispatcher, and tile counts all agree);

@@ -8,19 +8,20 @@
 //! reports and goldens.
 //!
 //! The event stream is part of the simulator's equivalence contract:
-//! the four `active_set x idle_skip` fast-path combinations are proven
-//! timing-equivalent, and the trace they record must be identical too.
-//! Two rules keep that true:
+//! the event-driven scheduler is proven timing-equivalent to plain dense
+//! ticking (`Accelerator::run_dense`), and the trace it records must be
+//! identical too. Two rules keep that true:
 //!
 //! 1. *Semantic* events (task lifecycle, steals, pipe resolution,
 //!    multicast windows) are emitted only from code paths that execute
-//!    identically in all four modes — i.e. alongside an actual state
-//!    change, never from a "polled and found nothing" path that a
-//!    fast-forwarding mode would skip.
+//!    identically under both schedulers — i.e. alongside an actual
+//!    state change, never from a "polled and found nothing" path that
+//!    the event-driven scheduler would skip.
 //! 2. *Sampled* events (queue depths, NoC link occupancy) fire only on
-//!    cycles that are a multiple of the report timeline stride, and the
-//!    idle-skip fast path backfills those sample points from the frozen
-//!    component state exactly as it backfills the utilization timeline.
+//!    cycles that are a multiple of the report timeline stride, and
+//!    next-event jumps backfill those sample points from the frozen
+//!    component state exactly as they backfill the utilization
+//!    timeline.
 
 use std::collections::VecDeque;
 

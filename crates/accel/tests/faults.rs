@@ -1,8 +1,8 @@
 //! Fault-injection contract tests: faults perturb *timing only* (every
 //! fault-enabled run still matches the plain reference semantics and
 //! the untimed oracle), the whole subsystem is a pure function of the
-//! seed (same seed → byte-identical `FaultReport`, whatever scheduler
-//! fast paths are in force), and with every rate at zero the subsystem
+//! seed (same seed → byte-identical `FaultReport`, whether the run is
+//! event-driven or densely ticked), and with every rate at zero the subsystem
 //! is inert down to the last report byte.
 
 use proptest::prelude::*;
@@ -23,7 +23,7 @@ fn reduce_type(name: &str) -> TaskType {
     TaskType::new(name, TaskKernel::dfg(b.finish().unwrap()))
 }
 
-/// The same wave generator the oracle and active-set suites use:
+/// The same wave generator the oracle and scheduler suites use:
 /// parameterized waves of reductions over a shared DRAM stream, each
 /// task writing its sum to a distinct DRAM word.
 #[derive(Clone)]
@@ -142,36 +142,18 @@ fn storm() -> FaultsConfig {
 }
 
 #[test]
-fn same_seed_same_fault_report_across_scheduler_modes() {
+fn same_seed_same_fault_report_across_engines() {
     let mk = || Waves::new(vec![6, 5, 6], 32);
     let cfg = DeltaConfig::builder(4).faults(storm()).seed(11).build();
-    let dense = Accelerator::new(
-        cfg.clone()
-            .to_builder()
-            .active_set(false)
-            .idle_skip(false)
-            .build(),
-    )
-    .run(&mut mk())
-    .unwrap();
+    let dense = Accelerator::new(cfg.clone()).run_dense(&mut mk()).unwrap();
     assert!(dense.faults.injected() > 0, "storm injected nothing");
-    for (active_set, idle_skip) in [(true, false), (false, true), (true, true)] {
-        let r = Accelerator::new(
-            cfg.clone()
-                .to_builder()
-                .active_set(active_set)
-                .idle_skip(idle_skip)
-                .build(),
-        )
-        .run(&mut mk())
-        .unwrap();
-        assert_eq!(r.cycles, dense.cycles);
-        assert_eq!(r.stats, dense.stats);
-        assert_eq!(
-            r.faults, dense.faults,
-            "fault report diverged (active_set={active_set}, idle_skip={idle_skip})"
-        );
-    }
+    let r = Accelerator::new(cfg.clone()).run(&mut mk()).unwrap();
+    assert_eq!(r.cycles, dense.cycles);
+    assert_eq!(r.stats, dense.stats);
+    assert_eq!(
+        r.faults, dense.faults,
+        "fault report diverged from the dense reference"
+    );
     // And the trivial direction: the same exact config, twice.
     let again = Accelerator::new(cfg.clone()).run(&mut mk()).unwrap();
     let first = Accelerator::new(cfg).run(&mut mk()).unwrap();

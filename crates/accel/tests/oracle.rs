@@ -85,7 +85,7 @@ impl Program for SerialChain {
 
 /// Waves of parameterized width over a shared input stream, optionally
 /// writing each task's reduction to a distinct DRAM word — the same
-/// generator the active-set equivalence suite uses, here pitted
+/// generator the scheduler equivalence suite uses, here pitted
 /// against the untimed oracle.
 #[derive(Clone)]
 struct Waves {

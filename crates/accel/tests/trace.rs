@@ -1,7 +1,8 @@
 //! Trace-subsystem tests: recording must never perturb the simulated
-//! machine, and the recorded stream is part of the scheduler-mode
-//! equivalence contract — all four `active_set` × `idle_skip`
-//! combinations must record the *identical* event sequence.
+//! machine, and the recorded stream is part of the scheduler
+//! equivalence contract — the event-driven run and the dense reference
+//! (`Accelerator::run_dense`) must record the *identical* event
+//! sequence.
 
 use proptest::prelude::*;
 use taskstream_model::{
@@ -154,38 +155,26 @@ fn run_traced<P: Program>(mut program: P, cfg: DeltaConfig) -> RunReport {
     Accelerator::new(cfg).run(&mut program).unwrap()
 }
 
-/// Asserts the recorded stream is identical across all four
-/// `active_set` × `idle_skip` combinations.
-fn assert_trace_equal_across_modes<P, F>(make: F, cfg: DeltaConfig)
+/// Asserts the event-driven run records the same stream as the dense
+/// reference.
+fn assert_trace_equal_across_engines<P, F>(make: F, cfg: DeltaConfig)
 where
     P: Program,
     F: Fn() -> P,
 {
-    let run = |active_set: bool, idle_skip: bool| {
-        run_traced(
-            make(),
-            cfg.clone()
-                .to_builder()
-                .active_set(active_set)
-                .idle_skip(idle_skip)
-                .trace(true)
-                .build(),
-        )
-    };
-    let dense = run(false, false);
+    let mut accel = Accelerator::new(cfg.to_builder().trace(true).build());
+    let dense = accel.run_dense(&mut make()).unwrap();
     assert!(
         !dense.trace.is_empty(),
         "traced run recorded nothing; the test is vacuous"
     );
-    for (active_set, idle_skip) in [(true, false), (false, true), (true, true)] {
-        let r = run(active_set, idle_skip);
-        assert_eq!(r.cycles, dense.cycles);
-        assert_eq!(
-            r.trace, dense.trace,
-            "trace diverged (active_set={active_set}, idle_skip={idle_skip})"
-        );
-        assert_eq!(r.trace_dropped, dense.trace_dropped);
-    }
+    let r = accel.run(&mut make()).unwrap();
+    assert_eq!(r.cycles, dense.cycles);
+    assert_eq!(
+        r.trace, dense.trace,
+        "trace diverged from the dense reference"
+    );
+    assert_eq!(r.trace_dropped, dense.trace_dropped);
 }
 
 #[test]
@@ -252,15 +241,15 @@ fn trace_records_pipe_resolution() {
 }
 
 #[test]
-fn trace_streams_match_across_modes_on_fixed_programs() {
-    assert_trace_equal_across_modes(
+fn trace_streams_match_across_engines_on_fixed_programs() {
+    assert_trace_equal_across_engines(
         || Waves::new(vec![3, 2, 3], 32, true),
         DeltaConfig::builder(8)
             .spawn_latency(200)
             .host_latency(200)
             .build(),
     );
-    assert_trace_equal_across_modes(
+    assert_trace_equal_across_engines(
         || PipeChain {
             lanes: 4,
             stages: 3,
@@ -271,8 +260,8 @@ fn trace_streams_match_across_modes_on_fixed_programs() {
 }
 
 #[test]
-fn trace_streams_match_across_modes_with_stealing() {
-    assert_trace_equal_across_modes(
+fn trace_streams_match_across_engines_with_stealing() {
+    assert_trace_equal_across_engines(
         || Waves::new(vec![5, 5, 5], 32, false),
         DeltaConfig::builder(4)
             .work_stealing(true)
@@ -285,10 +274,10 @@ fn trace_streams_match_across_modes_with_stealing() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random wave programs on random machine shapes: the four
-    /// scheduler-mode combinations must record identical streams.
+    /// Random wave programs on random machine shapes: the event-driven
+    /// run and the dense reference must record identical streams.
     #[test]
-    fn random_programs_trace_identically_across_scheduler_modes(
+    fn random_programs_trace_identically_across_engines(
         widths in prop::collection::vec(1usize..5, 1..4),
         stream_len in 4usize..64,
         tiles in 1usize..6,
@@ -302,24 +291,12 @@ proptest! {
             .work_stealing(work_stealing)
             .trace(true)
             .build();
-        let run = |active_set: bool, idle_skip: bool| {
-            Accelerator::new(
-                cfg.clone()
-                    .to_builder()
-                    .active_set(active_set)
-                    .idle_skip(idle_skip)
-                    .build(),
-            )
-            .run(&mut Waves::new(widths.clone(), stream_len, write_out))
-            .unwrap()
-        };
-        let dense = run(false, false);
+        let mut accel = Accelerator::new(cfg);
+        let make = || Waves::new(widths.clone(), stream_len, write_out);
+        let dense = accel.run_dense(&mut make()).unwrap();
         prop_assert!(!dense.trace.is_empty());
-        for (active_set, idle_skip) in [(true, false), (false, true), (true, true)] {
-            let r = run(active_set, idle_skip);
-            prop_assert_eq!(r.cycles, dense.cycles);
-            prop_assert_eq!(&r.trace, &dense.trace,
-                "trace diverged (active_set={}, idle_skip={})", active_set, idle_skip);
-        }
+        let r = accel.run(&mut make()).unwrap();
+        prop_assert_eq!(r.cycles, dense.cycles);
+        prop_assert_eq!(&r.trace, &dense.trace, "trace diverged from the dense reference");
     }
 }

@@ -1,14 +1,22 @@
 //! Criterion microbenchmarks of the simulator's hot substrates: the
 //! DFG interpreter, the CGRA mapper, the NoC, the DRAM model, and a
-//! full tiny accelerator run.
+//! full tiny accelerator run; plus the `scheduler` group, which times
+//! the main loop on the regimes its event-driven scheduling must
+//! straddle: a busy grid with nothing to skip, a latency-bound chain
+//! whose heads sit blocked on DRAM, and a sparse chain that leaves the
+//! machine quiescent between spawns.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use taskstream_model::{
+    CompletedTask, MemoryImage, Program, Spawner, TaskInstance, TaskKernel, TaskType, TaskTypeId,
+};
 use ts_cgra::{Fabric, FabricConfig};
 use ts_delta::{Accelerator, DeltaConfig};
 use ts_dfg::{interp, DfgBuilder};
 use ts_mem::{Dram, DramConfig, JobKind};
 use ts_noc::Mesh;
+use ts_stream::StreamDesc;
 use ts_workloads::{spmv::Spmv, Workload};
 
 fn dfg_interpreter(c: &mut Criterion) {
@@ -107,9 +115,134 @@ fn full_run(c: &mut Criterion) {
     });
 }
 
+fn reduce_type(name: &str) -> TaskType {
+    let mut b = DfgBuilder::new(name);
+    let x = b.input();
+    let s = b.acc(x);
+    b.output_on_last(s);
+    TaskType::new(name, TaskKernel::dfg(b.finish().unwrap()))
+}
+
+/// Waves of `width` parallel reductions over a `words`-long DRAM row;
+/// each wave spawns the next when its last task completes.
+struct Waves {
+    width: usize,
+    words: u64,
+    waves: usize,
+    outstanding: usize,
+}
+
+impl Waves {
+    fn spawn_wave(&mut self, s: &mut Spawner) {
+        self.waves -= 1;
+        self.outstanding = self.width;
+        for i in 0..self.width {
+            s.spawn(
+                TaskInstance::new(TaskTypeId(0))
+                    .input_stream(StreamDesc::dram(0, self.words))
+                    .output_discard()
+                    .affinity(i as u64),
+            );
+        }
+    }
+}
+
+impl Program for Waves {
+    fn name(&self) -> &str {
+        "waves"
+    }
+
+    fn task_types(&self) -> Vec<TaskType> {
+        vec![reduce_type("reduce")]
+    }
+
+    fn memory_image(&self) -> MemoryImage {
+        MemoryImage::new().dram_segment(0, (1..=self.words as i64).collect::<Vec<_>>())
+    }
+
+    fn initial(&mut self, s: &mut Spawner) {
+        self.spawn_wave(s);
+    }
+
+    fn on_complete(&mut self, _done: &CompletedTask, s: &mut Spawner) {
+        self.outstanding -= 1;
+        if self.outstanding == 0 && self.waves > 0 {
+            self.spawn_wave(s);
+        }
+    }
+}
+
+/// Busy grid: waves as wide as the machine keep every tile's head
+/// firing at its initiation interval, so the scheduler pays
+/// `next_event` on every ticked cycle and has nothing to skip.
+fn gemm_grid(c: &mut Criterion) {
+    c.bench_function("sched_gemm_grid", |bench| {
+        bench.iter(|| {
+            let cfg = DeltaConfig::builder(16)
+                .spawn_latency(40)
+                .host_latency(40)
+                .build();
+            let mut p = Waves {
+                width: 16,
+                words: 256,
+                waves: 12,
+                outstanding: 0,
+            };
+            Accelerator::new(cfg).run(&mut p).unwrap().cycles
+        })
+    });
+}
+
+/// Latency-bound chain: one task at a time streams a row through a slow
+/// DRAM, so the resident head spends most cycles provably blocked on
+/// stream arrivals and is bulk-advanced in closed form.
+fn spmv_chain(c: &mut Criterion) {
+    c.bench_function("sched_spmv_chain", |bench| {
+        bench.iter(|| {
+            let cfg = DeltaConfig::builder(4)
+                .dram_latency(80)
+                .spawn_latency(60)
+                .host_latency(60)
+                .build();
+            let mut p = Waves {
+                width: 1,
+                words: 128,
+                waves: 40,
+                outstanding: 0,
+            };
+            Accelerator::new(cfg).run(&mut p).unwrap().cycles
+        })
+    });
+}
+
+/// Sparse chain: long spawn/host latency windows leave the machine
+/// quiescent most of the time, which the next-event jump skips.
+fn sparse_chain(c: &mut Criterion) {
+    c.bench_function("sched_sparse_chain", |bench| {
+        bench.iter(|| {
+            let cfg = DeltaConfig::builder(4)
+                .spawn_latency(600)
+                .host_latency(600)
+                .build();
+            let mut p = Waves {
+                width: 1,
+                words: 64,
+                waves: 40,
+                outstanding: 0,
+            };
+            Accelerator::new(cfg).run(&mut p).unwrap().cycles
+        })
+    });
+}
+
 criterion_group!(
     name = micro;
     config = Criterion::default().sample_size(20);
     targets = dfg_interpreter, cgra_mapper, noc_saturation, dram_streaming, full_run
 );
-criterion_main!(micro);
+criterion_group!(
+    name = scheduler;
+    config = Criterion::default().sample_size(20);
+    targets = gemm_grid, spmv_chain, sparse_chain
+);
+criterion_main!(micro, scheduler);

@@ -1,7 +1,7 @@
 //! Persistent content-addressed result cache for sweep simulations.
 //!
 //! A sweep re-runs the same (configuration × workload) simulations over
-//! and over — across `--bless` / `--check-goldens` pairs, across CI
+//! and over — across `goldens bless` / `goldens check` pairs, across CI
 //! legs, across local iteration. Each simulation is a pure function of
 //! its [`DeltaConfig`] and the [`Program`] the workload builds, so the
 //! harness can memoize whole [`RunReport`]s on disk and answer repeat
@@ -17,8 +17,7 @@
 //!   a freshly built program. Two workloads produce the same hash iff
 //!   they hand the accelerator the same program, so scale/seed/grain
 //!   parameters are captured without per-workload code;
-//! * the full `Debug` form of the [`DeltaConfig`] *after* the
-//!   process-wide fast-path forces are applied;
+//! * the full `Debug` form of the [`DeltaConfig`];
 //! * a code-version salt: a 64-bit hash of the running executable's
 //!   bytes, so a rebuilt simulator never reads stale entries. Tests
 //!   and benchmarking override it via `TS_CACHE_SALT` when they *want*
@@ -322,9 +321,7 @@ pub(crate) fn program_fingerprint(wl: &dyn Workload, baseline: bool) -> u64 {
     h.0
 }
 
-/// Computes the content-addressed key for one run. `cfg` must already
-/// have the process-wide fast-path forces applied (the runner passes
-/// the exact config it will simulate with).
+/// Computes the content-addressed key for one run of `wl` on `cfg`.
 pub fn key(wl: &dyn Workload, cfg: &DeltaConfig, baseline: bool, faulted: bool) -> String {
     key_with_salt(wl, cfg, baseline, faulted, exe_salt())
 }
@@ -360,7 +357,7 @@ pub(crate) fn key_from_fingerprint(
     salt: u64,
 ) -> String {
     let canon = format!(
-        "format=2\nmode={}\nbaseline={}\nprogram={fingerprint:016x}\ncfg={:?}\nsalt={salt:016x}\n",
+        "format=3\nmode={}\nbaseline={}\nprogram={fingerprint:016x}\ncfg={:?}\nsalt={salt:016x}\n",
         if faulted { "faulted" } else { "validated" },
         baseline as u8,
         cfg,
@@ -378,7 +375,7 @@ pub(crate) fn current_salt() -> u64 {
 
 /// First bytes of every entry. The trailing digit is the entry format,
 /// the same number as the key canon's `format=` field.
-const MAGIC: &[u8; 8] = b"tscache2";
+const MAGIC: &[u8; 8] = b"tscache3";
 
 /// Header: [`MAGIC`], then the body's length and [`checksum`] as
 /// little-endian `u64`s.
@@ -388,7 +385,7 @@ const KIND_COMPLETED: u8 = 0;
 const KIND_WEDGED: u8 = 1;
 
 /// Number of `u64` counters a [`SimProfile`] is stored as.
-const PROFILE_WORDS: usize = 13 + 4 * STRETCH_BUCKETS;
+const PROFILE_WORDS: usize = 13 + 2 * STRETCH_BUCKETS;
 
 /// Checksum of an entry body: a [`Hash64`] of its length and bytes,
 /// so any single-byte flip is caught.
@@ -415,17 +412,12 @@ fn profile_words(p: &SimProfile) -> [u64; PROFILE_WORDS] {
         p.jump_cycles,
         p.loop_cycles,
     ];
-    let hists = [
-        p.jump_hist,
-        p.tile_stretch_hist,
-        p.mem_stretch_hist,
-        p.noc_stretch_hist,
-    ];
+    let hists = [p.jump_hist, p.tile_stretch_hist];
     let words: Vec<u64> = head
         .into_iter()
         .chain(hists.into_iter().flatten())
         .collect();
-    words.try_into().expect("13 counters and 4 histograms")
+    words.try_into().expect("13 counters and 2 histograms")
 }
 
 fn profile_from_words(w: &[u64; PROFILE_WORDS]) -> SimProfile {
@@ -451,8 +443,6 @@ fn profile_from_words(w: &[u64; PROFILE_WORDS]) -> SimProfile {
         loop_cycles: w[12],
         jump_hist: hist(0),
         tile_stretch_hist: hist(1),
-        mem_stretch_hist: hist(2),
-        noc_stretch_hist: hist(3),
     }
 }
 
@@ -489,10 +479,10 @@ fn faults_from_words(w: &[u64; 10]) -> FaultReport {
 /// Serializes a run outcome to the on-disk entry format:
 ///
 /// ```text
-/// header    magic "tscache2", body length u64, body checksum u64
+/// header    magic "tscache3", body length u64, body checksum u64
 /// body      kind u8 (0 completed, 1 wedged), cycles u64
 /// completed tasks_completed u64, skipped_cycles u64,
-///           SimProfile counters (33 × u64), FaultReport counters (10 × u64),
+///           SimProfile counters (23 × u64), FaultReport counters (10 × u64),
 ///           stats: count u32, then (key length u32, key, f64 bits u64) each,
 ///           timeline: count u32, then (cycle u64, busy u32) each,
 ///           the DRAM image (RunReport::encode_dram_image) to the end
@@ -594,7 +584,7 @@ impl<'a> Reader<'a> {
 fn decode(mut bytes: Vec<u8>) -> Result<FaultOutcome, String> {
     let header = bytes.get(..HEADER).ok_or("entry shorter than its header")?;
     if header[..8] != MAGIC[..] {
-        return Err("not a format-2 entry".into());
+        return Err("not a format-3 entry".into());
     }
     let word = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
     let (body_len, sum) = (word(8), word(16));
@@ -912,8 +902,13 @@ mod tests {
                 .is_err()
         );
 
-        // Well-framed bodies whose content is wrong.
+        // A well-formed entry of the previous format.
         let wedged = encode(&FaultOutcome::Wedged { cycles: 9 });
+        let mut old = wedged.clone();
+        old[..8].copy_from_slice(b"tscache2");
+        assert!(decode(old).is_err(), "format-2 entry");
+
+        // Well-framed bodies whose content is wrong.
         let mut body = wedged[HEADER..].to_vec();
         assert!(decode(seal(&body)).is_ok());
         body[0] = 7;

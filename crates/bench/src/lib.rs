@@ -52,39 +52,7 @@ use ts_delta::{oracle, Accelerator, DeltaConfig, RunError, RunReport};
 use ts_workloads::Workload;
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Harness-wide scheduler fast-path overrides (set from `repro
-/// --no-active-set` / `--no-idle-skip`). Every run that goes through
-/// [`run_validated`] applies them to its config, so a whole sweep can
-/// be A/B-compared against dense ticking without touching the modelled
-/// presets. Reports are bit-identical either way — the flags exist to
-/// *measure* that and the wall-clock difference.
-static FORCE_NO_ACTIVE_SET: AtomicBool = AtomicBool::new(false);
-static FORCE_NO_IDLE_SKIP: AtomicBool = AtomicBool::new(false);
-static FORCE_NO_TILE_EVENTS: AtomicBool = AtomicBool::new(false);
-
-/// Disables simulator fast paths for every subsequent run in this
-/// process (`active_set`, `idle_skip`, and/or `tile_events`).
-pub fn disable_fast_paths(active_set: bool, idle_skip: bool, tile_events: bool) {
-    FORCE_NO_ACTIVE_SET.store(active_set, Ordering::Relaxed);
-    FORCE_NO_IDLE_SKIP.store(idle_skip, Ordering::Relaxed);
-    FORCE_NO_TILE_EVENTS.store(tile_events, Ordering::Relaxed);
-}
-
-/// Applies the process-wide fast-path overrides to one run's config.
-fn apply_forces(cfg: &mut DeltaConfig) {
-    if FORCE_NO_ACTIVE_SET.load(Ordering::Relaxed) {
-        cfg.active_set = false;
-    }
-    if FORCE_NO_IDLE_SKIP.load(Ordering::Relaxed) {
-        cfg.idle_skip = false;
-    }
-    if FORCE_NO_TILE_EVENTS.load(Ordering::Relaxed) {
-        cfg.tile_events = false;
-    }
-}
 
 /// Runs one workload on one configuration and validates the result.
 ///
@@ -94,19 +62,7 @@ fn apply_forces(cfg: &mut DeltaConfig) {
 /// report violates a conservation invariant
 /// ([`RunReport::check_conservation`]) — a harness that silently
 /// benchmarks wrong answers would be worthless.
-pub fn run_validated(wl: &dyn Workload, mut cfg: DeltaConfig, baseline_program: bool) -> RunReport {
-    apply_forces(&mut cfg);
-    run_validated_preforced(wl, cfg, baseline_program)
-}
-
-/// [`run_validated`] after the fast-path forces are already applied —
-/// the entry point the cache-aware sweep runner uses, so the config it
-/// hashes is byte-for-byte the config it simulates.
-fn run_validated_preforced(
-    wl: &dyn Workload,
-    cfg: DeltaConfig,
-    baseline_program: bool,
-) -> RunReport {
+pub fn run_validated(wl: &dyn Workload, cfg: DeltaConfig, baseline_program: bool) -> RunReport {
     let tiles = cfg.tiles;
     let mut program: Box<dyn Program> = if baseline_program {
         wl.make_baseline_program()
@@ -165,22 +121,7 @@ impl FaultOutcome {
 ///
 /// Panics on any error other than a stall/cycle-limit timeout, or if a
 /// completed run fails any of the three checks.
-pub fn run_faulted(
-    wl: &dyn Workload,
-    mut cfg: DeltaConfig,
-    baseline_program: bool,
-) -> FaultOutcome {
-    apply_forces(&mut cfg);
-    run_faulted_preforced(wl, cfg, baseline_program)
-}
-
-/// [`run_faulted`] after the fast-path forces are already applied (see
-/// [`run_validated_preforced`]).
-fn run_faulted_preforced(
-    wl: &dyn Workload,
-    cfg: DeltaConfig,
-    baseline_program: bool,
-) -> FaultOutcome {
+pub fn run_faulted(wl: &dyn Workload, cfg: DeltaConfig, baseline_program: bool) -> FaultOutcome {
     let tiles = cfg.tiles;
     let make = || -> Box<dyn Program> {
         if baseline_program {
@@ -320,26 +261,23 @@ impl SweepJob {
 /// Program fingerprints by [`fingerprint_id`], for the jobs of one sweep.
 type Fingerprints = HashMap<(usize, bool), u64>;
 
-/// A job's cache key, from the sweep's precomputed fingerprints. `cfg`
-/// is the job's config with the fast-path forces applied.
-fn job_key(j: &SweepJob, cfg: &DeltaConfig, fingerprints: &Fingerprints) -> String {
+/// A job's cache key, from the sweep's precomputed fingerprints.
+fn job_key(j: &SweepJob, fingerprints: &Fingerprints) -> String {
     let fp = fingerprints
         .get(&fingerprint_id(j))
         .copied()
         .unwrap_or_else(|| cache::program_fingerprint(j.wl.as_ref(), j.baseline));
-    cache::key_from_fingerprint(fp, cfg, j.baseline, j.faulted, cache::current_salt())
+    cache::key_from_fingerprint(fp, &j.cfg, j.baseline, j.faulted, cache::current_salt())
 }
 
 /// Executes one flattened sweep job, consulting the persistent result
-/// cache when it is enabled (and the run is untraced): hash the
-/// post-force config + program content, return the disk entry on a
-/// hit, otherwise simulate and persist. Cached reports still feed the
-/// in-process [`profile`] tally so `--profile` reflects the original
-/// simulations' cycle attribution either way.
+/// cache when it is enabled (and the run is untraced): hash the config
+/// and program content, return the disk entry on a hit, otherwise
+/// simulate and persist. Cached reports still feed the in-process
+/// [`profile`] tally so `--profile` reflects the original simulations'
+/// cycle attribution either way.
 fn run_sweep_job(j: &SweepJob, fingerprints: &Fingerprints) -> FaultOutcome {
-    let mut cfg = j.cfg.clone();
-    apply_forces(&mut cfg);
-    let key = (cache::is_enabled() && !cfg.trace).then(|| job_key(j, &cfg, fingerprints));
+    let key = (cache::is_enabled() && !j.cfg.trace).then(|| job_key(j, fingerprints));
     if let Some(k) = &key {
         if let Some(out) = cache::load(k, j.faulted) {
             if let Some(r) = out.report() {
@@ -349,11 +287,11 @@ fn run_sweep_job(j: &SweepJob, fingerprints: &Fingerprints) -> FaultOutcome {
         }
     }
     let out = if j.faulted {
-        run_faulted_preforced(j.wl.as_ref(), cfg, j.baseline)
+        run_faulted(j.wl.as_ref(), j.cfg.clone(), j.baseline)
     } else {
-        FaultOutcome::Completed(Box::new(run_validated_preforced(
+        FaultOutcome::Completed(Box::new(run_validated(
             j.wl.as_ref(),
-            cfg,
+            j.cfg.clone(),
             j.baseline,
         )))
     };
@@ -448,7 +386,7 @@ mod tests {
                 j.wl.name()
             );
             assert_eq!(
-                job_key(j, &j.cfg, &fps),
+                job_key(j, &fps),
                 cache::key(j.wl.as_ref(), &j.cfg, j.baseline, j.faulted),
                 "{}",
                 j.wl.name()

@@ -25,10 +25,6 @@ static LOOP_CYCLES: AtomicU64 = AtomicU64::new(0);
 static JUMP_HIST: [AtomicU64; STRETCH_BUCKETS] = [const { AtomicU64::new(0) }; STRETCH_BUCKETS];
 static TILE_STRETCH_HIST: [AtomicU64; STRETCH_BUCKETS] =
     [const { AtomicU64::new(0) }; STRETCH_BUCKETS];
-static MEM_STRETCH_HIST: [AtomicU64; STRETCH_BUCKETS] =
-    [const { AtomicU64::new(0) }; STRETCH_BUCKETS];
-static NOC_STRETCH_HIST: [AtomicU64; STRETCH_BUCKETS] =
-    [const { AtomicU64::new(0) }; STRETCH_BUCKETS];
 static RUNS: AtomicU64 = AtomicU64::new(0);
 
 /// Adds one run's counters to the global tally.
@@ -49,8 +45,6 @@ pub fn record(p: &SimProfile) {
     for b in 0..STRETCH_BUCKETS {
         JUMP_HIST[b].fetch_add(p.jump_hist[b], Ordering::Relaxed);
         TILE_STRETCH_HIST[b].fetch_add(p.tile_stretch_hist[b], Ordering::Relaxed);
-        MEM_STRETCH_HIST[b].fetch_add(p.mem_stretch_hist[b], Ordering::Relaxed);
-        NOC_STRETCH_HIST[b].fetch_add(p.noc_stretch_hist[b], Ordering::Relaxed);
     }
     RUNS.fetch_add(1, Ordering::Relaxed);
 }
@@ -78,8 +72,6 @@ pub fn snapshot() -> (SimProfile, u64) {
             loop_cycles: LOOP_CYCLES.load(Ordering::Relaxed),
             jump_hist: load_hist(&JUMP_HIST),
             tile_stretch_hist: load_hist(&TILE_STRETCH_HIST),
-            mem_stretch_hist: load_hist(&MEM_STRETCH_HIST),
-            noc_stretch_hist: load_hist(&NOC_STRETCH_HIST),
         },
         RUNS.load(Ordering::Relaxed),
     )
@@ -107,8 +99,6 @@ pub fn delta(before: &SimProfile, after: &SimProfile) -> SimProfile {
         loop_cycles: after.loop_cycles - before.loop_cycles,
         jump_hist: hist_delta(&before.jump_hist, &after.jump_hist),
         tile_stretch_hist: hist_delta(&before.tile_stretch_hist, &after.tile_stretch_hist),
-        mem_stretch_hist: hist_delta(&before.mem_stretch_hist, &after.mem_stretch_hist),
-        noc_stretch_hist: hist_delta(&before.noc_stretch_hist, &after.noc_stretch_hist),
     }
 }
 
@@ -168,8 +158,6 @@ mod tests {
             loop_cycles: 4,
             jump_hist: [1, 0, 0, 0, 0],
             tile_stretch_hist: [0, 1, 0, 0, 0],
-            mem_stretch_hist: [0, 0, 1, 0, 0],
-            noc_stretch_hist: [0, 0, 0, 1, 0],
         };
         record(&p);
         let (after, runs_after) = snapshot();

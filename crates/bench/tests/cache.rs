@@ -7,10 +7,16 @@
 //! override, counters), so every test takes `LOCK` and scopes its
 //! enablement with [`CacheGuard`].
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
+use taskstream_model::Policy;
 use ts_bench::{cache, experiments, run_jobs, FaultOutcome, SweepJob};
-use ts_delta::DeltaConfig;
+use ts_cgra::FabricConfig;
+use ts_delta::{
+    DeltaConfig, DeltaConfigBuilder, FaultsConfig, Features, TenancyConfig, TenantSpec,
+};
+use ts_mem::DramConfig;
 use ts_workloads::{spmv::Spmv, Scale};
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -98,21 +104,70 @@ fn key_changes_with_config_seed_and_salt() {
     let cfg = DeltaConfig::delta(8);
     let base = cache::key_with_salt(&wl, &cfg, false, false, 1);
 
-    // Any config knob participates in the key.
-    let deeper = cfg.clone().to_builder().tile_queue(7).build();
-    assert_ne!(
-        base,
-        cache::key_with_salt(&wl, &deeper, false, false, 1),
-        "config change must miss"
-    );
-
-    // The RNG seed is a config field too.
-    let reseeded = cfg.clone().to_builder().seed(12345).build();
-    assert_ne!(
-        base,
-        cache::key_with_salt(&wl, &reseeded, false, false, 1),
-        "seed change must miss"
-    );
+    // Every config knob participates in the key: each builder setter,
+    // applied alone, must produce a key distinct from the base and from
+    // every other perturbation. The key hashes the config's `Debug`
+    // form, so a field left out of it would alias distinct configs.
+    type Setter = fn(DeltaConfigBuilder) -> DeltaConfigBuilder;
+    let setters: [(&str, Setter); 29] = [
+        ("mem_ctrls", |b| b.mem_ctrls(2)),
+        ("fabric", |b| {
+            b.fabric(FabricConfig {
+                rows: 5,
+                ..FabricConfig::default()
+            })
+        }),
+        ("fabric_lanes", |b| b.fabric_lanes(3)),
+        ("fabric_config_per_pe", |b| b.fabric_config_per_pe(9)),
+        ("spad_words", |b| b.spad_words(1024)),
+        ("spad_bw", |b| b.spad_bw(2.5)),
+        ("dram", |b| {
+            b.dram(DramConfig {
+                gather_cost: 9,
+                ..DeltaConfig::delta(8).dram
+            })
+        }),
+        ("dram_latency", |b| b.dram_latency(61)),
+        ("noc_queue", |b| b.noc_queue(3)),
+        ("tile_queue", |b| b.tile_queue(7)),
+        ("out_buf", |b| b.out_buf(5)),
+        ("engine_rate", |b| b.engine_rate(3.0)),
+        ("dispatch_per_cycle", |b| b.dispatch_per_cycle(3)),
+        ("dispatch_window", |b| b.dispatch_window(9)),
+        ("spawn_latency", |b| b.spawn_latency(13)),
+        ("host_latency", |b| b.host_latency(13)),
+        ("task_start_overhead", |b| b.task_start_overhead(7)),
+        ("mem_req_latency", |b| b.mem_req_latency(9)),
+        ("mcast_batch_window", |b| b.mcast_batch_window(25)),
+        ("prefetch_depth", |b| b.prefetch_depth(3)),
+        ("policy", |b| b.policy(Policy::RoundRobin)),
+        ("features", |b| {
+            b.features(Features {
+                multicast: false,
+                ..Features::all()
+            })
+        }),
+        ("work_stealing", |b| b.work_stealing(true)),
+        ("trace", |b| b.trace(true)),
+        ("faults", |b| b.faults(FaultsConfig::chaos())),
+        ("tenancy", |b| {
+            b.tenancy(TenancyConfig::shared(vec![
+                TenantSpec::flood(),
+                TenantSpec::paced(4),
+            ]))
+        }),
+        ("seed", |b| b.seed(12345)),
+        ("max_cycles", |b| b.max_cycles(1_000_000)),
+        ("stall_limit", |b| b.stall_limit(1_000)),
+    ];
+    let mut keys = HashSet::from([base.clone()]);
+    for (name, set) in setters {
+        let perturbed = set(cfg.clone().to_builder()).build();
+        assert!(
+            keys.insert(cache::key_with_salt(&wl, &perturbed, false, false, 1)),
+            "changing {name} must miss"
+        );
+    }
 
     // A different build salt addresses a disjoint slice of the cache.
     assert_ne!(

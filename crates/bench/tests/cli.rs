@@ -1,6 +1,6 @@
 //! End-to-end tests of the `repro` command line: the subcommand
-//! spellings, the pre-subcommand spellings they alias, and the exit-2
-//! contract for unknown flags, ids, and malformed invocations.
+//! spellings and the exit-2 contract for missing or unknown
+//! subcommands, unknown flags and ids, and malformed invocations.
 //!
 //! Only simulation-free experiments (`tbl_config`, `tbl_area`) and one
 //! tiny fault run are exercised, so the suite stays fast in debug.
@@ -32,56 +32,12 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// The printed tables minus the wall-clock lines, which legitimately
-/// differ between two invocations.
-fn tables_only(text: &str) -> String {
-    text.lines()
-        .filter(|l| !l.trim_start().starts_with('('))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 /// A scratch working directory so runs that write report files
 /// (`FAULTS_*.txt`, `GOLDEN_diff.txt`) never litter the repo.
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("repro-cli-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("creating the scratch directory");
     dir
-}
-
-#[test]
-fn sweep_subcommand_and_legacy_spelling_print_the_same_tables() {
-    let new = repro(&["sweep", "tbl_config", "--tiny"], None);
-    let old = repro(&["tbl_config", "--tiny"], None);
-    assert!(new.status.success(), "sweep failed: {}", stderr(&new));
-    assert!(old.status.success(), "legacy failed: {}", stderr(&old));
-    let new_out = stdout(&new);
-    assert!(
-        new_out.contains("=== tbl_config ==="),
-        "no table: {new_out}"
-    );
-    assert_eq!(tables_only(&new_out), tables_only(&stdout(&old)));
-}
-
-#[test]
-fn goldens_check_matches_the_legacy_check_goldens_flag() {
-    let dir = scratch("goldens");
-    let new = repro(&["goldens", "check", "tbl_area", "--tiny"], Some(&dir));
-    let old = repro(&["tbl_area", "--tiny", "--check-goldens"], Some(&dir));
-    assert!(
-        new.status.success(),
-        "goldens check failed: {}",
-        stderr(&new)
-    );
-    assert!(
-        old.status.success(),
-        "--check-goldens failed: {}",
-        stderr(&old)
-    );
-    for out in [&new, &old] {
-        assert!(stderr(out).contains("goldens OK"), "{}", stderr(out));
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -182,9 +138,27 @@ fn help_prints_usage_and_exits_zero() {
 
 #[test]
 fn malformed_invocations_exit_two_with_usage() {
-    let cases: &[&[&str]] = &[
+    // The removed scheduler switches (`--no-` plus each of these) are
+    // unknown flags like any other.
+    let removed: Vec<String> = ["active-set", "idle-skip", "tile-events"]
+        .iter()
+        .map(|f| format!("--no-{f}"))
+        .collect();
+    let mut cases: Vec<Vec<&str>> = removed
+        .iter()
+        .flat_map(|f| {
+            [
+                vec!["sweep", f.as_str()],
+                vec!["goldens", "check", f.as_str()],
+            ]
+        })
+        .collect();
+    let fixed: &[&[&str]] = &[
+        &[],
         &["sweep", "--bogus"],
         &["--bogus"],
+        &["--check-goldens"],
+        &["--tiny"],
         &["sweep", "no_such_experiment"],
         &["no_such_experiment"],
         &["goldens", "frobnicate"],
@@ -194,7 +168,8 @@ fn malformed_invocations_exit_two_with_usage() {
         &["faults", "tbl_config", "--rate"],
         &["trace", "tbl_config", "tbl_area"],
     ];
-    for args in cases {
+    cases.extend(fixed.iter().map(|c| c.to_vec()));
+    for args in &cases {
         let out = repro(args, None);
         assert_eq!(
             out.status.code(),

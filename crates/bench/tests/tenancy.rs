@@ -1,10 +1,10 @@
 //! Multi-tenant dispatcher guarantees, end to end:
 //!
-//! - **Mode equivalence** — tenancy composes with every `active_set` ×
-//!   `idle_skip` × `tile_events` scheduler mode bit-for-bit, over
-//!   random tenant mixes × arrival schedules × admission policies
-//!   (the per-tenant due queues add wake sources the activity
-//!   contracts must cover in every mode).
+//! - **Scheduler equivalence** — under tenancy the event-driven
+//!   scheduler matches the dense reference (`Accelerator::run_dense`)
+//!   bit-for-bit, over random tenant mixes × arrival schedules ×
+//!   admission policies (the per-tenant due queues add wake sources
+//!   the activity contracts must cover).
 //! - **Fault determinism and oracle equivalence** — same-seed fault
 //!   schedules replay identically under tenancy, and faulted runs
 //!   stay functionally equivalent to the untimed oracle at every
@@ -15,10 +15,9 @@
 
 use proptest::prelude::*;
 use ts_bench::{run_faulted, run_validated, FaultOutcome};
-use ts_delta::{
-    DeltaConfig, DeltaConfigBuilder, DrainPolicy, FaultsConfig, PartitionPolicy, RunReport,
-};
+use ts_delta::{Accelerator, DeltaConfig, DrainPolicy, FaultsConfig, PartitionPolicy, RunReport};
 use ts_workloads::request_server::{RequestServer, TenantLoad};
+use ts_workloads::Workload;
 
 /// Runs one config to completion: validated against the workload
 /// reference and the conservation invariants, plus the untimed oracle
@@ -36,21 +35,14 @@ fn run_cfg(wl: &RequestServer, cfg: ts_delta::DeltaConfig, chaos: bool) -> RunRe
     }
 }
 
-fn run_mode(
-    base: &DeltaConfigBuilder,
-    wl: &RequestServer,
-    chaos: bool,
-    active_set: bool,
-    idle_skip: bool,
-    tile_events: bool,
-) -> RunReport {
-    let cfg = base
-        .clone()
-        .active_set(active_set)
-        .idle_skip(idle_skip)
-        .tile_events(tile_events)
-        .build();
-    run_cfg(wl, cfg, chaos)
+/// The densely ticked reference run, validated against the workload
+/// reference.
+fn run_dense(wl: &RequestServer, cfg: DeltaConfig) -> RunReport {
+    let r = Accelerator::new(cfg)
+        .run_dense(wl.make_program().as_mut())
+        .unwrap_or_else(|e| panic!("dense reference failed: {e}"));
+    wl.validate(&r).unwrap();
+    r
 }
 
 fn assert_tenants_served(r: &RunReport, wl: &RequestServer, what: &str) {
@@ -67,10 +59,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random tenant mixes × arrival schedules × admission policies ×
-    /// fault schedules: every scheduler mode combination must produce
-    /// the same report, bit for bit, as dense ticking.
+    /// fault schedules: the event-driven run must produce the same
+    /// report, bit for bit, as dense ticking.
     #[test]
-    fn random_tenant_mixes_unaffected_by_scheduler_modes(
+    fn random_tenant_mixes_match_the_dense_reference(
         loads in prop::collection::vec((1usize..8, 4usize..24, 0u64..300), 1..4),
         admit_limit in 0u64..6,
         spatial in prop::bool::ANY,
@@ -110,29 +102,50 @@ proptest! {
                 })
                 .stall_limit(200_000);
         }
-        let reference = run_mode(&base, &wl, chaos, false, false, false);
+        let cfg = base.build();
+        let reference = run_dense(&wl, cfg.clone());
         assert_tenants_served(&reference, &wl, "dense reference");
-        for (active_set, idle_skip, tile_events) in [
-            (true, false, false),
-            (false, true, false),
-            (false, false, true),
-            (true, true, false),
-            (true, false, true),
-            (false, true, true),
-            (true, true, true),
-        ] {
-            let r = run_mode(&base, &wl, chaos, active_set, idle_skip, tile_events);
-            let what = format!(
-                "active_set={active_set}, idle_skip={idle_skip}, \
-                 tile_events={tile_events}, chaos={chaos}"
-            );
-            prop_assert_eq!(r.cycles, reference.cycles, "cycles diverged ({})", &what);
-            prop_assert_eq!(r.tasks_completed, reference.tasks_completed);
-            prop_assert_eq!(&r.stats, &reference.stats, "stats diverged ({})", &what);
-            prop_assert_eq!(&r.timeline, &reference.timeline);
-            prop_assert_eq!(&r.faults, &reference.faults, "faults diverged ({})", &what);
-        }
+        let r = run_cfg(&wl, cfg, chaos);
+        prop_assert_eq!(r.cycles, reference.cycles, "cycles diverged (chaos={})", chaos);
+        prop_assert_eq!(r.tasks_completed, reference.tasks_completed);
+        prop_assert_eq!(&r.stats, &reference.stats, "stats diverged (chaos={})", chaos);
+        prop_assert_eq!(&r.timeline, &reference.timeline);
+        prop_assert_eq!(&r.faults, &reference.faults, "faults diverged (chaos={})", chaos);
     }
+}
+
+/// Regression: under spatial tenancy a tenant whose whole partition
+/// fail-stops used to wedge the run — its pending tasks could place
+/// nowhere. They now spill onto the rest of the fabric, as recovery
+/// re-dispatch already did, and both engines agree on the result.
+#[test]
+fn whole_partition_fail_stop_spills_instead_of_wedging() {
+    let load = |queries, rows_per_query, arrival_period| TenantLoad {
+        queries,
+        rows_per_query,
+        arrival_period,
+    };
+    let wl = RequestServer::new(
+        vec![load(5, 23, 151), load(6, 20, 221), load(1, 8, 19)],
+        256,
+        550,
+    );
+    let cfg = DeltaConfig::builder(3)
+        .seed(550)
+        .tenancy(wl.tenancy(PartitionPolicy::Spatial, 1, DrainPolicy::Drain))
+        .faults(FaultsConfig {
+            tile_fail_window: 256,
+            ..FaultsConfig::chaos()
+        })
+        .stall_limit(200_000)
+        .build();
+    let dense = run_dense(&wl, cfg.clone());
+    let r = run_cfg(&wl, cfg, true);
+    assert!(r.faults.tile_fail_stops > 0, "no tile fail-stopped");
+    assert_tenants_served(&r, &wl, "spilled run");
+    assert_eq!(r.cycles, dense.cycles);
+    assert_eq!(r.stats, dense.stats);
+    assert_eq!(r.faults, dense.faults);
 }
 
 /// Same-seed fault schedules replay identically under tenancy, the

@@ -3,11 +3,11 @@
 //! Every [`GraphSpec`] drawn here — linear pipelines of random depth,
 //! width and capacity, and reduction trees of random fanout — must
 //! compile, run on the timed simulator, satisfy the conservation
-//! invariants, and agree with the untimed oracle on final memory, in
-//! **every** combination of the scheduler's work-avoidance fast paths
-//! (active-set tracking × idle-skip × event-driven tiles). The fast
-//! paths are pure optimizations; a declarative program on which any
-//! combination changes the answer is a compiler or scheduler bug.
+//! invariants, and agree with the untimed oracle on final memory, under
+//! **both** the event-driven scheduler and the dense reference
+//! (`Accelerator::run_dense`). The event-driven shortcuts are pure
+//! optimizations; a declarative program on which they change the
+//! answer is a compiler or scheduler bug.
 
 use proptest::prelude::*;
 use taskstream_model::{MemoryImage, TaskKernel};
@@ -129,36 +129,31 @@ fn tree_spec(fanout: usize, depth: u32, seg_len: u64, cap: u64) -> GraphSpec {
     g
 }
 
-/// Runs one compiled spec under every fast-path combination and checks
+/// Runs one compiled spec event-driven and densely ticked, and checks
 /// conservation plus oracle equivalence each time.
-fn assert_all_modes_agree(
+fn assert_both_engines_agree(
     spec_of: impl Fn() -> GraphSpec,
     tiles: usize,
 ) -> Result<(), proptest::TestCaseError> {
     let oracle = execute_untimed(&mut spec_of().compile().expect("spec is valid"))
         .expect("oracle completes");
-    for active_set in [false, true] {
-        for idle_skip in [false, true] {
-            for tile_events in [false, true] {
-                let cfg = DeltaConfig::builder(tiles)
-                    .active_set(active_set)
-                    .idle_skip(idle_skip)
-                    .tile_events(tile_events)
-                    .build();
-                let mut p = spec_of().compile().expect("spec is valid");
-                let timed = Accelerator::new(cfg).run(&mut p).expect("run completes");
-                let mode = format!(
-                    "active_set={active_set} idle_skip={idle_skip} tile_events={tile_events}"
-                );
-                prop_assert!(
-                    timed.check_conservation(tiles).is_ok(),
-                    "conservation under {mode}: {:?}",
-                    timed.check_conservation(tiles)
-                );
-                let eq = check_equivalence(&timed, &oracle);
-                prop_assert!(eq.is_ok(), "equivalence under {mode}: {eq:?}");
-            }
+    let mut accel = Accelerator::new(DeltaConfig::builder(tiles).build());
+    for dense in [false, true] {
+        let mut p = spec_of().compile().expect("spec is valid");
+        let timed = if dense {
+            accel.run_dense(&mut p)
+        } else {
+            accel.run(&mut p)
         }
+        .expect("run completes");
+        let engine = if dense { "dense" } else { "event-driven" };
+        prop_assert!(
+            timed.check_conservation(tiles).is_ok(),
+            "conservation under {engine}: {:?}",
+            timed.check_conservation(tiles)
+        );
+        let eq = check_equivalence(&timed, &oracle);
+        prop_assert!(eq.is_ok(), "equivalence under {engine}: {eq:?}");
     }
     Ok(())
 }
@@ -167,24 +162,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn random_chains_agree_in_every_mode(
+    fn random_chains_agree_under_both_engines(
         count in 1usize..5,
         stages in 1usize..5,
         seg_len in 2u64..17,
         cap in 1u64..32,
         tiles in 1usize..6,
     ) {
-        assert_all_modes_agree(|| chain_spec(count, stages, seg_len, cap), tiles)?;
+        assert_both_engines_agree(|| chain_spec(count, stages, seg_len, cap), tiles)?;
     }
 
     #[test]
-    fn random_trees_agree_in_every_mode(
+    fn random_trees_agree_under_both_engines(
         fanout in 2usize..5,
         depth in 1u32..3,
         seg_len in 2u64..9,
         cap in 1u64..16,
         tiles in 1usize..6,
     ) {
-        assert_all_modes_agree(|| tree_spec(fanout, depth, seg_len, cap), tiles)?;
+        assert_both_engines_agree(|| tree_spec(fanout, depth, seg_len, cap), tiles)?;
     }
 }

@@ -324,19 +324,12 @@ impl<P: Clone> Mesh<P> {
         }
     }
 
-    /// Fast-forwards `n` cycles with no flit in flight. An idle tick's
-    /// only state change is the round-robin arbitration rotation (the
-    /// port sweep finds every queue empty and bumps no statistic), so
-    /// skipping must advance the rotation by the same amount to keep
-    /// post-skip arbitration identical to the ticked path.
-    pub fn skip_idle_cycles(&mut self, n: u64) {
-        debug_assert!(self.is_idle(), "skip with flits in flight");
-        self.replay_idle_cycles(n);
-    }
-
     /// Replays `n` idle ticks for a lazily scheduled mesh catching up
-    /// on wake. Unlike [`skip_idle_cycles`](Mesh::skip_idle_cycles) the
-    /// mesh may already hold freshly injected flits — the caller
+    /// on wake. An idle tick's only state change is the round-robin
+    /// arbitration rotation (the port sweep finds every queue empty and
+    /// bumps no statistic), so the replay advances the rotation by the
+    /// same amount to keep arbitration identical to the ticked path.
+    /// The mesh may already hold freshly injected flits — the caller
     /// guarantees the *elapsed* `n` cycles carried none.
     pub fn replay_idle_cycles(&mut self, n: u64) {
         let m = self.nodes().max(1) as u64;
