@@ -29,6 +29,8 @@
 //! in force. With every rate at zero the subsystem is inert and all
 //! reports are byte-identical to a build without it.
 
+use crate::counters::counter_table;
+
 /// Fault-injection knobs and the recovery policy, carried by
 /// `DeltaConfig::faults`. The default ([`FaultsConfig::none`]) injects
 /// nothing and changes no behavior.
@@ -167,35 +169,38 @@ impl Default for FaultsConfig {
     }
 }
 
-/// Fault and recovery accounting for one run, carried in
-/// `RunReport::faults`. Like the trace and the profile it lives
-/// *outside* `RunReport::stats`, so faultless reports stay
-/// byte-identical. Same seed → same counts, field for field.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultReport {
-    /// Tiles that fail-stopped during the run.
-    pub tile_fail_stops: u64,
-    /// Transient tile-stall windows that fell inside the run.
-    pub tile_stalls: u64,
-    /// Flits dropped at tile ingress.
-    pub noc_flits_dropped: u64,
-    /// Flits corrupted and discarded at tile ingress.
-    pub noc_flits_corrupted: u64,
-    /// DRAM words that took a detected-error retry.
-    pub dram_retries: u64,
-    /// Watchdog firings (a task victimized for lack of progress).
-    pub watchdog_fires: u64,
-    /// Task re-dispatches onto a healthy tile (one task may count
-    /// several times if it is victimized repeatedly).
-    pub tasks_redispatched: u64,
-    /// Pipe transports replayed or rerouted for a victim (direct
-    /// streams re-sent or converted to spill).
-    pub pipe_replays: u64,
-    /// Cycles victims spent in re-dispatch backoff.
-    pub backoff_cycles: u64,
-    /// Metering progress thrown away by victimization: cycles between
-    /// each victim's dispatch and its eviction, summed.
-    pub wasted_cycles: u64,
+counter_table! {
+    /// Fault and recovery accounting for one run, carried in
+    /// `RunReport::faults`. Like the trace and the profile it lives
+    /// *outside* `RunReport::stats`, so faultless reports stay
+    /// byte-identical. Same seed → same counts, field for field. Its
+    /// field order is the result cache's on-disk layout.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct FaultReport {
+        /// Tiles that fail-stopped during the run.
+        pub tile_fail_stops: u64,
+        /// Transient tile-stall windows that fell inside the run.
+        pub tile_stalls: u64,
+        /// Flits dropped at tile ingress.
+        pub noc_flits_dropped: u64,
+        /// Flits corrupted and discarded at tile ingress.
+        pub noc_flits_corrupted: u64,
+        /// DRAM words that took a detected-error retry.
+        pub dram_retries: u64,
+        /// Watchdog firings (a task victimized for lack of progress).
+        pub watchdog_fires: u64,
+        /// Task re-dispatches onto a healthy tile (one task may count
+        /// several times if it is victimized repeatedly).
+        pub tasks_redispatched: u64,
+        /// Pipe transports replayed or rerouted for a victim (direct
+        /// streams re-sent or converted to spill).
+        pub pipe_replays: u64,
+        /// Cycles victims spent in re-dispatch backoff.
+        pub backoff_cycles: u64,
+        /// Metering progress thrown away by victimization: cycles between
+        /// each victim's dispatch and its eviction, summed.
+        pub wasted_cycles: u64,
+    }
 }
 
 impl FaultReport {

@@ -68,6 +68,7 @@
 mod accelerator;
 pub mod area;
 mod config;
+mod counters;
 mod dispatch;
 pub mod energy;
 mod exec;
@@ -83,6 +84,7 @@ pub mod whatif;
 
 pub use accelerator::{Accelerator, RunError};
 pub use config::{DeltaConfig, DeltaConfigBuilder, Features};
+pub use counters::Counter;
 pub use faults::{FaultReport, FaultsConfig};
 pub use report::{stretch_bucket, RunReport, SimProfile, STRETCH_BUCKETS, STRETCH_BUCKET_LABELS};
 pub use tenancy::{DrainPolicy, PartitionPolicy, TenancyConfig, TenantSpec};

@@ -1,5 +1,6 @@
 //! Run results.
 
+use crate::counters::counter_table;
 use crate::faults::FaultReport;
 use crate::trace::TraceRecord;
 use taskstream_model::Value;
@@ -25,87 +26,91 @@ pub fn stretch_bucket(len: u64) -> usize {
     }
 }
 
-/// Cycle-attribution profile of one run: how many cycles each component
-/// was actually ticked versus replayed in closed form, and how often it
-/// was woken from a skipped stretch. Simulator bookkeeping, not a
-/// modelled quantity — like [`RunReport::skipped_cycles`] it is kept
-/// out of [`RunReport::stats`] so reports stay bit-identical to a densely
-/// ticked run ([`Accelerator::run_dense`](crate::Accelerator::run_dense)).
-/// The invariant `ticks + skipped ==
-/// cycles` holds per component (tile counters additionally fold in
-/// `tile_bulk_cycles` and sum over all tiles, so theirs is
-/// `ticks + skipped + bulk == cycles × tiles`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimProfile {
-    /// Densely ticked tile-cycles, summed over all tiles.
-    pub tile_ticks: u64,
-    /// Idle (empty-queue) tile-cycles replayed in closed form, summed
-    /// over all tiles.
-    pub tile_skipped: u64,
-    /// Blocked busy tile-cycles replayed in closed form by the
-    /// event-driven tile scheduler, summed over all tiles.
-    pub tile_bulk_cycles: u64,
-    /// Times a tile was woken out of a skipped stretch.
-    pub tile_wakes: u64,
-    /// `Tile::next_event` evaluations performed by the event-driven
-    /// scheduler.
-    pub tile_next_event_calls: u64,
-    /// Densely ticked memory-controller cycles.
-    pub mem_ticks: u64,
-    /// Memory-controller cycles replayed in closed form.
-    pub mem_skipped: u64,
-    /// Times the memory controller was woken out of a skipped stretch.
-    pub mem_wakes: u64,
-    /// Densely ticked mesh cycles.
-    pub noc_ticks: u64,
-    /// Mesh cycles replayed in closed form.
-    pub noc_skipped: u64,
-    /// Times the mesh was woken out of a skipped stretch.
-    pub noc_wakes: u64,
-    /// Cycles covered by whole-loop next-event jumps.
-    pub jump_cycles: u64,
-    /// Main-loop iterations actually executed (densely ticked cycles).
-    pub loop_cycles: u64,
-    /// Histogram of whole-loop jump lengths, bucketed by
-    /// [`stretch_bucket`].
-    pub jump_hist: [u64; STRETCH_BUCKETS],
-    /// Histogram of per-tile replayed stretch lengths (idle skips and
-    /// bulk advances), bucketed by [`stretch_bucket`].
-    pub tile_stretch_hist: [u64; STRETCH_BUCKETS],
+counter_table! {
+    /// Cycle-attribution profile of one run: how many cycles each
+    /// component was actually ticked versus replayed in closed form, and
+    /// how often it was woken from a skipped stretch. Simulator
+    /// bookkeeping, not a modelled quantity — like
+    /// [`RunReport::skipped_cycles`] it is kept out of
+    /// [`RunReport::stats`] so reports stay bit-identical to a densely
+    /// ticked run ([`Accelerator::run_dense`](crate::Accelerator::run_dense)).
+    /// The invariant `ticks + skipped == cycles` holds per component
+    /// (tile counters additionally fold in `tile_bulk_cycles` and sum
+    /// over all tiles, so theirs is `ticks + skipped + bulk == cycles ×
+    /// tiles`). Its field order is the result cache's on-disk layout.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SimProfile {
+        /// Densely ticked tile-cycles, summed over all tiles.
+        pub tile_ticks: u64,
+        /// Idle (empty-queue) tile-cycles replayed in closed form, summed
+        /// over all tiles.
+        pub tile_skipped: u64,
+        /// Blocked busy tile-cycles replayed in closed form by the
+        /// event-driven tile scheduler, summed over all tiles.
+        pub tile_bulk_cycles: u64,
+        /// Times a tile was woken out of a skipped stretch.
+        pub tile_wakes: u64,
+        /// `Tile::next_event` evaluations performed by the event-driven
+        /// scheduler.
+        pub tile_next_event_calls: u64,
+        /// Densely ticked memory-controller cycles.
+        pub mem_ticks: u64,
+        /// Memory-controller cycles replayed in closed form.
+        pub mem_skipped: u64,
+        /// Times the memory controller was woken out of a skipped stretch.
+        pub mem_wakes: u64,
+        /// Densely ticked mesh cycles.
+        pub noc_ticks: u64,
+        /// Mesh cycles replayed in closed form.
+        pub noc_skipped: u64,
+        /// Times the mesh was woken out of a skipped stretch.
+        pub noc_wakes: u64,
+        /// Cycles covered by whole-loop next-event jumps.
+        pub jump_cycles: u64,
+        /// Main-loop iterations actually executed (densely ticked cycles).
+        pub loop_cycles: u64,
+        /// Histogram of whole-loop jump lengths, bucketed by
+        /// [`stretch_bucket`].
+        pub jump_hist: [u64; STRETCH_BUCKETS],
+        /// Histogram of per-tile replayed stretch lengths (idle skips and
+        /// bulk advances), bucketed by [`stretch_bucket`].
+        pub tile_stretch_hist: [u64; STRETCH_BUCKETS],
+    }
 }
 
 impl SimProfile {
-    /// Fraction of tile-cycles that were skipped rather than ticked
-    /// (0.0 when the run had no cycles).
-    pub fn tile_skip_ratio(&self) -> f64 {
-        let total = self.tile_ticks + self.tile_skipped + self.tile_bulk_cycles;
-        if total == 0 {
-            0.0
+    /// One-line human rendering: what fraction of each component's
+    /// cycles were densely ticked, and how much of the run was jumped
+    /// outright. Tile cycles replayed as blocked bulk advances count as
+    /// skipped (they never ran the dense tick) and are broken out
+    /// separately when present.
+    pub fn summary(&self) -> String {
+        let pct = |ticks: u64, skipped: u64| {
+            let total = ticks + skipped;
+            if total == 0 {
+                0.0
+            } else {
+                100.0 * ticks as f64 / total as f64
+            }
+        };
+        let cycles = self.loop_cycles + self.jump_cycles;
+        let bulk = if self.tile_bulk_cycles > 0 {
+            format!(" [{} bulk]", self.tile_bulk_cycles)
         } else {
-            (self.tile_skipped + self.tile_bulk_cycles) as f64 / total as f64
-        }
-    }
-
-    /// Accumulates another run's counters into this one (used by the
-    /// benchmark harness to aggregate a whole sweep).
-    pub fn add(&mut self, other: &SimProfile) {
-        self.tile_ticks += other.tile_ticks;
-        self.tile_skipped += other.tile_skipped;
-        self.tile_bulk_cycles += other.tile_bulk_cycles;
-        self.tile_wakes += other.tile_wakes;
-        self.tile_next_event_calls += other.tile_next_event_calls;
-        self.mem_ticks += other.mem_ticks;
-        self.mem_skipped += other.mem_skipped;
-        self.mem_wakes += other.mem_wakes;
-        self.noc_ticks += other.noc_ticks;
-        self.noc_skipped += other.noc_skipped;
-        self.noc_wakes += other.noc_wakes;
-        self.jump_cycles += other.jump_cycles;
-        self.loop_cycles += other.loop_cycles;
-        for b in 0..STRETCH_BUCKETS {
-            self.jump_hist[b] += other.jump_hist[b];
-            self.tile_stretch_hist[b] += other.tile_stretch_hist[b];
-        }
+            String::new()
+        };
+        format!(
+            "tiles {:.1}% ticked ({} wakes){}, mem {:.1}% ({} wakes), noc {:.1}% ({} wakes), {:.1}% of {} cycles jumped",
+            pct(self.tile_ticks, self.tile_skipped + self.tile_bulk_cycles),
+            self.tile_wakes,
+            bulk,
+            pct(self.mem_ticks, self.mem_skipped),
+            self.mem_wakes,
+            pct(self.noc_ticks, self.noc_skipped),
+            self.noc_wakes,
+            if cycles == 0 { 0.0 } else { 100.0 * self.jump_cycles as f64 / cycles as f64 },
+            cycles,
+        )
     }
 }
 
@@ -564,6 +569,51 @@ mod tests {
             0,
             FaultReport::default(),
         )
+    }
+
+    #[test]
+    fn summary_renders_ticked_shares() {
+        let p = SimProfile {
+            tile_ticks: 3,
+            tile_skipped: 5,
+            mem_ticks: 2,
+            mem_skipped: 6,
+            jump_cycles: 4,
+            loop_cycles: 4,
+            ..Default::default()
+        };
+        let s = p.summary();
+        assert!(s.contains("tiles 37.5% ticked"), "{s}");
+        assert!(s.contains("mem 25.0%"), "{s}");
+        assert!(s.contains("50.0% of 8 cycles jumped"), "{s}");
+        assert!(!s.contains("bulk"), "{s}");
+    }
+
+    #[test]
+    fn summary_breaks_out_bulk_advances() {
+        let p = SimProfile {
+            tile_ticks: 2,
+            tile_skipped: 2,
+            tile_bulk_cycles: 4,
+            ..Default::default()
+        };
+        let s = p.summary();
+        assert!(s.contains("tiles 25.0% ticked"), "{s}");
+        assert!(s.contains("[4 bulk]"), "{s}");
+    }
+
+    #[test]
+    fn counter_tables_add_and_roundtrip_word_by_word() {
+        let mut p = SimProfile::from_words(&std::array::from_fn(|i| i as u64));
+        assert_eq!(p.tile_ticks, 0);
+        assert_eq!(p.tile_stretch_hist[4], 22);
+        let words = p.to_words();
+        p.add(&SimProfile::from_words(&words));
+        assert_eq!(p.to_words(), words.map(|w| 2 * w));
+        assert_eq!(SimProfile::NAMES.len(), p.counters().count());
+        let f = FaultReport::from_words(&[1; FaultReport::WORDS]);
+        assert_eq!(f.injected(), 5);
+        assert_eq!(FaultReport::NAMES.len(), FaultReport::WORDS);
     }
 
     #[test]

@@ -43,7 +43,9 @@
 //! cycles: the fraction of each component's cycles that were densely
 //! ticked versus replayed in closed form by the event-driven
 //! scheduler, and the fraction of machine cycles covered by next-event
-//! jumps. The same counters land in the `--bench-json` output.
+//! jumps. The same counters land in the `--bench-json` output. The
+//! whole-run line sums the experiments' profiles, and its simulation
+//! count is the number of completed runs (wedged fault runs excluded).
 //!
 //! `goldens check` compares every experiment, cell by cell, against
 //! the committed `goldens/<scale>/<id>.json` snapshot and additionally
@@ -88,7 +90,6 @@ use std::sync::OnceLock;
 use std::time::Instant;
 use ts_bench::experiments::{self, ALL};
 use ts_bench::golden::GoldenDoc;
-use ts_bench::profile;
 use ts_delta::SimProfile;
 use ts_workloads::Scale;
 
@@ -595,24 +596,24 @@ fn run_experiments(ids: &[String], common: &Common, mode: GoldenMode) {
     let outcomes = ts_bench::run_jobs(&all_jobs);
     let sweep_secs = t_sweep.elapsed().as_secs_f64();
 
-    // Per-experiment cycle attribution now comes from each outcome's
-    // embedded profile (summed per plan slice) rather than global
-    // snapshots around a serial loop — identical totals, but valid
-    // when the experiments' simulations interleave.
+    // Cycle attribution comes from each outcome's embedded profile:
+    // summed per plan slice for each experiment, and over every
+    // experiment for the whole run. Wedged fault runs carry no report,
+    // so they count toward neither the profile nor `simulations`.
     type Tallies = Vec<(String, String)>;
     let mut results: Vec<(String, usize, SimProfile, Tallies)> = Vec::new();
     let mut violations: Vec<String> = Vec::new();
+    let mut tally = SimProfile::default();
     let mut offset = 0;
     for (p, n) in plans.into_iter().zip(counts) {
         let slice = &outcomes[offset..offset + n];
         offset += n;
         let id = p.id.to_string();
         let mut prof = SimProfile::default();
-        for o in slice {
-            if let Some(r) = o.report() {
-                prof.add(&r.profile);
-            }
+        for r in slice.iter().filter_map(|o| o.report()) {
+            prof.add(&r.profile);
         }
+        tally.add(&prof);
         let doc = p.finish(slice);
         // Deterministic per-tenant tallies (admission/completion
         // counts) ride along into the bench json, where the perf gate
@@ -627,7 +628,7 @@ fn run_experiments(ids: &[String], common: &Common, mode: GoldenMode) {
         println!("=== {id} ===");
         println!("{out}");
         if common.show_profile && n > 0 {
-            println!("  profile: {}", profile::summarize(&prof));
+            println!("  profile: {}", prof.summary());
         }
         println!();
 
@@ -661,10 +662,10 @@ fn run_experiments(ids: &[String], common: &Common, mode: GoldenMode) {
         results.push((id, n, prof, tallies));
     }
     let total = t_all.elapsed().as_secs_f64();
+    let runs = outcomes.iter().filter(|o| o.report().is_some()).count();
     if common.show_profile {
-        let (tally, runs) = profile::snapshot();
         println!("=== profile (whole run, {runs} simulations) ===");
-        println!("  {}\n", profile::summarize(&tally));
+        println!("  {}\n", tally.summary());
     }
 
     // Host-side counters: what the pool and the cache actually did.
@@ -684,7 +685,6 @@ fn run_experiments(ids: &[String], common: &Common, mode: GoldenMode) {
     );
 
     if let Some(path) = &common.bench_json {
-        let (tally, runs) = profile::snapshot();
         let mut json = String::from("{\n");
         json.push_str(&format!(
             "  \"scale\": \"{}\",\n",
@@ -867,36 +867,22 @@ fn goldens_root() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../goldens"))
 }
 
-/// Renders one profile as a JSON object (the repo has no serde; the
-/// fields are flat integers and fixed-size histograms so hand-rolling
-/// is exact). Histogram arrays are bucketed by stretch length; the
-/// bucket boundaries are `ts_delta::STRETCH_BUCKET_LABELS`.
+/// Renders one profile as a JSON object, one key per counter in
+/// declaration order (the repo has no serde; the fields are flat
+/// integers and fixed-size histograms so hand-rolling is exact).
+/// Histograms render as arrays bucketed by stretch length; the bucket
+/// boundaries are `ts_delta::STRETCH_BUCKET_LABELS`.
 fn profile_json(p: &SimProfile) -> String {
-    let hist = |h: &[u64]| {
-        let cells: Vec<String> = h.iter().map(u64::to_string).collect();
-        format!("[{}]", cells.join(", "))
-    };
-    format!(
-        "{{\"tile_ticks\": {}, \"tile_skipped\": {}, \"tile_bulk_cycles\": {}, \
-         \"tile_wakes\": {}, \"tile_next_event_calls\": {}, \
-         \"mem_ticks\": {}, \"mem_skipped\": {}, \"mem_wakes\": {}, \
-         \"noc_ticks\": {}, \"noc_skipped\": {}, \"noc_wakes\": {}, \
-         \"jump_cycles\": {}, \"loop_cycles\": {}, \
-         \"jump_hist\": {}, \"tile_stretch_hist\": {}}}",
-        p.tile_ticks,
-        p.tile_skipped,
-        p.tile_bulk_cycles,
-        p.tile_wakes,
-        p.tile_next_event_calls,
-        p.mem_ticks,
-        p.mem_skipped,
-        p.mem_wakes,
-        p.noc_ticks,
-        p.noc_skipped,
-        p.noc_wakes,
-        p.jump_cycles,
-        p.loop_cycles,
-        hist(&p.jump_hist),
-        hist(&p.tile_stretch_hist),
-    )
+    let fields: Vec<String> = p
+        .counters()
+        .map(|c| {
+            let words: Vec<String> = c.words.iter().map(u64::to_string).collect();
+            if c.histogram {
+                format!("\"{}\": [{}]", c.name, words.join(", "))
+            } else {
+                format!("\"{}\": {}", c.name, words[0])
+            }
+        })
+        .collect();
+    format!("{{{}}}", fields.join(", "))
 }

@@ -50,7 +50,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use taskstream_model::{Program, Spawner};
-use ts_delta::{DeltaConfig, FaultReport, RunReport, SimProfile, STRETCH_BUCKETS};
+use ts_delta::{DeltaConfig, FaultReport, RunReport, SimProfile};
 use ts_workloads::Workload;
 
 // ------------------------------------------------------------------ state
@@ -384,9 +384,6 @@ const HEADER: usize = 24;
 const KIND_COMPLETED: u8 = 0;
 const KIND_WEDGED: u8 = 1;
 
-/// Number of `u64` counters a [`SimProfile`] is stored as.
-const PROFILE_WORDS: usize = 13 + 2 * STRETCH_BUCKETS;
-
 /// Checksum of an entry body: a [`Hash64`] of its length and bytes,
 /// so any single-byte flip is caught.
 fn checksum(body: &[u8]) -> u64 {
@@ -394,86 +391,6 @@ fn checksum(body: &[u8]) -> u64 {
     h.write_u64(body.len() as u64);
     h.write(body);
     h.0
-}
-
-fn profile_words(p: &SimProfile) -> [u64; PROFILE_WORDS] {
-    let head = [
-        p.tile_ticks,
-        p.tile_skipped,
-        p.tile_bulk_cycles,
-        p.tile_wakes,
-        p.tile_next_event_calls,
-        p.mem_ticks,
-        p.mem_skipped,
-        p.mem_wakes,
-        p.noc_ticks,
-        p.noc_skipped,
-        p.noc_wakes,
-        p.jump_cycles,
-        p.loop_cycles,
-    ];
-    let hists = [p.jump_hist, p.tile_stretch_hist];
-    let words: Vec<u64> = head
-        .into_iter()
-        .chain(hists.into_iter().flatten())
-        .collect();
-    words.try_into().expect("13 counters and 2 histograms")
-}
-
-fn profile_from_words(w: &[u64; PROFILE_WORDS]) -> SimProfile {
-    let hist = |i: usize| -> [u64; STRETCH_BUCKETS] {
-        let at = 13 + i * STRETCH_BUCKETS;
-        w[at..at + STRETCH_BUCKETS]
-            .try_into()
-            .expect("bucket slice")
-    };
-    SimProfile {
-        tile_ticks: w[0],
-        tile_skipped: w[1],
-        tile_bulk_cycles: w[2],
-        tile_wakes: w[3],
-        tile_next_event_calls: w[4],
-        mem_ticks: w[5],
-        mem_skipped: w[6],
-        mem_wakes: w[7],
-        noc_ticks: w[8],
-        noc_skipped: w[9],
-        noc_wakes: w[10],
-        jump_cycles: w[11],
-        loop_cycles: w[12],
-        jump_hist: hist(0),
-        tile_stretch_hist: hist(1),
-    }
-}
-
-fn fault_words(f: &FaultReport) -> [u64; 10] {
-    [
-        f.tile_fail_stops,
-        f.tile_stalls,
-        f.noc_flits_dropped,
-        f.noc_flits_corrupted,
-        f.dram_retries,
-        f.watchdog_fires,
-        f.tasks_redispatched,
-        f.pipe_replays,
-        f.backoff_cycles,
-        f.wasted_cycles,
-    ]
-}
-
-fn faults_from_words(w: &[u64; 10]) -> FaultReport {
-    FaultReport {
-        tile_fail_stops: w[0],
-        tile_stalls: w[1],
-        noc_flits_dropped: w[2],
-        noc_flits_corrupted: w[3],
-        dram_retries: w[4],
-        watchdog_fires: w[5],
-        tasks_redispatched: w[6],
-        pipe_replays: w[7],
-        backoff_cycles: w[8],
-        wasted_cycles: w[9],
-    }
 }
 
 /// Serializes a run outcome to the on-disk entry format:
@@ -507,8 +424,8 @@ fn encode(outcome: &FaultOutcome) -> Vec<u8> {
             buf.push(KIND_COMPLETED);
             for v in [r.cycles, r.tasks_completed, r.skipped_cycles]
                 .into_iter()
-                .chain(profile_words(&r.profile))
-                .chain(fault_words(&r.faults))
+                .chain(r.profile.to_words())
+                .chain(r.faults.to_words())
             {
                 put(&mut buf, v);
             }
@@ -604,8 +521,8 @@ fn decode(mut bytes: Vec<u8>) -> Result<FaultOutcome, String> {
         _ => return Err("bad entry kind or length".into()),
     }
     let [tasks_completed, skipped_cycles] = r.words()?;
-    let profile = profile_from_words(&r.words()?);
-    let faults = faults_from_words(&r.words()?);
+    let profile = SimProfile::from_words(&r.words()?);
+    let faults = FaultReport::from_words(&r.words()?);
     // Stat records and timeline samples both take at least 12 bytes.
     let stats = (0..r.count(12)?)
         .map(|_| {
@@ -876,12 +793,50 @@ mod tests {
         }
     }
 
+    /// Pins the on-disk counter layout: the entry checksum cannot catch
+    /// a reordered counter declaration, which would silently mis-decode
+    /// every entry already on disk, so each field's slot is spelled out
+    /// here.
     #[test]
-    fn counter_blocks_fill_every_field() {
-        let w: [u64; PROFILE_WORDS] = std::array::from_fn(|i| i as u64 + 1);
-        assert_eq!(profile_words(&profile_from_words(&w)), w);
-        let f: [u64; 10] = std::array::from_fn(|i| 100 + i as u64);
-        assert_eq!(fault_words(&faults_from_words(&f)), f);
+    fn counter_words_keep_their_documented_slots() {
+        assert_eq!((SimProfile::WORDS, FaultReport::WORDS), (23, 10));
+        let w: Vec<u64> = (1..=33).collect();
+        let (pw, fw) = w.split_at(SimProfile::WORDS);
+        let p = SimProfile::from_words(pw.try_into().expect("23 profile words"));
+        let f = FaultReport::from_words(fw.try_into().expect("10 fault words"));
+        let scalars = [
+            p.tile_ticks,
+            p.tile_skipped,
+            p.tile_bulk_cycles,
+            p.tile_wakes,
+            p.tile_next_event_calls,
+            p.mem_ticks,
+            p.mem_skipped,
+            p.mem_wakes,
+            p.noc_ticks,
+            p.noc_skipped,
+            p.noc_wakes,
+            p.jump_cycles,
+            p.loop_cycles,
+        ];
+        assert_eq!(scalars, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]);
+        assert_eq!(p.jump_hist, [14, 15, 16, 17, 18]);
+        assert_eq!(p.tile_stretch_hist, [19, 20, 21, 22, 23]);
+        let faults = [
+            f.tile_fail_stops,
+            f.tile_stalls,
+            f.noc_flits_dropped,
+            f.noc_flits_corrupted,
+            f.dram_retries,
+            f.watchdog_fires,
+            f.tasks_redispatched,
+            f.pipe_replays,
+            f.backoff_cycles,
+            f.wasted_cycles,
+        ];
+        assert_eq!(faults, [24, 25, 26, 27, 28, 29, 30, 31, 32, 33]);
+        assert_eq!(p.to_words()[..], w[..23]);
+        assert_eq!(f.to_words()[..], w[23..]);
     }
 
     /// Frames `body` with a valid header, as `encode` does.
@@ -922,7 +877,7 @@ mod tests {
         report.encode_dram_image(&mut image);
         let done = encode(&FaultOutcome::Completed(Box::new(report)));
         let body = &done[HEADER..];
-        let stats_at = 1 + 8 * (3 + PROFILE_WORDS + 10);
+        let stats_at = 1 + 8 * (3 + SimProfile::WORDS + FaultReport::WORDS);
         let mut huge = body.to_vec();
         huge[stats_at..stats_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode(seal(&huge)).is_err(), "stat count past the body");

@@ -39,7 +39,6 @@
 pub mod cache;
 pub mod experiments;
 pub mod golden;
-pub mod profile;
 mod table;
 pub mod trace_report;
 pub mod whatif_report;
@@ -77,7 +76,6 @@ pub fn run_validated(wl: &dyn Workload, cfg: DeltaConfig, baseline_program: bool
     report
         .check_conservation(tiles)
         .unwrap_or_else(|e| panic!("{}: {e}", wl.name()));
-    profile::record(&report.profile);
     report
 }
 
@@ -145,74 +143,15 @@ pub fn run_faulted(wl: &dyn Workload, cfg: DeltaConfig, baseline_program: bool) 
         .unwrap_or_else(|e| panic!("{}: oracle rejected the program: {e}", wl.name()));
     oracle::check_equivalence(&report, &truth)
         .unwrap_or_else(|e| panic!("{} diverged from the oracle under faults: {e}", wl.name()));
-    profile::record(&report.profile);
     FaultOutcome::Completed(Box::new(report))
 }
 
-/// Executes a fault-injected sweep grid on the global rayon pool,
-/// returning outcomes **in job order** (same determinism argument as
-/// [`run_grid`]).
-pub fn run_grid_faulted(jobs: &[Job<'_>]) -> Vec<FaultOutcome> {
-    jobs.par_iter()
-        .map(|j| run_faulted(j.wl, j.cfg.clone(), j.baseline))
-        .collect()
-}
-
-/// One cell of an experiment's sweep grid: a workload at one design
-/// point, with the program formulation to use.
-///
-/// Experiments materialize their whole (workload × config × policy)
-/// grid into `Vec<Job>` up front, then hand it to [`run_grid`]; the
-/// job carries everything a run needs so execution order is free.
-pub struct Job<'a> {
-    /// The workload to simulate.
-    pub wl: &'a dyn Workload,
-    /// The design point, including the job's derived RNG seed.
-    pub cfg: DeltaConfig,
-    /// Use the static-parallel program formulation.
-    pub baseline: bool,
-}
-
-impl<'a> Job<'a> {
-    /// A run of the workload's natural (task-parallel) program.
-    pub fn new(wl: &'a dyn Workload, cfg: DeltaConfig) -> Self {
-        Job {
-            wl,
-            cfg,
-            baseline: false,
-        }
-    }
-
-    /// A run of the static-parallel program formulation.
-    pub fn baseline(wl: &'a dyn Workload, cfg: DeltaConfig) -> Self {
-        Job {
-            wl,
-            cfg,
-            baseline: true,
-        }
-    }
-}
-
-/// Executes a materialized sweep grid on the global rayon pool and
-/// returns the reports **in job order**.
-///
-/// Parallel output is byte-identical to `--jobs 1`: each job's RNG
-/// streams derive from its own config (see
-/// [`experiments::derive_seed`]), never from iteration order, and the
-/// order-preserving collect keeps report `i` paired with job `i`
-/// regardless of which worker ran it.
-pub fn run_grid(jobs: &[Job<'_>]) -> Vec<RunReport> {
-    jobs.par_iter()
-        .map(|j| run_validated(j.wl, j.cfg.clone(), j.baseline))
-        .collect()
-}
-
 /// One cell of the *flattened* sweep: an owned workload at one design
-/// point, in one run mode. Unlike [`Job`] this borrows nothing, so the
-/// jobs of every experiment in a sweep can be concatenated into one
-/// global pool and executed as independent stealable tasks — a slow
-/// `fig_faults` grid cell no longer serializes behind its own
-/// experiment's batch while workers idle.
+/// point, in one run mode. It borrows nothing, so the jobs of every
+/// experiment in a sweep can be concatenated into one global pool and
+/// executed as independent stealable tasks — a slow `fig_faults` grid
+/// cell never serializes behind its own experiment's batch while
+/// workers idle.
 pub struct SweepJob {
     /// The workload to simulate (shared with the experiment's assembly
     /// closure, which still needs names/info afterwards).
@@ -273,18 +212,13 @@ fn job_key(j: &SweepJob, fingerprints: &Fingerprints) -> String {
 /// Executes one flattened sweep job, consulting the persistent result
 /// cache when it is enabled (and the run is untraced): hash the config
 /// and program content, return the disk entry on a hit, otherwise
-/// simulate and persist. Cached reports still feed the in-process
-/// [`profile`] tally so `--profile` reflects the original simulations'
-/// cycle attribution either way.
+/// simulate and persist. A cache hit carries the original simulation's
+/// full [`RunReport`], profile counters included, so `--profile` and
+/// the bench JSON sum the same counters warm or cold.
 fn run_sweep_job(j: &SweepJob, fingerprints: &Fingerprints) -> FaultOutcome {
     let key = (cache::is_enabled() && !j.cfg.trace).then(|| job_key(j, fingerprints));
-    if let Some(k) = &key {
-        if let Some(out) = cache::load(k, j.faulted) {
-            if let Some(r) = out.report() {
-                profile::record(&r.profile);
-            }
-            return out;
-        }
+    if let Some(out) = key.as_deref().and_then(|k| cache::load(k, j.faulted)) {
+        return out;
     }
     let out = if j.faulted {
         run_faulted(j.wl.as_ref(), j.cfg.clone(), j.baseline)
@@ -303,10 +237,14 @@ fn run_sweep_job(j: &SweepJob, fingerprints: &Fingerprints) -> FaultOutcome {
 
 /// Executes a flattened sweep — every job from every experiment as one
 /// stealable task in a single global pool — returning outcomes **in
-/// job order** (the same determinism argument as [`run_grid`]: seeds
-/// derive from configs, never from execution order, and the collect is
-/// order-preserving). Validated (non-`faulted`) jobs always come back
+/// job order**. Validated (non-`faulted`) jobs always come back
 /// [`FaultOutcome::Completed`].
+///
+/// Parallel output is byte-identical to `--jobs 1`: each job's RNG
+/// streams derive from its own config (see
+/// [`experiments::derive_seed`]), never from iteration order, and the
+/// order-preserving collect keeps outcome `i` paired with job `i`
+/// regardless of which worker ran it.
 pub fn run_jobs(jobs: &[SweepJob]) -> Vec<FaultOutcome> {
     let fingerprints = if cache::is_enabled() {
         fingerprints(jobs)

@@ -20,8 +20,10 @@
 //!   it waits for in-flight scopes to finish, then swaps the count —
 //!   so repeated calls are safe and later scopes see the new width.
 //! - Host counters ([`stats`]): successful steals and worker parks,
-//!   surfaced by the bench harness next to the simulator's own
-//!   `SimProfile` counters.
+//!   which the bench harness prints to stderr and records as advisory
+//!   `host` counters in its bench JSON. They are timing-dependent, so
+//!   unlike the simulator's deterministic cycle counters they are
+//!   never gated.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
