@@ -16,8 +16,8 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 use taskstream_model::{
-    CompletedTask, InputBinding, OutputBinding, Program, Spawner, TaskId, TaskInstance, TaskKernel,
-    TaskType, TilePicker, Value,
+    CompletedTask, InputBinding, OutputBinding, PipeId, Program, Spawner, TaskId, TaskInstance,
+    TaskKernel, TaskType, TilePicker, Value,
 };
 use ts_cgra::{Fabric, KernelTiming, MapError};
 use ts_dfg::interp;
@@ -163,8 +163,6 @@ struct RunState {
     pipes: PipeTable,
     picker: TilePicker,
     pending: VecDeque<PendingTask>,
-    admit_q: VecDeque<(u64, PendingTask)>,
-    host_q: VecDeque<(u64, CompletedTask)>,
     /// Tile of every dispatched task.
     task_tile: FxHashMap<TaskId, usize>,
     /// Open multicast reads by region (joinable until served).
@@ -216,14 +214,13 @@ struct RunState {
     watch: FxHashMap<TaskId, (ProgressSig, u64)>,
     /// Injection and recovery tallies for the final report.
     freport: FaultReport,
-    /// Per-tenant dispatcher state, allocated only when
-    /// `cfg.tenancy.is_active()`; the legacy single-tenant queues above
-    /// stay in use otherwise, so the inert default costs one branch per
-    /// site and reports stay byte-identical to pre-tenancy builds.
-    ten: Option<TenancyState>,
+    /// Per-tenant dispatcher state: admission, host and gate queues for
+    /// `cfg.tenancy.tenant_count()` tenants. A single-tenant run is the
+    /// one-tenant case of the same path.
+    ten: TenancyState,
 }
 
-/// Per-tenant queues and tallies of the multi-tenant dispatcher. A
+/// Per-tenant queues and tallies of the dispatcher. A
 /// task's tenant rides in the high bits of its affinity (see
 /// [`crate::tenancy`]), so it survives dispatch, steals, victimization
 /// and re-dispatch without widening any queue entry.
@@ -246,7 +243,8 @@ struct TenancyState {
     /// Hysteresis flag for [`DrainPolicy::Drain`]: set when the tenant
     /// hits its cap, cleared once it drains to half of it.
     draining: Vec<bool>,
-    /// Spawn cycle of every live task, for completion latency.
+    /// Spawn cycle of every live task, for completion latency. Filled
+    /// only when tenancy is active, like the latencies it feeds.
     spawn_cycle: FxHashMap<TaskId, u64>,
     /// Tasks admitted past the gate, per tenant.
     admitted: Vec<u64>,
@@ -386,8 +384,6 @@ impl RunState {
             pipes,
             picker,
             pending: VecDeque::new(),
-            admit_q: VecDeque::new(),
-            host_q: VecDeque::new(),
             task_tile: FxHashMap::default(),
             open_regions: FxHashMap::default(),
             now: 0,
@@ -412,10 +408,7 @@ impl RunState {
             recovery_q: Vec::new(),
             watch: FxHashMap::default(),
             freport: FaultReport::default(),
-            ten: cfg
-                .tenancy
-                .is_active()
-                .then(|| TenancyState::new(cfg.tenancy.tenant_count())),
+            ten: TenancyState::new(cfg.tenancy.tenant_count()),
         };
 
         let mut spawner = Spawner::new(state.next_pipe);
@@ -490,15 +483,13 @@ impl RunState {
                 }
             }
             self.stats.bump("tasks_spawned");
-            let due = self.now + self.cfg.spawn_latency;
-            if let Some(ten) = self.ten.as_mut() {
-                // per-tenant admission with arrival pacing: the tenant
-                // comes from the affinity tag, and consecutive arrivals
-                // are spaced at least `arrival_period` apart, so each
-                // tenant's queue stays due-ordered (both `now` and
-                // `next_arrival` are monotone)
-                let nt = self.cfg.tenancy.tenant_count();
-                let t = tenancy::tenant_of_affinity(inst.affinity).min(nt - 1);
+            // per-tenant admission with arrival pacing: the tenant comes
+            // from the affinity tag, and consecutive arrivals are spaced
+            // at least `arrival_period` apart, so each tenant's queue
+            // stays due-ordered (both `now` and `next_arrival` are
+            // monotone)
+            let t = self.tenant_of(&inst);
+            if self.cfg.tenancy.is_active() {
                 self.trace.emit(
                     self.now,
                     TraceEvent::TaskTenant {
@@ -506,41 +497,34 @@ impl RunState {
                         tenant: t as u64,
                     },
                 );
-                ten.spawn_cycle.insert(id, self.now);
-                let period = self
-                    .cfg
-                    .tenancy
-                    .tenants
-                    .get(t)
-                    .map_or(0, |s| s.arrival_period);
-                let due = due.max(ten.next_arrival[t]);
-                ten.next_arrival[t] = due + period;
-                ten.admit_q[t].push_back((due, PendingTask { id, inst }));
-            } else {
-                self.admit_q.push_back((due, PendingTask { id, inst }));
+                self.ten.spawn_cycle.insert(id, self.now);
             }
+            let period = self
+                .cfg
+                .tenancy
+                .tenants
+                .get(t)
+                .map_or(0, |s| s.arrival_period);
+            let ten = &mut self.ten;
+            let due = (self.now + self.cfg.spawn_latency).max(ten.next_arrival[t]);
+            ten.next_arrival[t] = due + period;
+            ten.admit_q[t].push_back((due, PendingTask { id, inst }));
         }
         Ok(())
     }
 
     // -------------------------------------------------------- tenancy
 
-    /// Pops the next due host-queue completion: the legacy single queue,
-    /// or — under tenancy — the first due front scanning tenants in
-    /// fixed order.
+    /// Pops the next due host-queue completion: the first due front,
+    /// scanning tenants in fixed order.
     fn pop_due_host(&mut self) -> Option<CompletedTask> {
         let now = self.now;
-        if let Some(ten) = self.ten.as_mut() {
-            ten.host_q
-                .iter_mut()
-                .find(|q| q.front().is_some_and(|(due, _)| *due <= now))
-                .and_then(|q| q.pop_front())
-                .map(|(_, done)| done)
-        } else if self.host_q.front().is_some_and(|(due, _)| *due <= now) {
-            self.host_q.pop_front().map(|(_, done)| done)
-        } else {
-            None
-        }
+        self.ten
+            .host_q
+            .iter_mut()
+            .find(|q| q.front().is_some_and(|(due, _)| *due <= now))
+            .and_then(|q| q.pop_front())
+            .map(|(_, done)| done)
     }
 
     /// Drains every tenant's due admissions through the gate: in-flight
@@ -552,7 +536,7 @@ impl RunState {
         let limit = self.cfg.tenancy.admit_limit;
         let drain = self.cfg.tenancy.drain;
         for t in 0..nt {
-            let ten = self.ten.as_mut().expect("tenancy state");
+            let ten = &mut self.ten;
             while ten.admit_q[t]
                 .front()
                 .is_some_and(|(due, _)| *due <= self.now)
@@ -585,7 +569,7 @@ impl RunState {
     fn tenancy_release(&mut self, t: usize) {
         let limit = self.cfg.tenancy.admit_limit;
         let drain = self.cfg.tenancy.drain;
-        let ten = self.ten.as_mut().expect("tenancy state");
+        let ten = &mut self.ten;
         if ten.draining[t] && ten.inflight[t] <= limit / 2 {
             ten.draining[t] = false;
         }
@@ -606,10 +590,10 @@ impl RunState {
     }
 
     /// The tile range a task may place (or steal) within: the owning
-    /// tenant's partition under spatial tenancy, the whole fabric
-    /// otherwise.
+    /// tenant's partition under spatial tenancy (the whole fabric with
+    /// one tenant), the whole fabric otherwise.
     fn partition_of(&self, inst: &TaskInstance) -> std::ops::Range<usize> {
-        if self.ten.is_some() && self.cfg.tenancy.partition == PartitionPolicy::Spatial {
+        if self.cfg.tenancy.partition == PartitionPolicy::Spatial {
             self.cfg
                 .tenancy
                 .partition_range(self.tenant_of(inst), self.cfg.tiles)
@@ -692,21 +676,9 @@ impl RunState {
                 self.absorb_spawner(spawner, Some(done.id))?;
             }
 
-            // spawn latency elapses; under tenancy each tenant's due
-            // tasks also pass (or wait at) the admission gate
-            if self.ten.is_some() {
-                self.admit_step();
-            } else {
-                while let Some((due, _)) = self.admit_q.front() {
-                    if *due > self.now {
-                        break;
-                    }
-                    let (_, p) = self.admit_q.pop_front().expect("front exists");
-                    self.trace
-                        .emit(self.now, TraceEvent::TaskReady { task: p.id.0 });
-                    self.pending.push_back(p);
-                }
-            }
+            // spawn latency elapses; each tenant's due tasks pass (or
+            // wait at) the admission gate
+            self.admit_step();
 
             // fault bookkeeping: fail-stop transitions, the recovery
             // watchdog, and due victim re-dispatches — before the
@@ -906,9 +878,7 @@ impl RunState {
 
             // quiescence
             if self.pending.is_empty()
-                && self.admit_q.is_empty()
-                && self.host_q.is_empty()
-                && self.ten.as_ref().is_none_or(TenancyState::is_idle)
+                && self.ten.is_idle()
                 && self.recovery_q.is_empty()
                 && self.tiles.iter().all(|t| t.is_idle())
                 && self.memctrl.is_idle()
@@ -960,36 +930,27 @@ impl RunState {
             Activity::Now => return Activity::Now,
             a => act = act.merge(a),
         }
-        // Both queues are due-ordered: events enqueue at `now + const
-        // latency` with `now` monotone, so the front is the minimum.
-        debug_assert!(self.host_q.iter().is_sorted_by_key(|(due, _)| *due));
-        debug_assert!(self.admit_q.iter().is_sorted_by_key(|(due, _)| *due));
-        if let Some((due, _)) = self.host_q.front() {
-            act = act.merge(Activity::At(*due));
-        }
-        if let Some((due, _)) = self.admit_q.front() {
-            act = act.merge(Activity::At(*due));
-        }
         // per-tenant wake sources: every tenant's admit/host front is
-        // an independent due event. Gate-held tasks add none — they are
-        // released only by their own tenant's completions, and a gated
-        // tenant by construction has in-flight work keeping tiles (or
-        // the recovery queue) active.
-        if let Some(ten) = &self.ten {
-            for q in &ten.admit_q {
-                debug_assert!(q.iter().is_sorted_by_key(|(due, _)| *due));
-            }
-            for q in &ten.host_q {
-                debug_assert!(q.iter().is_sorted_by_key(|(due, _)| *due));
-            }
-            let admit_fronts = ten
-                .admit_q
-                .iter()
-                .filter_map(|q| q.front())
-                .map(|(d, _)| *d);
-            let host_fronts = ten.host_q.iter().filter_map(|q| q.front()).map(|(d, _)| *d);
-            act = act.merge(Activity::earliest_due(admit_fronts.chain(host_fronts)));
+        // an independent due event. Each queue is due-ordered (events
+        // enqueue at `now + const latency` with `now` and the arrival
+        // pacing monotone), so its front is its minimum. Gate-held tasks
+        // add none — they are released only by their own tenant's
+        // completions, and a gated tenant by construction has in-flight
+        // work keeping tiles (or the recovery queue) active.
+        let ten = &self.ten;
+        for q in &ten.admit_q {
+            debug_assert!(q.iter().is_sorted_by_key(|(due, _)| *due));
         }
+        for q in &ten.host_q {
+            debug_assert!(q.iter().is_sorted_by_key(|(due, _)| *due));
+        }
+        let admit_fronts = ten
+            .admit_q
+            .iter()
+            .filter_map(|q| q.front())
+            .map(|(d, _)| *d);
+        let host_fronts = ten.host_q.iter().filter_map(|q| q.front()).map(|(d, _)| *d);
+        act = act.merge(Activity::earliest_due(admit_fronts.chain(host_fronts)));
         // victims waiting out a backoff are a pending event too; a due
         // entry that could not place clamps to `now`, which suppresses
         // jumping without claiming a past event
@@ -1227,6 +1188,7 @@ impl RunState {
         for p in inst.output_pipes() {
             self.pipes.get_mut(p).producer_completed = true;
         }
+        let t = self.tenant_of(&inst);
         let completed = CompletedTask {
             id,
             ty,
@@ -1234,47 +1196,39 @@ impl RunState {
             affinity: inst.affinity,
             outputs: out_values,
         };
-        let host_due = self.now + self.cfg.host_latency;
-        if self.ten.is_some() {
-            let t = tenancy::tenant_of_affinity(completed.affinity)
-                .min(self.cfg.tenancy.tenant_count() - 1);
-            let now = self.now;
-            let ten = self.ten.as_mut().expect("tenancy state");
-            ten.inflight[t] -= 1;
-            ten.completed[t] += 1;
-            let spawned = ten.spawn_cycle.remove(&id).unwrap_or(now);
-            ten.latencies[t].push(now - spawned);
-            ten.host_q[t].push_back((host_due, completed));
-            // a completion is the only event that lowers in-flight, so
-            // it is the release point for gate-held admissions
-            self.tenancy_release(t);
-        } else {
-            self.host_q.push_back((host_due, completed));
+        let ten = &mut self.ten;
+        ten.inflight[t] -= 1;
+        ten.completed[t] += 1;
+        if self.cfg.tenancy.is_active() {
+            let spawned = ten.spawn_cycle.remove(&id).unwrap_or(self.now);
+            ten.latencies[t].push(self.now - spawned);
         }
+        ten.host_q[t].push_back((self.now + self.cfg.host_latency, completed));
+        // a completion is the only event that lowers in-flight, so it is
+        // the release point for gate-held admissions
+        self.tenancy_release(t);
     }
 
     fn diagnostics(&self) -> String {
         let queued: usize = self.tiles.iter().map(|t| t.queue.len()).sum();
         let mut out = format!(
-            "pending={} admit={} host={} queued={} mesh_idle={} mem_idle={} completed={}",
+            "pending={} queued={} mesh_idle={} mem_idle={} completed={}",
             self.pending.len(),
-            self.admit_q.len(),
-            self.host_q.len(),
             queued,
             self.mesh.is_idle(),
             self.memctrl.is_idle(),
             self.tasks_completed,
         ) + &format!(" mem[{}]", self.memctrl.debug_state());
-        if let Some(ten) = &self.ten {
-            for t in 0..ten.inflight.len() {
-                out += &format!(
-                    "\n  tenant{t}: admit={} held={} inflight={} completed={}",
-                    ten.admit_q[t].len(),
-                    ten.held[t].len(),
-                    ten.inflight[t],
-                    ten.completed[t],
-                );
-            }
+        let ten = &self.ten;
+        for t in 0..ten.inflight.len() {
+            out += &format!(
+                "\n  tenant{t}: admit={} host={} held={} inflight={} completed={}",
+                ten.admit_q[t].len(),
+                ten.host_q[t].len(),
+                ten.held[t].len(),
+                ten.inflight[t],
+                ten.completed[t],
+            );
         }
         // name the wedged tasks and the pipe each is waiting on — a
         // stuck run is almost always a dependence that can never
@@ -1321,7 +1275,8 @@ impl RunState {
         // is active so single-tenant reports stay byte-identical.
         // Percentiles use the deterministic nearest-rank on the sorted
         // latencies, so they golden cleanly.
-        if let Some(ten) = &mut self.ten {
+        if self.cfg.tenancy.is_active() {
+            let ten = &mut self.ten;
             for t in 0..ten.inflight.len() {
                 let pre = |s: &str| format!("tenant{t}.{s}");
                 report.set(pre("admitted"), ten.admitted[t] as f64);
@@ -1592,10 +1547,10 @@ impl RunState {
         Ok(())
     }
 
-    /// Mirrors [`dispatch_to`](Self::dispatch_to) *minus every
-    /// functional section*: results were computed — and applied to
-    /// memory — at the original dispatch, so only the metering state
-    /// (feeds, sinks, routes) is rebuilt on the new tile.
+    /// Re-places a victim on `tile`. Its results were computed — and
+    /// applied to memory — at the original dispatch, so only the
+    /// metering state (feeds, sinks, routes) is rebuilt, through the same
+    /// [`place`](Self::place) as first dispatch.
     fn redispatch(&mut self, v: Victim, tile: usize) -> Result<(), RunError> {
         let Victim {
             id,
@@ -1605,163 +1560,8 @@ impl RunState {
             native_cycles,
             ..
         } = v;
-        let timing = self.types[inst.ty.0].timing;
-        let tile_node = self.cfg.tile_node(tile);
-        for pp in inst.input_pipes() {
-            self.pipes.get_mut(pp).consumer_node = Some(tile_node);
-        }
-
-        // feeds: memory streams re-read in full — a shared input
-        // re-requests its words as a fresh unicast read, which is the
-        // replay of a lost multicast branch; pipe inputs re-route or
-        // fall back to spill
-        let mut feeds = Vec::with_capacity(inst.inputs.len());
-        let mut pipe_routes: Vec<(taskstream_model::PipeId, usize)> = Vec::new();
-        for (port, b) in inst.inputs.iter().enumerate() {
-            let feed = match b {
-                InputBinding::Stream(desc) | InputBinding::Shared { desc, .. } => {
-                    self.build_stream_feed(desc, tile)?
-                }
-                InputBinding::Pipe(pp) => {
-                    let total = self
-                        .pipes
-                        .get(*pp)
-                        .data
-                        .as_ref()
-                        .map(|d| d.len() as u64)
-                        .expect("producer data recorded");
-                    match self.pipes.get(*pp).mode {
-                        None => {
-                            pipe_routes.push((*pp, port));
-                            Feed {
-                                total,
-                                remaining: 0,
-                                kind: FeedKind::PipeDirect,
-                            }
-                        }
-                        Some(PipeMode::Spill { .. }) => Feed {
-                            total,
-                            remaining: 0,
-                            kind: FeedKind::PipeSpill {
-                                pipe: *pp,
-                                issued: false,
-                            },
-                        },
-                        Some(PipeMode::Direct { .. }) => {
-                            // the producer is mid-stream towards the old
-                            // tile: demote the pipe to a spill buffer —
-                            // the producer's remaining words land there
-                            // (its drain re-reads the mode every cycle)
-                            // and the consumer re-reads the whole stream
-                            let base = self.pipes.alloc_spill(total);
-                            self.pipes.get_mut(*pp).mode = Some(PipeMode::Spill { base });
-                            self.freport.pipe_replays += 1;
-                            self.trace
-                                .emit(self.now, TraceEvent::PipeSpill { pipe: pp.0, base });
-                            // a producer that already pushed its last
-                            // word direct would now wait forever for the
-                            // spill ack it nominally needs
-                            if let Some(pid) = self.pipes.get(*pp).producer {
-                                if let Some(&pt) = self.task_tile.get(&pid) {
-                                    // the ack can complete a producer
-                                    // head that was sleeping on it: catch
-                                    // the tile up and wake it first
-                                    self.touch_tile(pt, self.now);
-                                    if let Some(prod) = self.tiles[pt].find_task(pid) {
-                                        for s in &mut prod.sinks {
-                                            if let SinkKind::Pipe { pipe } = s.kind {
-                                                if pipe == *pp && s.sent == s.total {
-                                                    s.acked = true;
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            Feed {
-                                total,
-                                remaining: 0,
-                                kind: FeedKind::PipeSpill {
-                                    pipe: *pp,
-                                    issued: false,
-                                },
-                            }
-                        }
-                    }
-                }
-            };
-            feeds.push(feed);
-        }
-
-        // sinks: identical shape to the original dispatch; addresses
-        // are recomputed for metering only — the functional writes
-        // landed when the task first dispatched
-        let mut sinks: Vec<Sink> = Vec::with_capacity(inst.outputs.len());
-        for (port, binding) in inst.outputs.iter().enumerate() {
-            let total = out_values[port].len() as u64;
-            let kind = match binding {
-                OutputBinding::Discard => SinkKind::Discard,
-                OutputBinding::Memory { desc, mode } => match desc_src(desc) {
-                    DataSrc::Spad => SinkKind::Spad,
-                    DataSrc::Dram => SinkKind::DramWrite {
-                        addrs: self.write_addrs(desc, out_values[port].len(), tile)?,
-                        mode: *mode,
-                        gather: desc.is_indirect(),
-                        mc_node: self.cfg.mc_node_for(tile_node),
-                    },
-                },
-                OutputBinding::Scatter {
-                    src,
-                    base,
-                    scale,
-                    addr_port,
-                    mode,
-                } => SinkKind::Scatter {
-                    addr_port: *addr_port,
-                    to_dram: *src == DataSrc::Dram,
-                    base: *base,
-                    scale: *scale,
-                    mode: *mode,
-                    mc_node: self.cfg.mc_node_for(tile_node),
-                },
-                OutputBinding::Pipe(pp) => SinkKind::Pipe { pipe: *pp },
-            };
-            sinks.push(Sink {
-                kind,
-                total,
-                sent: 0,
-                acked: false,
-                held: false,
-            });
-        }
-        for port in 0..sinks.len() {
-            if let SinkKind::Scatter { addr_port, .. } = sinks[port].kind {
-                sinks[addr_port].held = true;
-            }
-        }
-
-        let exec = TaskExec::new(
-            id,
-            inst.ty,
-            inst,
-            timing,
-            native_cycles,
-            feeds,
-            out_values,
-            emit_firings,
-            sinks,
-            self.cfg.out_buf,
-            self.cfg.fabric.lanes,
-            self.now,
-        );
-        let work = placement_hint(&exec.inst);
-        for (pp, port) in pipe_routes {
-            self.tiles[tile].pipe_routes.insert(pp, (id, port));
-        }
-        self.touch_tile(tile, self.now);
-        self.tiles[tile].enqueue(exec);
-        self.task_tile.insert(id, tile);
-        self.picker.on_dispatch(tile, work);
+        let p = PendingTask { id, inst };
+        self.place(p, tile, out_values, emit_firings, native_cycles, true)?;
         self.trace
             .emit(self.now, TraceEvent::TaskRedispatch { task: id.0, tile });
         // deliberately NOT counted as `dispatch.tasks_dispatched`: that
@@ -1836,7 +1636,7 @@ impl RunState {
     /// cycle): steals never cross a tenant boundary, so one tenant's
     /// backlog can never be drained onto a neighbor's tiles.
     fn steal_cycle(&mut self) {
-        if self.ten.is_some() && self.cfg.tenancy.partition == PartitionPolicy::Spatial {
+        if self.cfg.tenancy.partition == PartitionPolicy::Spatial {
             for t in 0..self.cfg.tenancy.tenant_count() {
                 let part = self.cfg.tenancy.partition_range(t, self.cfg.tiles);
                 self.steal_once(part);
@@ -1953,7 +1753,7 @@ impl RunState {
             return Ok(false);
         };
         let p = self.pending.remove(pos).expect("index in range");
-        self.dispatch_to(p, tile, None)?;
+        self.dispatch_to(p, tile)?;
         Ok(true)
     }
 
@@ -2037,18 +1837,11 @@ impl RunState {
         Ok(())
     }
 
-    /// Places a task on a tile: functional execution, feed/sink
-    /// construction, job issuance, bookkeeping.
-    fn dispatch_to(
-        &mut self,
-        p: PendingTask,
-        tile: usize,
-        shared_job: Option<u64>,
-    ) -> Result<(), RunError> {
+    /// Places a task on a tile: functional execution, then its metering
+    /// state through [`place`](Self::place).
+    fn dispatch_to(&mut self, p: PendingTask, tile: usize) -> Result<(), RunError> {
         let PendingTask { id, inst } = p;
-        let _ = shared_job; // multicast resolved below via the join table
         let info = &self.types[inst.ty.0];
-        let timing = info.timing;
         // refcount bumps, not deep copies: the kernel (possibly a whole
         // dataflow graph) and name are shared across all dispatches
         let kernel = Arc::clone(&info.kernel);
@@ -2123,19 +1916,83 @@ impl RunState {
             }
         }
 
-        // ---- feeds + read jobs
+        let p = PendingTask { id, inst };
+        self.place(p, tile, out_values, emit_firings, native_cycles, false)?;
+        self.trace
+            .emit(self.now, TraceEvent::TaskDispatch { task: id.0, tile });
+        self.stats.bump("tasks_dispatched");
+        Ok(())
+    }
+
+    /// Builds a task's metering state on `tile` (feeds, sinks, routes)
+    /// around the results of its functional execution, and queues it
+    /// there. First dispatch and fault re-dispatch (`redispatch`) share
+    /// it; see [`build_feeds`](Self::build_feeds) for where they differ.
+    fn place(
+        &mut self,
+        p: PendingTask,
+        tile: usize,
+        out_values: Vec<Vec<Value>>,
+        emit_firings: Option<Vec<Vec<u64>>>,
+        native_cycles: Option<u64>,
+        redispatch: bool,
+    ) -> Result<(), RunError> {
+        let PendingTask { id, inst } = p;
+        let feeds = self.build_feeds(id, &inst, tile, redispatch)?;
+        let sinks = self.build_sinks(&inst, &out_values, tile)?;
+        let timing = self.types[inst.ty.0].timing;
+        let exec = TaskExec::new(
+            id,
+            inst.ty,
+            inst,
+            timing,
+            native_cycles,
+            feeds,
+            out_values,
+            emit_firings,
+            sinks,
+            self.cfg.out_buf,
+            self.cfg.fabric.lanes,
+            self.now,
+        );
+        let work = placement_hint(&exec.inst);
+        // a lazily skipped tile replays its idle stretch before the
+        // queue stops being empty (the closed-form replay requires it)
+        self.touch_tile(tile, self.now);
+        self.tiles[tile].enqueue(exec);
+        self.task_tile.insert(id, tile);
+        self.picker.on_dispatch(tile, work);
+        Ok(())
+    }
+
+    /// Builds a task's input feeds on `tile` and registers there the
+    /// multicast-job and direct-pipe routes its words arrive by (a
+    /// deferred tile's replay never reads routes, so they may land
+    /// before [`touch_tile`](Self::touch_tile)). On first dispatch a
+    /// shared input joins (or opens) a multicast read. A re-dispatch
+    /// re-reads it as a fresh unicast stream, the replay of a lost
+    /// multicast branch, and demotes a pipe its producer is still
+    /// streaming direct to the consumer's old tile
+    /// ([`demote_direct_pipe`](Self::demote_direct_pipe)).
+    fn build_feeds(
+        &mut self,
+        id: TaskId,
+        inst: &TaskInstance,
+        tile: usize,
+        redispatch: bool,
+    ) -> Result<Vec<Feed>, RunError> {
         let tile_node = self.cfg.tile_node(tile);
         for pp in inst.input_pipes() {
             self.pipes.get_mut(pp).consumer_node = Some(tile_node);
         }
+        let multicast = self.cfg.features.multicast && !redispatch;
         let mut feeds = Vec::with_capacity(inst.inputs.len());
-        let mut routes: Vec<(u64, usize)> = Vec::new(); // (job, port)
-        let mut pipe_routes: Vec<(taskstream_model::PipeId, usize)> = Vec::new();
         for (port, b) in inst.inputs.iter().enumerate() {
             let feed = match b {
-                InputBinding::Shared { desc, region } if self.cfg.features.multicast => {
+                InputBinding::Shared { desc, region } if multicast => {
                     let job = self.shared_read_job(*region, desc, tile_node)?;
-                    routes.push((job, port));
+                    let routes = self.tiles[tile].job_routes.entry(job).or_default();
+                    routes.push((id, port));
                     Feed {
                         total: desc.len(),
                         remaining: 0,
@@ -2146,41 +2003,85 @@ impl RunState {
                     self.build_stream_feed(desc, tile)?
                 }
                 InputBinding::Pipe(pp) => {
+                    let pp = *pp;
                     let total = self
                         .pipes
-                        .get(*pp)
+                        .get(pp)
                         .data
                         .as_ref()
                         .map(|d| d.len() as u64)
                         .expect("producer data recorded");
-                    match self.pipes.get(*pp).mode {
+                    let spill = FeedKind::PipeSpill {
+                        pipe: pp,
+                        issued: false,
+                    };
+                    let kind = match self.pipes.get(pp).mode {
+                        // producer dispatched this very batch: direct
                         None => {
-                            // producer dispatched this very batch: direct
-                            pipe_routes.push((*pp, port));
-                            Feed {
-                                total,
-                                remaining: 0,
-                                kind: FeedKind::PipeDirect,
-                            }
+                            self.tiles[tile].pipe_routes.insert(pp, (id, port));
+                            FeedKind::PipeDirect
                         }
-                        Some(PipeMode::Spill { .. }) => Feed {
-                            total,
-                            remaining: 0,
-                            kind: FeedKind::PipeSpill {
-                                pipe: *pp,
-                                issued: false,
-                            },
-                        },
+                        Some(PipeMode::Spill { .. }) => spill,
+                        Some(PipeMode::Direct { .. }) if redispatch => {
+                            self.demote_direct_pipe(pp, total);
+                            spill
+                        }
                         Some(PipeMode::Direct { .. }) => {
                             unreachable!("a pipe's single consumer is this task")
                         }
+                    };
+                    Feed {
+                        total,
+                        remaining: 0,
+                        kind,
                     }
                 }
             };
             feeds.push(feed);
         }
+        Ok(feeds)
+    }
 
-        // ---- sinks
+    /// Demotes pipe `pp`, whose producer is mid-stream towards the old
+    /// tile of a re-dispatched consumer, to a spill buffer: the
+    /// producer's remaining words land there (its drain re-reads the
+    /// mode every cycle) and the consumer re-reads the whole stream.
+    fn demote_direct_pipe(&mut self, pp: PipeId, total: u64) {
+        let base = self.pipes.alloc_spill(total);
+        self.pipes.get_mut(pp).mode = Some(PipeMode::Spill { base });
+        self.freport.pipe_replays += 1;
+        self.trace
+            .emit(self.now, TraceEvent::PipeSpill { pipe: pp.0, base });
+        // a producer that already pushed its last word direct would now
+        // wait forever for the spill ack it nominally needs
+        let Some(pid) = self.pipes.get(pp).producer else {
+            return;
+        };
+        let Some(&pt) = self.task_tile.get(&pid) else {
+            return;
+        };
+        // the ack can complete a producer head that was sleeping on it:
+        // catch the tile up and wake it first
+        self.touch_tile(pt, self.now);
+        if let Some(prod) = self.tiles[pt].find_task(pid) {
+            for s in &mut prod.sinks {
+                if matches!(s.kind, SinkKind::Pipe { pipe } if pipe == pp) && s.sent == s.total {
+                    s.acked = true;
+                }
+            }
+        }
+    }
+
+    /// Builds a task's output sinks on `tile`. On re-dispatch the
+    /// addresses are recomputed for metering only: the functional writes
+    /// landed when the task first dispatched.
+    fn build_sinks(
+        &self,
+        inst: &TaskInstance,
+        out_values: &[Vec<Value>],
+        tile: usize,
+    ) -> Result<Vec<Sink>, RunError> {
+        let mc_node = self.cfg.mc_node_for(self.cfg.tile_node(tile));
         let mut sinks: Vec<Sink> = Vec::with_capacity(inst.outputs.len());
         for (port, binding) in inst.outputs.iter().enumerate() {
             let total = out_values[port].len() as u64;
@@ -2192,7 +2093,7 @@ impl RunState {
                         addrs: self.write_addrs(desc, out_values[port].len(), tile)?,
                         mode: *mode,
                         gather: desc.is_indirect(),
-                        mc_node: self.cfg.mc_node_for(tile_node),
+                        mc_node,
                     },
                 },
                 OutputBinding::Scatter {
@@ -2207,7 +2108,7 @@ impl RunState {
                     base: *base,
                     scale: *scale,
                     mode: *mode,
-                    mc_node: self.cfg.mc_node_for(tile_node),
+                    mc_node,
                 },
                 OutputBinding::Pipe(pp) => SinkKind::Pipe { pipe: *pp },
             };
@@ -2225,43 +2126,7 @@ impl RunState {
                 sinks[addr_port].held = true;
             }
         }
-
-        // ---- commit
-        let exec = TaskExec::new(
-            id,
-            inst.ty,
-            inst,
-            timing,
-            native_cycles,
-            feeds,
-            out_values,
-            emit_firings,
-            sinks,
-            self.cfg.out_buf,
-            self.cfg.fabric.lanes,
-            self.now,
-        );
-        let work = placement_hint(&exec.inst);
-        for (job, port) in routes {
-            self.tiles[tile]
-                .job_routes
-                .entry(job)
-                .or_default()
-                .push((id, port));
-        }
-        for (pp, port) in pipe_routes {
-            self.tiles[tile].pipe_routes.insert(pp, (id, port));
-        }
-        // a lazily skipped tile replays its idle stretch before the
-        // queue stops being empty (the closed-form replay requires it)
-        self.touch_tile(tile, self.now);
-        self.tiles[tile].enqueue(exec);
-        self.task_tile.insert(id, tile);
-        self.picker.on_dispatch(tile, work);
-        self.trace
-            .emit(self.now, TraceEvent::TaskDispatch { task: id.0, tile });
-        self.stats.bump("tasks_dispatched");
-        Ok(())
+        Ok(sinks)
     }
 
     fn build_stream_feed(&mut self, desc: &StreamDesc, tile: usize) -> Result<Feed, RunError> {
@@ -2445,11 +2310,6 @@ impl RunState {
     }
 }
 
-/// The work estimate the dispatcher tracks for placement. Tasks fed
-/// entirely by pipes execute *concurrently* with their producers (in
-/// direct mode their fabric time overlaps the producers' runtime), so
-/// counting their full hint would double-count work and repel unrelated
-/// tasks from their tile; they are discounted instead.
 /// Replays `behind` deferred cycles of `tile` in closed form: an idle
 /// skip when its queue is empty, a blocked-head bulk advance otherwise.
 fn replay_tile(tile: &mut Tile, behind: u64, profile: &mut SimProfile) {
@@ -2463,6 +2323,11 @@ fn replay_tile(tile: &mut Tile, behind: u64, profile: &mut SimProfile) {
     profile.tile_stretch_hist[stretch_bucket(behind)] += 1;
 }
 
+/// The work estimate the dispatcher tracks for placement. Tasks fed
+/// entirely by pipes execute *concurrently* with their producers (in
+/// direct mode their fabric time overlaps the producers' runtime), so
+/// counting their full hint would double-count work and repel unrelated
+/// tasks from their tile; they are discounted instead.
 fn placement_hint(inst: &TaskInstance) -> u64 {
     let all_pipes = !inst.inputs.is_empty()
         && inst

@@ -115,8 +115,8 @@ pub struct DeltaConfig {
     pub faults: FaultsConfig,
     /// Multi-tenant co-residency (see [`crate::tenancy`]). Inert by
     /// default ([`TenancyConfig::none`]): with no tenants configured
-    /// the dispatcher runs its legacy single-queue paths and reports
-    /// are byte-identical to pre-tenancy builds.
+    /// the dispatcher runs as its one-tenant case, and reports carry
+    /// no per-tenant keys.
     pub tenancy: TenancyConfig,
     /// Seed for mapper restarts, randomized policies, and fault
     /// schedules.

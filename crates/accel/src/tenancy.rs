@@ -2,18 +2,18 @@
 //! one Delta fabric.
 //!
 //! A [`TenancyConfig`] names the co-resident tenants and the isolation
-//! policy between them. When the tenant list is empty (the default,
-//! [`TenancyConfig::none`]) the dispatcher behaves exactly as the
-//! single-tenant machine always has — one admission queue, one host
-//! queue, no placement restriction — so every existing workload and
-//! golden is untouched.
-//!
-//! With tenants configured, the dispatcher keeps **per-tenant host and
-//! admission queues**, paces each tenant's task arrivals to its
+//! policy between them. The dispatcher keeps **per-tenant host and
+//! admission queues** for [`TenancyConfig::tenant_count`] tenants, paces each tenant's task arrivals to its
 //! configured period (an open-loop request stream rather than a batch
 //! flood), gates admission to a per-tenant in-flight cap, and — under
 //! [`PartitionPolicy::Spatial`] — restricts placement, work stealing,
 //! and fault re-dispatch to the tenant's contiguous tile partition.
+//!
+//! A single-tenant run is the one-tenant case of the same path: with
+//! the tenant list empty (the default, [`TenancyConfig::none`]) every
+//! task belongs to tenant 0, which owns the whole fabric and is neither
+//! paced nor capped. Per-tenant report keys and trace events appear
+//! only when tenants are configured ([`TenancyConfig::is_active`]).
 //!
 //! Tasks carry their tenant in the **high bits of the affinity word**
 //! ([`tag_affinity`] / [`tenant_of_affinity`]): the tag survives every
@@ -55,7 +55,7 @@ pub fn base_affinity(affinity: u64) -> u64 {
 pub struct TenantSpec {
     /// Minimum cycles between consecutive task admissions for this
     /// tenant (0 = no pacing; tasks become admissible as soon as their
-    /// spawn latency elapses, i.e. the legacy batch behavior).
+    /// spawn latency elapses, i.e. batch admission).
     pub arrival_period: u64,
 }
 
@@ -104,7 +104,8 @@ pub enum DrainPolicy {
 /// invalidates cached sweeps when it changes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenancyConfig {
-    /// Co-resident tenants; empty means single-tenant legacy mode.
+    /// Co-resident tenants; empty means one implicit, unpaced tenant
+    /// with no per-tenant report keys.
     pub tenants: Vec<TenantSpec>,
     /// Spatial partitioning vs. shared-fabric stealing.
     pub partition: PartitionPolicy,
@@ -115,8 +116,9 @@ pub struct TenancyConfig {
 }
 
 impl TenancyConfig {
-    /// Single-tenant legacy mode: no queues split, no gating, no
-    /// partitioning. This is the `DeltaConfig` preset default.
+    /// Single-tenant mode: one implicit tenant owning every task and the
+    /// whole fabric, with no pacing and no admission cap. This is the
+    /// `DeltaConfig` preset default.
     pub fn none() -> Self {
         TenancyConfig {
             tenants: Vec::new(),
@@ -134,7 +136,8 @@ impl TenancyConfig {
         }
     }
 
-    /// True when the multi-tenant dispatcher paths are in play.
+    /// True when tenants are configured: the run reports per-tenant
+    /// stats and traces each task's tenant.
     pub fn is_active(&self) -> bool {
         !self.tenants.is_empty()
     }

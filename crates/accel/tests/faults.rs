@@ -10,7 +10,7 @@ use taskstream_model::{
     CompletedTask, MemoryImage, Program, Spawner, TaskInstance, TaskKernel, TaskType, TaskTypeId,
 };
 use ts_delta::oracle::{check_equivalence, execute_untimed};
-use ts_delta::{Accelerator, DeltaConfig, FaultReport, FaultsConfig, RunReport};
+use ts_delta::{Accelerator, DeltaConfig, FaultReport, FaultsConfig, RunReport, TraceEvent};
 use ts_dfg::DfgBuilder;
 use ts_mem::WriteMode;
 use ts_stream::StreamDesc;
@@ -93,7 +93,7 @@ impl Program for Waves {
 /// Runs under faults and holds the result to the full bar: completes,
 /// satisfies conservation, and matches the untimed oracle's final
 /// state — the injected faults must not have corrupted anything.
-fn run_checked(make: impl Fn() -> Waves, cfg: DeltaConfig) -> RunReport {
+fn run_checked<P: Program>(make: impl Fn() -> P, cfg: DeltaConfig) -> RunReport {
     let tiles = cfg.tiles;
     let report = Accelerator::new(cfg).run(&mut make()).unwrap();
     report.check_conservation(tiles).unwrap();
@@ -258,4 +258,110 @@ proptest! {
         let eq = check_equivalence(&timed, &truth);
         prop_assert!(eq.is_ok(), "equivalence: {:?}", eq);
     }
+}
+
+/// Producer→consumer pipe pairs: each producer doubles a DRAM stream
+/// into a pipe, and its consumer sums the pipe into its own DRAM word.
+/// With pipelining each pair co-schedules on two tiles and the words
+/// stream direct, tile to tile.
+struct PipePairs {
+    pairs: usize,
+    len: u64,
+}
+
+impl Program for PipePairs {
+    fn name(&self) -> &str {
+        "pipe_pairs"
+    }
+
+    fn task_types(&self) -> Vec<TaskType> {
+        let mut b = DfgBuilder::new("double");
+        let x = b.input();
+        let two = b.constant(2);
+        let y = b.mul(x, two);
+        b.output(y);
+        vec![
+            TaskType::new("double", TaskKernel::dfg(b.finish().unwrap())),
+            reduce_type("sum"),
+        ]
+    }
+
+    fn memory_image(&self) -> MemoryImage {
+        MemoryImage::new().dram_segment(0, (1..=self.len as i64).collect::<Vec<_>>())
+    }
+
+    fn initial(&mut self, s: &mut Spawner) {
+        for i in 0..self.pairs as u64 {
+            let pipe = s.pipe(self.len);
+            s.spawn(
+                TaskInstance::new(TaskTypeId(0))
+                    .input_stream(StreamDesc::dram(0, self.len))
+                    .affinity(2 * i)
+                    .output_pipe(pipe),
+            );
+            s.spawn(
+                TaskInstance::new(TaskTypeId(1))
+                    .input_pipe(pipe)
+                    .affinity(2 * i + 1)
+                    .output_memory(StreamDesc::dram(4096 + i, 1), WriteMode::Overwrite),
+            );
+        }
+    }
+
+    fn on_complete(&mut self, _done: &CompletedTask, _s: &mut Spawner) {}
+}
+
+/// Pipe consumers pulled off fail-stopped tiles while their producers
+/// still stream direct to them: the re-dispatch demotes the pipe to a
+/// spill buffer and re-reads it. Every seed must complete, conserve,
+/// match the oracle and match dense ticking, and the sweep must reach
+/// that demotion (a `PipeSpill` immediately before the consumer's
+/// `TaskRedispatch`).
+#[test]
+fn pipe_consumers_redispatched_under_fail_stop() {
+    let tiles = 6;
+    let mk = || PipePairs { pairs: 3, len: 256 };
+    let base = DeltaConfig::builder(tiles)
+        .faults(FaultsConfig {
+            tile_fail_rate: 0.5,
+            tile_fail_window: 400,
+            recovery: true,
+            watchdog_timeout: 2_000,
+            ..FaultsConfig::none()
+        })
+        .trace(true);
+    let (mut replays, mut demotions) = (0, 0);
+    for seed in 0..16 {
+        let cfg = base.clone().seed(seed).build();
+        let r = run_checked(mk, cfg.clone());
+        let dense = Accelerator::new(cfg).run_dense(&mut mk()).unwrap();
+        assert_eq!(r.cycles, dense.cycles, "seed {seed}: cycles");
+        assert_eq!(r.stats, dense.stats, "seed {seed}: stats");
+        assert_eq!(r.faults, dense.faults, "seed {seed}: fault report");
+        let demoted = r
+            .trace
+            .windows(2)
+            .filter(|w| {
+                matches!(
+                    (&w[0].event, &w[1].event),
+                    (
+                        TraceEvent::PipeSpill { .. },
+                        TraceEvent::TaskRedispatch { .. }
+                    )
+                )
+            })
+            .count() as u64;
+        assert!(
+            r.faults.pipe_replays >= demoted,
+            "seed {seed}: {demoted} demotions but {:?}",
+            r.faults
+        );
+        replays += r.faults.pipe_replays;
+        demotions += demoted;
+    }
+    assert!(replays > 0, "no seed replayed a pipe");
+    assert!(
+        demotions > 0,
+        "no seed demoted a direct pipe on re-dispatch"
+    );
 }

@@ -12,10 +12,17 @@
 //! - **Starvation regression** — under a flooding heavy neighbor, the
 //!   admission gate strictly improves the light tenant's tail latency
 //!   and nobody loses work either way.
+//! - **One-tenant equivalence** — a one-tenant configuration runs the
+//!   same machine as the inert default: single-tenant runs take the
+//!   multi-tenant dispatcher path as its one-tenant case.
 
 use proptest::prelude::*;
 use ts_bench::{run_faulted, run_validated, FaultOutcome};
-use ts_delta::{Accelerator, DeltaConfig, DrainPolicy, FaultsConfig, PartitionPolicy, RunReport};
+use ts_delta::{
+    Accelerator, DeltaConfig, DrainPolicy, FaultsConfig, PartitionPolicy, RunReport, TenancyConfig,
+    TenantSpec,
+};
+use ts_workloads::merge_sort::MergeSort;
 use ts_workloads::request_server::{RequestServer, TenantLoad};
 use ts_workloads::Workload;
 
@@ -227,4 +234,59 @@ fn admission_gate_prevents_heavy_neighbor_starvation() {
         gated.stats.get_or_zero("tenant0.gate_holds") > 0.0,
         "the gate never engaged; the regression test is vacuous"
     );
+}
+
+/// One tenant is the inert default: a one-tenant configuration, under
+/// either partitioning policy with work stealing on, gives the same
+/// run as `TenancyConfig::none()`. Everything matches except that only
+/// the configured run reports its `tenant0.*` keys.
+#[test]
+fn one_tenant_config_matches_the_inert_default() {
+    // the request server's queries carry tenant tags 0 and 1; with one
+    // configured tenant both clamp to tenant 0
+    let workloads: [Box<dyn Workload>; 2] = [
+        Box::new(RequestServer::tiny(2, 0, 7)),
+        Box::new(MergeSort::tiny(3)),
+    ];
+    for wl in &workloads {
+        let base = DeltaConfig::delta(4).to_builder().work_stealing(true);
+        let inert = run_validated(wl.as_ref(), base.clone().build(), false);
+        assert!(
+            inert.stats.matching("tenant").is_empty(),
+            "{}: the inert default reported tenant keys",
+            wl.name()
+        );
+        for partition in [PartitionPolicy::Shared, PartitionPolicy::Spatial] {
+            let one = TenancyConfig {
+                partition,
+                ..TenancyConfig::shared(vec![TenantSpec::flood()])
+            };
+            let r = run_validated(wl.as_ref(), base.clone().tenancy(one).build(), false);
+            let what = format!("{} under {partition:?}", wl.name());
+            assert_eq!(r.cycles, inert.cycles, "{what}: cycles");
+            assert_eq!(r.tasks_completed, inert.tasks_completed, "{what}: tasks");
+            assert_eq!(r.profile, inert.profile, "{what}: profile");
+            assert_eq!(r.timeline, inert.timeline, "{what}: timeline");
+            assert_eq!(r.dram_len(), inert.dram_len(), "{what}: DRAM size");
+            assert!(
+                r.dram_range(0, r.dram_len()) == inert.dram_range(0, inert.dram_len()),
+                "{what}: DRAM image"
+            );
+            assert_eq!(
+                r.stats.get_or_zero("tenant0.completed"),
+                inert.tasks_completed as f64,
+                "{what}: tenant 0 must own every task"
+            );
+            let untenanted: Vec<(&str, f64)> = r
+                .stats
+                .iter()
+                .filter(|(k, _)| !k.starts_with("tenant0."))
+                .collect();
+            assert_eq!(
+                untenanted,
+                inert.stats.iter().collect::<Vec<_>>(),
+                "{what}: stats"
+            );
+        }
+    }
 }
