@@ -26,9 +26,9 @@ use crate::trace::{TraceEvent, TraceSink};
 use std::collections::VecDeque;
 use taskstream_model::{PipeId, TaskId, TaskInstance, TaskTypeId, Value};
 use ts_cgra::KernelTiming;
-use ts_mem::{Spad, WriteMode};
+use ts_mem::Spad;
 use ts_noc::Mesh;
-use ts_sim::stats::Stats;
+use ts_sim::stats::{Report, Stats};
 use ts_sim::{Activity, FxHashMap, TokenBucket};
 use ts_stream::Addr;
 
@@ -105,13 +105,9 @@ pub(crate) enum SinkKind {
     /// Budgeted scratchpad writes (functional effect already applied at
     /// dispatch).
     Spad,
-    /// DRAM write stream: one flit per word to a controller node.
+    /// DRAM write stream: one flit per word to a controller node (the
+    /// functional effect was applied at dispatch).
     DramWrite {
-        /// Per-word addresses, in emission order.
-        addrs: Vec<Addr>,
-        /// Write mode (affects DRAM gather cost only; functional effect
-        /// already applied).
-        mode: WriteMode,
         /// Random-access pattern flag.
         gather: bool,
         /// Destination controller node.
@@ -124,12 +120,6 @@ pub(crate) enum SinkKind {
         addr_port: usize,
         /// Scatter into DRAM (true) or the local scratchpad (false).
         to_dram: bool,
-        /// Base address.
-        base: Addr,
-        /// Index multiplier.
-        scale: i64,
-        /// Write mode (gather cost on DRAM).
-        mode: WriteMode,
         /// Destination controller node (DRAM scatters).
         mc_node: usize,
     },
@@ -351,7 +341,26 @@ pub(crate) struct Tile {
     /// that was victimized away, duplicates of a re-sent stream) by
     /// dropping them instead of panicking on an unknown route.
     fault_tolerant: bool,
+    /// The queue changed (a task arrived, left or rotated) since the
+    /// last DRAM issue sweep, so the prefetch window may hold unissued
+    /// streams. While clear, that sweep has nothing to do.
+    queue_changed: bool,
+    /// Queued spill-pipe feeds whose read is not yet issued. While
+    /// zero, the spill issue sweep has nothing to do.
+    spills_unissued: usize,
+    /// Per-cycle counters, kept as plain integers and folded into the
+    /// report by [`report`](Tile::report).
+    busy_cycles: u64,
+    idle_cycles: u64,
     pub stats: Stats,
+}
+
+/// Spill-pipe feeds of `task` whose read is not yet issued.
+fn unissued_spills(task: &TaskExec) -> usize {
+    task.feeds
+        .iter()
+        .filter(|f| matches!(f.kind, FeedKind::PipeSpill { issued: false, .. }))
+        .count()
 }
 
 /// Cycles of zero progress after which a stalled head task yields the
@@ -375,8 +384,23 @@ impl Tile {
             head_stall: 0,
             head_sig: (0, 0, 0, 0),
             fault_tolerant: cfg.faults.is_active(),
+            queue_changed: false,
+            spills_unissued: 0,
+            busy_cycles: 0,
+            idle_cycles: 0,
             stats: Stats::new(),
         }
+    }
+
+    /// The tile's statistics, with the per-cycle integer counters
+    /// folded in.
+    pub(crate) fn report(&self) -> Report {
+        let mut s = self.stats.clone();
+        s.bump_nonzero(&[
+            ("busy_cycles", self.busy_cycles),
+            ("idle_cycles", self.idle_cycles),
+        ]);
+        s.report()
     }
 
     /// Space in the dispatched-task queue.
@@ -403,6 +427,11 @@ impl Tile {
     /// recovery eviction) — every such mutation must be preceded by a
     /// catch-up (`touch`) so the deferred stretch replays against the
     /// state the tile actually saw.
+    ///
+    /// Post-tick, a clear queue-changed flag means the tick's DRAM issue
+    /// sweep left no unissued stream in the prefetch window, and a zero
+    /// unissued-spill count means no queued task waits on a spill read;
+    /// with both, the walk over every queued feed is skipped.
     ///
     /// Returns [`Activity::Now`] whenever the resident tasks are outside
     /// a provably inert regime:
@@ -433,18 +462,25 @@ impl Tile {
         if self.phase != Phase::Running {
             return Activity::Now;
         }
-        let depth = prefetch_depth.max(1).min(self.queue.len());
-        for (qi, task) in self.queue.iter().enumerate() {
-            for feed in &task.feeds {
-                match &feed.kind {
-                    FeedKind::Dram { spec: Some(_) } if qi < depth => return Activity::Now,
-                    FeedKind::PipeSpill {
-                        pipe,
-                        issued: false,
-                    } if pipes.get(*pipe).producer_completed => {
-                        return Activity::Now;
+        debug_assert_eq!(
+            self.spills_unissued,
+            self.queue.iter().map(unissued_spills).sum::<usize>(),
+            "unissued-spill count diverged from the queued feeds"
+        );
+        if self.queue_changed || self.spills_unissued > 0 {
+            let depth = prefetch_depth.max(1).min(self.queue.len());
+            for (qi, task) in self.queue.iter().enumerate() {
+                for feed in &task.feeds {
+                    match &feed.kind {
+                        FeedKind::Dram { spec: Some(_) } if qi < depth => return Activity::Now,
+                        FeedKind::PipeSpill {
+                            pipe,
+                            issued: false,
+                        } if pipes.get(*pipe).producer_completed => {
+                            return Activity::Now;
+                        }
+                        _ => {}
                     }
-                    _ => {}
                 }
             }
         }
@@ -513,7 +549,7 @@ impl Tile {
         debug_assert!(self.queue.is_empty(), "skip with queued work");
         self.spad.skip_cycles(n);
         self.engine.refill_n(n);
-        self.stats.bump_by("idle_cycles", n);
+        self.idle_cycles += n;
         self.phase = Phase::Idle;
     }
 
@@ -536,7 +572,7 @@ impl Tile {
         debug_assert_eq!(self.phase, Phase::Running, "bulk advance outside Running");
         self.spad.skip_cycles(k);
         self.engine.refill_n(k);
-        self.stats.bump_by("busy_cycles", k);
+        self.busy_cycles += k;
         let stall_key = {
             let head = &self.queue[0];
             if head.compute_done() {
@@ -587,7 +623,18 @@ impl Tile {
     /// Accepts a dispatched task.
     pub(crate) fn enqueue(&mut self, exec: TaskExec) {
         self.stats.bump("tasks_dispatched");
+        self.spills_unissued += unissued_spills(&exec);
         self.queue.push_back(exec);
+        self.queue_changed = true;
+    }
+
+    /// Takes the task at `qi` out of the queue, keeping the issue-sweep
+    /// bookkeeping in step.
+    fn take_task(&mut self, qi: usize) -> TaskExec {
+        let t = self.queue.remove(qi).expect("queue index valid");
+        self.spills_unissued -= unissued_spills(&t);
+        self.queue_changed = true;
+        t
     }
 
     /// Index of the last queued task that can migrate to another tile:
@@ -625,10 +672,9 @@ impl Tile {
     }
 
     /// Removes a queued task for migration and retargets its sinks'
-    /// controller homing to the thief's node.
-    pub(crate) fn steal(&mut self, qi: usize, thief_node: usize, mc_node: usize) -> TaskExec {
-        let mut t = self.queue.remove(qi).expect("candidate index valid");
-        let _ = thief_node;
+    /// controller homing to the thief's controller `mc_node`.
+    pub(crate) fn steal(&mut self, qi: usize, mc_node: usize) -> TaskExec {
+        let mut t = self.take_task(qi);
         for sink in &mut t.sinks {
             match &mut sink.kind {
                 SinkKind::DramWrite { mc_node: m, .. } | SinkKind::Scatter { mc_node: m, .. } => {
@@ -650,13 +696,15 @@ impl Tile {
     pub(crate) fn drain_queue(&mut self) -> Vec<TaskExec> {
         self.phase = Phase::Idle;
         self.head_stall = 0;
+        self.spills_unissued = 0;
+        self.queue_changed = true;
         std::mem::take(&mut self.queue).into()
     }
 
     /// Watchdog recovery: evicts one queued task by id.
     pub(crate) fn remove_task(&mut self, id: TaskId) -> Option<TaskExec> {
         let qi = self.queue.iter().position(|t| t.id == id)?;
-        let t = self.queue.remove(qi).expect("position just found");
+        let t = self.take_task(qi);
         if qi == 0 {
             self.phase = Phase::Idle;
             self.head_stall = 0;
@@ -676,13 +724,13 @@ impl Tile {
                 // job may arrive out of order across controller nodes,
                 // so the `last` flag cannot be used for cleanup
                 let routes = match self.job_routes.get(&job) {
-                    Some(r) => r.clone(),
+                    Some(r) => r,
                     None if self.fault_tolerant => return,
                     None => panic!("tile {}: unknown read job {job}", self.id),
                 };
-                for (task, port) in &routes {
-                    if let Some(t) = self.find_task(*task) {
-                        t.in_avail[*port] += words as u64;
+                for &(task, port) in routes {
+                    if let Some(t) = self.queue.iter_mut().find(|t| t.id == task) {
+                        t.in_avail[port] += words as u64;
                     }
                 }
             }
@@ -718,16 +766,22 @@ impl Tile {
         self.engine.refill();
 
         // issue deferred DRAM reads for tasks inside the prefetch
-        // window, and spill-pipe reads whose producer is now done
-        self.issue_dram_reads(io, cfg);
-        self.issue_spill_reads(io, cfg);
+        // window, and spill-pipe reads whose producer is now done; each
+        // sweep runs only when it can find something to issue
+        if self.queue_changed {
+            self.queue_changed = false;
+            self.issue_dram_reads(io, cfg);
+        }
+        if self.spills_unissued > 0 {
+            self.issue_spill_reads(io, cfg);
+        }
 
         if self.queue.is_empty() {
-            self.stats.bump("idle_cycles");
+            self.idle_cycles += 1;
             self.phase = Phase::Idle;
             return Vec::new();
         }
-        self.stats.bump("busy_cycles");
+        self.busy_cycles += 1;
 
         // phase machine for the queue head
         match self.phase {
@@ -770,7 +824,7 @@ impl Tile {
         }
 
         // --- running task ------------------------------------------------
-        self.run_feeds(io.now);
+        self.run_feeds();
         let before = {
             let t = &self.queue[0];
             (t.firings_done, t.native_progress)
@@ -809,7 +863,7 @@ impl Tile {
                 }
             }
         }
-        self.drain_staging(io.now, cfg);
+        self.drain_staging(io.now);
         self.drain_sinks(io, cfg);
 
         // completion
@@ -818,7 +872,7 @@ impl Tile {
             t.fully_done(io.pipes)
         };
         if done {
-            let t = self.queue.pop_front().expect("head exists");
+            let t = self.take_task(0);
             self.stats.bump("tasks_completed");
             self.stats
                 .sample("task_latency", (io.now - t.dispatched_at) as f64);
@@ -841,6 +895,7 @@ impl Tile {
                 self.head_stall += 1;
                 if self.head_stall > STALL_ROTATE {
                     self.queue.rotate_left(1);
+                    self.queue_changed = true;
                     self.phase = Phase::Idle;
                     self.head_stall = 0;
                     self.stats.bump("task_rotations");
@@ -910,6 +965,7 @@ impl Tile {
                 if !ps.producer_completed {
                     continue;
                 }
+                self.spills_unissued -= 1;
                 if total == 0 {
                     if let FeedKind::PipeSpill { issued, .. } = &mut self.queue[qi].feeds[pi].kind {
                         *issued = true;
@@ -942,7 +998,7 @@ impl Tile {
         }
     }
 
-    fn run_feeds(&mut self, _now: u64) {
+    fn run_feeds(&mut self) {
         let t = self.queue.front_mut().expect("running task");
         for (port, feed) in t.feeds.iter_mut().enumerate() {
             match feed.kind {
@@ -1070,7 +1126,7 @@ impl Tile {
         t.native_progress = p1;
     }
 
-    fn drain_staging(&mut self, now: u64, _cfg: &DeltaConfig) {
+    fn drain_staging(&mut self, now: u64) {
         let t = self.queue.front_mut().expect("running task");
         for p in 0..t.ports_out() {
             let cap = t.out_buf_capacity();
@@ -1115,18 +1171,9 @@ impl Tile {
                             false
                         }
                     }
-                    SinkKind::DramWrite {
-                        addrs,
-                        mode,
-                        gather,
-                        mc_node,
-                    } => {
-                        if let Some(&v) = t.out_buf[p].front() {
-                            let i = t.sinks[p].sent as usize;
+                    SinkKind::DramWrite { gather, mc_node } => {
+                        if !t.out_buf[p].is_empty() {
                             let msg = Msg::DramWrite {
-                                addr: addrs[i],
-                                value: v,
-                                mode: *mode,
                                 stream: (t.id, p),
                                 reply_to: node,
                                 last: t.sinks[p].sent + 1 == t.sinks[p].total,
@@ -1146,24 +1193,14 @@ impl Tile {
                     SinkKind::Scatter {
                         addr_port,
                         to_dram,
-                        base,
-                        scale,
-                        mode,
                         mc_node,
                     } => {
-                        let (ap, to_dram, base, scale, mode, mc_node) =
-                            (*addr_port, *to_dram, *base, *scale, *mode, *mc_node);
+                        let (ap, to_dram, mc_node) = (*addr_port, *to_dram, *mc_node);
                         if t.out_buf[p].is_empty() || t.out_buf[ap].is_empty() {
                             false
                         } else {
-                            let idx = *t.out_buf[ap].front().expect("checked");
-                            let v = *t.out_buf[p].front().expect("checked");
-                            let addr = (base as i64 + idx.wrapping_mul(scale)) as Addr;
                             let ok = if to_dram {
                                 let msg = Msg::DramWrite {
-                                    addr,
-                                    value: v,
-                                    mode,
                                     stream: (t.id, p),
                                     reply_to: node,
                                     last: t.sinks[p].sent + 1 == t.sinks[p].total,
@@ -1232,12 +1269,9 @@ impl Tile {
                                     }
                                 }
                             }
-                            Some(PipeMode::Spill { base }) => {
-                                if let Some(&v) = t.out_buf[p].front() {
+                            Some(PipeMode::Spill { .. }) => {
+                                if !t.out_buf[p].is_empty() {
                                     let msg = Msg::DramWrite {
-                                        addr: base + t.sinks[p].sent,
-                                        value: v,
-                                        mode: WriteMode::Overwrite,
                                         stream: (t.id, p),
                                         reply_to: node,
                                         last: t.sinks[p].sent + 1 == t.sinks[p].total,

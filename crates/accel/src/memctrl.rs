@@ -2,10 +2,10 @@
 
 use crate::msg::{Msg, StreamKey};
 use std::collections::VecDeque;
-use ts_mem::{Dram, DramConfig, JobKind, WriteMode};
+use ts_mem::{Dram, DramConfig, DramOut, JobKind};
 use ts_noc::Mesh;
 use ts_sim::{Activity, FxHashMap, FxHashSet};
-use ts_stream::{Addr, Value};
+use ts_stream::Addr;
 
 /// A DRAM read request as the dispatcher/stream engines see it.
 #[derive(Debug, Clone)]
@@ -23,6 +23,15 @@ pub(crate) struct ReadReq {
     /// Serve only after this job has fully completed (two-phase
     /// indirect reads).
     pub after: Option<u64>,
+}
+
+/// Where a staged response goes: every destination of a read job
+/// (looked up in the job table at injection, never copied per burst),
+/// or the one tile a write ack returns to.
+#[derive(Debug, Clone, Copy)]
+enum Dest {
+    Job(u64),
+    Node(usize),
 }
 
 #[derive(Debug)]
@@ -50,8 +59,8 @@ pub(crate) struct MemCtrl {
     gated: Vec<ReadReq>,
     /// Read job → destination mesh nodes.
     job_dsts: FxHashMap<u64, Vec<usize>>,
-    /// Read job → injecting controller node.
-    job_node: FxHashMap<u64, usize>,
+    /// Read job → injecting controller (index into `mc_nodes`).
+    job_ctrl: FxHashMap<u64, usize>,
     /// Read jobs fully served (for `after` gating).
     done_jobs: FxHashSet<u64>,
     /// Write bookkeeping per stream.
@@ -59,13 +68,17 @@ pub(crate) struct MemCtrl {
     /// Write-job tag → (stream, word was last).
     wtags: FxHashMap<u64, (StreamKey, bool)>,
     next_wtag: u64,
-    /// Responses waiting for injection: per controller node.
-    backlog: FxHashMap<usize, VecDeque<(Vec<usize>, Msg)>>,
+    /// Responses waiting for injection, per controller (parallel to
+    /// `mc_nodes`).
+    backlog: Vec<VecDeque<(Dest, Msg)>>,
     /// Total staged responses across all controller nodes (O(1)
     /// idleness checks; burst coalescing mutates entries in place and
     /// leaves the count unchanged).
     backlog_len: usize,
     rr: usize,
+    /// DRAM outputs of the current tick; the buffer is reused across
+    /// ticks so the per-word path does not allocate.
+    dram_out: Vec<DramOut>,
 }
 
 /// Read-job tags occupy the low range; write tags have this bit set.
@@ -77,19 +90,20 @@ impl MemCtrl {
         assert!(mesh_width > 0, "mesh width must be positive");
         MemCtrl {
             dram: Dram::new(dram_cfg),
+            backlog: (0..mc_nodes.len()).map(|_| VecDeque::new()).collect(),
             mc_nodes,
             mesh_width,
             admit: VecDeque::new(),
             gated: Vec::new(),
             job_dsts: FxHashMap::default(),
-            job_node: FxHashMap::default(),
+            job_ctrl: FxHashMap::default(),
             done_jobs: FxHashSet::default(),
             writes: FxHashMap::default(),
             wtags: FxHashMap::default(),
             next_wtag: 0,
-            backlog: FxHashMap::default(),
             backlog_len: 0,
             rr: 0,
+            dram_out: Vec::new(),
         }
     }
 
@@ -111,14 +125,14 @@ impl MemCtrl {
         // responses inject from the controller in the destination's
         // mesh column (column-affine homing keeps traffic contention-
         // free); phantom and multicast jobs round-robin
-        let node = match req.dsts.as_slice() {
-            [single] => self.mc_nodes[(single % self.mesh_width) % self.mc_nodes.len()],
+        let ctrl = match req.dsts.as_slice() {
+            [single] => (single % self.mesh_width) % self.mc_nodes.len(),
             _ => {
                 self.rr += 1;
-                self.mc_nodes[(self.rr - 1) % self.mc_nodes.len()]
+                (self.rr - 1) % self.mc_nodes.len()
             }
         };
-        self.job_node.insert(req.job, node);
+        self.job_ctrl.insert(req.job, ctrl);
         self.admit.push_back((ready_at, req));
     }
 
@@ -150,13 +164,11 @@ impl MemCtrl {
         self.done_jobs.contains(&job)
     }
 
-    /// Handles a write flit delivered to a controller node.
-    #[allow(clippy::too_many_arguments)] // mirrors the flit's fields
+    /// Handles a write flit delivered to a controller node. The word's
+    /// functional effect was applied at dispatch, so the DRAM job only
+    /// meters bandwidth and latency.
     pub(crate) fn on_write_flit(
         &mut self,
-        addr: Addr,
-        value: Value,
-        mode: WriteMode,
         stream: StreamKey,
         reply_to: usize,
         last: bool,
@@ -173,18 +185,7 @@ impl MemCtrl {
         self.next_wtag += 1;
         self.wtags.insert(tag, (stream, last));
         self.dram
-            .submit(
-                JobKind::Write {
-                    addrs: vec![addr],
-                    data: vec![value],
-                    gather,
-                    mode,
-                    // the functional effect was applied at dispatch;
-                    // this job meters bandwidth and latency only
-                    apply: false,
-                },
-                tag,
-            )
+            .submit(JobKind::MeterWrite { gather }, tag)
             .expect("single-word write job is never empty");
     }
 
@@ -199,31 +200,28 @@ impl MemCtrl {
             let (_, req) = self.admit.pop_front().expect("front exists");
             self.gated.push(req);
         }
-        // release gated requests whose prerequisite job completed
-        let mut still_gated = Vec::new();
-        for req in self.gated.drain(..) {
-            let ok = match req.after {
-                None => true,
-                Some(j) => self.done_jobs.contains(&j),
-            };
-            if ok {
-                self.dram
-                    .submit(
-                        JobKind::Read {
-                            addrs: req.addrs,
-                            gather: req.gather,
-                        },
-                        req.job,
-                    )
-                    .expect("read request validated non-empty");
-            } else {
-                still_gated.push(req);
-            }
+        // release gated requests whose prerequisite job completed, in
+        // order (`gated` keeps its capacity across ticks)
+        let done_jobs = &self.done_jobs;
+        let released = self
+            .gated
+            .extract_if(.., |req| req.after.is_none_or(|j| done_jobs.contains(&j)));
+        for req in released {
+            self.dram
+                .submit(
+                    JobKind::Read {
+                        addrs: req.addrs,
+                        gather: req.gather,
+                    },
+                    req.job,
+                )
+                .expect("read request validated non-empty");
         }
-        self.gated = still_gated;
 
         // advance DRAM and stage outputs
-        for out in self.dram.tick(now) {
+        let mut outs = std::mem::take(&mut self.dram_out);
+        self.dram.tick_into(now, &mut outs);
+        for out in outs.drain(..) {
             if out.tag & WRITE_TAG != 0 {
                 let (stream, was_last) = self.wtags.remove(&out.tag).expect("write tag known");
                 let track = self.writes.get_mut(&stream).expect("stream tracked");
@@ -233,11 +231,8 @@ impl MemCtrl {
                     let reply = track.reply_to;
                     self.writes.remove(&stream);
                     // ack injected from the controller handling this stream
-                    let node = self.mc_nodes[(stream.0 .0 as usize) % self.mc_nodes.len()];
-                    self.backlog
-                        .entry(node)
-                        .or_default()
-                        .push_back((vec![reply], Msg::WriteAck { stream }));
+                    let ctrl = (stream.0 .0 as usize) % self.mc_nodes.len();
+                    self.backlog[ctrl].push_back((Dest::Node(reply), Msg::WriteAck { stream }));
                     self.backlog_len += 1;
                 }
             } else {
@@ -249,18 +244,21 @@ impl MemCtrl {
                     continue; // phantom job: traffic counted, data dropped
                 }
                 const BURST: u16 = 8;
-                let node = *self.job_node.get(&out.tag).expect("job node known");
-                let q = self.backlog.entry(node).or_default();
+                let ctrl = *self.job_ctrl.get(&out.tag).expect("job controller known");
+                let q = &mut self.backlog[ctrl];
+                // a job's destinations are fixed once the DRAM serves it
+                // (`try_join` fails from then on), so words of one job
+                // always share a destination set
                 match q.back_mut() {
-                    Some((prev_dsts, Msg::DramData { job, words, last }))
-                        if *job == out.tag && *words < BURST && prev_dsts == dsts =>
+                    Some((_, Msg::DramData { job, words, last }))
+                        if *job == out.tag && *words < BURST =>
                     {
                         *words += 1;
                         *last |= out.last;
                     }
                     _ => {
                         q.push_back((
-                            dsts.clone(),
+                            Dest::Job(out.tag),
                             Msg::DramData {
                                 job: out.tag,
                                 words: 1,
@@ -273,16 +271,20 @@ impl MemCtrl {
             }
         }
 
+        self.dram_out = outs;
+
         // inject staged responses, bounded by each node's queue space
-        for &node in &self.mc_nodes {
-            if let Some(q) = self.backlog.get_mut(&node) {
-                while let Some((dsts, msg)) = q.front() {
-                    if mesh.inject(node, dsts, msg.clone()).is_err() {
-                        break;
-                    }
-                    q.pop_front();
-                    self.backlog_len -= 1;
+        for (&node, q) in self.mc_nodes.iter().zip(&mut self.backlog) {
+            while let Some((dest, msg)) = q.front() {
+                let dsts = match dest {
+                    Dest::Job(job) => &self.job_dsts[job][..],
+                    Dest::Node(n) => std::slice::from_ref(n),
+                };
+                if mesh.inject(node, dsts, msg.clone()).is_err() {
+                    break;
                 }
+                q.pop_front();
+                self.backlog_len -= 1;
             }
         }
     }
@@ -297,8 +299,9 @@ impl MemCtrl {
                 .map(|r| (r.job, r.after))
                 .collect::<Vec<_>>(),
             self.dram.pending_jobs(),
-            self.backlog
+            self.mc_nodes
                 .iter()
+                .zip(&self.backlog)
                 .map(|(n, q)| (*n, q.len()))
                 .collect::<Vec<_>>(),
         )
@@ -322,7 +325,7 @@ impl MemCtrl {
     pub(crate) fn is_idle(&self) -> bool {
         debug_assert_eq!(
             self.backlog_len == 0,
-            self.backlog.values().all(|q| q.is_empty()),
+            self.backlog.iter().all(|q| q.is_empty()),
             "backlog counter diverged from backlog contents"
         );
         self.admit.is_empty()
@@ -533,15 +536,7 @@ mod tests {
         let (mut mc, mut mesh) = mk();
         let stream: StreamKey = (TaskId(5), 0);
         for i in 0..4u64 {
-            mc.on_write_flit(
-                i,
-                (i * 10) as i64,
-                WriteMode::Overwrite,
-                stream,
-                1,
-                i == 3,
-                false,
-            );
+            mc.on_write_flit(stream, 1, i == 3, false);
         }
         let got = run(&mut mc, &mut mesh, 100);
         let acks: Vec<_> = got
@@ -551,7 +546,7 @@ mod tests {
         assert_eq!(acks.len(), 1);
         // write flits meter timing only; the functional effect happened
         // at dispatch, so storage is untouched here
-        assert_eq!(mc.dram().storage().read(3), 0);
+        assert!((0..1024).all(|a| mc.dram().storage().read(a) == 0));
         assert_eq!(mc.dram_stats().counter("write_words"), 4);
         assert!(mc.is_idle());
     }

@@ -1,8 +1,6 @@
 //! NoC message payloads.
 
 use taskstream_model::{PipeId, TaskId};
-use ts_mem::WriteMode;
-use ts_stream::{Addr, Value};
 
 /// Identifies one write stream: `(task, output port)`.
 pub(crate) type StreamKey = (TaskId, usize);
@@ -26,14 +24,10 @@ pub(crate) enum Msg {
         /// True on the job's final word.
         last: bool,
     },
-    /// One word of a DRAM write stream, tile → memory controller.
+    /// One word of a DRAM write stream, tile → memory controller. The
+    /// word's functional effect (address, value, write mode) was
+    /// applied at dispatch; the flit carries what the controller meters.
     DramWrite {
-        /// Destination address.
-        addr: Addr,
-        /// Value to store.
-        value: Value,
-        /// Store or read-modify-write.
-        mode: WriteMode,
         /// Which write stream this word belongs to.
         stream: StreamKey,
         /// Source tile mesh node (for the ack).

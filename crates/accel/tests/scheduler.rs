@@ -9,10 +9,16 @@
 //! the event-driven run actually takes its shortcuts.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use taskstream_model::{
-    CompletedTask, MemoryImage, Program, Spawner, TaskInstance, TaskKernel, TaskType, TaskTypeId,
+    CompletedTask, MemoryImage, Policy, Program, Spawner, TaskInstance, TaskKernel, TaskType,
+    TaskTypeId,
 };
-use ts_delta::{Accelerator, DeltaConfig, FaultsConfig, RunReport};
+use ts_delta::tenancy::tag_affinity;
+use ts_delta::{
+    Accelerator, DeltaConfig, FaultsConfig, Features, PartitionPolicy, RunReport, TenancyConfig,
+    TenantSpec, TraceEvent,
+};
 use ts_dfg::DfgBuilder;
 use ts_mem::WriteMode;
 use ts_stream::StreamDesc;
@@ -182,7 +188,7 @@ fn compare(ev: &RunReport, dn: &RunReport, tiles: u64) -> Result<(), String> {
 /// Runs `make()` under both engines, asserts they agree (see
 /// [`compare`]), and returns the event-driven report for per-test
 /// checks that the interesting shortcut engaged.
-fn assert_engines_agree(make: impl Fn() -> Waves, cfg: DeltaConfig) -> RunReport {
+fn assert_engines_agree<P: Program>(make: impl Fn() -> P, cfg: DeltaConfig) -> RunReport {
     let tiles = cfg.tiles as u64;
     let mut accel = Accelerator::new(cfg);
     let ev = accel.run(&mut make()).unwrap();
@@ -401,4 +407,209 @@ proptest! {
         let verdict = compare(&ev, &dn, tiles as u64);
         prop_assert!(verdict.is_ok(), "chaos={}, trace={}: {:?}", chaos, trace, verdict);
     }
+}
+
+/// One batch of tasks spawned up front, each writing one DRAM word at
+/// `Waves::OUT_BASE + i`: plain reductions of the input image, or
+/// producer → pipe → consumer pairs. Task `i` belongs to tenant
+/// `tenant_of(i)`.
+struct Batch {
+    tasks: u64,
+    pairs: bool,
+    tenant_of: fn(u64) -> usize,
+}
+
+impl Batch {
+    /// Words each task streams from the input image.
+    const LEN: u64 = 48;
+
+    fn reductions(tasks: u64) -> Self {
+        Batch {
+            tasks,
+            pairs: false,
+            tenant_of: |_| 0,
+        }
+    }
+
+    fn pairs(tasks: u64) -> Self {
+        Batch {
+            pairs: true,
+            ..Batch::reductions(tasks)
+        }
+    }
+}
+
+impl Program for Batch {
+    fn name(&self) -> &str {
+        "batch"
+    }
+
+    fn task_types(&self) -> Vec<TaskType> {
+        let mut b = DfgBuilder::new("double");
+        let x = b.input();
+        let two = b.constant(2);
+        let y = b.mul(x, two);
+        b.output(y);
+        vec![
+            reduce_type("sum"),
+            TaskType::new("double", TaskKernel::dfg(b.finish().unwrap())),
+        ]
+    }
+
+    fn memory_image(&self) -> MemoryImage {
+        MemoryImage::new().dram_segment(0, (1..=64i64).collect::<Vec<_>>())
+    }
+
+    fn initial(&mut self, s: &mut Spawner) {
+        for i in 0..self.tasks {
+            let tenant = (self.tenant_of)(i);
+            let out = StreamDesc::dram(Waves::OUT_BASE + i, 1);
+            let input = StreamDesc::dram(0, Self::LEN);
+            let sum = TaskInstance::new(TaskTypeId(0)).affinity(tag_affinity(tenant, 2 * i + 1));
+            if self.pairs {
+                let pipe = s.pipe(Self::LEN);
+                s.spawn(
+                    TaskInstance::new(TaskTypeId(1))
+                        .input_stream(input)
+                        .affinity(tag_affinity(tenant, 2 * i))
+                        .output_pipe(pipe),
+                );
+                s.spawn(
+                    sum.input_pipe(pipe)
+                        .output_memory(out, WriteMode::Overwrite),
+                );
+            } else {
+                s.spawn(
+                    sum.input_stream(input)
+                        .output_memory(out, WriteMode::Overwrite),
+                );
+            }
+        }
+    }
+
+    fn on_complete(&mut self, _done: &CompletedTask, _s: &mut Spawner) {}
+}
+
+/// The longest a task waited between becoming ready and being
+/// dispatched, from the trace: a long wait means the dispatch scan
+/// found nothing placeable over many consecutive cycles.
+fn longest_ready_wait(r: &RunReport) -> u64 {
+    let mut ready = HashMap::new();
+    let mut longest = 0;
+    for rec in &r.trace {
+        match rec.event {
+            TraceEvent::TaskReady { task } => {
+                ready.insert(task, rec.cycle);
+            }
+            TraceEvent::TaskDispatch { task, .. } => {
+                longest = longest.max(rec.cycle - ready[&task]);
+            }
+            _ => {}
+        }
+    }
+    longest
+}
+
+/// Runs `make()` traced and untraced under both engines; the traced
+/// run must show pending tasks blocked for at least `min_wait` cycles,
+/// the stretches over which the dispatch scan is skipped. Returns the
+/// traced event-driven report.
+fn assert_blocked_dispatch_agrees<P: Program>(
+    make: impl Fn() -> P,
+    cfg: DeltaConfig,
+    min_wait: u64,
+) -> RunReport {
+    assert_engines_agree(&make, cfg.clone().to_builder().trace(false).build());
+    let ev = assert_engines_agree(&make, cfg.to_builder().trace(true).build());
+    let wait = longest_ready_wait(&ev);
+    assert!(
+        wait >= min_wait,
+        "longest ready-to-dispatch wait {wait} < {min_wait}; the test is vacuous"
+    );
+    ev
+}
+
+#[test]
+fn consumers_blocked_on_producer_completion_agree() {
+    // Without pipelining a consumer dispatches only once its producer
+    // completed, so consumers sit pending while producers stream.
+    let cfg = DeltaConfig::builder(4)
+        .features(Features {
+            pipelining: false,
+            ..Features::all()
+        })
+        .build();
+    assert_blocked_dispatch_agrees(|| Batch::pairs(6), cfg, 100);
+}
+
+#[test]
+fn full_tile_queues_agree() {
+    // A batch far wider than the queues: pending tasks wait while every
+    // tile queue is full, and completions free one slot at a time.
+    let cfg = DeltaConfig::builder(3).tile_queue(1).build();
+    assert_blocked_dispatch_agrees(|| Batch::reductions(14), cfg, 100);
+}
+
+#[test]
+fn full_owner_queue_freed_by_a_steal_agrees() {
+    // Static hashing sends every task to one owner tile; the other tile
+    // idles and steals from it, and the pending tasks take the owner
+    // slots those steals free.
+    let cfg = DeltaConfig::builder(2)
+        .features(Features {
+            work_aware: false,
+            ..Features::all()
+        })
+        .policy(Policy::StaticHash)
+        .work_stealing(true)
+        .tile_queue(3)
+        .build();
+    assert_blocked_dispatch_agrees(|| Batch::reductions(12), cfg, 100);
+}
+
+#[test]
+fn spatial_tenancy_agrees() {
+    // Tenant 0 floods its half of the fabric while tenant 1's half
+    // drains and idles: tenant 0's pending tasks stay unplaceable even
+    // though idle tiles exist, and tenant 1's paced arrivals must still
+    // place the cycle they are admitted.
+    let cfg = DeltaConfig::builder(4)
+        .tile_queue(2)
+        .tenancy(TenancyConfig {
+            partition: PartitionPolicy::Spatial,
+            ..TenancyConfig::shared(vec![TenantSpec::flood(), TenantSpec::paced(150)])
+        })
+        .build();
+    let make = || Batch {
+        tenant_of: |i| usize::from(i % 4 == 3),
+        ..Batch::reductions(16)
+    };
+    assert_blocked_dispatch_agrees(make, cfg, 100);
+}
+
+#[test]
+fn fail_stop_schedule_agrees() {
+    // Under a fault schedule the scan runs every cycle (down-tile masks
+    // change with time alone); pending pairs still block on full queues
+    // and on producers while tiles fail and victims re-dispatch.
+    let base = DeltaConfig::builder(4)
+        .tile_queue(2)
+        .features(Features {
+            pipelining: false,
+            ..Features::all()
+        })
+        .faults(FaultsConfig {
+            tile_fail_rate: 0.5,
+            tile_fail_window: 600,
+            recovery: true,
+            watchdog_timeout: 2_000,
+            ..FaultsConfig::none()
+        });
+    let mut stops = 0;
+    for seed in 0..4 {
+        let cfg = base.clone().seed(seed).build();
+        let ev = assert_blocked_dispatch_agrees(|| Batch::pairs(6), cfg, 100);
+        stops += ev.faults.tile_fail_stops;
+    }
+    assert!(stops > 0, "no tile fail-stopped");
 }

@@ -169,8 +169,13 @@ pub fn execute_traced(
                     sum
                 }
                 _ => {
-                    let operand_vals: Vec<Value> =
-                        dfg.operands(id).iter().map(|o| values[o.index()]).collect();
+                    // arity is at most three and `eval` reads a missing
+                    // operand as zero, so a zero-padded stack array
+                    // stands in for a per-op heap vector
+                    let mut operand_vals = [0 as Value; 3];
+                    for (slot, o) in operand_vals.iter_mut().zip(dfg.operands(id)) {
+                        *slot = values[o.index()];
+                    }
                     op.eval(&operand_vals)
                 }
             };

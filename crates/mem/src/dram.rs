@@ -71,6 +71,15 @@ pub enum JobKind {
         /// applied at a deterministic serialization point.
         apply: bool,
     },
+    /// One write word that meters bandwidth, latency and traffic only:
+    /// it never touches the backing store, and it times, acknowledges
+    /// and counts exactly like a one-word `Write` with `apply: false`.
+    /// The per-word path of a controller whose writes took functional
+    /// effect elsewhere, without two single-element vectors per word.
+    MeterWrite {
+        /// True if the pattern is random (pays `gather_cost`).
+        gather: bool,
+    },
 }
 
 impl JobKind {
@@ -78,6 +87,7 @@ impl JobKind {
         match self {
             JobKind::Read { addrs, .. } => addrs.len(),
             JobKind::Write { addrs, .. } => addrs.len(),
+            JobKind::MeterWrite { .. } => 1,
         }
     }
 }
@@ -315,24 +325,28 @@ impl Dram {
     /// scope would have accumulated (absent keys stay absent).
     pub fn stats(&self) -> Stats {
         let mut s = Stats::new();
-        for (key, v) in [
+        s.bump_nonzero(&[
             ("jobs", self.jobs),
             ("job_words", self.job_words),
             ("read_words", self.read_words),
             ("read_words_unique", self.read_words_unique),
             ("write_words", self.write_words),
-        ] {
-            if v > 0 {
-                s.bump_by(key, v);
-            }
-        }
+        ]);
         s
     }
 
     /// Advances one cycle: admits jobs, spends bandwidth round-robin
     /// across active jobs, and returns the outputs whose latency expired
-    /// at cycle `now`.
+    /// at cycle `now`. A convenience over [`tick_into`](Dram::tick_into).
     pub fn tick(&mut self, now: u64) -> Vec<DramOut> {
+        let mut out = Vec::new();
+        self.tick_into(now, &mut out);
+        out
+    }
+
+    /// [`tick`](Dram::tick), appending the expired outputs to a buffer
+    /// the caller owns, so a ticking controller reuses one allocation.
+    pub fn tick_into(&mut self, now: u64, out: &mut Vec<DramOut>) {
         self.bw.refill();
 
         // admit
@@ -354,9 +368,11 @@ impl Dram {
                 let Some(mut job) = self.active.pop_front() else {
                     break;
                 };
-                let (gather, total) = match &job.kind {
-                    JobKind::Read { addrs, gather } => (*gather, addrs.len()),
-                    JobKind::Write { addrs, gather, .. } => (*gather, addrs.len()),
+                let total = job.kind.words();
+                let gather = match &job.kind {
+                    JobKind::Read { gather, .. }
+                    | JobKind::Write { gather, .. }
+                    | JobKind::MeterWrite { gather } => *gather,
                 };
                 let cost = if gather { self.config.gather_cost } else { 1 };
                 // serve a burst of consecutive words for this job while
@@ -407,14 +423,15 @@ impl Dram {
                                 },
                             ));
                         }
-                        JobKind::Write {
-                            addrs,
-                            data,
-                            mode,
-                            apply,
-                            ..
-                        } => {
-                            if *apply {
+                        JobKind::Write { .. } | JobKind::MeterWrite { .. } => {
+                            if let JobKind::Write {
+                                addrs,
+                                data,
+                                mode,
+                                apply: true,
+                                ..
+                            } = &job.kind
+                            {
                                 self.storage.update(addrs[w], data[w], *mode);
                             }
                             self.write_words += 1;
@@ -451,7 +468,6 @@ impl Dram {
         }
 
         // release outputs whose latency expired
-        let mut out = Vec::new();
         while let Some((ready, _)) = self.inflight.front() {
             if *ready <= now {
                 out.push(self.inflight.pop_front().unwrap().1);
@@ -459,7 +475,6 @@ impl Dram {
                 break;
             }
         }
-        out
     }
 }
 
@@ -761,6 +776,103 @@ mod tests {
         let vals = |o: &[DramOut]| o.iter().map(|o| o.value).collect::<Vec<_>>();
         assert_eq!(vals(&clean), vals(&faulty));
         assert_eq!(vals(&faulty), vals(&again));
+    }
+
+    /// A mixed read/write workload with gathers, so the served order
+    /// interleaves jobs and bursts.
+    fn mixed_jobs(d: &mut Dram) {
+        d.storage_mut().load(0, &(0..64).collect::<Vec<i64>>());
+        d.submit(
+            JobKind::Read {
+                addrs: (0..20).collect(),
+                gather: false,
+            },
+            1,
+        )
+        .unwrap();
+        d.submit(
+            JobKind::Read {
+                addrs: vec![5, 9, 5, 40],
+                gather: true,
+            },
+            2,
+        )
+        .unwrap();
+        d.submit(JobKind::MeterWrite { gather: true }, 3).unwrap();
+    }
+
+    #[test]
+    fn tick_into_appends_exactly_what_tick_returns() {
+        let cfg = DramConfig {
+            words: 64,
+            words_per_cycle: 2.0,
+            latency: 3,
+            ..DramConfig::default()
+        };
+        let (mut a, mut b) = (Dram::new(cfg.clone()), Dram::new(cfg));
+        mixed_jobs(&mut a);
+        mixed_jobs(&mut b);
+        // the buffer keeps earlier contents: tick_into only appends
+        let mut buf = vec![DramOut {
+            job: 99,
+            tag: 99,
+            index: 0,
+            value: 0,
+            last: false,
+            is_write_ack: false,
+        }];
+        let mut want = buf.clone();
+        for now in 0..200 {
+            want.extend(a.tick(now));
+            b.tick_into(now, &mut buf);
+            assert_eq!(buf, want, "cycle {now}");
+        }
+        assert!(a.is_idle() && b.is_idle());
+        assert_eq!(a.stats().report(), b.stats().report());
+    }
+
+    #[test]
+    fn meter_write_matches_an_unapplied_one_word_write() {
+        for gather in [false, true] {
+            let run = |kind: JobKind| {
+                let mut d = Dram::new(DramConfig {
+                    words: 64,
+                    words_per_cycle: 1.0,
+                    latency: 4,
+                    ..DramConfig::default()
+                });
+                // a read ahead of the write makes the bandwidth contend
+                d.submit(
+                    JobKind::Read {
+                        addrs: (0..6).collect(),
+                        gather: false,
+                    },
+                    1,
+                )
+                .unwrap();
+                d.submit(kind, 2).unwrap();
+                let mut outs = Vec::new();
+                for now in 0..200 {
+                    outs.extend(d.tick(now).into_iter().map(|o| (now, o)));
+                }
+                assert!(d.is_idle());
+                (outs, d.stats().report(), d.storage().read(7))
+            };
+            let metered = run(JobKind::MeterWrite { gather });
+            let unapplied = run(JobKind::Write {
+                addrs: vec![7],
+                data: vec![70],
+                gather,
+                mode: WriteMode::Overwrite,
+                apply: false,
+            });
+            assert_eq!(metered, unapplied, "gather={gather}");
+            let acks: Vec<_> = metered.0.iter().filter(|(_, o)| o.is_write_ack).collect();
+            assert_eq!(acks.len(), 1);
+            assert!(acks[0].1.last && acks[0].1.tag == 2);
+            assert_eq!(metered.1.get("write_words"), Some(1.0));
+            assert_eq!(metered.2, 0, "a metering write never touches storage");
+        }
     }
 
     #[test]

@@ -62,9 +62,35 @@ impl<P: Clone> Load<P> {
     }
 }
 
+/// A flit's destination set. Unicast flits, the common case, carry
+/// their one destination inline; only a multicast holds a heap list.
+#[derive(Debug, Clone)]
+enum Dsts {
+    One(NodeId),
+    /// Two or more destinations (see [`Dsts::from_vec`]).
+    Many(Vec<NodeId>),
+}
+
+impl Dsts {
+    /// Wraps a duplicate-free list, moving a single destination inline.
+    fn from_vec(v: Vec<NodeId>) -> Self {
+        match v[..] {
+            [d] => Dsts::One(d),
+            _ => Dsts::Many(v),
+        }
+    }
+
+    fn as_slice(&self) -> &[NodeId] {
+        match self {
+            Dsts::One(d) => std::slice::from_ref(d),
+            Dsts::Many(v) => v,
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Flit<P> {
-    dsts: Vec<NodeId>,
+    dsts: Dsts,
     payload: Load<P>,
 }
 
@@ -146,7 +172,13 @@ pub struct Mesh<P> {
     /// Staging area for flits that advanced this cycle, reused across
     /// ticks so the hot loop does not allocate.
     moved: Vec<(NodeId, usize, Flit<P>)>,
-    stats: Stats,
+    /// Traffic counters, bumped per flit or per hop and materialized
+    /// into a [`Stats`] scope on demand (see [`Mesh::stats`]).
+    injected: u64,
+    injected_branches: u64,
+    delivered: u64,
+    flit_hops: u64,
+    stall_cycles: u64,
 }
 
 impl<P: Clone> Mesh<P> {
@@ -178,7 +210,11 @@ impl<P: Clone> Mesh<P> {
             rotate: 0,
             link_used: vec![[false; 5]; n],
             moved: Vec::new(),
-            stats: Stats::new(),
+            injected: 0,
+            injected_branches: 0,
+            delivered: 0,
+            flit_hops: 0,
+            stall_cycles: 0,
         }
     }
 
@@ -206,7 +242,8 @@ impl<P: Clone> Mesh<P> {
 
     /// Injects a flit at `src` destined for every node in `dsts`
     /// (duplicates are ignored; a destination equal to `src` is delivered
-    /// through the local ejection port like any other).
+    /// through the local ejection port like any other). A single
+    /// destination, the common case, allocates nothing.
     ///
     /// # Errors
     ///
@@ -225,13 +262,19 @@ impl<P: Clone> Mesh<P> {
     ) -> Result<(), InjectError<P>> {
         assert!(src < self.nodes(), "source {src} out of range");
         assert!(!dsts.is_empty(), "flit needs at least one destination");
-        let mut d: Vec<NodeId> = dsts.to_vec();
-        d.sort_unstable();
-        d.dedup();
-        for &dst in &d {
+        let d = match *dsts {
+            [one] => Dsts::One(one),
+            _ => {
+                let mut d = dsts.to_vec();
+                d.sort_unstable();
+                d.dedup();
+                Dsts::from_vec(d)
+            }
+        };
+        for &dst in d.as_slice() {
             assert!(dst < self.nodes(), "destination {dst} out of range");
         }
-        let branches = d.len() as u64;
+        let branches = d.as_slice().len() as u64;
         let flit = Flit {
             dsts: d,
             payload: Load::One(payload),
@@ -240,12 +283,12 @@ impl<P: Clone> Mesh<P> {
             Ok(()) => {
                 self.queued += 1;
                 self.node_queued[src] += 1;
-                self.stats.bump("injected");
+                self.injected += 1;
                 // one branch per (deduplicated) destination: the
                 // conservation invariant `delivered == injected_branches`
                 // holds at quiescence because every branch of a
                 // multicast tree ends in exactly one ejection
-                self.stats.bump_by("injected_branches", branches);
+                self.injected_branches += branches;
                 Ok(())
             }
             Err(e) => Err(InjectError(e.0.payload.into_inner())),
@@ -339,9 +382,18 @@ impl<P: Clone> Mesh<P> {
     /// Statistics: `injected` (one per flit), `injected_branches` (one
     /// per deduplicated destination), `delivered`, `flit_hops`,
     /// `stall_cycles`. With every ejection buffer drained,
-    /// `delivered == injected_branches`.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
+    /// `delivered == injected_branches`. Materialized from the integer
+    /// counters.
+    pub fn stats(&self) -> Stats {
+        let mut s = Stats::new();
+        s.bump_nonzero(&[
+            ("injected", self.injected),
+            ("injected_branches", self.injected_branches),
+            ("delivered", self.delivered),
+            ("flit_hops", self.flit_hops),
+            ("stall_cycles", self.stall_cycles),
+        ]);
+        s
     }
 
     fn xy_next(&self, here: NodeId, dst: NodeId) -> Dir {
@@ -401,20 +453,20 @@ impl<P: Clone> Mesh<P> {
 
                 // unicast fast path: one destination means one output
                 // direction, so the flit either claims that link whole
-                // (moving with its destination vector intact) or stalls
-                // in place — no destination grouping, no payload
-                // sharing, no allocation
-                if let [dst] = head.dsts[..] {
+                // (moving with its destination intact) or stalls in
+                // place — no destination grouping, no payload sharing,
+                // no allocation
+                if let Dsts::One(dst) = head.dsts {
                     let dir = self.xy_next(node, dst);
                     let di = dir_index(dir);
                     if self.link_used[node][di] {
-                        self.stats.bump("stall_cycles");
+                        self.stall_cycles += 1;
                         continue;
                     }
                     match dir {
                         Dir::Eject => {
                             if self.eject[node].is_full() {
-                                self.stats.bump("stall_cycles");
+                                self.stall_cycles += 1;
                                 continue;
                             }
                             self.link_used[node][di] = true;
@@ -425,7 +477,7 @@ impl<P: Clone> Mesh<P> {
                                 unreachable!("ejection space was checked");
                             }
                             self.ejected += 1;
-                            self.stats.bump("delivered");
+                            self.delivered += 1;
                         }
                         _ => {
                             let next = self.neighbour(node, dir);
@@ -435,7 +487,7 @@ impl<P: Clone> Mesh<P> {
                                 .filter(|(t, ip, _)| *t == next && *ip == in_port)
                                 .count();
                             if self.queues[next][in_port].free_space() <= pending_here {
-                                self.stats.bump("stall_cycles");
+                                self.stall_cycles += 1;
                                 continue;
                             }
                             self.link_used[node][di] = true;
@@ -443,7 +495,7 @@ impl<P: Clone> Mesh<P> {
                             self.queued -= 1;
                             self.node_queued[node] -= 1;
                             moved.push((next, in_port, flit));
-                            self.stats.bump("flit_hops");
+                            self.flit_hops += 1;
                         }
                     }
                     continue;
@@ -452,7 +504,7 @@ impl<P: Clone> Mesh<P> {
 
                 // group destinations by required output direction
                 let mut groups: [Vec<NodeId>; 5] = Default::default();
-                for &dst in &head.dsts {
+                for &dst in head.dsts.as_slice() {
                     groups[dir_index(self.xy_next(node, dst))].push(dst);
                 }
 
@@ -504,12 +556,12 @@ impl<P: Clone> Mesh<P> {
                     Some(self.queues[node][port].pop().expect("head exists").payload)
                 } else {
                     if sends.is_empty() {
-                        self.stats.bump("stall_cycles");
+                        self.stall_cycles += 1;
                     }
                     self.queues[node][port]
                         .front_mut()
                         .expect("head exists")
-                        .dsts = remaining;
+                        .dsts = Dsts::from_vec(remaining);
                     None
                 };
 
@@ -530,18 +582,20 @@ impl<P: Clone> Mesh<P> {
                                 unreachable!("ejection space was checked");
                             }
                             self.ejected += 1;
-                            self.stats.bump("delivered");
+                            self.delivered += 1;
                         }
                         _ => {
                             moved.push((
                                 self.neighbour(node, dir),
                                 opposite(dir),
                                 Flit {
-                                    dsts: std::mem::take(&mut groups[dir_index(dir)]),
+                                    dsts: Dsts::from_vec(std::mem::take(
+                                        &mut groups[dir_index(dir)],
+                                    )),
                                     payload: load,
                                 },
                             ));
-                            self.stats.bump("flit_hops");
+                            self.flit_hops += 1;
                         }
                     }
                 }
@@ -637,6 +691,52 @@ mod tests {
         drain_all(&mut m, 50);
         assert_eq!(m.eject(1), Some(3));
         assert_eq!(m.eject(1), None);
+    }
+
+    #[test]
+    fn unicast_and_duplicated_unicast_deliver_once() {
+        for dsts in [&[1usize][..], &[1, 1][..]] {
+            let mut m: Mesh<u64> = Mesh::new(2, 1, 4);
+            m.inject(0, dsts, 4).unwrap();
+            assert!(matches!(
+                m.queues[0][INJECT_PORT].front().unwrap().dsts,
+                Dsts::One(1)
+            ));
+            drain_all(&mut m, 50);
+            assert_eq!(m.eject(1), Some(4));
+            assert_eq!(m.eject(1), None, "{dsts:?}");
+            let s = m.stats();
+            assert_eq!(s.counter("injected"), 1);
+            assert_eq!(s.counter("injected_branches"), 1);
+            assert_eq!(s.counter("delivered"), 1);
+        }
+    }
+
+    #[test]
+    fn multicast_narrowed_to_one_destination_delivers_every_branch() {
+        // 2x1, ejection buffers of one: fill node 0's buffer, then
+        // multicast to {0, 1} — the east branch leaves, the local one
+        // stalls on the full buffer and the flit narrows to a unicast
+        let mut m: Mesh<u64> = Mesh::new(2, 1, 1);
+        m.inject(0, &[0], 10).unwrap();
+        m.tick();
+        assert_eq!(m.eject_len(0), 1);
+        m.inject(0, &[1, 0], 20).unwrap();
+        m.tick();
+        let head = m.queues[0][INJECT_PORT]
+            .front()
+            .expect("local branch stalled");
+        assert!(matches!(head.dsts, Dsts::One(0)));
+        m.tick();
+        assert_eq!(m.eject(0), Some(10));
+        drain_all(&mut m, 50);
+        assert_eq!(m.eject(0), Some(20));
+        assert_eq!(m.eject(1), Some(20));
+        assert!(!m.eject_pending());
+        let s = m.stats();
+        assert_eq!(s.counter("injected_branches"), 3);
+        assert_eq!(s.counter("delivered"), 3);
+        assert!(s.counter("stall_cycles") > 0);
     }
 
     #[test]

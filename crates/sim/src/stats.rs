@@ -116,9 +116,11 @@ impl fmt::Display for Report {
 
 /// A live statistics scope owned by one component during simulation.
 ///
-/// `Stats` is cheap to bump during the hot loop (a move-to-front entry
-/// per counter name, interned on first use) and is converted into a
-/// [`Report`] at the end of the run.
+/// `Stats` is cheap to bump during the hot loop (a short linear scan
+/// over counter names, interned on first use) and is converted into a
+/// [`Report`] at the end of the run. Counters a component bumps every
+/// cycle or every hop belong in plain integer fields, added at report
+/// time with [`bump_nonzero`](Stats::bump_nonzero).
 ///
 /// # Examples
 ///
@@ -135,9 +137,9 @@ impl fmt::Display for Report {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Stats {
-    /// Move-to-front list: components bump a handful of distinct keys,
-    /// with one or two (cycle counters) bumped every cycle, so a short
-    /// adaptive linear scan beats a map lookup in the hot loop.
+    /// Insertion-ordered list: components bump a handful of distinct
+    /// keys, so a short linear scan beats a map lookup. Reports sort
+    /// keys, so the order is never observable.
     counters: Vec<(String, u64)>,
     histograms: BTreeMap<String, Histogram>,
 }
@@ -156,13 +158,19 @@ impl Stats {
     /// Increments a counter by `n`.
     pub fn bump_by(&mut self, key: &str, n: u64) {
         match self.counters.iter().position(|(k, _)| k == key) {
-            Some(i) => {
-                self.counters[i].1 += n;
-                if i > 0 {
-                    self.counters.swap(i, i - 1);
-                }
-            }
+            Some(i) => self.counters[i].1 += n,
             None => self.counters.push((key.to_owned(), n)),
+        }
+    }
+
+    /// Adds counters a component kept as plain integers. Zeros are
+    /// skipped, so the scope holds exactly the keys per-event bumps
+    /// would have left (absent keys stay absent).
+    pub fn bump_nonzero(&mut self, counters: &[(&str, u64)]) {
+        for &(key, n) in counters {
+            if n > 0 {
+                self.bump_by(key, n);
+            }
         }
     }
 
