@@ -9,13 +9,14 @@
 
 use crate::faults::FaultsConfig;
 use crate::tenancy::TenancyConfig;
+use std::hash::{Hash, Hasher};
 use taskstream_model::Policy;
 use ts_cgra::FabricConfig;
 use ts_mem::DramConfig;
 
 /// The three TaskStream mechanisms, individually toggleable (the
 /// ablation axes of the evaluation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Features {
     /// Work-aware load balancing (vs. the configured fallback policy).
     pub work_aware: bool,
@@ -295,6 +296,74 @@ impl DeltaConfig {
         assert!(w * h >= self.tiles + self.mem_ctrls, "mesh too small");
         self.faults.validate();
         self.tenancy.validate(self.tiles);
+    }
+}
+
+/// Hashes every field, each rate by its bits: the result cache keys a
+/// run by this hash. Destructured without `..`, so a new field does not
+/// compile until it is hashed here.
+impl Hash for DeltaConfig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let DeltaConfig {
+            tiles,
+            mem_ctrls,
+            fabric,
+            spad_words,
+            spad_bw,
+            dram,
+            noc_queue,
+            tile_queue,
+            out_buf,
+            engine_rate,
+            dispatch_per_cycle,
+            dispatch_window,
+            spawn_latency,
+            host_latency,
+            task_start_overhead,
+            mem_req_latency,
+            mcast_batch_window,
+            prefetch_depth,
+            policy,
+            features,
+            work_stealing,
+            trace,
+            faults,
+            tenancy,
+            seed,
+            max_cycles,
+            stall_limit,
+        } = self;
+        (
+            tiles,
+            mem_ctrls,
+            fabric,
+            spad_words,
+            spad_bw.to_bits(),
+            dram,
+            noc_queue,
+            tile_queue,
+            out_buf,
+            engine_rate.to_bits(),
+            dispatch_per_cycle,
+            dispatch_window,
+        )
+            .hash(state);
+        (
+            spawn_latency,
+            host_latency,
+            task_start_overhead,
+            mem_req_latency,
+            mcast_batch_window,
+            prefetch_depth,
+            policy,
+            features,
+            work_stealing,
+            trace,
+            faults,
+            tenancy,
+        )
+            .hash(state);
+        (seed, max_cycles, stall_limit).hash(state);
     }
 }
 

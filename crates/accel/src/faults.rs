@@ -30,6 +30,7 @@
 //! reports are byte-identical to a build without it.
 
 use crate::counters::counter_table;
+use std::hash::{Hash, Hasher};
 
 /// Fault-injection knobs and the recovery policy, carried by
 /// `DeltaConfig::faults`. The default ([`FaultsConfig::none`]) injects
@@ -160,6 +161,42 @@ impl FaultsConfig {
                 "backoff cap below base"
             );
         }
+    }
+}
+
+/// Hashes every field, each rate by its bits. Destructured without
+/// `..`, so a new field does not compile until it is hashed here.
+impl Hash for FaultsConfig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let FaultsConfig {
+            tile_fail_rate,
+            tile_fail_window,
+            tile_stall_rate,
+            tile_stall_cycles,
+            tile_stall_epoch,
+            noc_drop_rate,
+            noc_victim_node,
+            dram_retry_rate,
+            dram_retry_cycles,
+            recovery,
+            watchdog_timeout,
+            backoff_base,
+            backoff_cap,
+        } = self;
+        (
+            tile_fail_rate.to_bits(),
+            tile_fail_window,
+            tile_stall_rate.to_bits(),
+            tile_stall_cycles,
+            tile_stall_epoch,
+            noc_drop_rate.to_bits(),
+            noc_victim_node,
+            dram_retry_rate.to_bits(),
+            dram_retry_cycles,
+            recovery,
+        )
+            .hash(state);
+        (watchdog_timeout, backoff_base, backoff_cap).hash(state);
     }
 }
 

@@ -51,7 +51,7 @@ pub fn base_affinity(affinity: u64) -> u64 {
 }
 
 /// One tenant's offered load, as the admission path sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TenantSpec {
     /// Minimum cycles between consecutive task admissions for this
     /// tenant (0 = no pacing; tasks become admissible as soon as their
@@ -74,7 +74,7 @@ impl TenantSpec {
 }
 
 /// How tenants share the tile fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartitionPolicy {
     /// All tenants place and steal across the whole fabric.
     Shared,
@@ -86,7 +86,7 @@ pub enum PartitionPolicy {
 }
 
 /// What happens when a tenant reaches its in-flight cap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DrainPolicy {
     /// Hold further admissions until in-flight drops below the cap.
     Block,
@@ -99,10 +99,9 @@ pub enum DrainPolicy {
 
 /// Co-residency configuration threaded through the dispatcher.
 ///
-/// `Debug` output feeds the persistent result-cache key (the bench
-/// harness hashes `cfg={:?}`), so every field here automatically
+/// `Hash` feeds the persistent result-cache key, so every field here
 /// invalidates cached sweeps when it changes.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct TenancyConfig {
     /// Co-resident tenants; empty means one implicit, unpaced tenant
     /// with no per-tenant report keys.

@@ -10,18 +10,24 @@
 //! **Key** = SHA-256 over a canonical description of everything the
 //! result depends on:
 //!
-//! * the run mode (validated vs fault-injected) and program
-//!   formulation (task-parallel vs static baseline);
-//! * the workload's *content*: the `Debug` form of its task types and
-//!   initial task graph plus the full initial memory image, hashed from
-//!   a freshly built program. Two workloads produce the same hash iff
+//! * a key-format tag, the run mode (validated vs fault-injected) and
+//!   the program formulation (task-parallel vs static baseline);
+//! * the workload's *content*: a 64-bit structural hash of a freshly
+//!   built program — its task types (every DFG kernel's whole graph,
+//!   constants included), full initial memory image, initial tasks
+//!   (every binding and stream descriptor) and pipe declarations, all
+//!   through their `Hash` impls. Two workloads produce the same hash iff
 //!   they hand the accelerator the same program, so scale/seed/grain
 //!   parameters are captured without per-workload code;
-//! * the full `Debug` form of the [`DeltaConfig`];
+//! * the [`DeltaConfig`]'s byte encoding: its `Hash` impl destructures
+//!   every field (rates by their bits), so a new field is a compile
+//!   error until it joins the key;
 //! * a code-version salt: a 64-bit hash of the running executable's
-//!   bytes, so a rebuilt simulator never reads stale entries. Tests
-//!   and benchmarking override it via `TS_CACHE_SALT` when they *want*
-//!   cross-binary sharing or a forced miss.
+//!   bytes, so a rebuilt simulator never reads stale entries (and a
+//!   native kernel, which the program hash knows only by name, never
+//!   changes behind its key). Tests and benchmarking override it via
+//!   `TS_CACHE_SALT` when they *want* cross-binary sharing or a forced
+//!   miss.
 //!
 //! **Value** = the full [`RunReport`] (or the wedged outcome of a
 //! fault run) as a compact binary entry (layout on `encode`): a magic
@@ -44,8 +50,8 @@
 
 use crate::FaultOutcome;
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 use std::fs;
+use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -213,7 +219,9 @@ pub fn clear() -> Result<u64, String> {
 /// code-version salt and the entry checksum. Each step is a bijection
 /// of the running state for a fixed word and of the word for a fixed
 /// state, so a change confined to one word (in particular any
-/// single-byte flip) always changes the result.
+/// single-byte flip) always changes the result. As a [`Hasher`] it
+/// takes the model types' `Hash` impls, which is how a program is
+/// hashed by its structure.
 struct Hash64(u64);
 
 impl Hash64 {
@@ -221,109 +229,134 @@ impl Hash64 {
         Hash64(0xcbf2_9ce4_8422_2325)
     }
 
-    fn write_u64(&mut self, w: u64) {
+    fn mix(&mut self, w: u64) {
         self.0 = (self.0 ^ w)
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .rotate_left(29);
     }
+}
 
-    /// Hashes `bytes` eight at a time, zero-padding the last word. Not
-    /// self-delimiting: variable-length input goes through
-    /// [`Hash64::write_str`] or is framed by the caller.
+impl Hasher for Hash64 {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// Hashes the length, then `bytes` eight at a time, zero-padding
+    /// the last word. The length keeps `"ab"+"c"` apart from `"a"+"bc"`
+    /// and a short tail apart from the same tail with zero bytes added.
     fn write(&mut self, bytes: &[u8]) {
+        self.mix(bytes.len() as u64);
         let mut chunks = bytes.chunks_exact(8);
         for c in &mut chunks {
-            self.write_u64(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+            self.mix(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
         }
         let rest = chunks.remainder();
         if !rest.is_empty() {
             let mut tail = [0u8; 8];
             tail[..rest.len()].copy_from_slice(rest);
-            self.write_u64(u64::from_le_bytes(tail));
+            self.mix(u64::from_le_bytes(tail));
         }
     }
 
-    /// Length-prefixed, so `"ab"+"c"` and `"a"+"bc"` differ.
-    fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.write(s.as_bytes());
+    fn write_u8(&mut self, n: u8) {
+        self.mix(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+}
+
+/// The bytes a value's `Hash` impl feeds it: integers as little-endian
+/// words of their own width (`usize` as 8 bytes), byte strings
+/// length-prefixed. The key canon is these bytes, so two configs share
+/// a key only if they encode the same.
+struct Canon(Vec<u8>);
+
+impl Hasher for Canon {
+    /// A digest of the bytes so far; the key reads the bytes.
+    fn finish(&self) -> u64 {
+        checksum(&self.0)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_u64(bytes.len() as u64);
+        self.0.extend_from_slice(bytes);
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.0.push(n);
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0.extend_from_slice(&n.to_le_bytes());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0.extend_from_slice(&n.to_le_bytes());
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
     }
 }
 
 /// Code-version salt: a [`Hash64`] of the running executable's bytes,
 /// so a rebuilt binary addresses a fresh slice of the cache.
 /// `TS_CACHE_SALT` overrides it (tests force hits across binaries /
-/// misses within one).
-fn exe_salt() -> u64 {
+/// misses within one). Computed once per process; [`crate::run_jobs`]
+/// computes it on the pool next to the program fingerprints, so no
+/// job's key waits for it.
+pub(crate) fn current_salt() -> u64 {
     static SALT: OnceLock<u64> = OnceLock::new();
     *SALT.get_or_init(|| {
         let mut h = Hash64::new();
         match std::env::var("TS_CACHE_SALT") {
-            Ok(s) => h.write_str(&s),
+            Ok(s) => s.hash(&mut h),
             Err(_) => h.write(
                 &std::env::current_exe()
                     .and_then(fs::read)
                     .unwrap_or_default(),
             ),
         }
-        h.0
+        h.finish()
     })
 }
 
 /// Content hash of the program a workload hands the accelerator: name,
 /// task types, full initial memory image, and the initial task graph
-/// (instances + pipes). The simulation result is a pure function of
-/// (config, program), so this — not the workload's parameters — is the
-/// workload's cache identity; any knob that changes the program
-/// (scale, seed, grain, element count) changes the hash by
-/// construction, and program *code* differences are covered by the
-/// executable salt.
+/// (instances + pipes), each hashed by its structure. The simulation
+/// result is a pure function of (config, program), so this — not the
+/// workload's parameters — is the workload's cache identity; any knob
+/// that changes the program (scale, seed, grain, element count, a DFG
+/// constant) changes the hash by construction, and program *code*
+/// differences are covered by the executable salt.
 pub(crate) fn program_fingerprint(wl: &dyn Workload, baseline: bool) -> u64 {
     let mut program: Box<dyn Program> = if baseline {
         wl.make_baseline_program()
     } else {
         wl.make_program()
     };
-    let mut h = Hash64::new();
-    // One buffer for every `Debug` form: a program has thousands.
-    let mut text = String::new();
-    let mut write_debug = |h: &mut Hash64, v: &dyn std::fmt::Debug| {
-        text.clear();
-        write!(text, "{v:?}").expect("formatting into a String");
-        h.write_str(&text);
-    };
-    h.write_str(wl.name());
-    h.write_str(program.name());
-    for tt in program.task_types() {
-        write_debug(&mut h, &tt);
-    }
+    let types = program.task_types();
     let image = program.memory_image();
-    for (tag, segments) in [(b'd', &image.dram), (b's', &image.spad)] {
-        for (base, words) in segments {
-            h.write_u64(u64::from(tag));
-            h.write_u64(*base);
-            h.write_u64(words.len() as u64);
-            for w in words {
-                h.write_u64(*w as u64);
-            }
-        }
-    }
     let mut spawner = Spawner::new(0);
     program.initial(&mut spawner);
-    let (tasks, pipes) = spawner.take();
-    h.write_u64(tasks.len() as u64);
-    for t in &tasks {
-        write_debug(&mut h, t);
-    }
-    for p in &pipes {
-        write_debug(&mut h, p);
-    }
-    h.0
+    let mut h = Hash64::new();
+    (wl.name(), program.name(), types, image, spawner.take()).hash(&mut h);
+    h.finish()
 }
 
 /// Computes the content-addressed key for one run of `wl` on `cfg`.
 pub fn key(wl: &dyn Workload, cfg: &DeltaConfig, baseline: bool, faulted: bool) -> String {
-    key_with_salt(wl, cfg, baseline, faulted, exe_salt())
+    key_with_salt(wl, cfg, baseline, faulted, current_salt())
 }
 
 /// As [`key`] but with an explicit code-version salt instead of the
@@ -345,10 +378,15 @@ pub fn key_with_salt(
     )
 }
 
+/// Version of the key canon; bumping it re-addresses every entry.
+const KEY_FORMAT: u8 = 4;
+
 /// The key for a run whose program fingerprint is already known — the
 /// sweep runner computes each distinct workload's fingerprint once and
 /// reuses it across every design point of that workload, since
-/// building the program to hash it costs more than a warm hit.
+/// building the program to hash it costs more than a warm hit. The key
+/// is SHA-256 over the binary canon: format tag, mode, formulation,
+/// fingerprint, the config's bytes and the salt.
 pub(crate) fn key_from_fingerprint(
     fingerprint: u64,
     cfg: &DeltaConfig,
@@ -356,25 +394,16 @@ pub(crate) fn key_from_fingerprint(
     faulted: bool,
     salt: u64,
 ) -> String {
-    let canon = format!(
-        "format=3\nmode={}\nbaseline={}\nprogram={fingerprint:016x}\ncfg={:?}\nsalt={salt:016x}\n",
-        if faulted { "faulted" } else { "validated" },
-        baseline as u8,
-        cfg,
-    );
-    sha256_hex(canon.as_bytes())
-}
-
-/// The process-wide code-version salt (see [`key`]); exposed so the
-/// sweep runner can pair it with memoized fingerprints.
-pub(crate) fn current_salt() -> u64 {
-    exe_salt()
+    let mut canon = Canon(Vec::with_capacity(512));
+    (KEY_FORMAT, faulted, baseline, fingerprint, cfg, salt).hash(&mut canon);
+    sha256_hex(&canon.0)
 }
 
 // ------------------------------------------------------------------ codec
 
-/// First bytes of every entry. The trailing digit is the entry format,
-/// the same number as the key canon's `format=` field.
+/// First bytes of every entry. The trailing digit is the entry
+/// format, versioned apart from the key canon's [`KEY_FORMAT`]: the
+/// layout below outlived the key's move to a binary canon.
 const MAGIC: &[u8; 8] = b"tscache3";
 
 /// Header: [`MAGIC`], then the body's length and [`checksum`] as
@@ -388,9 +417,8 @@ const KIND_WEDGED: u8 = 1;
 /// so any single-byte flip is caught.
 fn checksum(body: &[u8]) -> u64 {
     let mut h = Hash64::new();
-    h.write_u64(body.len() as u64);
     h.write(body);
-    h.0
+    h.finish()
 }
 
 /// Serializes a run outcome to the on-disk entry format:

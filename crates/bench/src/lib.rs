@@ -197,26 +197,36 @@ impl SweepJob {
     }
 }
 
-/// Program fingerprints by [`fingerprint_id`], for the jobs of one sweep.
-type Fingerprints = HashMap<(usize, bool), u64>;
+/// What a sweep's cache keys are made of besides each job's own config:
+/// the program fingerprints by [`fingerprint_id`] and the code-version
+/// salt.
+struct KeyInputs {
+    fingerprints: HashMap<(usize, bool), u64>,
+    salt: u64,
+}
 
-/// A job's cache key, from the sweep's precomputed fingerprints.
-fn job_key(j: &SweepJob, fingerprints: &Fingerprints) -> String {
-    let fp = fingerprints
-        .get(&fingerprint_id(j))
-        .copied()
-        .unwrap_or_else(|| cache::program_fingerprint(j.wl.as_ref(), j.baseline));
-    cache::key_from_fingerprint(fp, &j.cfg, j.baseline, j.faulted, cache::current_salt())
+/// A job's cache key, from the sweep's precomputed inputs.
+fn job_key(j: &SweepJob, inputs: &KeyInputs) -> String {
+    cache::key_from_fingerprint(
+        inputs.fingerprints[&fingerprint_id(j)],
+        &j.cfg,
+        j.baseline,
+        j.faulted,
+        inputs.salt,
+    )
 }
 
 /// Executes one flattened sweep job, consulting the persistent result
-/// cache when it is enabled (and the run is untraced): hash the config
-/// and program content, return the disk entry on a hit, otherwise
-/// simulate and persist. A cache hit carries the original simulation's
-/// full [`RunReport`], profile counters included, so `--profile` and
-/// the bench JSON sum the same counters warm or cold.
-fn run_sweep_job(j: &SweepJob, fingerprints: &Fingerprints) -> FaultOutcome {
-    let key = (cache::is_enabled() && !j.cfg.trace).then(|| job_key(j, fingerprints));
+/// cache when the sweep has key inputs (the cache is on) and the run is
+/// untraced: hash the config and program content, return the disk
+/// entry on a hit, otherwise simulate and persist. A cache hit carries
+/// the original simulation's full [`RunReport`], profile counters
+/// included, so `--profile` and the bench JSON sum the same counters
+/// warm or cold.
+fn run_sweep_job(j: &SweepJob, inputs: Option<&KeyInputs>) -> FaultOutcome {
+    let key = inputs
+        .filter(|_| !j.cfg.trace)
+        .map(|inputs| job_key(j, inputs));
     if let Some(out) = key.as_deref().and_then(|k| cache::load(k, j.faulted)) {
         return out;
     }
@@ -246,38 +256,46 @@ fn run_sweep_job(j: &SweepJob, fingerprints: &Fingerprints) -> FaultOutcome {
 /// order-preserving collect keeps outcome `i` paired with job `i`
 /// regardless of which worker ran it.
 pub fn run_jobs(jobs: &[SweepJob]) -> Vec<FaultOutcome> {
-    let fingerprints = if cache::is_enabled() {
-        fingerprints(jobs)
-    } else {
-        Fingerprints::new()
-    };
+    let inputs = cache::is_enabled().then(|| key_inputs(jobs));
     jobs.par_iter()
-        .map(|j| run_sweep_job(j, &fingerprints))
+        .map(|j| run_sweep_job(j, inputs.as_ref()))
         .collect()
 }
 
 /// Builds and hashes each distinct program of a sweep once, in
-/// parallel on the pool. A sweep reuses each workload across many
-/// design points (every `Arc` appears in dozens of jobs), but the
+/// parallel on the pool, and hashes the executable for the salt as one
+/// more task of the same batch. A sweep reuses each workload across
+/// many design points (every `Arc` appears in dozens of jobs), but the
 /// program fingerprint behind the cache key depends only on (workload,
 /// formulation), so hashing once per program instead of once per job
 /// is what keeps a warm cache hit cheaper than the tiny-scale
 /// simulation it replaces.
-fn fingerprints(jobs: &[SweepJob]) -> Fingerprints {
+fn key_inputs(jobs: &[SweepJob]) -> KeyInputs {
     let mut seen = HashSet::new();
     let distinct: Vec<&SweepJob> = jobs
         .iter()
         .filter(|j| seen.insert(fingerprint_id(j)))
         .collect();
-    let fps: Vec<u64> = distinct
-        .par_iter()
-        .map(|j| cache::program_fingerprint(j.wl.as_ref(), j.baseline))
+    // The salt goes first: it is the batch's longest task, and the
+    // pool hands out a batch in order.
+    let tasks: Vec<Option<&SweepJob>> = std::iter::once(None)
+        .chain(distinct.iter().copied().map(Some))
         .collect();
-    distinct
-        .iter()
-        .map(|j| fingerprint_id(j))
-        .zip(fps)
-        .collect()
+    let hashes: Vec<u64> = tasks
+        .par_iter()
+        .map(|task| match task {
+            None => cache::current_salt(),
+            Some(j) => cache::program_fingerprint(j.wl.as_ref(), j.baseline),
+        })
+        .collect();
+    KeyInputs {
+        fingerprints: distinct
+            .iter()
+            .map(|j| fingerprint_id(j))
+            .zip(hashes[1..].iter().copied())
+            .collect(),
+        salt: hashes[0],
+    }
 }
 
 /// Memo key for a job's program fingerprint: the workload's `Arc`
@@ -299,9 +317,9 @@ mod tests {
     use super::*;
     use ts_workloads::Scale;
 
-    /// The pool-computed fingerprints give every job of a tiny sweep the
-    /// same program fingerprint and cache key as computing each job on
-    /// its own.
+    /// The pool-computed fingerprints and salt give every job of a tiny
+    /// sweep the same program fingerprint and cache key as computing
+    /// each job on its own.
     #[test]
     fn pool_fingerprints_match_serial_ones() {
         rayon::ThreadPoolBuilder::new()
@@ -312,19 +330,20 @@ mod tests {
             .iter()
             .flat_map(|id| experiments::plan(id, Scale::Tiny).jobs)
             .collect();
-        let fps = fingerprints(&jobs);
+        let inputs = key_inputs(&jobs);
         rayon::ThreadPoolBuilder::new()
             .build_global()
             .expect("pool width");
+        assert_eq!(inputs.salt, cache::current_salt());
         for j in &jobs {
             assert_eq!(
-                fps[&fingerprint_id(j)],
+                inputs.fingerprints[&fingerprint_id(j)],
                 cache::program_fingerprint(j.wl.as_ref(), j.baseline),
                 "{}",
                 j.wl.name()
             );
             assert_eq!(
-                job_key(j, &fps),
+                job_key(j, &inputs),
                 cache::key(j.wl.as_ref(), &j.cfg, j.baseline, j.faulted),
                 "{}",
                 j.wl.name()

@@ -2,6 +2,7 @@
 
 use crate::Value;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use ts_dfg::Dfg;
 
@@ -67,6 +68,26 @@ impl fmt::Debug for TaskKernel {
     }
 }
 
+/// Hashes what the kernel computes, so a content hash of a program sees
+/// every kernel difference: a DFG kernel hashes its whole graph (name,
+/// every node's op and operands, its ports), a native kernel its name.
+/// Native kernels are code, not data (see [`NativeKernel`]), so the
+/// name is all of their identity a value can carry.
+impl Hash for TaskKernel {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            TaskKernel::Dfg(dfg) => {
+                state.write_u8(0);
+                dfg.hash(state);
+            }
+            TaskKernel::Native(native) => {
+                state.write_u8(1);
+                native.name().hash(state);
+            }
+        }
+    }
+}
+
 /// Functional + timing outcome of running a native kernel once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NativeOutcome {
@@ -83,6 +104,10 @@ pub struct NativeOutcome {
 /// Implementations must be deterministic: `run` is called exactly once
 /// per task instance, at dispatch, and both the functional result and
 /// the cycle cost must depend only on `params` and `inputs`.
+///
+/// A kernel's name is its identity in program hashes, so an
+/// implementation carries no configuration of its own: anything that
+/// varies between tasks travels in `params`.
 pub trait NativeKernel: Send + Sync {
     /// Kernel name (for reports).
     fn name(&self) -> &str;

@@ -14,7 +14,7 @@ use crate::Value;
 use ts_stream::Addr;
 
 /// Initial memory contents for a run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Hash)]
 pub struct MemoryImage {
     /// `(base, words)` segments loaded into DRAM before the run.
     pub dram: Vec<(Addr, Vec<Value>)>,
@@ -62,7 +62,7 @@ impl MemoryImage {
 }
 
 /// A pipe declaration: a pipelined inter-task dependence edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PipeDecl {
     /// The pipe's identity (referenced by task bindings).
     pub id: PipeId,

@@ -4,7 +4,7 @@ use crate::task::TaskInstance;
 use ts_sim::rng::SimRng;
 
 /// The placement policy the dispatcher runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
     /// TaskStream's work-aware balancing: place on the tile with the
     /// least outstanding *estimated work* (sum of work hints of queued

@@ -32,7 +32,7 @@ impl fmt::Display for TaskId {
 
 /// A task type: a reconfigurable-fabric configuration (kernel) shared by
 /// many task instances.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct TaskType {
     /// Human-readable name.
     pub name: String,
@@ -51,7 +51,7 @@ impl TaskType {
 }
 
 /// How one input port of a task instance is fed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub enum InputBinding {
     /// A private stream (memory, literal, or generated).
     Stream(StreamDesc),
@@ -81,7 +81,7 @@ impl InputBinding {
 }
 
 /// Where one output port of a task instance goes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub enum OutputBinding {
     /// Write through a stream descriptor (addresses from the
     /// descriptor, values from the port, in emission order).
@@ -129,7 +129,7 @@ pub enum OutputBinding {
 ///     .affinity(3);
 /// assert_eq!(t.work_hint, 16); // defaults to total input elements
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct TaskInstance {
     /// The task's type (indexes the program's type table).
     pub ty: TaskTypeId,

@@ -45,7 +45,7 @@ pub enum OutputMode {
 }
 
 /// One output port: which node feeds it and when it emits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OutputSpec {
     /// Node whose value is emitted.
     pub node: NodeId,
@@ -103,7 +103,7 @@ impl fmt::Display for DfgError {
 
 impl std::error::Error for DfgError {}
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub(crate) struct Node {
     pub(crate) op: Op,
     pub(crate) operands: Vec<NodeId>,
@@ -114,7 +114,11 @@ pub(crate) struct Node {
 /// Construct via [`DfgBuilder`]. Once built, a `Dfg` is shared freely
 /// (it is cheap to clone and internally immutable) between the
 /// interpreter, the CGRA mapper and the task model.
-#[derive(Debug, Clone)]
+///
+/// `Hash` covers the whole structure — name, every node's op (constants
+/// included) and operands, the ports — so a result cache keyed on it
+/// tells apart two kernels that differ in a single constant.
+#[derive(Debug, Clone, Hash)]
 pub struct Dfg {
     name: String,
     nodes: Vec<Node>,

@@ -3,6 +3,7 @@
 use crate::storage::Storage;
 use crate::{Addr, Value};
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 use ts_sim::stats::Stats;
 use ts_sim::TokenBucket;
 
@@ -41,6 +42,30 @@ impl Default for DramConfig {
             max_active_jobs: 16,
             burst_words: 8,
         }
+    }
+}
+
+/// Hashes every field, the bandwidth by its bits. Destructured without
+/// `..`, so a new field does not compile until it is hashed here.
+impl Hash for DramConfig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let DramConfig {
+            words,
+            words_per_cycle,
+            latency,
+            gather_cost,
+            max_active_jobs,
+            burst_words,
+        } = self;
+        (
+            words,
+            words_per_cycle.to_bits(),
+            latency,
+            gather_cost,
+            max_active_jobs,
+            burst_words,
+        )
+            .hash(state);
     }
 }
 

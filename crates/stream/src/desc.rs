@@ -18,7 +18,7 @@ pub enum DataSrc {
 /// This is the unit of data-movement description the task model attaches
 /// to task arguments. Descriptors are cheap to clone ([`StreamDesc::Literal`]
 /// shares its payload via [`Arc`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum StreamDesc {
     /// Affine pattern over a memory space.
     Affine {

@@ -180,19 +180,29 @@ pub fn streams_suite(scale: Scale, seed: u64) -> Vec<Box<dyn Workload>> {
 }
 
 /// Renders everything a [`Program`] tells the accelerator — name, task
-/// types, memory image, initial tasks and pipe declarations — as one
-/// comparable string. The differential tests use it to prove a
-/// GraphSpec-compiled program is byte-identical to the hand-assembled
-/// original it re-expresses.
+/// types with each DFG kernel's whole graph, memory image, initial
+/// tasks and pipe declarations — as one comparable string. The
+/// differential tests use it to prove a GraphSpec-compiled program is
+/// byte-identical to the hand-assembled original it re-expresses.
 #[cfg(test)]
 pub(crate) fn program_signature(p: &mut dyn Program) -> String {
+    use taskstream_model::TaskKernel;
     let mut s = taskstream_model::Spawner::new(0);
     p.initial(&mut s);
     let (tasks, pipes) = s.take();
+    let types = p.task_types();
+    // `TaskKernel`'s `Debug` names a DFG; its DOT form spells out the graph.
+    let kernels: String = types
+        .iter()
+        .filter_map(|t| match &t.kernel {
+            TaskKernel::Dfg(dfg) => Some(dfg.to_dot()),
+            TaskKernel::Native(_) => None,
+        })
+        .collect();
     format!(
-        "name: {}\ntypes: {:#?}\nmemory: {:#?}\ntasks: {:#?}\npipes: {:#?}",
+        "name: {}\ntypes: {:#?}\nkernels:\n{kernels}memory: {:#?}\ntasks: {:#?}\npipes: {:#?}",
         p.name(),
-        p.task_types(),
+        types,
         p.memory_image(),
         tasks,
         pipes
