@@ -9,7 +9,10 @@ use crate::faults::{FaultReport, FaultSchedule, FlitFault};
 use crate::memctrl::{MemCtrl, ReadReq};
 use crate::msg::Msg;
 use crate::pipes::{PipeMode, PipeTable};
-use crate::report::{stretch_bucket, RunReport, SimProfile};
+use crate::report::{
+    stretch_bucket, DispatchCounters, RunCounters, RunReport, SimProfile, TenantCounters,
+    TileCounters,
+};
 use crate::tenancy::{self, DrainPolicy, PartitionPolicy};
 use crate::trace::{TraceEvent, TraceSink};
 use std::collections::VecDeque;
@@ -22,7 +25,6 @@ use taskstream_model::{
 use ts_cgra::{Fabric, KernelTiming, MapError};
 use ts_dfg::interp;
 use ts_noc::Mesh;
-use ts_sim::stats::{Report, Stats};
 use ts_sim::{Activity, FxHashMap};
 use ts_stream::{Addr, DataSrc, StreamDesc};
 
@@ -177,7 +179,7 @@ struct RunState {
     next_task: u64,
     next_job: u64,
     next_pipe: u64,
-    stats: Stats,
+    dispatch: DispatchCounters,
     tasks_completed: u64,
     last_progress: u64,
     timeline: Vec<(u64, u32)>,
@@ -252,13 +254,9 @@ struct TenancyState {
     /// Spawn cycle of every live task, for completion latency. Filled
     /// only when tenancy is active, like the latencies it feeds.
     spawn_cycle: FxHashMap<TaskId, u64>,
-    /// Tasks admitted past the gate, per tenant.
-    admitted: Vec<u64>,
-    /// Tasks completed, per tenant.
-    completed: Vec<u64>,
-    /// Admission-gate holds (a task arriving while its tenant is
-    /// capped), per tenant.
-    gate_holds: Vec<u64>,
+    /// Admission, completion and gate-hold tallies per tenant; the
+    /// latency fields are filled in from `latencies` at report time.
+    counters: Vec<TenantCounters>,
     /// Spawn-to-completion latency of every finished task, per tenant.
     latencies: Vec<Vec<u64>>,
 }
@@ -273,9 +271,7 @@ impl TenancyState {
             next_arrival: vec![0; n],
             draining: vec![false; n],
             spawn_cycle: FxHashMap::default(),
-            admitted: vec![0; n],
-            completed: vec![0; n],
-            gate_holds: vec![0; n],
+            counters: vec![TenantCounters::default(); n],
             latencies: vec![Vec::new(); n],
         }
     }
@@ -398,7 +394,7 @@ impl RunState {
             next_task: 0,
             next_job: 0,
             next_pipe: 0,
-            stats: Stats::new(),
+            dispatch: DispatchCounters::default(),
             tasks_completed: 0,
             last_progress: 0,
             timeline: Vec::new(),
@@ -490,7 +486,7 @@ impl RunState {
                     );
                 }
             }
-            self.stats.bump("tasks_spawned");
+            self.dispatch.tasks_spawned += 1;
             // per-tenant admission with arrival pacing: the tenant comes
             // from the affinity tag, and consecutive arrivals are spaced
             // at least `arrival_period` apart, so each tenant's queue
@@ -554,7 +550,7 @@ impl RunState {
                 // anything waits at the gate, later arrivals queue
                 // behind it even if the gate momentarily re-opened
                 if ten.gated(t, limit, drain) || !ten.held[t].is_empty() {
-                    ten.gate_holds[t] += 1;
+                    ten.counters[t].gate_holds += 1;
                     if drain == DrainPolicy::Drain && ten.inflight[t] >= limit {
                         ten.draining[t] = true;
                     }
@@ -562,7 +558,7 @@ impl RunState {
                     continue;
                 }
                 ten.inflight[t] += 1;
-                ten.admitted[t] += 1;
+                ten.counters[t].admitted += 1;
                 self.trace
                     .emit(self.now, TraceEvent::TaskReady { task: p.id.0 });
                 self.pending.push_back(p);
@@ -585,7 +581,7 @@ impl RunState {
         while !ten.held[t].is_empty() && !ten.gated(t, limit, drain) {
             let p = ten.held[t].pop_front().expect("nonempty");
             ten.inflight[t] += 1;
-            ten.admitted[t] += 1;
+            ten.counters[t].admitted += 1;
             self.trace
                 .emit(self.now, TraceEvent::TaskReady { task: p.id.0 });
             self.pending.push_back(p);
@@ -786,7 +782,7 @@ impl RunState {
                     // paths so the fast-path equivalence is untouched
                     if let Some(fs) = &self.fsched {
                         if !tile.is_idle() && fs.tile_down(t, self.now) {
-                            tile.stats.bump("fault_down_cycles");
+                            tile.counters.fault_down_cycles += 1;
                             if !fs.tile_failed(t, self.now) {
                                 // transient stall: trace once per window
                                 let epoch = fs.stall_epoch(self.now) + 1;
@@ -896,7 +892,7 @@ impl RunState {
             }
         }
 
-        // settle every deferred component so final stats match the
+        // settle every deferred component so final counters match the
         // densely ticked machine cycle for cycle
         self.catch_up();
         Ok(self.final_report())
@@ -1202,7 +1198,7 @@ impl RunState {
         };
         let ten = &mut self.ten;
         ten.inflight[t] -= 1;
-        ten.completed[t] += 1;
+        ten.counters[t].completed += 1;
         if self.cfg.tenancy.is_active() {
             let spawned = ten.spawn_cycle.remove(&id).unwrap_or(self.now);
             ten.latencies[t].push(self.now - spawned);
@@ -1231,7 +1227,7 @@ impl RunState {
                 ten.host_q[t].len(),
                 ten.held[t].len(),
                 ten.inflight[t],
-                ten.completed[t],
+                ten.counters[t].completed,
             );
         }
         // name the wedged tasks and the pipe each is waiting on — a
@@ -1263,42 +1259,44 @@ impl RunState {
     }
 
     fn final_report(&mut self) -> RunReport {
-        let mut report = Report::new();
-        report.set("cycles", self.now as f64);
-        for tile in &self.tiles {
-            report.absorb(&format!("tile{}", tile.id), &tile.report());
-            report.set(
-                format!("tile{}.spad_reads", tile.id),
-                tile.spad.read_count() as f64,
-            );
-        }
-        report.absorb("noc", &self.mesh.stats().report());
-        report.absorb("dram", &self.memctrl.dram_stats().report());
-        report.absorb("dispatch", &self.stats.report());
-        // per-tenant completion accounting, emitted only when tenancy
-        // is active so single-tenant reports stay byte-identical.
-        // Percentiles use the deterministic nearest-rank on the sorted
-        // latencies, so they golden cleanly.
-        if self.cfg.tenancy.is_active() {
+        let tiles = self
+            .tiles
+            .iter()
+            .map(|tile| TileCounters {
+                spad_accesses: tile.spad.access_count(),
+                ..tile.counters
+            })
+            .collect();
+        // per-tenant completion accounting, only when tenancy is active
+        let tenants = if self.cfg.tenancy.is_active() {
             let ten = &mut self.ten;
-            for t in 0..ten.inflight.len() {
-                let pre = |s: &str| format!("tenant{t}.{s}");
-                report.set(pre("admitted"), ten.admitted[t] as f64);
-                report.set(pre("completed"), ten.completed[t] as f64);
-                report.set(pre("gate_holds"), ten.gate_holds[t] as f64);
-                let lat = &mut ten.latencies[t];
-                if lat.is_empty() {
-                    continue;
-                }
-                lat.sort_unstable();
-                let pick = |p: u64| lat[((lat.len() - 1) as u64 * p / 100) as usize];
-                let sum: u64 = lat.iter().sum();
-                report.set(pre("p50_latency"), pick(50) as f64);
-                report.set(pre("p99_latency"), pick(99) as f64);
-                report.set(pre("max_latency"), *lat.last().expect("nonempty") as f64);
-                report.set(pre("mean_latency"), sum as f64 / lat.len() as f64);
-            }
-        }
+            (0..ten.inflight.len())
+                .map(|t| {
+                    let lat = &mut ten.latencies[t];
+                    lat.sort_unstable();
+                    let pick = |p: u64| match lat.len() {
+                        0 => 0,
+                        n => lat[((n - 1) as u64 * p / 100) as usize],
+                    };
+                    TenantCounters {
+                        p50_latency: pick(50),
+                        p99_latency: pick(99),
+                        max_latency: pick(100),
+                        latency_sum: lat.iter().sum(),
+                        ..ten.counters[t]
+                    }
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let counters = RunCounters {
+            tiles,
+            noc: self.mesh.counters(),
+            dram: self.memctrl.dram().counters(),
+            dispatch: self.dispatch,
+            tenants,
+        };
         debug_assert_eq!(
             self.profile.loop_cycles + self.profile.jump_cycles,
             self.now,
@@ -1323,7 +1321,7 @@ impl RunState {
         }
         RunReport::new(
             self.now,
-            report,
+            counters,
             // moved, not cloned: nothing reads the DRAM after the report
             self.memctrl.dram_mut().take_storage(),
             self.tasks_completed,
@@ -1569,7 +1567,7 @@ impl RunState {
         self.trace
             .emit(self.now, TraceEvent::TaskRedispatch { task: id.0, tile });
         // deliberately NOT counted as `dispatch.tasks_dispatched`: that
-        // stat must keep matching spawns and completions one-to-one
+        // counter must keep matching spawns and completions one-to-one
         self.freport.tasks_redispatched += 1;
         Ok(())
     }
@@ -1579,7 +1577,7 @@ impl RunState {
     /// One dispatch scan over the pending window.
     ///
     /// A scan that places nothing mutates nothing (no RNG draws, no
-    /// stats, no trace events), so it stays a no-op until one of its
+    /// counters, no trace events), so it stays a no-op until one of its
     /// inputs changes: the pending deque, a tile's queue, a pipe's
     /// producer state, the picker's load tallies. Every such change
     /// bumps the dispatch epoch — pending grows only at admission,
@@ -1710,7 +1708,7 @@ impl RunState {
                 victim,
             },
         );
-        self.stats.bump("steals");
+        self.dispatch.steals += 1;
         // steals land after the tile-tick step, so the thief's current
         // cycle already counted as idle: catch it up through `now`
         // inclusive before it takes the task
@@ -1797,7 +1795,7 @@ impl RunState {
                         node: tile_node,
                     },
                 );
-                self.stats.bump("multicast_joins");
+                self.dispatch.multicast_joins += 1;
                 return Ok(job);
             }
             self.open_regions.remove(&region);
@@ -1834,7 +1832,7 @@ impl RunState {
                 node: tile_node,
             },
         );
-        self.stats.bump("multicast_groups");
+        self.dispatch.multicast_groups += 1;
         Ok(job)
     }
 
@@ -1852,7 +1850,7 @@ impl RunState {
             if !self.dispatch_one_at(pos)? {
                 return Ok(());
             }
-            self.stats.bump("chain_dispatches");
+            self.dispatch.chain_dispatches += 1;
         }
         Ok(())
     }
@@ -1940,7 +1938,7 @@ impl RunState {
         self.place(p, tile, out_values, emit_firings, native_cycles, false)?;
         self.trace
             .emit(self.now, TraceEvent::TaskDispatch { task: id.0, tile });
-        self.stats.bump("tasks_dispatched");
+        self.dispatch.tasks_dispatched += 1;
         Ok(())
     }
 

@@ -117,7 +117,7 @@ pub struct DeltaConfig {
     /// Multi-tenant co-residency (see [`crate::tenancy`]). Inert by
     /// default ([`TenancyConfig::none`]): with no tenants configured
     /// the dispatcher runs as its one-tenant case, and reports carry
-    /// no per-tenant keys.
+    /// no per-tenant counters.
     pub tenancy: TenancyConfig,
     /// Seed for mapper restarts, randomized policies, and fault
     /// schedules.

@@ -1,7 +1,7 @@
 //! Analytical energy model.
 //!
 //! Companion to [`crate::area`]: per-event energy constants (28 nm
-//! class) applied to a run's event statistics. Like the area model this
+//! class) applied to a run's event counters. Like the area model this
 //! reproduces the paper family's energy *tables*, not a power-signoff
 //! flow — its purpose is the comparison: Delta saves energy over the
 //! static-parallel design both by finishing sooner (less static energy)
@@ -91,15 +91,15 @@ const PJ_TO_UJ: f64 = 1e-6;
 /// assert!(e.total_uj() > 0.0);
 /// ```
 pub fn breakdown(cfg: &DeltaConfig, report: &RunReport) -> EnergyBreakdown {
-    let s = &report.stats;
-    // event counts from the merged report
-    let spad = s.sum_matching("spad_reads") + s.sum_matching("spad_writes");
-    let dram = s.get_or_zero("dram.read_words") + s.get_or_zero("dram.write_words");
-    let hops = s.get_or_zero("noc.flit_hops");
-    let reconfig = s.sum_matching("reconfig_cycles");
-    let dispatches = s.get_or_zero("dispatch.tasks_dispatched");
+    let c = &report.counters;
+    let tiles = c.tile_total();
+    let spad = tiles.spad_accesses as f64;
+    let dram = report.dram_words();
+    let hops = report.noc_hops();
+    let reconfig = tiles.reconfig_cycles as f64;
+    let dispatches = c.dispatch.tasks_dispatched as f64;
     // fabric activity: busy cycles approximate firing slots
-    let busy = s.sum_matching(".busy_cycles");
+    let busy = tiles.busy_cycles as f64;
     let leak = report.cycles as f64 * cfg.tiles as f64 * unit::TILE_LEAK_PER_CYCLE;
 
     let items = vec![
@@ -146,8 +146,11 @@ mod tests {
     use ts_dfg::DfgBuilder;
     use ts_stream::StreamDesc;
 
+    /// `n` identity tasks, each streaming 256 words from DRAM or,
+    /// with `spad`, from the tile's scratchpad.
     struct Copies {
         n: usize,
+        spad: bool,
     }
 
     impl Program for Copies {
@@ -161,13 +164,19 @@ mod tests {
             vec![TaskType::new("id", TaskKernel::dfg(b.finish().unwrap()))]
         }
         fn memory_image(&self) -> MemoryImage {
-            MemoryImage::new().dram_segment(0, vec![7i64; 256])
+            MemoryImage::new()
+                .dram_segment(0, vec![7i64; 256])
+                .spad_segment(0, vec![7i64; 256])
         }
         fn initial(&mut self, s: &mut Spawner) {
             for i in 0..self.n {
                 s.spawn(
                     TaskInstance::new(TaskTypeId(0))
-                        .input_stream(StreamDesc::dram(0, 256))
+                        .input_stream(if self.spad {
+                            StreamDesc::spad(0, 256)
+                        } else {
+                            StreamDesc::dram(0, 256)
+                        })
                         .output_discard()
                         .affinity(i as u64),
                 );
@@ -181,13 +190,13 @@ mod tests {
         let cfg = DeltaConfig::delta(2);
         let small = {
             let r = Accelerator::new(cfg.clone())
-                .run(&mut Copies { n: 2 })
+                .run(&mut Copies { n: 2, spad: false })
                 .unwrap();
             breakdown(&cfg, &r).total_uj()
         };
         let large = {
             let r = Accelerator::new(cfg.clone())
-                .run(&mut Copies { n: 8 })
+                .run(&mut Copies { n: 8, spad: false })
                 .unwrap();
             breakdown(&cfg, &r).total_uj()
         };
@@ -198,7 +207,7 @@ mod tests {
     fn breakdown_components_are_nonnegative_and_sum() {
         let cfg = DeltaConfig::delta(2);
         let r = Accelerator::new(cfg.clone())
-            .run(&mut Copies { n: 4 })
+            .run(&mut Copies { n: 4, spad: false })
             .unwrap();
         let e = breakdown(&cfg, &r);
         assert!(e.items.iter().all(|i| i.uj >= 0.0));
@@ -207,5 +216,17 @@ mod tests {
         // dram words must contribute: the copies stream 256 words each
         let dram = e.items.iter().find(|i| i.name == "DRAM words").unwrap();
         assert!(dram.uj > 0.0);
+    }
+
+    #[test]
+    fn scratchpad_streams_cost_scratchpad_energy() {
+        let cfg = DeltaConfig::delta(2);
+        let r = Accelerator::new(cfg.clone())
+            .run(&mut Copies { n: 4, spad: true })
+            .unwrap();
+        assert!(r.counters.tile_total().spad_accesses >= 4 * 256);
+        let e = breakdown(&cfg, &r);
+        let spad = e.items.iter().find(|i| i.name == "scratchpads").unwrap();
+        assert!(spad.uj > 0.0, "{e:?}");
     }
 }

@@ -22,13 +22,13 @@ use crate::config::DeltaConfig;
 use crate::memctrl::{MemCtrl, ReadReq};
 use crate::msg::Msg;
 use crate::pipes::{PipeMode, PipeTable};
+use crate::report::TileCounters;
 use crate::trace::{TraceEvent, TraceSink};
 use std::collections::VecDeque;
 use taskstream_model::{PipeId, TaskId, TaskInstance, TaskTypeId, Value};
 use ts_cgra::KernelTiming;
 use ts_mem::Spad;
 use ts_noc::Mesh;
-use ts_sim::stats::{Report, Stats};
 use ts_sim::{Activity, FxHashMap, TokenBucket};
 use ts_stream::Addr;
 
@@ -348,11 +348,9 @@ pub(crate) struct Tile {
     /// Queued spill-pipe feeds whose read is not yet issued. While
     /// zero, the spill issue sweep has nothing to do.
     spills_unissued: usize,
-    /// Per-cycle counters, kept as plain integers and folded into the
-    /// report by [`report`](Tile::report).
-    busy_cycles: u64,
-    idle_cycles: u64,
-    pub stats: Stats,
+    /// The tile's counters; `spad_accesses` is filled in from the
+    /// scratchpad at report time.
+    pub counters: TileCounters,
 }
 
 /// Spill-pipe feeds of `task` whose read is not yet issued.
@@ -386,21 +384,8 @@ impl Tile {
             fault_tolerant: cfg.faults.is_active(),
             queue_changed: false,
             spills_unissued: 0,
-            busy_cycles: 0,
-            idle_cycles: 0,
-            stats: Stats::new(),
+            counters: TileCounters::default(),
         }
-    }
-
-    /// The tile's statistics, with the per-cycle integer counters
-    /// folded in.
-    pub(crate) fn report(&self) -> Report {
-        let mut s = self.stats.clone();
-        s.bump_nonzero(&[
-            ("busy_cycles", self.busy_cycles),
-            ("idle_cycles", self.idle_cycles),
-        ]);
-        s.report()
     }
 
     /// Space in the dispatched-task queue.
@@ -543,13 +528,13 @@ impl Tile {
     /// Fast-forwards `n` idle cycles. Mirrors the empty-queue path of
     /// [`tick`](Tile::tick) exactly: scratchpad and engine budget
     /// refills (saturating, so they collapse to one closed-form add),
-    /// the `idle_cycles` statistic, and the phase reset. The DRAM/spill
+    /// the `idle_cycles` counter, and the phase reset. The DRAM/spill
     /// issue sweeps run over an empty queue and are no-ops.
     pub(crate) fn skip_idle_cycles(&mut self, n: u64) {
         debug_assert!(self.queue.is_empty(), "skip with queued work");
         self.spad.skip_cycles(n);
         self.engine.refill_n(n);
-        self.idle_cycles += n;
+        self.counters.idle_cycles += n;
         self.phase = Phase::Idle;
     }
 
@@ -559,8 +544,8 @@ impl Tile {
     /// fire, drain, or complete:
     ///
     /// * scratchpad and engine budget refills (saturating closed form);
-    /// * the `busy_cycles` statistic;
-    /// * the fire-stall statistic the no-progress path records each tick,
+    /// * the `busy_cycles` counter;
+    /// * the fire-stall counter the no-progress path records each tick,
     ///   keyed off the head's (frozen) starvation state;
     /// * the dataflow fire-credit accumulator, whose per-tick saturating
     ///   add collapses to one saturating multiply-add;
@@ -572,30 +557,20 @@ impl Tile {
         debug_assert_eq!(self.phase, Phase::Running, "bulk advance outside Running");
         self.spad.skip_cycles(k);
         self.engine.refill_n(k);
-        self.busy_cycles += k;
-        let stall_key = {
-            let head = &self.queue[0];
-            if head.compute_done() {
-                None
-            } else if (0..head.ports_in()).any(|p| head.in_total[p] > 0 && head.in_avail[p] == 0) {
-                Some("fire_stall_input")
-            } else {
-                Some("fire_stall_other")
-            }
-        };
-        if let Some(key) = stall_key {
-            self.stats.bump_by(key, k);
+        self.counters.busy_cycles += k;
+        let head = self.queue.front_mut().expect("nonempty queue");
+        if !head.compute_done() {
             // per-task attribution: the head is frozen for the whole
             // stretch, so k dense ticks would each have bumped the same
             // counter on the same task
-            let head = self.queue.front_mut().expect("nonempty queue");
-            if key == "fire_stall_input" {
+            if (0..head.ports_in()).any(|p| head.in_total[p] > 0 && head.in_avail[p] == 0) {
+                self.counters.fire_stall_input += k;
                 head.stall_input += k;
             } else {
+                self.counters.fire_stall_other += k;
                 head.stall_other += k;
             }
         }
-        let head = self.queue.front_mut().expect("nonempty queue");
         if head.native_cycles.is_none() {
             head.fire_credit =
                 (head.fire_credit + head.lanes * k).min(2 * head.lanes.max(head.timing.ii as u64));
@@ -622,7 +597,7 @@ impl Tile {
 
     /// Accepts a dispatched task.
     pub(crate) fn enqueue(&mut self, exec: TaskExec) {
-        self.stats.bump("tasks_dispatched");
+        self.counters.tasks_dispatched += 1;
         self.spills_unissued += unissued_spills(&exec);
         self.queue.push_back(exec);
         self.queue_changed = true;
@@ -683,7 +658,7 @@ impl Tile {
                 _ => {}
             }
         }
-        self.stats.bump("tasks_stolen_away");
+        self.counters.tasks_stolen_away += 1;
         t
     }
 
@@ -777,11 +752,11 @@ impl Tile {
         }
 
         if self.queue.is_empty() {
-            self.idle_cycles += 1;
+            self.counters.idle_cycles += 1;
             self.phase = Phase::Idle;
             return Vec::new();
         }
-        self.busy_cycles += 1;
+        self.counters.busy_cycles += 1;
 
         // phase machine for the queue head
         match self.phase {
@@ -794,12 +769,12 @@ impl Tile {
                         left: cfg.task_start_overhead,
                     };
                 } else {
-                    self.stats.bump("reconfigs");
+                    self.counters.reconfigs += 1;
                     self.phase = Phase::Reconfig { left: cost };
                 }
             }
             Phase::Reconfig { left } => {
-                self.stats.bump("reconfig_cycles");
+                self.counters.reconfig_cycles += 1;
                 if left <= 1 {
                     self.configured = Some(self.queue[0].ty);
                     self.phase = Phase::Starting {
@@ -848,9 +823,9 @@ impl Tile {
                 let starved =
                     (0..t.in_total.len()).any(|p| t.in_total[p] > 0 && t.in_avail[p] == 0);
                 if starved {
-                    self.stats.bump("fire_stall_input");
+                    self.counters.fire_stall_input += 1;
                 } else {
-                    self.stats.bump("fire_stall_other");
+                    self.counters.fire_stall_other += 1;
                 }
                 // per-task attribution rides the exact same branch, so
                 // it stays identical across the scheduler fast paths
@@ -873,9 +848,10 @@ impl Tile {
         };
         if done {
             let t = self.take_task(0);
-            self.stats.bump("tasks_completed");
-            self.stats
-                .sample("task_latency", (io.now - t.dispatched_at) as f64);
+            let latency = io.now - t.dispatched_at;
+            self.counters.tasks_completed += 1;
+            self.counters.task_latency_sum += latency;
+            self.counters.task_latency_max = self.counters.task_latency_max.max(latency);
             self.phase = Phase::Idle;
             self.head_stall = 0;
             return vec![t];
@@ -898,7 +874,7 @@ impl Tile {
                     self.queue_changed = true;
                     self.phase = Phase::Idle;
                     self.head_stall = 0;
-                    self.stats.bump("task_rotations");
+                    self.counters.task_rotations += 1;
                 }
             } else {
                 self.head_sig = sig;
@@ -993,7 +969,7 @@ impl Tile {
                 if let FeedKind::PipeSpill { issued, .. } = &mut self.queue[qi].feeds[pi].kind {
                     *issued = true;
                 }
-                self.stats.bump("spill_reads");
+                self.counters.spill_reads += 1;
             }
         }
     }
@@ -1231,7 +1207,7 @@ impl Tile {
                             let consumer = io.pipes.get(pipe).consumer_node;
                             let mode = match consumer {
                                 Some(cn) if cfg.features.pipelining => {
-                                    self.stats.bump("pipes_direct");
+                                    self.counters.pipes_direct += 1;
                                     io.trace.emit(
                                         io.now,
                                         TraceEvent::PipeDirect {
@@ -1242,7 +1218,7 @@ impl Tile {
                                     PipeMode::Direct { consumer_node: cn }
                                 }
                                 _ => {
-                                    self.stats.bump("pipes_spilled");
+                                    self.counters.pipes_spilled += 1;
                                     let base = io.pipes.alloc_spill(t.sinks[p].total);
                                     io.trace
                                         .emit(io.now, TraceEvent::PipeSpill { pipe: pipe.0, base });

@@ -29,8 +29,8 @@
 //! in force. With every rate at zero the subsystem is inert and all
 //! reports are byte-identical to a build without it.
 
-use crate::counters::counter_table;
 use std::hash::{Hash, Hasher};
+use ts_sim::counter_table;
 
 /// Fault-injection knobs and the recovery policy, carried by
 /// `DeltaConfig::faults`. The default ([`FaultsConfig::none`]) injects
@@ -209,7 +209,7 @@ impl Default for FaultsConfig {
 counter_table! {
     /// Fault and recovery accounting for one run, carried in
     /// `RunReport::faults`. Like the trace and the profile it lives
-    /// *outside* `RunReport::stats`, so faultless reports stay
+    /// *outside* `RunReport::counters`, so faultless reports stay
     /// byte-identical. Same seed → same counts, field for field. Its
     /// field order is the result cache's on-disk layout.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -68,7 +68,6 @@
 mod accelerator;
 pub mod area;
 mod config;
-mod counters;
 mod dispatch;
 pub mod energy;
 mod exec;
@@ -84,10 +83,15 @@ pub mod whatif;
 
 pub use accelerator::{Accelerator, RunError};
 pub use config::{DeltaConfig, DeltaConfigBuilder, Features};
-pub use counters::Counter;
 pub use faults::{FaultReport, FaultsConfig};
-pub use report::{stretch_bucket, RunReport, SimProfile, STRETCH_BUCKETS, STRETCH_BUCKET_LABELS};
+pub use report::{
+    stretch_bucket, DispatchCounters, RunCounters, RunReport, SimProfile, TenantCounters,
+    TileCounters, STRETCH_BUCKETS, STRETCH_BUCKET_LABELS,
+};
 pub use tenancy::{DrainPolicy, PartitionPolicy, TenancyConfig, TenantSpec};
+pub use ts_mem::DramCounters;
+pub use ts_noc::NocCounters;
+pub use ts_sim::Counter;
 // TraceSink stays crate-internal: consumers read the recorded stream
 // off `RunReport::trace`, they never hold the sink itself.
 pub use trace::{TraceEvent, TraceRecord};

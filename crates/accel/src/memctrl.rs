@@ -358,12 +358,6 @@ impl MemCtrl {
         at
     }
 
-    /// DRAM statistics scope (materialized from the DRAM's integer
-    /// counters).
-    pub(crate) fn dram_stats(&self) -> ts_sim::stats::Stats {
-        self.dram.stats()
-    }
-
     /// Replays `n` elapsed idle cycles. The caller guarantees the
     /// controller reported no activity over those cycles (each tick
     /// would only have refilled the DRAM bandwidth bucket: the admit
@@ -470,7 +464,7 @@ mod tests {
             assert_eq!(words, 2, "tile {tile}");
         }
         // DRAM read each word once despite two destinations
-        assert_eq!(mc.dram_stats().counter("read_words"), 2);
+        assert_eq!(mc.dram().counters().read_words, 2);
     }
 
     #[test]
@@ -488,7 +482,7 @@ mod tests {
         );
         let got = run(&mut mc, &mut mesh, 50);
         assert!(got.is_empty());
-        assert_eq!(mc.dram_stats().counter("read_words"), 4);
+        assert_eq!(mc.dram().counters().read_words, 4);
         assert!(mc.job_done(2));
     }
 
@@ -547,7 +541,7 @@ mod tests {
         // write flits meter timing only; the functional effect happened
         // at dispatch, so storage is untouched here
         assert!((0..1024).all(|a| mc.dram().storage().read(a) == 0));
-        assert_eq!(mc.dram_stats().counter("write_words"), 4);
+        assert_eq!(mc.dram().counters().write_words, 4);
         assert!(mc.is_idle());
     }
 }

@@ -1,11 +1,11 @@
 //! Run results.
 
-use crate::counters::counter_table;
 use crate::faults::FaultReport;
 use crate::trace::TraceRecord;
 use taskstream_model::Value;
-use ts_mem::Storage;
-use ts_sim::stats::Report;
+use ts_mem::{DramCounters, Storage};
+use ts_noc::NocCounters;
+use ts_sim::counter_table;
 use ts_stream::Addr;
 
 /// Number of buckets in the per-component stretch-length histograms.
@@ -32,7 +32,7 @@ counter_table! {
     /// how often it was woken from a skipped stretch. Simulator
     /// bookkeeping, not a modelled quantity — like
     /// [`RunReport::skipped_cycles`] it is kept out of
-    /// [`RunReport::stats`] so reports stay bit-identical to a densely
+    /// [`RunReport::counters`] so reports stay bit-identical to a densely
     /// ticked run ([`Accelerator::run_dense`](crate::Accelerator::run_dense)).
     /// The invariant `ticks + skipped == cycles` holds per component
     /// (tile counters additionally fold in `tile_bulk_cycles` and sum
@@ -78,6 +78,118 @@ counter_table! {
     }
 }
 
+counter_table! {
+    /// One tile's counters over a run.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct TileCounters {
+        /// Tasks the dispatcher placed on this tile.
+        pub tasks_dispatched: u64,
+        /// Tasks this tile ran to completion.
+        pub tasks_completed: u64,
+        /// Queued tasks another tile stole from this one.
+        pub tasks_stolen_away: u64,
+        /// Stalled head tasks rotated to the back of the queue.
+        pub task_rotations: u64,
+        /// Dispatch-to-completion cycles, summed over completed tasks
+        /// (the sample count is `tasks_completed`).
+        pub task_latency_sum: u64,
+        /// Longest dispatch-to-completion latency.
+        pub task_latency_max: u64,
+        /// Fabric reconfigurations started.
+        pub reconfigs: u64,
+        /// Cycles spent reconfiguring the fabric.
+        pub reconfig_cycles: u64,
+        /// Cycles with a queued task.
+        pub busy_cycles: u64,
+        /// Cycles with an empty queue.
+        pub idle_cycles: u64,
+        /// Running cycles without a firing because an input port was
+        /// starved.
+        pub fire_stall_input: u64,
+        /// Running cycles without a firing for any other reason.
+        pub fire_stall_other: u64,
+        /// Spilled pipe values read back from DRAM.
+        pub spill_reads: u64,
+        /// Pipe dependences served producer-to-consumer over the NoC.
+        pub pipes_direct: u64,
+        /// Pipe dependences spilled through DRAM.
+        pub pipes_spilled: u64,
+        /// Metered scratchpad accesses, reads and writes.
+        pub spad_accesses: u64,
+        /// Cycles the tile was down under an injected fault.
+        pub fault_down_cycles: u64,
+    }
+}
+
+counter_table! {
+    /// The dispatcher's counters over a run.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct DispatchCounters {
+        /// Tasks the host spawned.
+        pub tasks_spawned: u64,
+        /// Task placements on a tile.
+        pub tasks_dispatched: u64,
+        /// Queued tasks moved to an idle tile.
+        pub steals: u64,
+        /// Shared-read multicast groups formed.
+        pub multicast_groups: u64,
+        /// Tasks that joined a multicast group after its leader.
+        pub multicast_joins: u64,
+        /// Pipe consumers dispatched next to their producer.
+        pub chain_dispatches: u64,
+    }
+}
+
+counter_table! {
+    /// One tenant's completion accounting over a multi-tenant run.
+    /// Latencies run from spawn to completion; the percentiles are the
+    /// nearest rank on the sorted samples, so they golden cleanly.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct TenantCounters {
+        /// Tasks admitted past the tenancy gate.
+        pub admitted: u64,
+        /// Tasks completed (also the latency sample count).
+        pub completed: u64,
+        /// Admissions the gate held back.
+        pub gate_holds: u64,
+        /// Median task latency.
+        pub p50_latency: u64,
+        /// 99th-percentile task latency.
+        pub p99_latency: u64,
+        /// Longest task latency.
+        pub max_latency: u64,
+        /// Task latencies summed.
+        pub latency_sum: u64,
+    }
+}
+
+/// Every modelled counter of a run, one typed block per component.
+/// Equal blocks mean equal modelled behaviour, which is how the
+/// event-driven and densely ticked engines are compared.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunCounters {
+    /// One block per tile, in tile order.
+    pub tiles: Vec<TileCounters>,
+    /// The mesh.
+    pub noc: NocCounters,
+    /// DRAM traffic.
+    pub dram: DramCounters,
+    /// The dispatcher.
+    pub dispatch: DispatchCounters,
+    /// One block per tenant; empty when tenancy is off.
+    pub tenants: Vec<TenantCounters>,
+}
+
+impl RunCounters {
+    /// Every tile's counters added together (`task_latency_max` too,
+    /// so read that one per tile).
+    pub fn tile_total(&self) -> TileCounters {
+        let mut total = TileCounters::default();
+        self.tiles.iter().for_each(|t| total.add(t));
+        total
+    }
+}
+
 impl SimProfile {
     /// One-line human rendering: what fraction of each component's
     /// cycles were densely ticked, and how much of the run was jumped
@@ -114,18 +226,19 @@ impl SimProfile {
     }
 }
 
-/// Everything a finished run hands back: cycle count, merged statistics,
-/// and a snapshot of final DRAM contents for validation.
+/// Everything a finished run hands back: cycle count, every
+/// component's counters, and a snapshot of final DRAM contents for
+/// validation.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Total simulated cycles.
     pub cycles: u64,
-    /// Merged statistics from every component (`tileN.*`, `noc.*`,
-    /// `dram.*`, `dispatch.*`).
-    pub stats: Report,
+    /// Every component's modelled counters: per tile, mesh, DRAM,
+    /// dispatcher and per tenant.
+    pub counters: RunCounters,
     /// Final DRAM contents — materialized eagerly by the simulator,
     /// lazily for cache-loaded reports (the sweep pipeline reads only
-    /// `stats`, so a warm cache hit should not pay for an image it
+    /// the counters, so a warm cache hit should not pay for an image it
     /// never looks at).
     dram: LazyDram,
     /// Tasks completed over the run.
@@ -135,7 +248,7 @@ pub struct RunReport {
     pub timeline: Vec<(u64, u32)>,
     /// Cycles covered by next-event jumps instead of dense ticking.
     /// Simulator bookkeeping, not a modelled quantity — kept out of
-    /// [`RunReport::stats`] so reports are bit-identical to a densely
+    /// [`RunReport::counters`] so reports are bit-identical to a densely
     /// ticked run.
     pub skipped_cycles: u64,
     /// Per-component cycle attribution (ticked vs skipped vs woken).
@@ -143,14 +256,14 @@ pub struct RunReport {
     pub profile: SimProfile,
     /// Structured event trace, empty unless `DeltaConfig::trace` was
     /// set. Observability output, not a modelled quantity — kept out of
-    /// [`RunReport::stats`] so tracing never perturbs goldens. The
+    /// [`RunReport::counters`] so tracing never perturbs goldens. The
     /// stream itself is identical under dense ticking.
     pub trace: Vec<TraceRecord>,
     /// Trace records evicted because the trace ring overflowed.
     pub trace_dropped: u64,
     /// Injected-fault and recovery tallies. All-zero (and inert) when
     /// fault injection is disabled; like `profile`, kept out of
-    /// [`RunReport::stats`] so faults-off reports stay byte-identical
+    /// [`RunReport::counters`] so faults-off reports stay byte-identical
     /// to builds that predate fault injection.
     pub faults: FaultReport,
 }
@@ -278,7 +391,7 @@ impl RunReport {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         cycles: u64,
-        stats: Report,
+        counters: RunCounters,
         dram: Storage,
         tasks_completed: u64,
         timeline: Vec<(u64, u32)>,
@@ -290,7 +403,7 @@ impl RunReport {
     ) -> Self {
         RunReport {
             cycles,
-            stats,
+            counters,
             dram: LazyDram::dense(dram),
             tasks_completed,
             timeline,
@@ -382,7 +495,7 @@ impl RunReport {
     #[allow(clippy::too_many_arguments)]
     pub fn from_cached_parts(
         cycles: u64,
-        stats: Report,
+        counters: RunCounters,
         dram_image: Vec<u8>,
         tasks_completed: u64,
         timeline: Vec<(u64, u32)>,
@@ -393,7 +506,7 @@ impl RunReport {
         let len = walk_image(&dram_image, |_, _| {})?;
         Ok(RunReport {
             cycles,
-            stats,
+            counters,
             dram: LazyDram {
                 dense: std::sync::OnceLock::new(),
                 encoded: Some((len, dram_image)),
@@ -408,19 +521,16 @@ impl RunReport {
         })
     }
 
-    /// Per-tile busy cycles, in tile order.
+    /// Busy cycles of each tile that did any work, in tile order.
+    /// Tiles with zero busy cycles are left out, so an idle tile does
+    /// not dilute [`load_imbalance`](Self::load_imbalance).
     pub fn tile_busy(&self) -> Vec<f64> {
-        let mut v: Vec<(usize, f64)> = self
-            .stats
-            .matching(".busy_cycles")
-            .into_iter()
-            .filter_map(|(k, val)| {
-                let n: usize = k.strip_prefix("tile")?.split('.').next()?.parse().ok()?;
-                Some((n, val))
-            })
-            .collect();
-        v.sort_by_key(|(n, _)| *n);
-        v.into_iter().map(|(_, val)| val).collect()
+        self.counters
+            .tiles
+            .iter()
+            .filter(|t| t.busy_cycles > 0)
+            .map(|t| t.busy_cycles as f64)
+            .collect()
     }
 
     /// Load imbalance: max over mean of per-tile busy cycles (1.0 =
@@ -441,12 +551,13 @@ impl RunReport {
 
     /// Total DRAM words moved (reads + writes).
     pub fn dram_words(&self) -> f64 {
-        self.stats.get_or_zero("dram.read_words") + self.stats.get_or_zero("dram.write_words")
+        let d = &self.counters.dram;
+        (d.read_words + d.write_words) as f64
     }
 
     /// Total NoC flit-hops.
     pub fn noc_hops(&self) -> f64 {
-        self.stats.get_or_zero("noc.flit_hops")
+        self.counters.noc.flit_hops as f64
     }
 
     /// Checks the run's conservation invariants: quantities that must
@@ -466,78 +577,65 @@ impl RunReport {
     ///
     /// # Errors
     ///
-    /// Returns a message listing every violated invariant.
+    /// Returns a message naming every violated invariant.
     pub fn check_conservation(&self, tiles: usize) -> Result<(), String> {
-        let mut violations = Vec::new();
-        let mut check = |name: &str, lhs: f64, rhs: f64, op: &str| {
-            let ok = match op {
-                "==" => lhs == rhs,
-                ">=" => lhs >= rhs,
-                _ => unreachable!("unknown op {op}"),
-            };
-            if !ok {
-                violations.push(format!("{name}: {lhs} {op} {rhs} violated"));
-            }
-        };
-
-        let completed = self.tasks_completed as f64;
-        check(
-            "tasks spawned = completed",
-            self.stats.get_or_zero("dispatch.tasks_spawned"),
-            completed,
-            "==",
-        );
-        check(
-            "tasks dispatched = completed",
-            self.stats.get_or_zero("dispatch.tasks_dispatched"),
-            completed,
-            "==",
-        );
-        check(
-            "tile completions = completed",
-            self.stats.sum_matching(".tasks_completed"),
-            completed,
-            "==",
-        );
-        check(
-            "flit branches injected = delivered",
-            self.stats.get_or_zero("noc.injected_branches"),
-            self.stats.get_or_zero("noc.delivered"),
-            "==",
-        );
-        check(
-            "dram reads >= unique words read",
-            self.stats.get_or_zero("dram.read_words"),
-            self.stats.get_or_zero("dram.read_words_unique"),
-            ">=",
-        );
-
-        let cycles = self.cycles as f64;
+        let c = &self.counters;
         let p = &self.profile;
-        check(
-            "loop + jump cycles = cycles",
-            (p.loop_cycles + p.jump_cycles) as f64,
-            cycles,
-            "==",
-        );
-        check(
-            "mem ticks + skips = cycles",
-            (p.mem_ticks + p.mem_skipped) as f64,
-            cycles,
-            "==",
-        );
-        check(
-            "noc ticks + skips = cycles",
-            (p.noc_ticks + p.noc_skipped) as f64,
-            cycles,
-            "==",
-        );
-        check(
-            "tile ticks + skips + bulk = cycles x tiles",
-            (p.tile_ticks + p.tile_skipped + p.tile_bulk_cycles) as f64,
-            cycles * tiles as f64,
-            "==",
-        );
+        let completed = self.tasks_completed;
+        let cycles = self.cycles;
+        let equal = [
+            (
+                "tasks spawned = completed",
+                c.dispatch.tasks_spawned,
+                completed,
+            ),
+            (
+                "tasks dispatched = completed",
+                c.dispatch.tasks_dispatched,
+                completed,
+            ),
+            (
+                "tile completions = completed",
+                c.tile_total().tasks_completed,
+                completed,
+            ),
+            (
+                "flit branches injected = delivered",
+                c.noc.injected_branches,
+                c.noc.delivered,
+            ),
+            (
+                "loop + jump cycles = cycles",
+                p.loop_cycles + p.jump_cycles,
+                cycles,
+            ),
+            (
+                "mem ticks + skips = cycles",
+                p.mem_ticks + p.mem_skipped,
+                cycles,
+            ),
+            (
+                "noc ticks + skips = cycles",
+                p.noc_ticks + p.noc_skipped,
+                cycles,
+            ),
+            (
+                "tile ticks + skips + bulk = cycles x tiles",
+                p.tile_ticks + p.tile_skipped + p.tile_bulk_cycles,
+                cycles * tiles as u64,
+            ),
+        ];
+        let mut violations: Vec<String> = equal
+            .iter()
+            .filter(|(_, lhs, rhs)| lhs != rhs)
+            .map(|(name, lhs, rhs)| format!("{name}: {lhs} == {rhs} violated"))
+            .collect();
+        if c.dram.read_words < c.dram.read_words_unique {
+            violations.push(format!(
+                "dram reads >= unique words read: {} >= {} violated",
+                c.dram.read_words, c.dram.read_words_unique
+            ));
+        }
 
         if violations.is_empty() {
             Ok(())
@@ -559,7 +657,7 @@ mod tests {
         dram.load(0, words);
         RunReport::new(
             7,
-            Report::new(),
+            RunCounters::default(),
             dram,
             0,
             Vec::new(),
@@ -632,7 +730,7 @@ mod tests {
             report_with(words).encode_dram_image(&mut bytes);
             let lazy = RunReport::from_cached_parts(
                 7,
-                Report::new(),
+                RunCounters::default(),
                 bytes.clone(),
                 0,
                 Vec::new(),

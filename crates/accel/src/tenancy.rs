@@ -12,7 +12,7 @@
 //! A single-tenant run is the one-tenant case of the same path: with
 //! the tenant list empty (the default, [`TenancyConfig::none`]) every
 //! task belongs to tenant 0, which owns the whole fabric and is neither
-//! paced nor capped. Per-tenant report keys and trace events appear
+//! paced nor capped. Per-tenant counter blocks and trace events appear
 //! only when tenants are configured ([`TenancyConfig::is_active`]).
 //!
 //! Tasks carry their tenant in the **high bits of the affinity word**
@@ -104,7 +104,7 @@ pub enum DrainPolicy {
 #[derive(Debug, Clone, PartialEq, Hash)]
 pub struct TenancyConfig {
     /// Co-resident tenants; empty means one implicit, unpaced tenant
-    /// with no per-tenant report keys.
+    /// with no per-tenant counter block.
     pub tenants: Vec<TenantSpec>,
     /// Spatial partitioning vs. shared-fabric stealing.
     pub partition: PartitionPolicy,
@@ -136,7 +136,7 @@ impl TenancyConfig {
     }
 
     /// True when tenants are configured: the run reports per-tenant
-    /// stats and traces each task's tenant.
+    /// counters and traces each task's tenant.
     pub fn is_active(&self) -> bool {
         !self.tenants.is_empty()
     }

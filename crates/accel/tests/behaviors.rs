@@ -7,7 +7,7 @@ use taskstream_model::{
     CompletedTask, MemoryImage, Program, RegionId, Spawner, TaskInstance, TaskKernel, TaskType,
     TaskTypeId,
 };
-use ts_delta::{Accelerator, DeltaConfig, RunError};
+use ts_delta::{Accelerator, DeltaConfig, RunError, RunReport};
 use ts_dfg::DfgBuilder;
 use ts_mem::WriteMode;
 use ts_stream::{DataSrc, StreamDesc};
@@ -56,17 +56,62 @@ impl Program for Sharers {
     }
 }
 
+/// Each conservation invariant catches a one-count drift in a counter
+/// it reads, and names itself, alone, in the error.
+#[test]
+fn conservation_names_each_violated_invariant() {
+    type Drift = fn(&mut RunReport);
+    let drifts: [(&str, Drift); 9] = [
+        ("tasks spawned = completed", |r| {
+            r.counters.dispatch.tasks_spawned += 1
+        }),
+        ("tasks dispatched = completed", |r| {
+            r.counters.dispatch.tasks_dispatched += 1
+        }),
+        ("tile completions = completed", |r| {
+            r.counters.tiles[0].tasks_completed += 1
+        }),
+        ("flit branches injected = delivered", |r| {
+            r.counters.noc.delivered += 1
+        }),
+        ("dram reads >= unique words read", |r| {
+            r.counters.dram.read_words_unique = r.counters.dram.read_words + 1
+        }),
+        ("loop + jump cycles = cycles", |r| {
+            r.profile.loop_cycles += 1
+        }),
+        ("mem ticks + skips = cycles", |r| r.profile.mem_ticks += 1),
+        ("noc ticks + skips = cycles", |r| r.profile.noc_ticks += 1),
+        ("tile ticks + skips + bulk = cycles x tiles", |r| {
+            r.profile.tile_ticks += 1
+        }),
+    ];
+    let tiles = 4;
+    let run = Accelerator::new(DeltaConfig::delta(tiles))
+        .run(&mut Sharers { n: 8, len: 64 })
+        .unwrap();
+    run.check_conservation(tiles).unwrap();
+    for (invariant, drift) in drifts {
+        let mut r = run.clone();
+        drift(&mut r);
+        let err = r.check_conservation(tiles).unwrap_err();
+        let violated: Vec<&str> = err.lines().skip(1).map(str::trim).collect();
+        assert_eq!(violated.len(), 1, "{err}");
+        assert!(violated[0].starts_with(invariant), "{err}");
+    }
+}
+
 #[test]
 fn multicast_join_window_collects_batched_sharers() {
     let mut p = Sharers { n: 8, len: 256 };
     let r = Accelerator::new(DeltaConfig::delta(8)).run(&mut p).unwrap();
     // with a join window, 8 sharers dispatched over 4 cycles coalesce
     // into very few reads (ideally one group)
-    let groups = r.stats.get_or_zero("dispatch.multicast_groups");
-    let joins = r.stats.get_or_zero("dispatch.multicast_joins");
-    assert!(groups <= 2.0, "sharers splintered into {groups} groups");
-    assert!(joins >= 6.0, "only {joins} joins");
-    assert!(r.stats.get_or_zero("dram.read_words") <= 2.0 * 256.0);
+    let groups = r.counters.dispatch.multicast_groups;
+    let joins = r.counters.dispatch.multicast_joins;
+    assert!(groups <= 2, "sharers splintered into {groups} groups");
+    assert!(joins >= 6, "only {joins} joins");
+    assert!(r.counters.dram.read_words <= 2 * 256);
 }
 
 #[test]
@@ -77,8 +122,9 @@ fn zero_batch_window_still_correct_but_reads_more() {
         Accelerator::new(cfg)
             .run(&mut p)
             .unwrap()
-            .stats
-            .get_or_zero("dram.read_words")
+            .counters
+            .dram
+            .read_words
     };
     let batched = run(24);
     let unbatched = run(0);
@@ -122,9 +168,9 @@ fn alternating_types_pay_reconfiguration() {
     let mut p = Alternating { tasks: 8 };
     let cfg = DeltaConfig::static_parallel(2); // static: all on tile 0
     let r = Accelerator::new(cfg).run(&mut p).unwrap();
-    let reconfigs = r.stats.sum_matching(".reconfigs");
+    let reconfigs = r.counters.tile_total().reconfigs;
     assert!(
-        reconfigs >= 7.0,
+        reconfigs >= 7,
         "expected a reconfig per type switch, saw {reconfigs}"
     );
 }
@@ -135,7 +181,7 @@ fn zero_reconfig_cost_is_supported() {
     let mut cfg = DeltaConfig::delta(2);
     cfg.fabric.config_per_pe = 0;
     let r = Accelerator::new(cfg).run(&mut p).unwrap();
-    assert_eq!(r.stats.sum_matching("reconfig_cycles"), 0.0);
+    assert_eq!(r.counters.tile_total().reconfig_cycles, 0);
 }
 
 #[test]
@@ -189,7 +235,7 @@ fn literal_and_iota_streams_compute_exactly() {
     let r = Accelerator::new(DeltaConfig::delta(1)).run(&mut p).unwrap();
     // sum of (5 + i) for i in 0..10 = 50 + 45
     assert_eq!(r.dram(0), 95);
-    assert_eq!(r.stats.get_or_zero("dram.read_words"), 0.0);
+    assert_eq!(r.counters.dram.read_words, 0);
 }
 
 /// A pipe whose producer emits nothing (fully filtered).
@@ -490,7 +536,7 @@ fn work_stealing_rebalances_static_placement() {
     };
     let without = run(false);
     let with = run(true);
-    assert!(with.stats.get_or_zero("dispatch.steals") > 0.0);
+    assert!(with.counters.dispatch.steals > 0);
     assert!(
         (with.cycles as f64) < without.cycles as f64 * 0.5,
         "stealing {} vs owner-bound {}",

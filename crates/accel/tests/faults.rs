@@ -117,7 +117,7 @@ fn zero_rates_leave_the_report_byte_identical() {
         .unwrap();
     assert_eq!(armed.cycles, plain.cycles);
     assert_eq!(armed.tasks_completed, plain.tasks_completed);
-    assert_eq!(armed.stats, plain.stats);
+    assert_eq!(armed.counters, plain.counters);
     assert_eq!(armed.timeline, plain.timeline);
     assert_eq!(armed.dram_range(0, 64), plain.dram_range(0, 64));
     assert_eq!(armed.faults, FaultReport::default());
@@ -149,7 +149,7 @@ fn same_seed_same_fault_report_across_engines() {
     assert!(dense.faults.injected() > 0, "storm injected nothing");
     let r = Accelerator::new(cfg.clone()).run(&mut mk()).unwrap();
     assert_eq!(r.cycles, dense.cycles);
-    assert_eq!(r.stats, dense.stats);
+    assert_eq!(r.counters, dense.counters);
     assert_eq!(
         r.faults, dense.faults,
         "fault report diverged from the dense reference"
@@ -336,7 +336,7 @@ fn pipe_consumers_redispatched_under_fail_stop() {
         let r = run_checked(mk, cfg.clone());
         let dense = Accelerator::new(cfg).run_dense(&mut mk()).unwrap();
         assert_eq!(r.cycles, dense.cycles, "seed {seed}: cycles");
-        assert_eq!(r.stats, dense.stats, "seed {seed}: stats");
+        assert_eq!(r.counters, dense.counters, "seed {seed}: counters");
         assert_eq!(r.faults, dense.faults, "seed {seed}: fault report");
         let demoted = r
             .trace

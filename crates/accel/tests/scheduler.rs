@@ -5,7 +5,7 @@
 //! replays every deferred stretch in closed form.
 //! [`Accelerator::run_dense`] ticks every component on every cycle. The
 //! two must agree bit for bit on every observable — cycles, tasks,
-//! timeline, stats, DRAM image, trace stream and fault report — while
+//! timeline, counters, DRAM image, trace stream and fault report — while
 //! the event-driven run actually takes its shortcuts.
 
 use proptest::prelude::*;
@@ -151,7 +151,7 @@ fn compare(ev: &RunReport, dn: &RunReport, tiles: u64) -> Result<(), String> {
     }
     let observables = [
         ("timeline", ev.timeline == dn.timeline),
-        ("stats", ev.stats == dn.stats),
+        ("counters", ev.counters == dn.counters),
         (
             "DRAM input image",
             ev.dram_range(0, 64) == dn.dram_range(0, 64),

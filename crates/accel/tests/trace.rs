@@ -191,7 +191,7 @@ fn tracing_never_changes_the_report() {
     assert_eq!(on.cycles, off.cycles);
     assert_eq!(on.tasks_completed, off.tasks_completed);
     assert_eq!(on.timeline, off.timeline);
-    assert_eq!(on.stats, off.stats);
+    assert_eq!(on.counters, off.counters);
     assert_eq!(on.dram_range(0, 64), off.dram_range(0, 64));
 }
 

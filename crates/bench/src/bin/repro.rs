@@ -223,10 +223,7 @@ impl Common {
     fn apply(&self) {
         ts_bench::cache::set_enabled(!self.no_cache);
         if let Some(n) = self.jobs {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(n)
-                .build_global()
-                .expect("building the global thread pool");
+            ts_pool::configure(n);
         }
     }
 
@@ -690,7 +687,7 @@ fn run_experiments(ids: &[String], common: &Common, mode: GoldenMode) {
             "  \"scale\": \"{}\",\n",
             experiments::scale_name(scale)
         ));
-        json.push_str(&format!("  \"jobs\": {},\n", rayon::current_num_threads()));
+        json.push_str(&format!("  \"jobs\": {},\n", ts_pool::current_threads()));
         json.push_str(&format!("  \"total_seconds\": {total:.3},\n"));
         json.push_str(&format!("  \"sweep_seconds\": {sweep_secs:.3},\n"));
         json.push_str(&format!("  \"simulations\": {runs},\n"));

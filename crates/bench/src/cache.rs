@@ -31,10 +31,11 @@
 //!
 //! **Value** = the full [`RunReport`] (or the wedged outcome of a
 //! fault run) as a compact binary entry (layout on `encode`): a magic
-//! and format header, the scalar and profile/fault counters as
-//! little-endian `u64`s, the stats as `(key, f64 bits)` records, the
-//! occupancy timeline, and the DRAM image in the zero-skipping varint
-//! encoding of [`RunReport::encode_dram_image`]. Every field
+//! and format header, then little-endian `u64`s for the scalars and
+//! for every counter block's flat word view (profile, faults, each
+//! tile, mesh, DRAM, dispatcher, each tenant), the occupancy timeline,
+//! and the DRAM image in the zero-skipping varint encoding of
+//! [`RunReport::encode_dram_image`]. Every field
 //! round-trips bit-exactly. A hit keeps the image encoded and expands
 //! it only if something reads DRAM, which the sweep pipeline never
 //! does. Event traces are never cached: a traced run bypasses the
@@ -56,7 +57,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use taskstream_model::{Program, Spawner};
-use ts_delta::{DeltaConfig, FaultReport, RunReport, SimProfile};
+use ts_delta::{
+    DeltaConfig, DispatchCounters, DramCounters, FaultReport, NocCounters, RunCounters, RunReport,
+    SimProfile, TenantCounters, TileCounters,
+};
 use ts_workloads::Workload;
 
 // ------------------------------------------------------------------ state
@@ -404,7 +408,7 @@ pub(crate) fn key_from_fingerprint(
 /// First bytes of every entry. The trailing digit is the entry
 /// format, versioned apart from the key canon's [`KEY_FORMAT`]: the
 /// layout below outlived the key's move to a binary canon.
-const MAGIC: &[u8; 8] = b"tscache3";
+const MAGIC: &[u8; 8] = b"tscache4";
 
 /// Header: [`MAGIC`], then the body's length and [`checksum`] as
 /// little-endian `u64`s.
@@ -424,16 +428,20 @@ fn checksum(body: &[u8]) -> u64 {
 /// Serializes a run outcome to the on-disk entry format:
 ///
 /// ```text
-/// header    magic "tscache3", body length u64, body checksum u64
+/// header    magic "tscache4", body length u64, body checksum u64
 /// body      kind u8 (0 completed, 1 wedged), cycles u64
 /// completed tasks_completed u64, skipped_cycles u64,
-///           SimProfile counters (23 × u64), FaultReport counters (10 × u64),
-///           stats: count u32, then (key length u32, key, f64 bits u64) each,
+///           SimProfile words (23 × u64), FaultReport words (10 × u64),
+///           tiles: count u32, then TileCounters words (17 × u64) each,
+///           NocCounters (5 × u64), DramCounters (5 × u64),
+///           DispatchCounters (6 × u64),
+///           tenants: count u32, then TenantCounters words (7 × u64) each,
 ///           timeline: count u32, then (cycle u64, busy u32) each,
 ///           the DRAM image (RunReport::encode_dram_image) to the end
 /// ```
 ///
-/// Every integer is little-endian.
+/// Every integer is little-endian. A block's words are its
+/// `to_words()`, in declaration order.
 fn encode(outcome: &FaultOutcome) -> Vec<u8> {
     let mut buf = Vec::with_capacity(4096);
     buf.extend_from_slice(MAGIC);
@@ -450,19 +458,18 @@ fn encode(outcome: &FaultOutcome) -> Vec<u8> {
         }
         FaultOutcome::Completed(r) => {
             buf.push(KIND_COMPLETED);
-            for v in [r.cycles, r.tasks_completed, r.skipped_cycles]
-                .into_iter()
-                .chain(r.profile.to_words())
-                .chain(r.faults.to_words())
-            {
-                put(&mut buf, v);
-            }
-            put32(&mut buf, r.stats.len());
-            for (k, v) in r.stats.iter() {
-                put32(&mut buf, k.len());
-                buf.extend_from_slice(k.as_bytes());
-                put(&mut buf, v.to_bits());
-            }
+            let c = &r.counters;
+            let puts = |buf: &mut Vec<u8>, words: &[u64]| words.iter().for_each(|&w| put(buf, w));
+            puts(&mut buf, &[r.cycles, r.tasks_completed, r.skipped_cycles]);
+            puts(&mut buf, &r.profile.to_words());
+            puts(&mut buf, &r.faults.to_words());
+            put32(&mut buf, c.tiles.len());
+            c.tiles.iter().for_each(|t| puts(&mut buf, &t.to_words()));
+            puts(&mut buf, &c.noc.to_words());
+            puts(&mut buf, &c.dram.to_words());
+            puts(&mut buf, &c.dispatch.to_words());
+            put32(&mut buf, c.tenants.len());
+            c.tenants.iter().for_each(|t| puts(&mut buf, &t.to_words()));
             put32(&mut buf, r.timeline.len());
             for &(c, b) in &r.timeline {
                 put(&mut buf, c);
@@ -481,7 +488,7 @@ fn encode(outcome: &FaultOutcome) -> Vec<u8> {
 /// Bounds-checked reader over an entry body.
 struct Reader<'a>(&'a [u8]);
 
-impl<'a> Reader<'a> {
+impl Reader<'_> {
     fn take<const N: usize>(&mut self) -> Result<[u8; N], String> {
         let (head, tail) = self
             .0
@@ -489,15 +496,6 @@ impl<'a> Reader<'a> {
             .ok_or("entry body ends early")?;
         self.0 = tail;
         Ok(*head)
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if n > self.0.len() {
-            return Err("entry body ends early".into());
-        }
-        let (head, tail) = self.0.split_at(n);
-        self.0 = tail;
-        Ok(head)
     }
 
     fn u64(&mut self) -> Result<u64, String> {
@@ -529,7 +527,7 @@ impl<'a> Reader<'a> {
 fn decode(mut bytes: Vec<u8>) -> Result<FaultOutcome, String> {
     let header = bytes.get(..HEADER).ok_or("entry shorter than its header")?;
     if header[..8] != MAGIC[..] {
-        return Err("not a format-3 entry".into());
+        return Err("not a format-4 entry".into());
     }
     let word = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
     let (body_len, sum) = (word(8), word(16));
@@ -551,14 +549,23 @@ fn decode(mut bytes: Vec<u8>) -> Result<FaultOutcome, String> {
     let [tasks_completed, skipped_cycles] = r.words()?;
     let profile = SimProfile::from_words(&r.words()?);
     let faults = FaultReport::from_words(&r.words()?);
-    // Stat records and timeline samples both take at least 12 bytes.
-    let stats = (0..r.count(12)?)
-        .map(|_| {
-            let len = u32::from_le_bytes(r.take()?) as usize;
-            let key = std::str::from_utf8(r.bytes(len)?).map_err(|_| "stat key is not UTF-8")?;
-            Ok((key.to_string(), f64::from_bits(r.u64()?)))
-        })
-        .collect::<Result<ts_sim::stats::Report, String>>()?;
+    let tiles = (0..r.count(8 * TileCounters::WORDS)?)
+        .map(|_| Ok(TileCounters::from_words(&r.words()?)))
+        .collect::<Result<_, String>>()?;
+    let noc = NocCounters::from_words(&r.words()?);
+    let dram = DramCounters::from_words(&r.words()?);
+    let dispatch = DispatchCounters::from_words(&r.words()?);
+    let tenants = (0..r.count(8 * TenantCounters::WORDS)?)
+        .map(|_| Ok(TenantCounters::from_words(&r.words()?)))
+        .collect::<Result<_, String>>()?;
+    let counters = RunCounters {
+        tiles,
+        noc,
+        dram,
+        dispatch,
+        tenants,
+    };
+    // A timeline sample takes 12 bytes.
     let n = r.count(12)?;
     let mut timeline = Vec::with_capacity(n);
     for _ in 0..n {
@@ -569,7 +576,7 @@ fn decode(mut bytes: Vec<u8>) -> Result<FaultOutcome, String> {
     bytes.drain(..image_at);
     let report = RunReport::from_cached_parts(
         cycles,
-        stats,
+        counters,
         bytes,
         tasks_completed,
         timeline,
@@ -756,13 +763,7 @@ mod tests {
     /// Compares every field of two reports bit for bit.
     fn assert_identical(a: &RunReport, b: &RunReport) {
         assert_eq!(a.cycles, b.cycles);
-        let bits = |r: &RunReport| -> Vec<(String, u64)> {
-            r.stats
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_bits()))
-                .collect()
-        };
-        assert_eq!(bits(a), bits(b));
+        assert_eq!(a.counters, b.counters);
         assert_eq!(a.dram_len(), b.dram_len());
         assert_eq!(a.dram_range(0, a.dram_len()), b.dram_range(0, b.dram_len()));
         assert_eq!(a.tasks_completed, b.tasks_completed);
@@ -779,17 +780,16 @@ mod tests {
     #[test]
     fn entries_roundtrip_every_field_bit_exactly() {
         let mut workload = crate::run_validated(&Spmv::tiny(42), DeltaConfig::delta(4), false);
-        let specials = [
-            -0.0,
-            f64::NAN,
-            f64::from_bits(0xfff4_dead_beef_0001), // negative signalling NaN with payload
-            f64::from_bits(1),                     // smallest subnormal
-            f64::MIN_POSITIVE / 3.0,
-            f64::NEG_INFINITY,
+        // Full-width words in every block, and a tenant section.
+        let c = &mut workload.counters;
+        c.tiles[3] = TileCounters::from_words(&std::array::from_fn(|i| u64::MAX - i as u64));
+        c.noc.stall_cycles = u64::MAX;
+        c.dram.write_words = 1 << 63;
+        c.dispatch.chain_dispatches = u64::MAX - 1;
+        c.tenants = vec![
+            TenantCounters::from_words(&std::array::from_fn(|i| 1u64 << (8 * i))),
+            TenantCounters::default(),
         ];
-        for (i, v) in specials.into_iter().enumerate() {
-            workload.stats.set(format!("zz.special{i}"), v);
-        }
         let reports = [
             workload,
             simulate_image(vec![-1, i64::MIN, i64::MAX, 0, 0, -300, 7, i64::MIN + 1]),
@@ -827,6 +827,72 @@ mod tests {
     /// here.
     #[test]
     fn counter_words_keep_their_documented_slots() {
+        assert_eq!(
+            TileCounters::NAMES,
+            [
+                "tasks_dispatched",
+                "tasks_completed",
+                "tasks_stolen_away",
+                "task_rotations",
+                "task_latency_sum",
+                "task_latency_max",
+                "reconfigs",
+                "reconfig_cycles",
+                "busy_cycles",
+                "idle_cycles",
+                "fire_stall_input",
+                "fire_stall_other",
+                "spill_reads",
+                "pipes_direct",
+                "pipes_spilled",
+                "spad_accesses",
+                "fault_down_cycles",
+            ]
+        );
+        assert_eq!(
+            NocCounters::NAMES,
+            [
+                "injected",
+                "injected_branches",
+                "delivered",
+                "flit_hops",
+                "stall_cycles"
+            ]
+        );
+        assert_eq!(
+            DramCounters::NAMES,
+            [
+                "jobs",
+                "job_words",
+                "read_words",
+                "read_words_unique",
+                "write_words"
+            ]
+        );
+        assert_eq!(
+            DispatchCounters::NAMES,
+            [
+                "tasks_spawned",
+                "tasks_dispatched",
+                "steals",
+                "multicast_groups",
+                "multicast_joins",
+                "chain_dispatches",
+            ]
+        );
+        assert_eq!(
+            TenantCounters::NAMES,
+            [
+                "admitted",
+                "completed",
+                "gate_holds",
+                "p50_latency",
+                "p99_latency",
+                "max_latency",
+                "latency_sum",
+            ]
+        );
+
         assert_eq!((SimProfile::WORDS, FaultReport::WORDS), (23, 10));
         let w: Vec<u64> = (1..=33).collect();
         let (pw, fw) = w.split_at(SimProfile::WORDS);
@@ -888,8 +954,8 @@ mod tests {
         // A well-formed entry of the previous format.
         let wedged = encode(&FaultOutcome::Wedged { cycles: 9 });
         let mut old = wedged.clone();
-        old[..8].copy_from_slice(b"tscache2");
-        assert!(decode(old).is_err(), "format-2 entry");
+        old[..8].copy_from_slice(b"tscache3");
+        assert!(decode(old).is_err(), "format-3 entry");
 
         // Well-framed bodies whose content is wrong.
         let mut body = wedged[HEADER..].to_vec();
@@ -905,10 +971,10 @@ mod tests {
         report.encode_dram_image(&mut image);
         let done = encode(&FaultOutcome::Completed(Box::new(report)));
         let body = &done[HEADER..];
-        let stats_at = 1 + 8 * (3 + SimProfile::WORDS + FaultReport::WORDS);
+        let tiles_at = 1 + 8 * (3 + SimProfile::WORDS + FaultReport::WORDS);
         let mut huge = body.to_vec();
-        huge[stats_at..stats_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode(seal(&huge)).is_err(), "stat count past the body");
+        huge[tiles_at..tiles_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode(seal(&huge)).is_err(), "tile count past the body");
         let head = &body[..body.len() - image.len()];
         let with_image = |img: &[u8]| seal(&[head, img].concat());
         assert!(decode(with_image(&image)).is_ok());

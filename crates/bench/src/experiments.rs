@@ -479,8 +479,8 @@ fn plan_noc(scale: Scale) -> Plan {
         ]);
         for (wl, pair) in wls.iter().zip(results.chunks(2)) {
             let (with, without) = (pair[0], pair[1]);
-            let rd_mc = with.stats.get_or_zero("dram.read_words");
-            let rd_uni = without.stats.get_or_zero("dram.read_words");
+            let rd_mc = with.counters.dram.read_words as f64;
+            let rd_uni = without.counters.dram.read_words as f64;
             table.row(vec![
                 wl.name().into(),
                 format!("{rd_mc:.0}"),
@@ -663,7 +663,7 @@ fn plan_batch(scale: Scale) -> Plan {
             table.row(vec![
                 w.to_string(),
                 r.cycles.to_string(),
-                format!("{:.0}", r.stats.get_or_zero("dram.read_words")),
+                r.counters.dram.read_words.to_string(),
                 fmt_x(base.cycles as f64 / r.cycles as f64),
             ]);
         }
@@ -1048,11 +1048,11 @@ fn plan_tenancy(scale: Scale) -> Plan {
                 let mut done = Vec::new();
                 let mut holds = Vec::new();
                 for (t, iso_run) in iso.iter().enumerate() {
-                    let stat = |k: &str| co.stats.get_or_zero(&format!("tenant{t}.{k}"));
-                    let iso_p50 = iso_run.stats.get_or_zero("tenant0.p50_latency");
-                    let p50 = stat("p50_latency");
-                    let slow = p50 / iso_p50.max(1.0);
-                    let completed = stat("completed");
+                    let stat = &co.counters.tenants[t];
+                    let iso_p50 = iso_run.counters.tenants[0].p50_latency;
+                    let p50 = stat.p50_latency;
+                    let slow = p50 as f64 / iso_p50.max(1) as f64;
+                    let completed = stat.completed;
                     assert_eq!(
                         completed as usize, wl.tenants[t].queries,
                         "tenant {t} starved under {part} ({arrival})"
@@ -1063,15 +1063,15 @@ fn plan_tenancy(scale: Scale) -> Plan {
                         part.into(),
                         t.to_string(),
                         p50.to_string(),
-                        stat("p99_latency").to_string(),
+                        stat.p99_latency.to_string(),
                         iso_p50.to_string(),
                         fmt_x(slow),
                         completed.to_string(),
-                        stat("gate_holds").to_string(),
+                        stat.gate_holds.to_string(),
                     ]);
                     slows.push(slow);
                     done.push(completed.to_string());
-                    holds.push(stat("gate_holds").to_string());
+                    holds.push(stat.gate_holds.to_string());
                 }
                 let worst = slows.iter().copied().fold(f64::MIN, f64::max);
                 let best = slows.iter().copied().fold(f64::MAX, f64::min);
@@ -1126,8 +1126,8 @@ fn plan_streams(scale: Scale) -> Plan {
                 d.cycles.to_string(),
                 s.cycles.to_string(),
                 fmt_x(sp),
-                (d.stats.sum_matching("pipes_direct") as u64).to_string(),
-                (d.stats.sum_matching("pipes_spilled") as u64).to_string(),
+                d.counters.tile_total().pipes_direct.to_string(),
+                d.counters.tile_total().pipes_spilled.to_string(),
             ]);
         }
         let g = geomean(&speedups);
@@ -1512,7 +1512,7 @@ pub fn fault_run(id: &str, scale: Scale, fail_rate: Option<f64>) -> FaultRun {
     kv("cycles lost to recovery", f.cycles_lost().to_string());
     if let Some((_, offered)) = &tenancy {
         for (t, &want) in offered.iter().enumerate() {
-            let got = report.stats.get_or_zero(&format!("tenant{t}.completed")) as u64;
+            let got = report.counters.tenants[t].completed;
             assert_eq!(
                 got, want,
                 "tenant {t} starved under the fault storm ({got}/{want} queries)"

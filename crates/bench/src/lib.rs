@@ -45,7 +45,6 @@ pub mod whatif_report;
 
 pub use table::Table;
 
-use rayon::prelude::*;
 use taskstream_model::Program;
 use ts_delta::{oracle, Accelerator, DeltaConfig, RunError, RunReport};
 use ts_workloads::Workload;
@@ -257,9 +256,7 @@ fn run_sweep_job(j: &SweepJob, inputs: Option<&KeyInputs>) -> FaultOutcome {
 /// regardless of which worker ran it.
 pub fn run_jobs(jobs: &[SweepJob]) -> Vec<FaultOutcome> {
     let inputs = cache::is_enabled().then(|| key_inputs(jobs));
-    jobs.par_iter()
-        .map(|j| run_sweep_job(j, inputs.as_ref()))
-        .collect()
+    ts_pool::map(jobs, |j| run_sweep_job(j, inputs.as_ref()))
 }
 
 /// Builds and hashes each distinct program of a sweep once, in
@@ -281,13 +278,10 @@ fn key_inputs(jobs: &[SweepJob]) -> KeyInputs {
     let tasks: Vec<Option<&SweepJob>> = std::iter::once(None)
         .chain(distinct.iter().copied().map(Some))
         .collect();
-    let hashes: Vec<u64> = tasks
-        .par_iter()
-        .map(|task| match task {
-            None => cache::current_salt(),
-            Some(j) => cache::program_fingerprint(j.wl.as_ref(), j.baseline),
-        })
-        .collect();
+    let hashes: Vec<u64> = ts_pool::map(&tasks, |task| match task {
+        None => cache::current_salt(),
+        Some(j) => cache::program_fingerprint(j.wl.as_ref(), j.baseline),
+    });
     KeyInputs {
         fingerprints: distinct
             .iter()
@@ -322,18 +316,13 @@ mod tests {
     /// each job on its own.
     #[test]
     fn pool_fingerprints_match_serial_ones() {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build_global()
-            .expect("pool width");
+        ts_pool::configure(4);
         let jobs: Vec<SweepJob> = experiments::ALL
             .iter()
             .flat_map(|id| experiments::plan(id, Scale::Tiny).jobs)
             .collect();
         let inputs = key_inputs(&jobs);
-        rayon::ThreadPoolBuilder::new()
-            .build_global()
-            .expect("pool width");
+        ts_pool::configure(0);
         assert_eq!(inputs.salt, cache::current_salt());
         for j in &jobs {
             assert_eq!(

@@ -4,7 +4,6 @@
 //! and every observable of the two reports must match — a stricter bar
 //! than the golden cells, which see only what each table prints.
 
-use rayon::prelude::*;
 use ts_bench::{experiments, SweepJob};
 use ts_delta::{Accelerator, RunError, RunReport};
 use ts_workloads::Scale;
@@ -45,7 +44,7 @@ fn divergence(ev: &RunReport, dn: &RunReport) -> Option<&'static str> {
         ("cycles", ev.cycles == dn.cycles),
         ("tasks_completed", ev.tasks_completed == dn.tasks_completed),
         ("timeline", ev.timeline == dn.timeline),
-        ("stats", ev.stats == dn.stats),
+        ("counters", ev.counters == dn.counters),
         (
             "DRAM image",
             ev.dram_len() == dn.dram_len()
@@ -94,10 +93,9 @@ fn every_tiny_sweep_job_matches_the_dense_reference() {
             jobs.push((*id, i, j));
         }
     }
-    let verdicts: Vec<Result<bool, String>> = jobs
-        .par_iter()
-        .map(|(id, i, j)| check(j).map_err(|e| format!("{id} job {i} ({}): {e}", j.wl.name())))
-        .collect();
+    let verdicts: Vec<Result<bool, String>> = ts_pool::map(&jobs, |(id, i, j)| {
+        check(j).map_err(|e| format!("{id} job {i} ({}): {e}", j.wl.name()))
+    });
     let wedged = verdicts.iter().filter(|v| v == &&Ok(true)).count();
     let failures: Vec<String> = verdicts.into_iter().filter_map(Result::err).collect();
     assert!(

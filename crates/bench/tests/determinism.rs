@@ -1,12 +1,11 @@
 //! Regression test for the parallel sweep engine's core guarantee:
 //! `--jobs N` output is byte-identical to `--jobs 1` for the same seed.
 //!
-//! The vendored rayon stand-in allows reconfiguring the global pool
-//! mid-process (upstream errors on the second `build_global`), which is
-//! exactly what lets one test run the same experiments in both modes
-//! and compare the rendered text.
+//! `ts_pool::configure` may reconfigure the global pool width
+//! mid-process (it drains in-flight work first), which is exactly what
+//! lets one test run the same experiments in both modes and compare the
+//! rendered text.
 
-use rayon::ThreadPoolBuilder;
 use ts_bench::experiments;
 use ts_bench::golden::GoldenDoc;
 use ts_workloads::Scale;
@@ -30,27 +29,18 @@ fn render_all(scale: Scale) -> Vec<String> {
 
 #[test]
 fn parallel_sweep_output_is_byte_identical_to_serial() {
-    ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build_global()
-        .unwrap();
+    ts_pool::configure(1);
     let serial = render_all(Scale::Tiny);
 
     for jobs in [4, 8] {
-        ThreadPoolBuilder::new()
-            .num_threads(jobs)
-            .build_global()
-            .unwrap();
+        ts_pool::configure(jobs);
         let parallel = render_all(Scale::Tiny);
         for (id, (s, p)) in IDS.iter().zip(serial.iter().zip(&parallel)) {
             assert_eq!(s, p, "{id} diverged between --jobs 1 and --jobs {jobs}");
         }
     }
 
-    ThreadPoolBuilder::new()
-        .num_threads(0)
-        .build_global()
-        .unwrap();
+    ts_pool::configure(0);
 }
 
 /// The flattened engine — all experiments' jobs pooled into one
@@ -58,28 +48,19 @@ fn parallel_sweep_output_is_byte_identical_to_serial() {
 /// (this is the path `repro sweep` actually takes).
 #[test]
 fn flattened_sweep_is_byte_identical_across_widths() {
-    ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build_global()
-        .unwrap();
+    ts_pool::configure(1);
     let serial: Vec<String> = experiments::run_docs(IDS, Scale::Tiny)
         .iter()
         .map(experiments::render_doc)
         .collect();
 
-    ThreadPoolBuilder::new()
-        .num_threads(8)
-        .build_global()
-        .unwrap();
+    ts_pool::configure(8);
     let parallel: Vec<String> = experiments::run_docs(IDS, Scale::Tiny)
         .iter()
         .map(experiments::render_doc)
         .collect();
 
-    ThreadPoolBuilder::new()
-        .num_threads(0)
-        .build_global()
-        .unwrap();
+    ts_pool::configure(0);
 
     assert_eq!(serial, parallel);
 }

@@ -55,8 +55,7 @@ fn run_dense(wl: &RequestServer, cfg: DeltaConfig) -> RunReport {
 fn assert_tenants_served(r: &RunReport, wl: &RequestServer, what: &str) {
     for (t, load) in wl.tenants.iter().enumerate() {
         assert_eq!(
-            r.stats.get_or_zero(&format!("tenant{t}.completed")) as usize,
-            load.queries,
+            r.counters.tenants[t].completed as usize, load.queries,
             "{what}: tenant {t} starved"
         );
     }
@@ -115,7 +114,7 @@ proptest! {
         let r = run_cfg(&wl, cfg, chaos);
         prop_assert_eq!(r.cycles, reference.cycles, "cycles diverged (chaos={})", chaos);
         prop_assert_eq!(r.tasks_completed, reference.tasks_completed);
-        prop_assert_eq!(&r.stats, &reference.stats, "stats diverged (chaos={})", chaos);
+        prop_assert_eq!(&r.counters, &reference.counters, "counters diverged (chaos={})", chaos);
         prop_assert_eq!(&r.timeline, &reference.timeline);
         prop_assert_eq!(&r.faults, &reference.faults, "faults diverged (chaos={})", chaos);
     }
@@ -151,7 +150,7 @@ fn whole_partition_fail_stop_spills_instead_of_wedging() {
     assert!(r.faults.tile_fail_stops > 0, "no tile fail-stopped");
     assert_tenants_served(&r, &wl, "spilled run");
     assert_eq!(r.cycles, dense.cycles);
-    assert_eq!(r.stats, dense.stats);
+    assert_eq!(r.counters, dense.counters);
     assert_eq!(r.faults, dense.faults);
 }
 
@@ -179,7 +178,10 @@ fn per_tenant_oracle_equivalence_at_every_fault_rate() {
             let a = run_cfg(&wl, cfg.clone(), true);
             let b = run_cfg(&wl, cfg, true);
             assert_eq!(a.cycles, b.cycles, "{what}: replay diverged");
-            assert_eq!(a.stats, b.stats, "{what}: stats diverged on replay");
+            assert_eq!(
+                a.counters, b.counters,
+                "{what}: counters diverged on replay"
+            );
             assert_eq!(a.faults, b.faults, "{what}: fault report diverged");
             assert_tenants_served(&a, &wl, &what);
         }
@@ -222,7 +224,7 @@ fn admission_gate_prevents_heavy_neighbor_starvation() {
     let gated = run(4);
     assert_tenants_served(&ungated, &wl, "admission off");
     assert_tenants_served(&gated, &wl, "admission on");
-    let light_p99 = |r: &RunReport| r.stats.get_or_zero("tenant1.p99_latency");
+    let light_p99 = |r: &RunReport| r.counters.tenants[1].p99_latency;
     assert!(
         light_p99(&gated) < light_p99(&ungated),
         "admission gate did not improve the light tenant's p99: \
@@ -231,7 +233,7 @@ fn admission_gate_prevents_heavy_neighbor_starvation() {
         light_p99(&ungated)
     );
     assert!(
-        gated.stats.get_or_zero("tenant0.gate_holds") > 0.0,
+        gated.counters.tenants[0].gate_holds > 0,
         "the gate never engaged; the regression test is vacuous"
     );
 }
@@ -239,7 +241,7 @@ fn admission_gate_prevents_heavy_neighbor_starvation() {
 /// One tenant is the inert default: a one-tenant configuration, under
 /// either partitioning policy with work stealing on, gives the same
 /// run as `TenancyConfig::none()`. Everything matches except that only
-/// the configured run reports its `tenant0.*` keys.
+/// the configured run reports a tenant block.
 #[test]
 fn one_tenant_config_matches_the_inert_default() {
     // the request server's queries carry tenant tags 0 and 1; with one
@@ -252,8 +254,8 @@ fn one_tenant_config_matches_the_inert_default() {
         let base = DeltaConfig::delta(4).to_builder().work_stealing(true);
         let inert = run_validated(wl.as_ref(), base.clone().build(), false);
         assert!(
-            inert.stats.matching("tenant").is_empty(),
-            "{}: the inert default reported tenant keys",
+            inert.counters.tenants.is_empty(),
+            "{}: the inert default reported tenant counters",
             wl.name()
         );
         for partition in [PartitionPolicy::Shared, PartitionPolicy::Spatial] {
@@ -272,21 +274,14 @@ fn one_tenant_config_matches_the_inert_default() {
                 r.dram_range(0, r.dram_len()) == inert.dram_range(0, inert.dram_len()),
                 "{what}: DRAM image"
             );
+            let mut untenanted = r.counters.clone();
+            let tenants = std::mem::take(&mut untenanted.tenants);
+            assert_eq!(tenants.len(), 1, "{what}: tenant blocks");
             assert_eq!(
-                r.stats.get_or_zero("tenant0.completed"),
-                inert.tasks_completed as f64,
+                tenants[0].completed, inert.tasks_completed,
                 "{what}: tenant 0 must own every task"
             );
-            let untenanted: Vec<(&str, f64)> = r
-                .stats
-                .iter()
-                .filter(|(k, _)| !k.starts_with("tenant0."))
-                .collect();
-            assert_eq!(
-                untenanted,
-                inert.stats.iter().collect::<Vec<_>>(),
-                "{what}: stats"
-            );
+            assert_eq!(untenanted, inert.counters, "{what}: counters");
         }
     }
 }

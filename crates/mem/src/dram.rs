@@ -4,7 +4,7 @@ use crate::storage::Storage;
 use crate::{Addr, Value};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
-use ts_sim::stats::Stats;
+use ts_sim::counter_table;
 use ts_sim::TokenBucket;
 
 /// Identifier of one submitted DRAM job.
@@ -179,15 +179,25 @@ pub struct Dram {
     /// for fault injection (serve order is itself deterministic).
     fault_served: u64,
     fault_retries: u64,
-    /// Traffic counters kept as plain integers — served words are the
-    /// hottest loop in the memory system, so the generic [`Stats`]
-    /// scope is materialized on demand (see [`Dram::stats`]) instead of
-    /// bumped per word.
-    jobs: u64,
-    job_words: u64,
-    read_words: u64,
-    read_words_unique: u64,
-    write_words: u64,
+    counters: DramCounters,
+}
+
+counter_table! {
+    /// DRAM traffic counters. With every job drained,
+    /// `read_words >= read_words_unique`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct DramCounters {
+        /// Jobs submitted.
+        pub jobs: u64,
+        /// Words the submitted jobs asked for.
+        pub job_words: u64,
+        /// Words read, every access counted.
+        pub read_words: u64,
+        /// Distinct addresses read (first touch only).
+        pub read_words_unique: u64,
+        /// Words written (metering writes included).
+        pub write_words: u64,
+    }
 }
 
 /// splitmix64-style draw in `[0, 1)` for transient-error injection.
@@ -224,11 +234,7 @@ impl Dram {
             fault_seed: 0,
             fault_served: 0,
             fault_retries: 0,
-            jobs: 0,
-            job_words: 0,
-            read_words: 0,
-            read_words_unique: 0,
-            write_words: 0,
+            counters: DramCounters::default(),
             config,
         }
     }
@@ -281,8 +287,8 @@ impl Dram {
         }
         let id = self.next_job;
         self.next_job += 1;
-        self.jobs += 1;
-        self.job_words += kind.words() as u64;
+        self.counters.jobs += 1;
+        self.counters.job_words += kind.words() as u64;
         self.waiting.push_back(ActiveJob {
             id,
             tag,
@@ -345,19 +351,9 @@ impl Dram {
         self.bw.refill_n(n);
     }
 
-    /// Statistics scope, materialized from the integer counters. Only
-    /// nonzero counters are emitted, matching what a per-event `bump`
-    /// scope would have accumulated (absent keys stay absent).
-    pub fn stats(&self) -> Stats {
-        let mut s = Stats::new();
-        s.bump_nonzero(&[
-            ("jobs", self.jobs),
-            ("job_words", self.job_words),
-            ("read_words", self.read_words),
-            ("read_words_unique", self.read_words_unique),
-            ("write_words", self.write_words),
-        ]);
-        s
+    /// Traffic counters since construction.
+    pub fn counters(&self) -> DramCounters {
+        self.counters
     }
 
     /// Advances one cycle: admits jobs, spends bandwidth round-robin
@@ -429,12 +425,12 @@ impl Dram {
                     match &job.kind {
                         JobKind::Read { addrs, .. } => {
                             let value = self.storage.read(addrs[w]);
-                            self.read_words += 1;
+                            self.counters.read_words += 1;
                             let a = addrs[w] as usize;
                             let (slot, bit) = (a / 64, 1u64 << (a % 64));
                             if self.seen_reads[slot] & bit == 0 {
                                 self.seen_reads[slot] |= bit;
-                                self.read_words_unique += 1;
+                                self.counters.read_words_unique += 1;
                             }
                             self.inflight.push_back((
                                 ready,
@@ -459,7 +455,7 @@ impl Dram {
                             {
                                 self.storage.update(addrs[w], data[w], *mode);
                             }
-                            self.write_words += 1;
+                            self.counters.write_words += 1;
                             if last {
                                 self.inflight.push_back((
                                     ready,
@@ -755,8 +751,8 @@ mod tests {
         )
         .unwrap();
         run_until_idle(&mut d, 100);
-        assert_eq!(d.stats().counter("read_words"), 5);
-        assert_eq!(d.stats().counter("read_words_unique"), 3);
+        assert_eq!(d.counters().read_words, 5);
+        assert_eq!(d.counters().read_words_unique, 3);
     }
 
     #[test]
@@ -853,7 +849,7 @@ mod tests {
             assert_eq!(buf, want, "cycle {now}");
         }
         assert!(a.is_idle() && b.is_idle());
-        assert_eq!(a.stats().report(), b.stats().report());
+        assert_eq!(a.counters(), b.counters());
     }
 
     #[test]
@@ -881,7 +877,7 @@ mod tests {
                     outs.extend(d.tick(now).into_iter().map(|o| (now, o)));
                 }
                 assert!(d.is_idle());
-                (outs, d.stats().report(), d.storage().read(7))
+                (outs, d.counters(), d.storage().read(7))
             };
             let metered = run(JobKind::MeterWrite { gather });
             let unapplied = run(JobKind::Write {
@@ -895,7 +891,7 @@ mod tests {
             let acks: Vec<_> = metered.0.iter().filter(|(_, o)| o.is_write_ack).collect();
             assert_eq!(acks.len(), 1);
             assert!(acks[0].1.last && acks[0].1.tag == 2);
-            assert_eq!(metered.1.get("write_words"), Some(1.0));
+            assert_eq!(metered.1.write_words, 1);
             assert_eq!(metered.2, 0, "a metering write never touches storage");
         }
     }

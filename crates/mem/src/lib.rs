@@ -41,7 +41,7 @@ mod dram;
 mod spad;
 mod storage;
 
-pub use dram::{Dram, DramConfig, DramOut, JobId, JobKind};
+pub use dram::{Dram, DramConfig, DramCounters, DramOut, JobId, JobKind};
 pub use spad::Spad;
 pub use storage::{Storage, WriteMode};
 

@@ -1,15 +1,16 @@
 //! Per-tile scratchpad model.
 
 use crate::storage::Storage;
-use crate::{Addr, Value};
 use ts_sim::TokenBucket;
 
 /// A tile-local software-managed scratchpad.
 ///
 /// Scratchpads are one-cycle SRAM with a private per-tile bandwidth
 /// budget: the tile's stream engines call [`Spad::begin_cycle`] once per
-/// cycle and then [`Spad::try_read`]/[`Spad::try_write`] until the
-/// budget runs out.
+/// cycle and then [`Spad::try_charge`] per access until the budget runs
+/// out. The functional reads and writes go through [`Spad::storage`],
+/// so the budget meters timing and [`Spad::access_count`] feeds the
+/// energy model.
 ///
 /// # Examples
 ///
@@ -18,16 +19,16 @@ use ts_sim::TokenBucket;
 ///
 /// let mut spad = Spad::new(64, 2.0); // 64 words, 2 accesses/cycle
 /// spad.begin_cycle();
-/// assert!(spad.try_write(0, 5));
-/// assert_eq!(spad.try_read(0), Some(5));
-/// assert_eq!(spad.try_read(0), None); // out of bandwidth this cycle
+/// assert!(spad.try_charge());
+/// assert!(spad.try_charge());
+/// assert!(!spad.try_charge()); // out of bandwidth this cycle
+/// assert_eq!(spad.access_count(), 2);
 /// ```
 #[derive(Debug)]
 pub struct Spad {
     storage: Storage,
     bw: TokenBucket,
-    reads: u64,
-    writes: u64,
+    accesses: u64,
 }
 
 impl Spad {
@@ -37,8 +38,7 @@ impl Spad {
         Spad {
             storage: Storage::new(words),
             bw: TokenBucket::per_cycle(accesses_per_cycle),
-            reads: 0,
-            writes: 0,
+            accesses: 0,
         }
     }
 
@@ -60,61 +60,26 @@ impl Spad {
 
     /// Fast-forwards `n` cycles in which no access is made — equivalent
     /// to `n` [`begin_cycle`](Spad::begin_cycle) calls with no
-    /// intervening reads or writes.
+    /// intervening accesses.
     pub fn skip_cycles(&mut self, n: u64) {
         self.bw.refill_n(n);
     }
 
-    /// Reads one word if bandwidth remains this cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of range.
-    pub fn try_read(&mut self, addr: Addr) -> Option<Value> {
-        if self.bw.try_take() {
-            self.reads += 1;
-            Some(self.storage.read(addr))
-        } else {
-            None
-        }
-    }
-
-    /// Writes one word if bandwidth remains this cycle; returns whether
-    /// the write was accepted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of range.
-    pub fn try_write(&mut self, addr: Addr, value: Value) -> bool {
-        if self.bw.try_take() {
-            self.writes += 1;
-            self.storage.write(addr, value);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Total metered reads since construction.
-    pub fn read_count(&self) -> u64 {
-        self.reads
-    }
-
-    /// Total metered writes since construction.
-    pub fn write_count(&self) -> u64 {
-        self.writes
-    }
-
-    /// Consumes one access of this cycle's budget without touching the
-    /// store — used to meter accesses whose functional effect was
-    /// already applied elsewhere.
+    /// Consumes one access of this cycle's budget, returning whether
+    /// bandwidth remained. The access's functional effect is applied
+    /// through [`storage`](Spad::storage) or elsewhere.
     pub fn try_charge(&mut self) -> bool {
         if self.bw.try_take() {
-            self.writes += 1;
+            self.accesses += 1;
             true
         } else {
             false
         }
+    }
+
+    /// Total metered accesses (reads and writes) since construction.
+    pub fn access_count(&self) -> u64 {
+        self.accesses
     }
 
     /// Remaining access budget in the current cycle.
@@ -131,11 +96,12 @@ mod tests {
     fn bandwidth_limits_accesses_per_cycle() {
         let mut s = Spad::new(16, 2.0);
         s.begin_cycle();
-        assert!(s.try_write(0, 1));
-        assert!(s.try_write(1, 2));
-        assert!(!s.try_write(2, 3));
+        assert!(s.try_charge());
+        assert!(s.try_charge());
+        assert!(!s.try_charge());
         s.begin_cycle();
-        assert!(s.try_write(2, 3));
+        assert!(s.try_charge());
+        assert_eq!(s.access_count(), 3, "a refused access is not counted");
     }
 
     #[test]
@@ -143,18 +109,6 @@ mod tests {
         let mut s = Spad::new(16, 1.0);
         s.storage_mut().load(0, &[9, 8, 7]);
         assert_eq!(s.storage().read(1), 8);
-        assert_eq!(s.read_count(), 0);
-        assert_eq!(s.write_count(), 0);
-    }
-
-    #[test]
-    fn counters_track_metered_traffic() {
-        let mut s = Spad::new(4, 10.0);
-        s.begin_cycle();
-        s.try_write(0, 1);
-        s.try_read(0);
-        s.try_read(0);
-        assert_eq!(s.write_count(), 1);
-        assert_eq!(s.read_count(), 2);
+        assert_eq!(s.access_count(), 0);
     }
 }

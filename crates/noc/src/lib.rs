@@ -33,7 +33,7 @@
 
 mod mesh;
 
-pub use mesh::{InjectError, Mesh};
+pub use mesh::{InjectError, Mesh, NocCounters};
 
 /// Node identifier: `y * width + x`.
 pub type NodeId = usize;

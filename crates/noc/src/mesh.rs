@@ -3,7 +3,7 @@
 use crate::NodeId;
 use std::fmt;
 use std::sync::Arc;
-use ts_sim::stats::Stats;
+use ts_sim::counter_table;
 use ts_sim::{Activity, Fifo};
 
 /// Error returned by [`Mesh::inject`] when the source router's injection
@@ -172,13 +172,26 @@ pub struct Mesh<P> {
     /// Staging area for flits that advanced this cycle, reused across
     /// ticks so the hot loop does not allocate.
     moved: Vec<(NodeId, usize, Flit<P>)>,
-    /// Traffic counters, bumped per flit or per hop and materialized
-    /// into a [`Stats`] scope on demand (see [`Mesh::stats`]).
-    injected: u64,
-    injected_branches: u64,
-    delivered: u64,
-    flit_hops: u64,
-    stall_cycles: u64,
+    counters: NocCounters,
+}
+
+counter_table! {
+    /// Mesh traffic counters. With every ejection buffer drained,
+    /// `delivered == injected_branches`: each branch of a multicast
+    /// tree ends in exactly one ejection.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct NocCounters {
+        /// Flits injected, one per `inject` call.
+        pub injected: u64,
+        /// Deduplicated destinations over all injected flits.
+        pub injected_branches: u64,
+        /// Flit branches ejected at their destination.
+        pub delivered: u64,
+        /// Link traversals.
+        pub flit_hops: u64,
+        /// Flit-cycles spent blocked on a busy link or full buffer.
+        pub stall_cycles: u64,
+    }
 }
 
 impl<P: Clone> Mesh<P> {
@@ -210,11 +223,7 @@ impl<P: Clone> Mesh<P> {
             rotate: 0,
             link_used: vec![[false; 5]; n],
             moved: Vec::new(),
-            injected: 0,
-            injected_branches: 0,
-            delivered: 0,
-            flit_hops: 0,
-            stall_cycles: 0,
+            counters: NocCounters::default(),
         }
     }
 
@@ -283,12 +292,12 @@ impl<P: Clone> Mesh<P> {
             Ok(()) => {
                 self.queued += 1;
                 self.node_queued[src] += 1;
-                self.injected += 1;
+                self.counters.injected += 1;
                 // one branch per (deduplicated) destination: the
                 // conservation invariant `delivered == injected_branches`
                 // holds at quiescence because every branch of a
                 // multicast tree ends in exactly one ejection
-                self.injected_branches += branches;
+                self.counters.injected_branches += branches;
                 Ok(())
             }
             Err(e) => Err(InjectError(e.0.payload.into_inner())),
@@ -379,21 +388,9 @@ impl<P: Clone> Mesh<P> {
         self.rotate = (self.rotate + (n % m) as usize) % m as usize;
     }
 
-    /// Statistics: `injected` (one per flit), `injected_branches` (one
-    /// per deduplicated destination), `delivered`, `flit_hops`,
-    /// `stall_cycles`. With every ejection buffer drained,
-    /// `delivered == injected_branches`. Materialized from the integer
-    /// counters.
-    pub fn stats(&self) -> Stats {
-        let mut s = Stats::new();
-        s.bump_nonzero(&[
-            ("injected", self.injected),
-            ("injected_branches", self.injected_branches),
-            ("delivered", self.delivered),
-            ("flit_hops", self.flit_hops),
-            ("stall_cycles", self.stall_cycles),
-        ]);
-        s
+    /// Traffic counters since construction.
+    pub fn counters(&self) -> NocCounters {
+        self.counters
     }
 
     fn xy_next(&self, here: NodeId, dst: NodeId) -> Dir {
@@ -460,13 +457,13 @@ impl<P: Clone> Mesh<P> {
                     let dir = self.xy_next(node, dst);
                     let di = dir_index(dir);
                     if self.link_used[node][di] {
-                        self.stall_cycles += 1;
+                        self.counters.stall_cycles += 1;
                         continue;
                     }
                     match dir {
                         Dir::Eject => {
                             if self.eject[node].is_full() {
-                                self.stall_cycles += 1;
+                                self.counters.stall_cycles += 1;
                                 continue;
                             }
                             self.link_used[node][di] = true;
@@ -477,7 +474,7 @@ impl<P: Clone> Mesh<P> {
                                 unreachable!("ejection space was checked");
                             }
                             self.ejected += 1;
-                            self.delivered += 1;
+                            self.counters.delivered += 1;
                         }
                         _ => {
                             let next = self.neighbour(node, dir);
@@ -487,7 +484,7 @@ impl<P: Clone> Mesh<P> {
                                 .filter(|(t, ip, _)| *t == next && *ip == in_port)
                                 .count();
                             if self.queues[next][in_port].free_space() <= pending_here {
-                                self.stall_cycles += 1;
+                                self.counters.stall_cycles += 1;
                                 continue;
                             }
                             self.link_used[node][di] = true;
@@ -495,7 +492,7 @@ impl<P: Clone> Mesh<P> {
                             self.queued -= 1;
                             self.node_queued[node] -= 1;
                             moved.push((next, in_port, flit));
-                            self.flit_hops += 1;
+                            self.counters.flit_hops += 1;
                         }
                     }
                     continue;
@@ -556,7 +553,7 @@ impl<P: Clone> Mesh<P> {
                     Some(self.queues[node][port].pop().expect("head exists").payload)
                 } else {
                     if sends.is_empty() {
-                        self.stall_cycles += 1;
+                        self.counters.stall_cycles += 1;
                     }
                     self.queues[node][port]
                         .front_mut()
@@ -582,7 +579,7 @@ impl<P: Clone> Mesh<P> {
                                 unreachable!("ejection space was checked");
                             }
                             self.ejected += 1;
-                            self.delivered += 1;
+                            self.counters.delivered += 1;
                         }
                         _ => {
                             moved.push((
@@ -595,7 +592,7 @@ impl<P: Clone> Mesh<P> {
                                     payload: load,
                                 },
                             ));
-                            self.flit_hops += 1;
+                            self.counters.flit_hops += 1;
                         }
                     }
                 }
@@ -668,7 +665,7 @@ mod tests {
         for node in [1, 2, 3] {
             assert_eq!(m.eject(node), Some(7), "node {node}");
         }
-        let mc_hops = m.stats().counter("flit_hops");
+        let mc_hops = m.counters().flit_hops;
         // unicasts would cost 1+2+3 = 6 hops; tree costs 3
         assert_eq!(mc_hops, 3);
     }
@@ -705,10 +702,10 @@ mod tests {
             drain_all(&mut m, 50);
             assert_eq!(m.eject(1), Some(4));
             assert_eq!(m.eject(1), None, "{dsts:?}");
-            let s = m.stats();
-            assert_eq!(s.counter("injected"), 1);
-            assert_eq!(s.counter("injected_branches"), 1);
-            assert_eq!(s.counter("delivered"), 1);
+            let s = m.counters();
+            assert_eq!(s.injected, 1);
+            assert_eq!(s.injected_branches, 1);
+            assert_eq!(s.delivered, 1);
         }
     }
 
@@ -733,10 +730,10 @@ mod tests {
         assert_eq!(m.eject(0), Some(20));
         assert_eq!(m.eject(1), Some(20));
         assert!(!m.eject_pending());
-        let s = m.stats();
-        assert_eq!(s.counter("injected_branches"), 3);
-        assert_eq!(s.counter("delivered"), 3);
-        assert!(s.counter("stall_cycles") > 0);
+        let s = m.counters();
+        assert_eq!(s.injected_branches, 3);
+        assert_eq!(s.delivered, 3);
+        assert!(s.stall_cycles > 0);
     }
 
     #[test]

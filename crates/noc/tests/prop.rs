@@ -86,7 +86,7 @@ proptest! {
         for &d in &dsts {
             prop_assert_eq!(mesh.eject(d), Some(1), "destination {} missed", d);
         }
-        let hops = mesh.stats().counter("flit_hops");
+        let hops = mesh.counters().flit_hops;
         let sum: usize = dsts.iter().map(|&d| mesh.distance(src, d)).sum();
         let max = dsts.iter().map(|&d| mesh.distance(src, d)).max().unwrap();
         prop_assert!(hops as usize <= sum, "tree used {} > unicast sum {}", hops, sum);

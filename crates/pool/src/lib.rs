@@ -14,11 +14,12 @@
 //! - [`scope`]: scoped execution — `threads` workers for the duration
 //!   of one closure, tasks may borrow the caller's stack, spawned work
 //!   is stealable the moment it is pushed, idle workers park.
-//! - A process-global thread-count configuration ([`configure`]) that
-//!   the vendored `rayon` stand-in exposes as
-//!   `ThreadPoolBuilder::build_global`: reconfiguration *drains* —
-//!   it waits for in-flight scopes to finish, then swaps the count —
-//!   so repeated calls are safe and later scopes see the new width.
+//! - [`map`]: an order-preserving parallel map over a scope at the
+//!   configured width — the sweep harness's one entry point.
+//! - A process-global thread-count configuration ([`configure`]):
+//!   reconfiguration *drains* — it waits for in-flight scopes to
+//!   finish, then swaps the count — so repeated calls are safe and
+//!   later scopes see the new width.
 //! - Host counters ([`stats`]): successful steals and worker parks,
 //!   which the bench harness prints to stderr and records as advisory
 //!   `host` counters in its bench JSON. They are timing-dependent, so
@@ -103,6 +104,49 @@ pub fn current_threads() -> usize {
     }
 }
 
+/// Order-preserving parallel map at the configured width
+/// ([`current_threads`]): every item becomes one stealable task in a
+/// [`scope`] and writes its result into a per-index slot, so the output
+/// is in input order whichever worker ran which item. When one item
+/// runs far longer than its neighbours, workers that finish early steal
+/// the straggler's queued work instead of idling behind it. With one
+/// thread (or one item) it maps in place, spawning nothing.
+///
+/// # Examples
+///
+/// ```
+/// let squares = ts_pool::map(0..100u64, |x| x * x);
+/// assert_eq!(squares[9], 81);
+/// ```
+pub fn map<T: Send, R: Send>(
+    items: impl IntoIterator<Item = T>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let items: Vec<T> = items.into_iter().collect();
+    let threads = current_threads().min(items.len());
+    if threads <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let slots: Vec<Mutex<Option<R>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
+    let (slots_ref, f_ref) = (&slots, &f);
+    scope(threads, |w| {
+        for (i, item) in items.into_iter().enumerate() {
+            w.spawn(move |_| {
+                let out = f_ref(item);
+                *slots_ref[i].lock().expect("result slot poisoned") = Some(out);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|m| {
+            m.into_inner()
+                .expect("result slot poisoned")
+                .expect("job produced no result")
+        })
+        .collect()
+}
+
 mod stats {
     //! Process-global host-pool counters (monotonic, like the
     //! simulator's profile tallies).
@@ -145,13 +189,71 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Serializes tests that set the global width (the test harness
+    /// runs tests concurrently).
+    static WIDTH_LOCK: Mutex<()> = Mutex::new(());
+
+    fn lock_width() -> std::sync::MutexGuard<'static, ()> {
+        WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn configure_swaps_width_and_zero_means_auto() {
-        // Serialize against other tests that touch the global gate.
+        let _guard = lock_width();
         configure(3);
         assert_eq!(current_threads(), 3);
         configure(0);
         assert!(current_threads() >= 1);
+    }
+
+    #[test]
+    fn map_preserves_order() {
+        let v: Vec<usize> = (0..1000).collect();
+        assert_eq!(
+            map(v.clone(), |x| x * 2),
+            (0..1000).map(|x| x * 2).collect::<Vec<_>>()
+        );
+        assert_eq!(map(&v, |&x| x + 1), (1..1001).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn map_at_width_one_runs_in_place() {
+        let _guard = lock_width();
+        configure(1);
+        assert_eq!(current_threads(), 1);
+        assert_eq!(map(vec![3u32, 1, 4], |x| x * 10), vec![30, 10, 40]);
+        configure(0);
+    }
+
+    #[test]
+    fn parallel_map_runs_every_job_once() {
+        let _guard = lock_width();
+        configure(4);
+        let counter = AtomicUsize::new(0);
+        let out = map(0..257, |x| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            x
+        });
+        assert_eq!(counter.load(Ordering::Relaxed), 257);
+        assert_eq!(out, (0..257).collect::<Vec<_>>());
+        configure(0);
+    }
+
+    #[test]
+    fn repeated_configure_drains_and_rebuilds() {
+        let _guard = lock_width();
+        // Flip the width back and forth around real parallel work;
+        // every region must complete fully at *some* width and results
+        // must stay order-preserving throughout.
+        for n in [1usize, 8, 2, 8, 1] {
+            configure(n);
+            assert_eq!(current_threads(), n);
+            assert_eq!(
+                map(0..97, |x| x * 3),
+                (0..97).map(|x| x * 3).collect::<Vec<_>>()
+            );
+        }
+        configure(0);
     }
 
     #[test]

@@ -1,14 +1,36 @@
 //! One declaration per counter block.
 //!
-//! [`SimProfile`](crate::SimProfile) and [`FaultReport`](crate::FaultReport)
-//! are flat blocks of `u64` counters, where a histogram is a fixed array
-//! of bucket counters. Each block is declared once, through
-//! `counter_table!`, which emits the struct exactly as written
-//! (attributes, docs and field order, so its derived `Debug` is the
-//! declaration's) plus the views every consumer iterates instead of
-//! naming fields: the field names, each field's words, a flat `u64`
-//! word view and field-wise addition. The bench harness's result cache
-//! stores the flat view, so the declaration order is an on-disk format.
+//! Every modelled component keeps its counters in a flat block of
+//! `u64` fields (a histogram is a fixed array of bucket counters),
+//! declared once through [`counter_table!`](crate::counter_table). The
+//! macro emits the struct exactly as written (attributes, docs and
+//! field order, so its derived `Debug` is the declaration's) plus the
+//! views every consumer iterates instead of naming fields: the field
+//! names, each field's words, a flat `u64` word view and field-wise
+//! addition. A counter is a field, so a misspelled one is a compile
+//! error. The bench harness's result cache stores the flat view, so
+//! the declaration order is an on-disk format.
+//!
+//! # Examples
+//!
+//! ```
+//! ts_sim::counter_table! {
+//!     /// Traffic through one port.
+//!     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+//!     pub struct PortCounters {
+//!         /// Words accepted.
+//!         pub words: u64,
+//!         /// Requests by size class.
+//!         pub sizes: [u64; 2],
+//!     }
+//! }
+//!
+//! let mut a = PortCounters { words: 3, sizes: [1, 2] };
+//! assert_eq!(PortCounters::NAMES, ["words", "sizes"]);
+//! assert_eq!(a.to_words(), [3, 1, 2]);
+//! a.add(&PortCounters::from_words(&[1, 1, 1]));
+//! assert_eq!(a, PortCounters { words: 4, sizes: [2, 3] });
+//! ```
 
 /// One field of a counter block, as its `counters()` method yields it.
 #[derive(Debug, Clone, Copy)]
@@ -21,13 +43,17 @@ pub struct Counter<'a> {
     pub histogram: bool,
 }
 
-/// Storage of one counter field: a scalar or a histogram.
-pub(crate) trait Slot {
+/// Storage of one counter field: a scalar or a histogram. Implemented
+/// for `u64` and `[u64; N]` only; [`counter_table!`](crate::counter_table)
+/// expands to calls on it.
+pub trait Slot {
     /// Words the field takes in the flat view.
     const WORDS: usize;
     /// Whether the field is a histogram.
     const HISTOGRAM: bool;
+    /// The field's words.
     fn words(&self) -> &[u64];
+    /// The field's words, mutably.
     fn words_mut(&mut self) -> &mut [u64];
 }
 
@@ -56,7 +82,8 @@ impl<const N: usize> Slot for [u64; N] {
 /// Declares a counter block: a struct whose public fields are all `u64`
 /// or `[u64; N]`, which must derive `Default`. Emits the struct as
 /// written plus `NAMES`, `WORDS`, `counters`, `to_words`, `from_words`
-/// and `add`.
+/// and `add`. See the [`counters`](crate::counters) module.
+#[macro_export]
 macro_rules! counter_table {
     (
         $(#[$meta:meta])*
@@ -84,9 +111,9 @@ macro_rules! counter_table {
             pub const WORDS: usize = 0 $(+ <$ty as $crate::counters::Slot>::WORDS)*;
 
             /// Each field and its words, in declaration order.
-            pub fn counters(&self) -> impl Iterator<Item = $crate::Counter<'_>> {
+            pub fn counters(&self) -> impl Iterator<Item = $crate::counters::Counter<'_>> {
                 use $crate::counters::Slot;
-                [$($crate::Counter {
+                [$($crate::counters::Counter {
                     name: stringify!($field),
                     words: self.$field.words(),
                     histogram: <$ty as Slot>::HISTOGRAM,
@@ -109,7 +136,7 @@ macro_rules! counter_table {
             }
 
             /// Accumulates another block's counters into this one, word
-            /// by word (the bench harness sums a sweep's runs this way).
+            /// by word (totals over tiles, or over a sweep's runs).
             pub fn add(&mut self, other: &Self) {
                 let words = other.to_words();
                 self.words_mut().zip(words).for_each(|(o, w)| *o += w);
@@ -122,5 +149,3 @@ macro_rules! counter_table {
         }
     };
 }
-
-pub(crate) use counter_table;

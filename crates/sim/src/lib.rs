@@ -13,8 +13,10 @@
 //!   intervals).
 //! * [`Activity`] — the activity contract components report to
 //!   event-driven schedulers (tick me now / wake me at cycle t / idle).
-//! * [`stats`] — hierarchical counter/histogram collection that every
-//!   component reports into, and that the benchmark harness reads back out.
+//! * [`counters`] — the [`counter_table!`] macro every component
+//!   declares its typed counter block with, and that the benchmark
+//!   harness and result cache iterate generically.
+//! * [`stats`] — summary statistics over results ([`stats::geomean`]).
 //! * [`hash`] — fast non-cryptographic hashing for simulator-internal
 //!   maps keyed by trusted ids.
 //! * [`rng`] — deterministic seeded random-number helpers so every
@@ -41,6 +43,7 @@
 #![warn(missing_docs)]
 
 mod activity;
+pub mod counters;
 mod cycle;
 mod fifo;
 pub mod hash;
@@ -49,6 +52,7 @@ pub mod stats;
 mod token;
 
 pub use activity::Activity;
+pub use counters::Counter;
 pub use cycle::Cycle;
 pub use fifo::{Fifo, PushError};
 pub use hash::{FxHashMap, FxHashSet};

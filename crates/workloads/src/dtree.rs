@@ -260,7 +260,7 @@ mod tests {
             .run(p.as_mut())
             .unwrap();
             w.validate(&r).unwrap();
-            r.stats.get_or_zero("dram.read_words")
+            r.counters.dram.read_words
         };
         let with = run(true);
         let without = run(false);

@@ -430,7 +430,7 @@ mod tests {
             .run(p.as_mut())
             .unwrap();
         w.validate(&r).unwrap();
-        assert!(r.stats.sum_matching("pipes_direct") > 0.0);
+        assert!(r.counters.tile_total().pipes_direct > 0);
     }
 
     #[test]
@@ -444,8 +444,9 @@ mod tests {
         }))
         .run(p.as_mut())
         .unwrap();
-        assert_eq!(r.stats.sum_matching("pipes_direct"), 0.0);
-        assert!(r.stats.sum_matching("pipes_spilled") > 0.0);
+        let tiles = r.counters.tile_total();
+        assert_eq!(tiles.pipes_direct, 0);
+        assert!(tiles.pipes_spilled > 0);
         w.validate(&r).unwrap();
     }
 }

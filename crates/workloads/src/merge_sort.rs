@@ -527,7 +527,7 @@ mod tests {
         let r = Accelerator::new(cfg).run(p.as_mut()).unwrap();
         w.validate(&r).unwrap();
         assert!(
-            r.stats.get_or_zero("dispatch.steals") > 0.0,
+            r.counters.dispatch.steals > 0,
             "no steal landed on the staged tree"
         );
     }

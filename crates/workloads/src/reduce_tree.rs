@@ -299,9 +299,6 @@ mod tests {
             .run(p.as_mut())
             .unwrap();
         w.validate(&r).unwrap();
-        assert_eq!(
-            r.stats.get_or_zero("dispatch.tasks_spawned") as usize,
-            w.total_nodes()
-        );
+        assert_eq!(r.counters.dispatch.tasks_spawned as usize, w.total_nodes());
     }
 }

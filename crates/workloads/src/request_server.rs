@@ -306,11 +306,9 @@ mod tests {
             let mut p = w.make_program();
             let r = Accelerator::new(cfg).run(p.as_mut()).unwrap();
             w.validate(&r).unwrap();
-            let stats = &r.stats;
             for (t, load) in w.tenants.iter().enumerate() {
                 assert_eq!(
-                    stats.get_or_zero(&format!("tenant{t}.completed")) as usize,
-                    load.queries,
+                    r.counters.tenants[t].completed as usize, load.queries,
                     "tenant {t} under {partition:?}"
                 );
             }

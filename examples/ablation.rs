@@ -16,11 +16,11 @@ fn run(wl: &dyn Workload, label: &str, cfg: DeltaConfig) -> u64 {
     let r = Accelerator::new(cfg).run(p.as_mut()).expect("run");
     wl.validate(&r).expect("results");
     println!(
-        "  {label:<22} {:>9} cycles  (imb {:.2}, dram {:>8.0} words, direct pipes {:.0})",
+        "  {label:<22} {:>9} cycles  (imb {:.2}, dram {:>8.0} words, direct pipes {})",
         r.cycles,
         r.load_imbalance(),
         r.dram_words(),
-        r.stats.sum_matching("pipes_direct"),
+        r.counters.tile_total().pipes_direct,
     );
     r.cycles
 }

@@ -94,6 +94,6 @@ fn main() {
     println!(
         "finished in {} cycles; direct pipes used: {}",
         report.cycles,
-        report.stats.sum_matching("pipes_direct")
+        report.counters.tile_total().pipes_direct
     );
 }

@@ -12,7 +12,7 @@
 //!
 //! | Module | Source crate | Contents |
 //! |--------|--------------|----------|
-//! | [`sim`] | `ts-sim` | simulation kernel: cycles, FIFOs, stats, seeded RNG |
+//! | [`sim`] | `ts-sim` | simulation kernel: cycles, FIFOs, counter blocks, seeded RNG |
 //! | [`dfg`] | `ts-dfg` | dataflow-graph IR + functional interpreter |
 //! | [`cgra`] | `ts-cgra` | CGRA fabric, place-and-route mapper, II timing |
 //! | [`mem`] | `ts-mem` | banked DRAM + scratchpad models |
@@ -38,7 +38,7 @@
 //!   the fluent [`DeltaConfigBuilder`] ([`DeltaConfig::builder`]),
 //!   with [`Features`] toggles and [`FaultsConfig`] fault injection;
 //! * run: [`Accelerator::run`], yielding a [`RunReport`] (cycles,
-//!   stats, final DRAM, [`SimProfile`], [`FaultReport`]) or a
+//!   per-component counters, final DRAM, [`SimProfile`], [`FaultReport`]) or a
 //!   [`RunError`];
 //! * check: the [`oracle`] executes the same program untimed and
 //!   [`oracle::check_equivalence`] proves the timed run computed the
