@@ -292,6 +292,16 @@ impl DeltaConfig {
         );
         assert!(self.dispatch_window > 0, "dispatch window must be positive");
         assert!(self.stall_limit > 0, "stall limit must be positive");
+        // either would leave every DRAM word unserved, so any run that
+        // reads DRAM would end in a stall-limit timeout
+        assert!(
+            self.dram.words_per_cycle.is_finite() && self.dram.words_per_cycle > 0.0,
+            "DRAM bandwidth must be finite and positive"
+        );
+        assert!(
+            self.dram.max_active_jobs >= 1,
+            "DRAM must serve at least one job at a time"
+        );
         let (w, h) = self.mesh_dims();
         assert!(w * h >= self.tiles + self.mem_ctrls, "mesh too small");
         self.faults.validate();
@@ -689,6 +699,22 @@ mod tests {
         let mut t = TenancyConfig::shared(vec![TenantSpec::flood(); 3]);
         t.partition = PartitionPolicy::Spatial;
         let _ = DeltaConfig::builder(2).tenancy(t).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "DRAM bandwidth must be finite and positive")]
+    fn validate_rejects_zero_dram_bandwidth() {
+        let mut c = DeltaConfig::delta(2);
+        c.dram.words_per_cycle = 0.0;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "DRAM must serve at least one job")]
+    fn validate_rejects_zero_active_dram_jobs() {
+        let mut c = DeltaConfig::delta(2);
+        c.dram.max_active_jobs = 0;
+        c.validate();
     }
 
     #[test]

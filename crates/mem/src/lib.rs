@@ -13,7 +13,11 @@
 //! Both are *functional*: they store real `i64` words, so the simulator
 //! computes real results which the workloads validate against reference
 //! implementations. Timing is modelled by [`Dram::tick`]'s bandwidth
-//! token bucket plus a fixed service latency.
+//! token bucket plus a fixed service latency. The timed path moves
+//! counts, not values: a read job's words leave the DRAM as
+//! [`DramOut`] runs (consecutive words of one job due on the same
+//! cycle), because the simulated machine resolves every value when it
+//! dispatches a task.
 //!
 //! # Examples
 //!
@@ -21,17 +25,19 @@
 //! use ts_mem::{Dram, DramConfig, JobKind};
 //!
 //! let mut dram = Dram::new(DramConfig { words: 1024, ..DramConfig::default() });
-//! dram.storage_mut().write(5, 42);
-//! let id = dram.submit(JobKind::Read { addrs: vec![5], gather: false }, 0).unwrap();
-//! let mut got = None;
+//! let id = dram.submit(JobKind::Read { addrs: vec![5, 6, 7], gather: false }, 0).unwrap();
+//! let mut words = 0;
+//! let mut done = false;
 //! for now in 0..100u64 {
-//!     for out in dram.tick(now) {
-//!         assert_eq!(out.job, id);
-//!         got = Some(out.value);
+//!     for run in dram.tick(now) {
+//!         assert_eq!((run.job, run.first), (id, words));
+//!         words += run.words;
+//!         done |= run.last;
 //!     }
-//!     if got.is_some() { break; }
+//!     if done { break; }
 //! }
-//! assert_eq!(got, Some(42));
+//! assert_eq!(words, 3);
+//! assert_eq!(dram.counters().read_words, 3);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -7,8 +7,9 @@ use ts_mem::{Dram, DramConfig, JobKind, WriteMode};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every submitted read word is served exactly once, with the right
-    /// value, and `last` fires exactly once per job.
+    /// Every submitted read word is served exactly once, in order
+    /// within its job, and `last` fires exactly once per job, on the
+    /// final word.
     #[test]
     fn reads_conserve_words(
         jobs in prop::collection::vec(prop::collection::vec(0u64..64, 1..30), 1..10),
@@ -24,33 +25,36 @@ proptest! {
             max_active_jobs: 3,
             burst_words: 4,
         });
-        for a in 0..64 {
-            dram.storage_mut().write(a, (a * 10) as i64);
-        }
         let mut expected = std::collections::HashMap::new();
         for (i, addrs) in jobs.iter().enumerate() {
             let tag = i as u64;
-            expected.insert(tag, addrs.clone());
+            expected.insert(tag, addrs.len() as u64);
             dram.submit(JobKind::Read { addrs: addrs.clone(), gather }, tag).unwrap();
         }
-        let mut got: std::collections::HashMap<u64, Vec<(u64, i64, bool)>> =
+        // per job: (words seen so far, runs that carried `last`)
+        let mut got: std::collections::HashMap<u64, (u64, u64)> =
             std::collections::HashMap::new();
         let mut now = 0;
         while !dram.is_idle() {
-            for out in dram.tick(now) {
-                got.entry(out.tag).or_default().push((out.index, out.value, out.last));
+            for run in dram.tick(now) {
+                prop_assert!(!run.is_write_ack && run.words > 0);
+                let seen = got.entry(run.tag).or_default();
+                prop_assert_eq!(run.first, seen.0, "job {} out of order", run.tag);
+                seen.0 += run.words;
+                if run.last {
+                    seen.1 += 1;
+                    prop_assert_eq!(seen.0, expected[&run.tag], "last before the final word");
+                }
             }
             now += 1;
             prop_assert!(now < 1_000_000, "dram wedged");
         }
-        for (tag, addrs) in expected {
-            let outs = got.remove(&tag).expect("job produced output");
-            prop_assert_eq!(outs.len(), addrs.len());
-            let lasts = outs.iter().filter(|(_, _, l)| *l).count();
+        let total: u64 = expected.values().sum();
+        prop_assert_eq!(dram.counters().read_words, total);
+        for (tag, words) in expected {
+            let (seen, lasts) = got.remove(&tag).expect("job produced output");
+            prop_assert_eq!(seen, words);
             prop_assert_eq!(lasts, 1, "last flag fired {} times", lasts);
-            for (index, value, _) in outs {
-                prop_assert_eq!(value, (addrs[index as usize] * 10) as i64);
-            }
         }
     }
 

@@ -125,10 +125,24 @@ impl Affine {
 
     /// Iterates over the generated addresses.
     pub fn iter(&self) -> AffineIter {
+        // The odometer's carry steps, in wrapping two's-complement
+        // arithmetic: every address the walk returns is in range
+        // (`new` validated the extremes), so the modular sums are exact.
+        let [s0, s1, s2] = self.stride.map(|s| s as u64);
+        let back0 = s0.wrapping_mul(self.len[0].saturating_sub(1));
+        let back1 = s1.wrapping_mul(self.len[1].saturating_sub(1));
         AffineIter {
-            pattern: *self,
-            next: 0,
-            total: self.len(),
+            addr: self.base,
+            i0: 0,
+            i1: 0,
+            len0: self.len[0],
+            len1: self.len[1],
+            step: [
+                s0,
+                s1.wrapping_sub(back0),
+                s2.wrapping_sub(back1).wrapping_sub(back0),
+            ],
+            left: self.len(),
         }
     }
 
@@ -155,27 +169,54 @@ impl Affine {
 }
 
 /// Iterator over the addresses of an [`Affine`] pattern.
+///
+/// Walks the loop nest like an odometer: each step adds the innermost
+/// stride, and a dimension that reaches its length carries into the
+/// next one with a precomputed step, so no address needs a division.
 #[derive(Debug, Clone)]
 pub struct AffineIter {
-    pattern: Affine,
-    next: u64,
-    total: u64,
+    /// The next address to return.
+    addr: Addr,
+    i0: u64,
+    i1: u64,
+    len0: u64,
+    len1: u64,
+    /// Address step when dimension 0 advances, when it carries into
+    /// dimension 1, and when both carry into dimension 2.
+    step: [u64; 3],
+    left: u64,
 }
 
 impl Iterator for AffineIter {
     type Item = Addr;
 
+    #[inline]
     fn next(&mut self) -> Option<Addr> {
-        if self.next >= self.total {
+        if self.left == 0 {
             return None;
         }
-        let a = self.pattern.addr_of(self.next);
-        self.next += 1;
+        self.left -= 1;
+        let a = self.addr;
+        self.i0 += 1;
+        let step = if self.i0 < self.len0 {
+            self.step[0]
+        } else {
+            self.i0 = 0;
+            self.i1 += 1;
+            if self.i1 < self.len1 {
+                self.step[1]
+            } else {
+                self.i1 = 0;
+                self.step[2]
+            }
+        };
+        self.addr = self.addr.wrapping_add(step);
         Some(a)
     }
 
+    #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = (self.total - self.next) as usize;
+        let rem = self.left as usize;
         (rem, Some(rem))
     }
 }
