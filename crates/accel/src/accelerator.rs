@@ -166,11 +166,17 @@ struct RunState {
     picker: TilePicker,
     pending: VecDeque<PendingTask>,
     /// Dispatch epoch: bumped wherever an input of the dispatch scan
-    /// can change — `pending` grows, a task is placed or completes, a
-    /// steal moves one. See [`dispatch_cycle`](Self::dispatch_cycle).
+    /// can change — `pending` grows, a task is placed, completes or is
+    /// victimized, a steal moves one. See
+    /// [`dispatch_cycle`](Self::dispatch_cycle).
     dispatch_epoch: u64,
     /// The dispatch epoch the last scan started at.
     scanned_epoch: u64,
+    /// The first cycle at which the fault schedule can change what the
+    /// last scan saw: the earliest tile fail-stop or stall-window edge
+    /// after that scan started (`u64::MAX` when the scan reads no fault
+    /// state).
+    scan_horizon: u64,
     /// Tile of every dispatched task.
     task_tile: FxHashMap<TaskId, usize>,
     /// Open multicast reads by region (joinable until served).
@@ -388,6 +394,7 @@ impl RunState {
             pending: VecDeque::new(),
             dispatch_epoch: 1,
             scanned_epoch: 0,
+            scan_horizon: u64::MAX,
             task_tile: FxHashMap::default(),
             open_regions: FxHashMap::default(),
             now: 0,
@@ -1437,6 +1444,9 @@ impl RunState {
         let native_cycles = exec.native_cycles;
         self.watch.remove(&id);
         self.picker.on_complete(old_tile, placement_hint(&inst));
+        // the tile has room again, its load tally fell, and pipe modes
+        // may reset below: the dispatch scan must look again
+        self.dispatch_epoch += 1;
         self.freport.wasted_cycles += wasted;
         // a direct pipe this task produces must restart: its remaining
         // words would otherwise stream to a tile that no longer runs
@@ -1581,18 +1591,26 @@ impl RunState {
     /// inputs changes: the pending deque, a tile's queue, a pipe's
     /// producer state, the picker's load tallies. Every such change
     /// bumps the dispatch epoch — pending grows only at admission,
-    /// tiles and pipes change only at placement, completion and steals,
-    /// and every placement goes through [`place`](Self::place) — so the
-    /// scan is skipped while the epoch still equals the one the last
-    /// scan started at. It runs every cycle while a fault schedule is
-    /// active, whose down-tile masks change with time alone, and under
-    /// dense reference ticking, so differential tests check the skip.
+    /// tiles and pipes change only at placement, completion, eviction
+    /// and steals, every placement goes through [`place`](Self::place)
+    /// and every eviction through [`victimize`](Self::victimize) — so
+    /// the scan is skipped while the epoch still equals the one the
+    /// last scan started at. Under recovery the scan also reads the
+    /// down-tile masks, which change with time alone, at fail-stops and
+    /// stall-window edges: the skip then also ends at the first such
+    /// edge after the last scan started (`scan_horizon`). Dense
+    /// reference ticking scans every cycle, so differential tests check
+    /// the skip.
     fn dispatch_cycle(&mut self) -> Result<(), RunError> {
-        let every_cycle = self.dense || self.fsched.is_some();
-        if self.pending.is_empty() || (!every_cycle && self.scanned_epoch == self.dispatch_epoch) {
+        if self.pending.is_empty()
+            || (!self.dense
+                && self.scanned_epoch == self.dispatch_epoch
+                && self.now < self.scan_horizon)
+        {
             return Ok(());
         }
         self.scanned_epoch = self.dispatch_epoch;
+        self.scan_horizon = self.next_mask_transition();
         // nothing can dispatch when no tile has queue space and none is
         // idle (sources need space, co-scheduled consumers need an idle
         // tile) — skip the window scans entirely
@@ -1646,6 +1664,20 @@ impl RunState {
             }
         }
         Ok(())
+    }
+
+    /// The earliest cycle after `now` at which a tile's down state can
+    /// change, as [`fill_mask`](Self::fill_mask) and
+    /// [`dispatch_one_at`](Self::dispatch_one_at) read it; `u64::MAX`
+    /// without recovery, whose baseline places blind to faults.
+    fn next_mask_transition(&self) -> u64 {
+        let Some(fs) = self.fsched.as_ref().filter(|f| f.recovery()) else {
+            return u64::MAX;
+        };
+        (0..self.tiles.len())
+            .filter_map(|t| fs.next_tile_transition(t, self.now))
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Extension: one steal per cycle — the emptiest idle tile takes an

@@ -4,7 +4,7 @@
 //! results are computed at dispatch time and land in the modelled
 //! memories. This module runs the same [`Program`] with no machine
 //! model at all — no tiles, no NoC, no DRAM timing — just tasks
-//! executed in dependence order over plain address maps. Comparing the
+//! executed in dependence order over flat word arrays. Comparing the
 //! two final states ([`check_equivalence`]) catches any change that
 //! lets timing bookkeeping leak into functional results.
 //!
@@ -23,15 +23,21 @@
 //! implementations), and the differential tests only generate
 //! race-free programs.
 //!
-//! The oracle keeps a *single* scratchpad map, whereas the timed
-//! machine replicates scratchpads per tile; equivalence is therefore
-//! asserted on DRAM (and task counts) only. Pipe spill buffers the
-//! timed machine allocates above the program's high-water mark are
-//! invisible here — [`check_equivalence`] compares exactly the
-//! addresses the oracle touched: the initial image plus every
-//! program-written word.
+//! The oracle keeps a *single* scratchpad, whereas the timed machine
+//! replicates scratchpads per tile; equivalence is therefore asserted
+//! on DRAM (and task counts) only.
+//!
+//! Each address space is a dense word array below the memory image's
+//! high-water mark, where the image and nearly every program write
+//! live, plus a hash map for the few words written above it; untouched
+//! words read as zero, and no allocation is sized by a
+//! program-computed address. [`check_equivalence`] compares the whole
+//! dense region against the timed DRAM image in one pass, then each
+//! word the oracle wrote above it. Pipe spill buffers the timed
+//! machine allocates above the high-water mark are invisible here:
+//! the oracle never writes them, so they are never compared.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use taskstream_model::{
     CompletedTask, InputBinding, OutputBinding, PipeId, Program, Spawner, TaskId, TaskInstance,
@@ -39,6 +45,7 @@ use taskstream_model::{
 };
 use ts_dfg::interp;
 use ts_mem::WriteMode;
+use ts_sim::FxHashMap;
 use ts_stream::{Addr, DataSrc, StreamDesc};
 
 use crate::report::RunReport;
@@ -49,15 +56,59 @@ use crate::report::RunReport;
 pub struct OracleOutcome {
     /// Tasks executed over the run.
     pub tasks_completed: u64,
-    /// Final DRAM contents, sparsely: the initial image plus every
-    /// word the program wrote. Untouched words are implicitly zero.
-    pub dram: BTreeMap<Addr, Value>,
+    /// Final DRAM contents: the initial image plus every word the
+    /// program wrote.
+    dram: FlatMem,
 }
 
 impl OracleOutcome {
     /// Reads one word of the final DRAM image (zero if untouched).
     pub fn dram(&self, addr: Addr) -> Value {
-        *self.dram.get(&addr).unwrap_or(&0)
+        self.dram.read(addr)
+    }
+}
+
+/// One oracle address space: a dense array below the memory image's
+/// high-water mark and a map for words written above it. Untouched
+/// words read as zero.
+#[derive(Debug, Clone)]
+struct FlatMem {
+    dense: Vec<Value>,
+    above: FxHashMap<Addr, Value>,
+}
+
+impl FlatMem {
+    /// Loads image `segments`; the dense array ends at their high-water
+    /// mark.
+    fn new(segments: &[(Addr, Vec<Value>)]) -> Self {
+        let high_water = segments
+            .iter()
+            .map(|(b, w)| b + w.len() as u64)
+            .max()
+            .unwrap_or(0);
+        let mut dense = vec![0; high_water as usize];
+        for (base, words) in segments {
+            dense[*base as usize..][..words.len()].copy_from_slice(words);
+        }
+        FlatMem {
+            dense,
+            above: FxHashMap::default(),
+        }
+    }
+
+    fn read(&self, addr: Addr) -> Value {
+        match self.dense.get(addr as usize) {
+            Some(v) => *v,
+            None => self.above.get(&addr).copied().unwrap_or(0),
+        }
+    }
+
+    fn slot(&mut self, addr: Addr) -> &mut Value {
+        if (addr as usize) < self.dense.len() {
+            &mut self.dense[addr as usize]
+        } else {
+            self.above.entry(addr).or_insert(0)
+        }
     }
 }
 
@@ -126,53 +177,74 @@ pub fn execute_untimed<P: Program + ?Sized>(program: &mut P) -> Result<OracleOut
 
 /// Compares a timed run's final state against the oracle's.
 ///
-/// Checks the completed-task count and every DRAM word the oracle
-/// touched (image plus program writes). Timed-only state — pipe spill
+/// Checks the completed-task count, then every DRAM word below the
+/// image's high-water mark in one pass, then every word the oracle
+/// wrote above it, in address order. Timed-only state — pipe spill
 /// buffers, scratchpads — is deliberately out of scope (see the module
-/// docs).
+/// docs). A non-zero oracle word past the end of the timed image is a
+/// divergence.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first divergences (at most eight) on
 /// mismatch.
 pub fn check_equivalence(timed: &RunReport, oracle: &OracleOutcome) -> Result<(), String> {
+    const MAX_LISTED: usize = 8;
     if timed.tasks_completed != oracle.tasks_completed {
         return Err(format!(
             "tasks completed diverge: timed {} vs oracle {}",
             timed.tasks_completed, oracle.tasks_completed
         ));
     }
-    let mut diverged = Vec::new();
-    for (&addr, &want) in &oracle.dram {
-        let got = timed.dram(addr);
-        if got != want {
-            diverged.push(format!("dram[{addr}]: timed {got} vs oracle {want}"));
-            if diverged.len() >= 8 {
-                diverged.push("...".to_owned());
-                break;
-            }
-        }
-    }
+    let len = timed.dram_len();
+    let mem = &oracle.dram;
+    let shared = mem.dense.len().min(len);
+    let dense = timed
+        .dram_range(0, shared)
+        .iter()
+        .zip(&mem.dense)
+        .enumerate()
+        .filter(|(_, (got, want))| got != want)
+        .map(|(a, (&got, &want))| (a as Addr, Some(got), want));
+    // the rest: any dense words past the timed image, then the words
+    // above the dense region; `None` marks a word past the timed image
+    let mut rest: Vec<(Addr, Option<Value>, Value)> = (shared..mem.dense.len())
+        .map(|a| (a as Addr, mem.dense[a]))
+        .chain(mem.above.iter().map(|(&a, &want)| (a, want)))
+        .map(|(a, want)| (a, (a < len as Addr).then(|| timed.dram(a)), want))
+        .filter(|&(_, got, want)| got.unwrap_or(0) != want)
+        .collect();
+    rest.sort_unstable_by_key(|&(a, ..)| a);
+    let mut diverged: Vec<String> = dense
+        .chain(rest)
+        .take(MAX_LISTED + 1)
+        .map(|(addr, got, want)| match got {
+            Some(got) => format!("dram[{addr}]: timed {got} vs oracle {want}"),
+            None => format!("dram[{addr}]: past the timed image ({len} words) vs oracle {want}"),
+        })
+        .collect();
     if diverged.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "final DRAM diverges on {}+ word(s):\n  {}",
-            diverged.len().min(8),
-            diverged.join("\n  ")
-        ))
+        return Ok(());
     }
+    if diverged.len() > MAX_LISTED {
+        diverged[MAX_LISTED] = "...".to_owned();
+    }
+    Err(format!(
+        "final DRAM diverges on {}+ word(s):\n  {}",
+        diverged.len().min(MAX_LISTED),
+        diverged.join("\n  ")
+    ))
 }
 
 struct OracleState {
     types: Vec<TaskType>,
-    dram: BTreeMap<Addr, Value>,
-    /// One shared scratchpad map (the timed machine replicates the
-    /// image per tile; programs in the test suite treat spad as
-    /// read-mostly, so a single map sees the same values).
-    spad: BTreeMap<Addr, Value>,
+    dram: FlatMem,
+    /// One shared scratchpad (the timed machine replicates the image
+    /// per tile; programs in the test suite treat spad as read-mostly,
+    /// so a single copy sees the same values).
+    spad: FlatMem,
     /// Declared pipes and their recorded payloads.
-    pipes: HashMap<PipeId, Option<Vec<Value>>>,
+    pipes: FxHashMap<PipeId, Option<Vec<Value>>>,
     queue: VecDeque<(TaskId, TaskInstance)>,
     next_task: u64,
     tasks_completed: u64,
@@ -180,24 +252,12 @@ struct OracleState {
 
 impl OracleState {
     fn new<P: Program + ?Sized>(program: &mut P) -> Self {
-        let mut dram = BTreeMap::new();
-        let mut spad = BTreeMap::new();
         let image = program.memory_image();
-        for (base, words) in &image.dram {
-            for (i, v) in words.iter().enumerate() {
-                dram.insert(base + i as u64, *v);
-            }
-        }
-        for (base, words) in &image.spad {
-            for (i, v) in words.iter().enumerate() {
-                spad.insert(base + i as u64, *v);
-            }
-        }
         OracleState {
             types: program.task_types(),
-            dram,
-            spad,
-            pipes: HashMap::new(),
+            dram: FlatMem::new(&image.dram),
+            spad: FlatMem::new(&image.spad),
+            pipes: FxHashMap::default(),
             queue: VecDeque::new(),
             next_task: 0,
             tasks_completed: 0,
@@ -383,19 +443,17 @@ impl OracleState {
     }
 
     fn read(&self, src: DataSrc, addr: Addr) -> Value {
-        let map = match src {
-            DataSrc::Dram => &self.dram,
-            DataSrc::Spad => &self.spad,
-        };
-        *map.get(&addr).unwrap_or(&0)
+        match src {
+            DataSrc::Dram => self.dram.read(addr),
+            DataSrc::Spad => self.spad.read(addr),
+        }
     }
 
     fn update(&mut self, src: DataSrc, addr: Addr, value: Value, mode: WriteMode) {
-        let map = match src {
-            DataSrc::Dram => &mut self.dram,
-            DataSrc::Spad => &mut self.spad,
+        let slot = match src {
+            DataSrc::Dram => self.dram.slot(addr),
+            DataSrc::Spad => self.spad.slot(addr),
         };
-        let slot = map.entry(addr).or_insert(0);
         *slot = match mode {
             WriteMode::Overwrite => value,
             WriteMode::Min => (*slot).min(value),
@@ -543,9 +601,99 @@ mod tests {
             .run(&mut Doubler)
             .unwrap();
         let mut oracle = execute_untimed(&mut Doubler).unwrap();
-        oracle.dram.insert(100, -1);
+        // the image spans words 0..4, so word 1 is in the dense region
+        // and the output at 100 is above it
+        assert_eq!(oracle.dram.dense.len(), 4);
+        *oracle.dram.slot(1) = -1;
+        *oracle.dram.slot(100) = -1;
         let err = check_equivalence(&timed, &oracle).unwrap_err();
-        assert!(err.contains("dram[100]"), "unexpected message: {err}");
+        assert!(
+            err.contains("dram[1]: timed 2 vs oracle -1"),
+            "unexpected: {err}"
+        );
+        assert!(
+            err.contains("dram[100]: timed 2 vs oracle -1"),
+            "unexpected: {err}"
+        );
+    }
+
+    #[test]
+    fn equivalence_lists_at_most_eight_divergences_in_address_order() {
+        use crate::{Accelerator, DeltaConfig};
+        let timed = Accelerator::new(DeltaConfig::delta(2))
+            .run(&mut Doubler)
+            .unwrap();
+        let mut oracle = execute_untimed(&mut Doubler).unwrap();
+        for a in (0..4).chain(100..104).chain([200, 300]) {
+            *oracle.dram.slot(a) = -9;
+        }
+        let err = check_equivalence(&timed, &oracle).unwrap_err();
+        assert!(
+            err.starts_with("final DRAM diverges on 8+ word(s)"),
+            "{err}"
+        );
+        assert!(err.ends_with("\n  ..."), "{err}");
+        let first = err.find("dram[3]").unwrap();
+        assert!(first < err.find("dram[100]").unwrap(), "{err}");
+        assert!(!err.contains("dram[200]"), "{err}");
+    }
+
+    #[test]
+    fn an_oracle_word_past_the_timed_image_is_an_error_not_a_panic() {
+        use crate::{Accelerator, DeltaConfig};
+        let timed = Accelerator::new(DeltaConfig::delta(2))
+            .run(&mut Doubler)
+            .unwrap();
+        let mut oracle = execute_untimed(&mut Doubler).unwrap();
+        *oracle.dram.slot(1 << 40) = 0;
+        check_equivalence(&timed, &oracle).expect("a zero word reads as untouched");
+        *oracle.dram.slot(1 << 40) = 5;
+        let err = check_equivalence(&timed, &oracle).unwrap_err();
+        assert!(
+            err.contains(&format!(
+                "dram[{}]: past the timed image ({} words) vs oracle 5",
+                1u64 << 40,
+                timed.dram_len()
+            )),
+            "unexpected: {err}"
+        );
+    }
+
+    /// Writes two words far above a 4-word image, one at `1 << 40`.
+    struct FarWriter;
+
+    impl Program for FarWriter {
+        fn name(&self) -> &str {
+            "far_writer"
+        }
+        fn task_types(&self) -> Vec<TaskType> {
+            Doubler.task_types()
+        }
+        fn memory_image(&self) -> MemoryImage {
+            Doubler.memory_image()
+        }
+        fn initial(&mut self, s: &mut Spawner) {
+            for base in [1 << 20, 1 << 40] {
+                s.spawn(
+                    TaskInstance::new(TaskTypeId(0))
+                        .input_stream(StreamDesc::dram(2, 2))
+                        .output_memory(StreamDesc::dram(base, 2), WriteMode::Add),
+                );
+            }
+        }
+        fn on_complete(&mut self, _: &CompletedTask, _: &mut Spawner) {}
+    }
+
+    #[test]
+    fn writes_far_above_the_image_allocate_nothing_proportional() {
+        let out = execute_untimed(&mut FarWriter).unwrap();
+        assert_eq!(out.tasks_completed, 2);
+        assert_eq!(out.dram(1 << 40), 6);
+        assert_eq!(out.dram((1 << 40) + 1), 8);
+        assert_eq!(out.dram((1 << 20) + 1), 8);
+        assert_eq!(out.dram((1 << 40) + 2), 0);
+        assert_eq!(out.dram.dense.len(), 4, "dense region ends at the image");
+        assert_eq!(out.dram.above.len(), 4, "one entry per written word");
     }
 
     #[test]

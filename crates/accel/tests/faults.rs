@@ -10,7 +10,9 @@ use taskstream_model::{
     CompletedTask, MemoryImage, Program, Spawner, TaskInstance, TaskKernel, TaskType, TaskTypeId,
 };
 use ts_delta::oracle::{check_equivalence, execute_untimed};
-use ts_delta::{Accelerator, DeltaConfig, FaultReport, FaultsConfig, RunReport, TraceEvent};
+use ts_delta::{
+    Accelerator, DeltaConfig, FaultReport, FaultsConfig, RunError, RunReport, TraceEvent,
+};
 use ts_dfg::DfgBuilder;
 use ts_mem::WriteMode;
 use ts_stream::StreamDesc;
@@ -364,4 +366,119 @@ fn pipe_consumers_redispatched_under_fail_stop() {
         demotions > 0,
         "no seed demoted a direct pipe on re-dispatch"
     );
+}
+
+/// Runs `cfg` under both engines and holds the event-driven run to the
+/// dense reference on every observable the dispatch scan can move.
+fn assert_engines_agree<P: Program>(
+    make: impl Fn() -> P,
+    cfg: DeltaConfig,
+    what: &str,
+) -> RunReport {
+    let r = Accelerator::new(cfg.clone()).run(&mut make()).unwrap();
+    let dense = Accelerator::new(cfg).run_dense(&mut make()).unwrap();
+    assert_eq!(r.cycles, dense.cycles, "{what}: cycles");
+    assert_eq!(r.counters, dense.counters, "{what}: counters");
+    assert_eq!(r.trace, dense.trace, "{what}: trace");
+    assert_eq!(r.faults, dense.faults, "{what}: fault report");
+    r
+}
+
+/// Every tile sits in a transient stall window when the first wave
+/// comes due, so under recovery nothing can place until the window
+/// ends. No task event marks that cycle: only the dispatch scan's fault
+/// horizon reopens the scan, and the first dispatch must land exactly
+/// on the window's end, as it does under dense ticking.
+#[test]
+fn pending_work_places_on_the_cycle_a_stall_window_ends() {
+    let stall = 100;
+    let faults = FaultsConfig {
+        tile_stall_rate: 1.0,
+        tile_stall_cycles: stall,
+        tile_stall_epoch: 256,
+        recovery: true,
+        ..FaultsConfig::none()
+    };
+    let cfg = DeltaConfig::builder(2)
+        .faults(faults)
+        .spawn_latency(10)
+        .trace(true)
+        .build();
+    let r = assert_engines_agree(|| Waves::new(vec![3, 2, 3], 32), cfg, "stall window");
+    let first = r
+        .trace
+        .iter()
+        .find(|rec| matches!(rec.event, TraceEvent::TaskDispatch { .. }))
+        .expect("something dispatched");
+    assert_eq!(
+        first.cycle, stall,
+        "first dispatch must wait out the window"
+    );
+    assert_eq!(r.tasks_completed, 8);
+}
+
+/// A watchdog eviction frees queue space on a live tile. The victim
+/// waits out its backoff, so a *pending* task must take the slot on the
+/// eviction cycle itself: eviction is a dispatch event. Some seed must
+/// exercise exactly that (a `TaskVictim` and a `TaskDispatch` to the
+/// same tile on one cycle), and every seed must match dense ticking.
+#[test]
+fn an_eviction_frees_queue_space_a_pending_task_takes() {
+    let faults = FaultsConfig {
+        noc_drop_rate: 0.05,
+        recovery: true,
+        watchdog_timeout: 500,
+        ..FaultsConfig::none()
+    };
+    let base = DeltaConfig::builder(2)
+        .faults(faults)
+        .tile_queue(1)
+        .trace(true);
+    let mut taken = 0;
+    for seed in 0..8 {
+        let cfg = base.clone().seed(seed).build();
+        let r = assert_engines_agree(|| Waves::new(vec![6, 6], 48), cfg, &format!("seed {seed}"));
+        taken += r
+            .trace
+            .iter()
+            .filter_map(|rec| match rec.event {
+                TraceEvent::TaskVictim { tile, .. } => Some((rec.cycle, tile)),
+                _ => None,
+            })
+            .filter(|&(cycle, tile)| {
+                r.trace.iter().any(|d| {
+                    d.cycle == cycle
+                        && matches!(d.event, TraceEvent::TaskDispatch { tile: t, .. } if t == tile)
+                })
+            })
+            .count();
+    }
+    assert!(taken > 0, "no eviction freed space a pending task took");
+}
+
+/// The static baseline (faults, no recovery) keeps placing onto dead
+/// tiles and wedges. Both engines must give up on the same cycle.
+#[test]
+fn a_static_baseline_wedges_on_the_same_cycle_in_both_engines() {
+    let faults = FaultsConfig {
+        tile_fail_rate: 0.5,
+        tile_fail_window: 200,
+        tile_stall_rate: 0.1,
+        tile_stall_cycles: 60,
+        tile_stall_epoch: 256,
+        ..FaultsConfig::none()
+    };
+    let cfg = DeltaConfig::builder(4)
+        .faults(faults)
+        .stall_limit(5_000)
+        .seed(3)
+        .build();
+    let mk = || Waves::new(vec![6, 6, 6], 32);
+    let wedge = |r: Result<RunReport, RunError>| match r {
+        Err(RunError::Timeout { cycles, .. }) => cycles,
+        other => panic!("expected a wedge, got {:?}", other.map(|r| r.cycles)),
+    };
+    let ev = wedge(Accelerator::new(cfg.clone()).run(&mut mk()));
+    let dn = wedge(Accelerator::new(cfg).run_dense(&mut mk()));
+    assert_eq!(ev, dn, "wedge cycle");
 }

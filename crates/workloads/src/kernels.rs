@@ -255,6 +255,28 @@ impl NativeKernel for IntersectKernel {
 mod tests {
     use super::*;
 
+    /// The result cache keys a native kernel by its name alone (the
+    /// executable salt covers its code). That stays alias-free only
+    /// while no native kernel carries configuration in its struct, so
+    /// all six must stay zero-sized.
+    #[test]
+    fn native_kernels_carry_no_state() {
+        fn size<K: NativeKernel>() -> usize {
+            std::mem::size_of::<K>()
+        }
+        assert_eq!(
+            [
+                size::<taskstream_model::MergeKernel>(),
+                size::<SortKernel>(),
+                size::<DTreeKernel>(),
+                size::<KMeansAssignKernel>(),
+                size::<SparseRowKernel>(),
+                size::<IntersectKernel>(),
+            ],
+            [0; 6]
+        );
+    }
+
     #[test]
     fn sort_kernel_sorts() {
         let r = SortKernel.run(&[], &[vec![5, 1, 4, 2, 3]]);
