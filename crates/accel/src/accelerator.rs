@@ -1,11 +1,12 @@
 //! The accelerator: composition and main simulation loop.
 
 use crate::config::DeltaConfig;
-use crate::dispatch::{is_ready, undeclared_pipe_msg, PendingTask};
+use crate::dispatch::{is_ready, PendingTask};
 use crate::exec::{
     DramJobSpec, Feed, FeedKind, ProgressSig, Sink, SinkKind, TaskExec, Tile, TileIo,
 };
 use crate::faults::{FaultReport, FaultSchedule, FlitFault};
+use crate::functional::{self, Memory, TaskResults};
 use crate::memctrl::{MemCtrl, ReadReq};
 use crate::msg::Msg;
 use crate::pipes::{PipeMode, PipeTable};
@@ -17,16 +18,14 @@ use crate::tenancy::{self, DrainPolicy, PartitionPolicy};
 use crate::trace::{TraceEvent, TraceSink};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
 use taskstream_model::{
     CompletedTask, InputBinding, OutputBinding, PipeId, Program, Spawner, TaskId, TaskInstance,
     TaskKernel, TaskType, TilePicker, Value,
 };
 use ts_cgra::{Fabric, KernelTiming, MapError};
-use ts_dfg::interp;
 use ts_noc::Mesh;
 use ts_sim::{Activity, FxHashMap};
-use ts_stream::{Addr, DataSrc, StreamDesc};
+use ts_stream::{DataSrc, StreamDesc};
 
 /// Cycles between recovery-watchdog scans of in-flight tasks. A scan
 /// walks every queued task, so it is strided; the timeout check uses
@@ -81,12 +80,9 @@ impl From<MapError> for RunError {
     }
 }
 
-/// Per-task-type data, shared (not cloned) into every dispatch: the
-/// kernel and name live behind `Arc`s so placing a task costs two
-/// refcount bumps instead of a deep copy of the kernel.
+/// A program's task type with its kernel's timing on the fabric.
 struct TypeInfo {
-    name: Arc<str>,
-    kernel: Arc<TaskKernel>,
+    ty: TaskType,
     timing: KernelTiming,
 }
 
@@ -313,9 +309,7 @@ struct Victim {
     retries: u32,
     id: TaskId,
     inst: TaskInstance,
-    out_values: Vec<Vec<Value>>,
-    emit_firings: Option<Vec<Vec<u64>>>,
-    native_cycles: Option<u64>,
+    results: TaskResults,
 }
 
 impl RunState {
@@ -335,12 +329,7 @@ impl RunState {
                     config_cycles: cfg.fabric.config_cycles(),
                 },
             };
-            let TaskType { name, kernel } = tt;
-            types.push(TypeInfo {
-                name: name.into(),
-                kernel: Arc::new(kernel),
-                timing,
-            });
+            types.push(TypeInfo { ty: tt, timing });
         }
 
         let image = program.memory_image();
@@ -358,8 +347,16 @@ impl RunState {
         let mut tiles: Vec<Tile> = (0..cfg.tiles)
             .map(|t| Tile::new(t, cfg.tile_node(t), cfg))
             .collect();
-        for tile in &mut tiles {
-            for (base, words) in &image.spad {
+        for (base, words) in &image.spad {
+            // every tile loads the scratchpad image, so it must fit one
+            if base.saturating_add(words.len() as u64) > cfg.spad_words as u64 {
+                return Err(RunError::Program(format!(
+                    "Spad image segment at {base} ({} words) out of range (capacity {})",
+                    words.len(),
+                    cfg.spad_words
+                )));
+            }
+            for tile in &mut tiles {
                 tile.spad.storage_mut().load(*base, words);
             }
         }
@@ -439,30 +436,16 @@ impl RunState {
             self.pipes.declare(decl);
         }
         for inst in tasks {
-            self.validate_instance(&inst)?;
             let id = TaskId(self.next_task);
-            self.next_task += 1;
-            // validate every pipe reference before binding any, so a
+            // every pipe reference is checked before any is bound, so a
             // bad task leaves no partial producer/consumer registrations
-            // behind; checked here at load time because an undeclared
-            // input would otherwise hold the task back forever and only
-            // surface as the generic no-progress watchdog
-            for p in inst.input_pipes() {
-                if !self.pipes.contains(p) {
-                    return Err(RunError::Program(undeclared_pipe_msg(id, "input", p)));
-                }
-            }
-            for p in inst.output_pipes() {
-                if !self.pipes.contains(p) {
-                    return Err(RunError::Program(undeclared_pipe_msg(id, "output", p)));
-                }
-            }
-            for p in inst.output_pipes() {
-                self.pipes.bind_producer(p, id);
-            }
-            for p in inst.input_pipes() {
-                self.pipes.bind_consumer(p, id);
-            }
+            let ty = self
+                .types
+                .get(inst.ty.0)
+                .map(|t| (t.ty.name.as_str(), &t.ty.kernel));
+            functional::validate_spawn(id, &inst, ty, |p| self.pipes.contains(p))
+                .map_err(RunError::Program)?;
+            self.next_task += 1;
             self.trace.emit(
                 self.now,
                 TraceEvent::TaskSpawn {
@@ -471,27 +454,19 @@ impl RunState {
                     parent: parent.map(|p| p.0),
                 },
             );
-            if self.trace.enabled() {
-                for p in inst.output_pipes() {
-                    self.trace.emit(
-                        self.now,
-                        TraceEvent::PipeBind {
-                            pipe: p.0,
-                            task: id.0,
-                            producer: true,
-                        },
-                    );
+            let binds = inst.output_pipes().map(|p| (p, true));
+            for (p, producer) in binds.chain(inst.input_pipes().map(|p| (p, false))) {
+                if producer {
+                    self.pipes.bind_producer(p, id);
+                } else {
+                    self.pipes.bind_consumer(p, id);
                 }
-                for p in inst.input_pipes() {
-                    self.trace.emit(
-                        self.now,
-                        TraceEvent::PipeBind {
-                            pipe: p.0,
-                            task: id.0,
-                            producer: false,
-                        },
-                    );
-                }
+                let ev = TraceEvent::PipeBind {
+                    pipe: p.0,
+                    task: id.0,
+                    producer,
+                };
+                self.trace.emit(self.now, ev);
             }
             self.dispatch.tasks_spawned += 1;
             // per-tenant admission with arrival pacing: the tenant comes
@@ -613,47 +588,6 @@ impl RunState {
         } else {
             0..self.cfg.tiles
         }
-    }
-
-    fn validate_instance(&self, inst: &TaskInstance) -> Result<(), RunError> {
-        let Some(info) = self.types.get(inst.ty.0) else {
-            return Err(RunError::Program(format!(
-                "unknown task type {:?}",
-                inst.ty
-            )));
-        };
-        let kernel = &info.kernel;
-        if inst.inputs.len() != kernel.input_count() {
-            return Err(RunError::Program(format!(
-                "task type '{}' expects {} inputs, got {}",
-                info.name,
-                kernel.input_count(),
-                inst.inputs.len()
-            )));
-        }
-        if inst.outputs.len() != kernel.output_count() {
-            return Err(RunError::Program(format!(
-                "task type '{}' expects {} outputs, got {}",
-                info.name,
-                kernel.output_count(),
-                inst.outputs.len()
-            )));
-        }
-        for (port, out) in inst.outputs.iter().enumerate() {
-            if let OutputBinding::Scatter { addr_port, .. } = out {
-                if *addr_port >= inst.outputs.len() || *addr_port == port {
-                    return Err(RunError::Program(format!(
-                        "scatter on port {port} names invalid addr_port {addr_port}"
-                    )));
-                }
-                if !matches!(inst.outputs[*addr_port], OutputBinding::Discard) {
-                    return Err(RunError::Program(format!(
-                        "scatter addr_port {addr_port} must be bound Discard"
-                    )));
-                }
-            }
-        }
-        Ok(())
     }
 
     // ---------------------------------------------------------------- main
@@ -1163,7 +1097,7 @@ impl RunState {
             id,
             ty,
             inst,
-            out_values,
+            results,
             stall_input,
             stall_other,
             ..
@@ -1201,7 +1135,7 @@ impl RunState {
             ty,
             params: inst.params,
             affinity: inst.affinity,
-            outputs: out_values,
+            outputs: results.outputs,
         };
         let ten = &mut self.ten;
         ten.inflight[t] -= 1;
@@ -1245,7 +1179,7 @@ impl RunState {
             let ty = self
                 .types
                 .get(p.inst.ty.0)
-                .map(|t| t.name.as_ref())
+                .map(|t| t.ty.name.as_str())
                 .unwrap_or("?");
             let waits: Vec<String> = p
                 .inst
@@ -1439,9 +1373,7 @@ impl RunState {
         let wasted = self.now - exec.dispatched_at;
         let id = exec.id;
         let inst = exec.inst;
-        let out_values = exec.out_values;
-        let emit_firings = exec.emit_firings;
-        let native_cycles = exec.native_cycles;
+        let results = exec.results;
         self.watch.remove(&id);
         self.picker.on_complete(old_tile, placement_hint(&inst));
         // the tile has room again, its load tally fell, and pipe modes
@@ -1458,14 +1390,7 @@ impl RunState {
                 self.freport.pipe_replays += 1;
             }
         }
-        let backoff = {
-            let fc = self
-                .fsched
-                .as_ref()
-                .expect("victim implies schedule")
-                .config();
-            fc.backoff_base.min(fc.backoff_cap)
-        };
+        let backoff = self.backoff(0);
         self.freport.backoff_cycles += backoff;
         self.trace.emit(
             self.now,
@@ -1479,10 +1404,19 @@ impl RunState {
             retries: 0,
             id,
             inst,
-            out_values,
-            emit_firings,
-            native_cycles,
+            results,
         });
+    }
+
+    /// The re-dispatch backoff after `retries` failed attempts:
+    /// exponential from `backoff_base`, capped at `backoff_cap`.
+    fn backoff(&self, retries: u32) -> u64 {
+        let fc = self
+            .fsched
+            .as_ref()
+            .expect("victim implies schedule")
+            .config();
+        (fc.backoff_base << retries.min(16)).min(fc.backoff_cap)
     }
 
     /// Re-dispatches victims whose backoff has elapsed onto healthy
@@ -1503,15 +1437,9 @@ impl RunState {
             }
             let now = self.now;
             let part = self.partition_of(&self.recovery_q[i].inst);
-            self.mask_scratch.clear();
-            {
-                let fs = self.fsched.as_ref().expect("victim implies schedule");
-                let cfg = &self.cfg;
-                self.mask_scratch
-                    .extend(self.tiles.iter().enumerate().map(|(t, tile)| {
-                        tile.queue_space(cfg) > 0 && part.contains(&t) && !fs.tile_down(t, now)
-                    }));
-            }
+            // victims exist only under recovery, so the mask routes
+            // around down tiles
+            self.fill_mask(false, part.clone());
             let picked = self
                 .picker
                 .pick(&self.recovery_q[i].inst, &self.mask_scratch);
@@ -1521,15 +1449,12 @@ impl RunState {
                     // force-place inside the partition when it has any
                     // healthy tile; spill outside it only when the whole
                     // partition is down (re-dispatch must not wedge)
-                    let fs = self.fsched.as_ref().expect("victim implies schedule");
-                    part.clone()
-                        .filter(|&t| !fs.tile_down(t, now))
-                        .min_by_key(|&t| self.tiles[t].queue.len())
-                        .or_else(|| {
-                            (0..self.tiles.len())
-                                .filter(|&t| !fs.tile_down(t, now))
-                                .min_by_key(|&t| self.tiles[t].queue.len())
-                        })
+                    let least_loaded = |tiles: std::ops::Range<usize>| {
+                        tiles
+                            .filter(|&t| !self.tile_down_now(t))
+                            .min_by_key(|&t| self.tiles[t].queue.len())
+                    };
+                    least_loaded(part).or_else(|| least_loaded(0..self.tiles.len()))
                 }
                 None => None,
             };
@@ -1539,17 +1464,10 @@ impl RunState {
                     self.redispatch(v, tile)?;
                 }
                 None => {
-                    let (base, cap) = {
-                        let fc = self
-                            .fsched
-                            .as_ref()
-                            .expect("victim implies schedule")
-                            .config();
-                        (fc.backoff_base, fc.backoff_cap)
-                    };
+                    let retries = self.recovery_q[i].retries + 1;
+                    let backoff = self.backoff(retries);
                     let v = &mut self.recovery_q[i];
-                    v.retries += 1;
-                    let backoff = (base << v.retries.min(16)).min(cap);
+                    v.retries = retries;
                     v.due = now + backoff;
                     self.freport.backoff_cycles += backoff;
                     i += 1;
@@ -1565,15 +1483,9 @@ impl RunState {
     /// [`place`](Self::place) as first dispatch.
     fn redispatch(&mut self, v: Victim, tile: usize) -> Result<(), RunError> {
         let Victim {
-            id,
-            inst,
-            out_values,
-            emit_firings,
-            native_cycles,
-            ..
+            id, inst, results, ..
         } = v;
-        let p = PendingTask { id, inst };
-        self.place(p, tile, out_values, emit_firings, native_cycles, true)?;
+        self.place(PendingTask { id, inst }, tile, results, true)?;
         self.trace
             .emit(self.now, TraceEvent::TaskRedispatch { task: id.0, tile });
         // deliberately NOT counted as `dispatch.tasks_dispatched`: that
@@ -1832,24 +1744,22 @@ impl RunState {
             }
             self.open_regions.remove(&region);
         }
-        let (addrs, gather) = match desc {
-            StreamDesc::Affine {
-                src: DataSrc::Dram,
-                pattern,
-            } => (pattern.iter().collect::<Vec<Addr>>(), false),
-            other => {
-                return Err(RunError::Program(format!(
-                    "shared inputs must be affine DRAM streams, got {other:?}"
-                )))
-            }
+        let StreamDesc::Affine {
+            src: DataSrc::Dram,
+            pattern,
+        } = desc
+        else {
+            return Err(RunError::Program(format!(
+                "shared inputs must be affine DRAM streams, got {desc:?}"
+            )));
         };
         let job = self.next_job;
         self.next_job += 1;
         self.memctrl.submit_read(
             ReadReq {
                 job,
-                addrs,
-                gather,
+                addrs: pattern.iter().collect(),
+                gather: false,
                 dsts: vec![tile_node],
                 after: None,
             },
@@ -1891,83 +1801,29 @@ impl RunState {
     /// state through [`place`](Self::place).
     fn dispatch_to(&mut self, p: PendingTask, tile: usize) -> Result<(), RunError> {
         let PendingTask { id, inst } = p;
-        let info = &self.types[inst.ty.0];
-        // refcount bumps, not deep copies: the kernel (possibly a whole
-        // dataflow graph) and name are shared across all dispatches
-        let kernel = Arc::clone(&info.kernel);
-        let type_name = Arc::clone(&info.name);
-
-        // ---- functional input resolution
-        let mut input_data: Vec<Vec<Value>> = Vec::with_capacity(inst.inputs.len());
-        for b in &inst.inputs {
-            let data = match b {
-                InputBinding::Stream(d) | InputBinding::Shared { desc: d, .. } => {
-                    self.materialize(d, tile)
-                }
-                InputBinding::Pipe(pp) => self
-                    .pipes
-                    .get(*pp)
-                    .data
-                    .clone()
-                    .expect("producer dispatched before consumer"),
-            };
-            input_data.push(data);
-        }
-
-        // ---- functional execution
-        let (out_values, emit_firings, native_cycles) = match &*kernel {
-            TaskKernel::Dfg(d) => {
-                let traced = interp::execute_traced(d, &inst.params, &input_data)
-                    .map_err(|e| RunError::Program(format!("{type_name}: {e}")))?;
-                (traced.result.outputs, Some(traced.emit_firings), None)
-            }
-            TaskKernel::Native(n) => {
-                let out = n.run(&inst.params, &input_data);
-                let cycles = out.compute_cycles.max(1);
-                (out.outputs, None, Some(cycles))
-            }
+        let ty = &self.types[inst.ty.0].ty;
+        let mut mem = Memory {
+            dram: self.memctrl.dram_mut().storage_mut(),
+            spad: self.tiles[tile].spad.storage_mut(),
         };
-
-        // ---- functional output application
-        for (port, binding) in inst.outputs.iter().enumerate() {
-            let values = &out_values[port];
-            match binding {
-                OutputBinding::Memory { desc, mode } => {
-                    let addrs = self.write_addrs(desc, values.len(), tile)?;
-                    for (a, v) in addrs.iter().zip(values) {
-                        self.update_mem(desc_src(desc), *a, *v, *mode, tile);
-                    }
-                }
-                OutputBinding::Scatter {
-                    src,
-                    base,
-                    scale,
-                    addr_port,
-                    mode,
-                } => {
-                    let idxs = &out_values[*addr_port];
-                    if idxs.len() != values.len() {
-                        return Err(RunError::Program(format!(
-                            "{type_name}: scatter ports emit {} values vs {} indices",
-                            values.len(),
-                            idxs.len()
-                        )));
-                    }
-                    for (idx, v) in idxs.iter().zip(values) {
-                        let a = (*base as i64 + idx.wrapping_mul(*scale)) as Addr;
-                        self.update_mem(*src, a, *v, *mode, tile);
-                    }
-                }
-                OutputBinding::Pipe(pp) => {
-                    self.pipes.get_mut(*pp).data = Some(values.clone());
-                    self.pipes.get_mut(*pp).producer_dispatched = true;
-                }
-                OutputBinding::Discard => {}
+        let pipes = &self.pipes;
+        let mut run = functional::run_task(&mut mem, &ty.name, &ty.kernel, &inst, |pp| {
+            Ok(pipes
+                .get(pp)
+                .data
+                .clone()
+                .expect("producer dispatched before consumer"))
+        })
+        .map_err(RunError::Program)?;
+        for (b, values) in inst.outputs.iter().zip(&run.outputs) {
+            if let OutputBinding::Pipe(pp) = b {
+                let ps = self.pipes.get_mut(*pp);
+                ps.data = Some(values.clone());
+                ps.producer_dispatched = true;
             }
         }
-
-        let p = PendingTask { id, inst };
-        self.place(p, tile, out_values, emit_firings, native_cycles, false)?;
+        run.native_cycles = run.native_cycles.map(|c| c.max(1));
+        self.place(PendingTask { id, inst }, tile, run, false)?;
         self.trace
             .emit(self.now, TraceEvent::TaskDispatch { task: id.0, tile });
         self.dispatch.tasks_dispatched += 1;
@@ -1982,24 +1838,20 @@ impl RunState {
         &mut self,
         p: PendingTask,
         tile: usize,
-        out_values: Vec<Vec<Value>>,
-        emit_firings: Option<Vec<Vec<u64>>>,
-        native_cycles: Option<u64>,
+        results: TaskResults,
         redispatch: bool,
     ) -> Result<(), RunError> {
         let PendingTask { id, inst } = p;
         let feeds = self.build_feeds(id, &inst, tile, redispatch)?;
-        let sinks = self.build_sinks(&inst, &out_values, tile);
+        let sinks = self.build_sinks(&inst, &results.outputs, tile);
         let timing = self.types[inst.ty.0].timing;
         let exec = TaskExec::new(
             id,
             inst.ty,
             inst,
             timing,
-            native_cycles,
             feeds,
-            out_values,
-            emit_firings,
+            results,
             sinks,
             self.cfg.out_buf,
             self.cfg.fabric.lanes,
@@ -2138,12 +1990,19 @@ impl RunState {
             let total = out_values[port].len() as u64;
             let kind = match binding {
                 OutputBinding::Discard => SinkKind::Discard,
-                OutputBinding::Memory { desc, .. } => match desc_src(desc) {
-                    DataSrc::Spad => SinkKind::Spad,
-                    DataSrc::Dram => SinkKind::DramWrite {
-                        gather: desc.is_indirect(),
-                        mc_node,
-                    },
+                OutputBinding::Memory {
+                    desc:
+                        StreamDesc::Affine {
+                            src: DataSrc::Spad, ..
+                        }
+                        | StreamDesc::Indirect {
+                            src: DataSrc::Spad, ..
+                        },
+                    ..
+                } => SinkKind::Spad,
+                OutputBinding::Memory { desc, .. } => SinkKind::DramWrite {
+                    gather: desc.is_indirect(),
+                    mc_node,
                 },
                 OutputBinding::Scatter { src, addr_port, .. } => SinkKind::Scatter {
                     addr_port: *addr_port,
@@ -2201,152 +2060,58 @@ impl RunState {
                 index_phantom: None,
             }),
             StreamDesc::Indirect {
-                src,
-                base,
-                scale,
+                src: DataSrc::Spad,
                 index,
                 index_src,
+                ..
+            } => match index_src {
+                DataSrc::Spad => Feed {
+                    total,
+                    remaining: total,
+                    kind: FeedKind::Spad { per_word: 2 },
+                },
+                // indices stream from DRAM and gate the port; the
+                // scratchpad gather overlaps with index arrival
+                DataSrc::Dram => dram(DramJobSpec {
+                    addrs: index.iter().collect(),
+                    gather: false,
+                    extra_delay: 0,
+                    index_phantom: None,
+                }),
+            },
+            StreamDesc::Indirect {
+                src: DataSrc::Dram,
+                index,
+                index_src,
+                ..
             } => {
-                // functional index values give the gather addresses
-                let gather_addrs: Vec<Addr> = index
-                    .iter()
-                    .map(|a| {
-                        let i = self.read_mem(*index_src, a, tile);
-                        (*base as i64 + i.wrapping_mul(*scale)) as Addr
-                    })
-                    .collect();
-                match (src, index_src) {
-                    (DataSrc::Spad, DataSrc::Spad) => Feed {
-                        total,
-                        remaining: total,
-                        kind: FeedKind::Spad { per_word: 2 },
-                    },
+                // functional index values give the gather addresses, read
+                // after the task's own outputs landed
+                let mem = Memory {
+                    dram: self.memctrl.dram_mut().storage_mut(),
+                    spad: self.tiles[tile].spad.storage_mut(),
+                };
+                let (_, addrs) =
+                    functional::addresses(&mem, desc, total as usize).map_err(RunError::Program)?;
+                match index_src {
                     // spad index reads delay the gather issue
-                    (DataSrc::Dram, DataSrc::Spad) => dram(DramJobSpec {
-                        addrs: gather_addrs,
+                    DataSrc::Spad => dram(DramJobSpec {
+                        addrs,
                         gather: true,
                         extra_delay: (total as f64 / self.cfg.spad_bw).ceil() as u64,
                         index_phantom: None,
                     }),
                     // two-phase: stream indices (phantom), then gather
-                    (DataSrc::Dram, DataSrc::Dram) => dram(DramJobSpec {
-                        addrs: gather_addrs,
+                    DataSrc::Dram => dram(DramJobSpec {
+                        addrs,
                         gather: true,
                         extra_delay: 0,
                         index_phantom: Some(index.iter().collect()),
-                    }),
-                    // indices stream from DRAM and gate the port; the
-                    // scratchpad gather overlaps with index arrival
-                    (DataSrc::Spad, DataSrc::Dram) => dram(DramJobSpec {
-                        addrs: index.iter().collect(),
-                        gather: false,
-                        extra_delay: 0,
-                        index_phantom: None,
                     }),
                 }
             }
         };
         Ok(feed)
-    }
-
-    fn materialize(&self, desc: &StreamDesc, tile: usize) -> Vec<Value> {
-        match desc {
-            StreamDesc::Literal(v) => v.as_ref().clone(),
-            StreamDesc::Iota { start, step, len } => {
-                let mut out = Vec::with_capacity(*len as usize);
-                let mut v = *start;
-                for _ in 0..*len {
-                    out.push(v);
-                    v = v.wrapping_add(*step);
-                }
-                out
-            }
-            StreamDesc::Affine { src, pattern } => pattern
-                .iter()
-                .map(|a| self.read_mem(*src, a, tile))
-                .collect(),
-            StreamDesc::Indirect {
-                src,
-                base,
-                scale,
-                index,
-                index_src,
-            } => index
-                .iter()
-                .map(|a| {
-                    let i = self.read_mem(*index_src, a, tile);
-                    let addr = (*base as i64 + i.wrapping_mul(*scale)) as Addr;
-                    self.read_mem(*src, addr, tile)
-                })
-                .collect(),
-        }
-    }
-
-    fn read_mem(&self, src: DataSrc, addr: Addr, tile: usize) -> Value {
-        match src {
-            DataSrc::Dram => self.memctrl.dram().storage().read(addr),
-            DataSrc::Spad => self.tiles[tile].spad.storage().read(addr),
-        }
-    }
-
-    fn update_mem(
-        &mut self,
-        src: DataSrc,
-        addr: Addr,
-        value: Value,
-        mode: ts_mem::WriteMode,
-        tile: usize,
-    ) {
-        match src {
-            DataSrc::Dram => self
-                .memctrl
-                .dram_mut()
-                .storage_mut()
-                .update(addr, value, mode),
-            DataSrc::Spad => self.tiles[tile]
-                .spad
-                .storage_mut()
-                .update(addr, value, mode),
-        }
-    }
-
-    fn write_addrs(&self, desc: &StreamDesc, n: usize, tile: usize) -> Result<Vec<Addr>, RunError> {
-        match desc {
-            StreamDesc::Affine { pattern, .. } => {
-                if (n as u64) > pattern.len() {
-                    return Err(RunError::Program(format!(
-                        "output produced {n} words but descriptor covers {}",
-                        pattern.len()
-                    )));
-                }
-                Ok(pattern.iter().take(n).collect())
-            }
-            StreamDesc::Indirect {
-                base,
-                scale,
-                index,
-                index_src,
-                ..
-            } => {
-                if (n as u64) > index.len() {
-                    return Err(RunError::Program(format!(
-                        "output produced {n} words but index covers {}",
-                        index.len()
-                    )));
-                }
-                Ok(index
-                    .iter()
-                    .take(n)
-                    .map(|a| {
-                        let i = self.read_mem(*index_src, a, tile);
-                        (*base as i64 + i.wrapping_mul(*scale)) as Addr
-                    })
-                    .collect())
-            }
-            other => Err(RunError::Program(format!(
-                "writes need an addressable descriptor, got {other:?}"
-            ))),
-        }
     }
 }
 
@@ -2378,12 +2143,5 @@ fn placement_hint(inst: &TaskInstance) -> u64 {
         inst.work_hint / 8
     } else {
         inst.work_hint
-    }
-}
-
-fn desc_src(desc: &StreamDesc) -> DataSrc {
-    match desc {
-        StreamDesc::Affine { src, .. } | StreamDesc::Indirect { src, .. } => *src,
-        _ => DataSrc::Dram,
     }
 }

@@ -1,21 +1,13 @@
 //! Pending-task bookkeeping and readiness rules.
 
 use crate::pipes::PipeTable;
-use taskstream_model::{PipeId, TaskId, TaskInstance};
+use taskstream_model::{TaskId, TaskInstance};
 
 /// A spawned task awaiting dispatch.
 #[derive(Debug)]
 pub(crate) struct PendingTask {
     pub id: TaskId,
     pub inst: TaskInstance,
-}
-
-/// The load-time validation error for a task that names a pipe nobody
-/// declared. Shared by the timed simulator and the untimed oracle so
-/// both engines report the identical message (the differential tests
-/// compare them verbatim). `dir` is `"input"` or `"output"`.
-pub(crate) fn undeclared_pipe_msg(task: TaskId, dir: &str, pipe: PipeId) -> String {
-    format!("task {task:?} uses undeclared {dir} pipe {pipe:?}")
 }
 
 /// Whether a pending task's pipe dependences permit dispatch.
@@ -27,10 +19,10 @@ pub(crate) fn undeclared_pipe_msg(task: TaskId, dir: &str, pipe: PipeId) -> Stri
 /// barrier-through-memory semantics of the static-parallel design.
 ///
 /// Undeclared pipes are rejected at spawn time (see
-/// [`undeclared_pipe_msg`]), so the `contains` branch below is pure
-/// defence in depth: without the load-time check it would silently hold
-/// the task back forever and the run would die in the generic
-/// no-progress watchdog.
+/// [`validate_spawn`](crate::functional::validate_spawn)), so the
+/// `contains` branch below is pure defence in depth: without the
+/// load-time check it would silently hold the task back forever and the
+/// run would die in the generic no-progress watchdog.
 pub(crate) fn is_ready(task: &TaskInstance, pipes: &PipeTable, pipelining: bool) -> bool {
     task.input_pipes().all(|p| {
         if !pipes.contains(p) {

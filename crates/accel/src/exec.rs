@@ -26,13 +26,14 @@
 //! every sink is acknowledged.
 
 use crate::config::DeltaConfig;
+use crate::functional::TaskResults;
 use crate::memctrl::{MemCtrl, ReadReq};
 use crate::msg::Msg;
 use crate::pipes::{PipeMode, PipeTable};
 use crate::report::TileCounters;
 use crate::trace::{TraceEvent, TraceSink};
 use std::collections::VecDeque;
-use taskstream_model::{PipeId, TaskId, TaskInstance, TaskTypeId, Value};
+use taskstream_model::{PipeId, TaskId, TaskInstance, TaskTypeId};
 use ts_cgra::KernelTiming;
 use ts_mem::Spad;
 use ts_noc::Mesh;
@@ -177,8 +178,10 @@ pub(crate) struct TaskExec {
     pub ty: TaskTypeId,
     pub inst: TaskInstance,
     pub timing: KernelTiming,
-    /// `Some(total_cycles)` for native kernels (rate-based model).
-    pub native_cycles: Option<u64>,
+    /// The functional results the metering replays, computed at
+    /// dispatch. `native_cycles` is `Some(total_cycles)` for native
+    /// kernels (rate-based model); `emit_firings` is DFG only.
+    pub results: TaskResults,
     pub native_progress: u64,
     pub firings_total: u64,
     pub firings_done: u64,
@@ -190,10 +193,6 @@ pub(crate) struct TaskExec {
     pub in_avail: Vec<u64>,
     pub in_total: Vec<u64>,
     pub feeds: Vec<Feed>,
-    /// Per output port: functional values in emission order.
-    pub out_values: Vec<Vec<Value>>,
-    /// DFG only: firing index of each emitted value.
-    pub emit_firings: Option<Vec<Vec<u64>>>,
     /// Next value to emit per output port.
     pub out_cursor: Vec<usize>,
     /// Pipeline-depth delay line per port: runs of `(ready_at, words)`
@@ -228,28 +227,26 @@ impl TaskExec {
         ty: TaskTypeId,
         inst: TaskInstance,
         timing: KernelTiming,
-        native_cycles: Option<u64>,
         feeds: Vec<Feed>,
-        out_values: Vec<Vec<Value>>,
-        emit_firings: Option<Vec<Vec<u64>>>,
+        results: TaskResults,
         sinks: Vec<Sink>,
         out_buf_cap: usize,
         lanes: u32,
         now: u64,
     ) -> Self {
         let in_total: Vec<u64> = feeds.iter().map(|f| f.total).collect();
-        let firings_total = match (&native_cycles, &emit_firings) {
-            (None, _) => in_total.iter().copied().min().unwrap_or(0),
-            (Some(_), _) => 0,
+        let firings_total = match results.native_cycles {
+            None => in_total.iter().copied().min().unwrap_or(0),
+            Some(_) => 0,
         };
-        let ports_out = out_values.len();
+        let ports_out = results.outputs.len();
         let ports_in = in_total.len();
         TaskExec {
             id,
             ty,
             inst,
             timing,
-            native_cycles,
+            results,
             native_progress: 0,
             firings_total,
             firings_done: 0,
@@ -258,8 +255,6 @@ impl TaskExec {
             in_avail: vec![0; ports_in],
             in_total,
             feeds,
-            out_values,
-            emit_firings,
             out_cursor: vec![0; ports_out],
             staging: (0..ports_out).map(|_| VecDeque::new()).collect(),
             staged: vec![0; ports_out],
@@ -278,7 +273,7 @@ impl TaskExec {
     }
 
     fn ports_out(&self) -> usize {
-        self.out_values.len()
+        self.results.outputs.len()
     }
 
     /// Observable metering progress, used by the recovery watchdog: any
@@ -302,7 +297,7 @@ impl TaskExec {
     }
 
     fn compute_done(&self) -> bool {
-        match self.native_cycles {
+        match self.results.native_cycles {
             Some(c) => self.native_progress >= c,
             None => self.firings_done >= self.firings_total,
         }
@@ -315,7 +310,7 @@ impl TaskExec {
             && self
                 .out_cursor
                 .iter()
-                .zip(&self.out_values)
+                .zip(&self.results.outputs)
                 .all(|(c, v)| *c == v.len())
             && self.sinks.iter().all(|s| s.is_done(pipes))
     }
@@ -497,7 +492,7 @@ impl Tile {
             }
         }
         if !head.compute_done() {
-            let blocked = match head.native_cycles {
+            let blocked = match head.results.native_cycles {
                 None => (0..head.ports_in()).any(|p| head.in_total[p] > 0 && head.in_avail[p] == 0),
                 Some(c) => {
                     let p1 = head.native_progress + 1;
@@ -591,7 +586,7 @@ impl Tile {
                 head.stall_other += k;
             }
         }
-        if head.native_cycles.is_none() {
+        if head.results.native_cycles.is_none() {
             head.fire_credit =
                 (head.fire_credit + head.lanes * k).min(2 * head.lanes.max(head.timing.ii as u64));
         }
@@ -1026,7 +1021,7 @@ impl Tile {
 
     fn advance_compute(&mut self, now: u64) {
         let t = self.queue.front_mut().expect("running task");
-        match t.native_cycles {
+        match t.results.native_cycles {
             None => Self::advance_dfg(t, now),
             Some(c) => {
                 for _ in 0..t.lanes {
@@ -1048,7 +1043,7 @@ impl Tile {
                 }
             }
             // output space for this firing's emissions?
-            let trace = t.emit_firings.as_ref().expect("dfg trace");
+            let trace = t.results.emit_firings.as_ref().expect("dfg trace");
             let cap_hit = (0..t.ports_out()).any(|p| {
                 let emits = trace[p]
                     .get(t.out_cursor[p])
@@ -1066,7 +1061,7 @@ impl Tile {
             }
             for p in 0..t.ports_out() {
                 let cur = t.out_cursor[p];
-                let emits = t.emit_firings.as_ref().expect("dfg trace")[p]
+                let emits = t.results.emit_firings.as_ref().expect("dfg trace")[p]
                     .get(cur)
                     .is_some_and(|&f| f == t.firings_done);
                 if emits {
@@ -1096,7 +1091,7 @@ impl Tile {
         }
         // output space
         for port in 0..t.ports_out() {
-            let due = (t.out_values[port].len() as u64 * p1) / total_cycles;
+            let due = (t.results.outputs[port].len() as u64 * p1) / total_cycles;
             let new = due.saturating_sub(t.out_cursor[port] as u64);
             if new > 0 && t.staged[port] + t.out_buf[port] + new as usize > t.out_buf_capacity() {
                 return;
@@ -1111,7 +1106,7 @@ impl Tile {
             t.set_consumed_native(port, need);
         }
         for port in 0..t.ports_out() {
-            let due = ((t.out_values[port].len() as u64 * p1) / total_cycles) as usize;
+            let due = ((t.results.outputs[port].len() as u64 * p1) / total_cycles) as usize;
             if t.out_cursor[port] < due {
                 t.stage(port, now + 1, due - t.out_cursor[port]);
                 t.out_cursor[port] = due;

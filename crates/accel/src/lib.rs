@@ -72,6 +72,7 @@ mod dispatch;
 pub mod energy;
 mod exec;
 pub mod faults;
+mod functional;
 mod memctrl;
 mod msg;
 pub mod oracle;

@@ -1,53 +1,49 @@
 //! An untimed functional oracle for differential testing.
 //!
-//! The cycle-level simulator is *functionally exact*: every task's
-//! results are computed at dispatch time and land in the modelled
+//! The cycle-level simulator is *functional at dispatch*: every task's
+//! results are computed the cycle it is placed and land in the modelled
 //! memories. This module runs the same [`Program`] with no machine
-//! model at all — no tiles, no NoC, no DRAM timing — just tasks
-//! executed in dependence order over flat word arrays. Comparing the
-//! two final states ([`check_equivalence`]) catches any change that
-//! lets timing bookkeeping leak into functional results.
+//! model at all — no tiles, no NoC, no DRAM timing — and comparing the
+//! two final states ([`check_equivalence`]) catches timing bookkeeping
+//! that leaks into functional results.
 //!
-//! # What the oracle can and cannot check
+//! Both engines execute a task through one shared functional core
+//! (`crate::functional`: spawn validation, stream materialization,
+//! addresses, the kernel call, memory outputs), so they reject a bad
+//! program with the same message. The oracle therefore no longer checks
+//! that code against a second copy of it; the workload references and
+//! the conservation invariants still check the arithmetic. What the
+//! oracle owns is everything timing could perturb:
 //!
-//! The oracle executes admitted tasks in FIFO (spawn) order, running
-//! the first queued task whose pipe inputs are all available. The
-//! timed simulator dispatches in a different (timing-dependent) order,
-//! so final-state equivalence is only guaranteed for **race-free
-//! programs**: programs whose result does not depend on the relative
-//! order of concurrently live tasks. Commutative read-modify-write
-//! outputs ([`WriteMode::Add`]/[`WriteMode::Min`]) and disjoint
-//! overwrite sets both qualify; two tasks racing plain overwrites to
-//! the same address do not. Every workload in the benchmark suite is
-//! race-free by construction (they validate against reference
-//! implementations), and the differential tests only generate
-//! race-free programs.
-//!
-//! The oracle keeps a *single* scratchpad, whereas the timed machine
-//! replicates scratchpads per tile; equivalence is therefore asserted
-//! on DRAM (and task counts) only.
-//!
-//! Each address space is a dense word array below the memory image's
-//! high-water mark, where the image and nearly every program write
-//! live, plus a hash map for the few words written above it; untouched
-//! words read as zero, and no allocation is sized by a
-//! program-computed address. [`check_equivalence`] compares the whole
-//! dense region against the timed DRAM image in one pass, then each
-//! word the oracle wrote above it. Pipe spill buffers the timed
-//! machine allocates above the high-water mark are invisible here:
-//! the oracle never writes them, so they are never compared.
+//! * **Order.** It runs tasks in FIFO (spawn) order, the first queued
+//!   task whose pipe inputs are all available next. The timed
+//!   simulator's order depends on timing, so equivalence holds only for
+//!   **race-free programs**, whose result does not depend on the order
+//!   of concurrently live tasks: commutative read-modify-write outputs
+//!   ([`WriteMode::Add`]/[`WriteMode::Min`]) or disjoint overwrite
+//!   sets. Every suite workload and every differential test qualifies.
+//! * **Memory.** One scratchpad, where the timed machine replicates the
+//!   image per tile, so equivalence covers DRAM and task counts only.
+//!   Each space is a `FlatMem`: a dense word array below the image's
+//!   high-water mark plus a hash map for the few words written above
+//!   it. Untouched words read as zero, every address exists, and no
+//!   allocation is sized by a program-computed address.
+//! * **The comparison.** [`check_equivalence`] compares the dense region
+//!   against the timed DRAM image in one pass, then each word the
+//!   oracle wrote above it. The timed machine's pipe spill buffers
+//!   above the high-water mark are never written here, so never
+//!   compared.
 
 use std::collections::VecDeque;
 
 use taskstream_model::{
-    CompletedTask, InputBinding, OutputBinding, PipeId, Program, Spawner, TaskId, TaskInstance,
-    TaskKernel, TaskType, Value,
+    CompletedTask, OutputBinding, PipeId, Program, Spawner, TaskId, TaskInstance, TaskType, Value,
 };
-use ts_dfg::interp;
 use ts_mem::WriteMode;
 use ts_sim::FxHashMap;
-use ts_stream::{Addr, DataSrc, StreamDesc};
+use ts_stream::Addr;
 
+use crate::functional::{self, Memory, Space};
 use crate::report::RunReport;
 
 /// Final state of an untimed run: what the program computed, with no
@@ -96,6 +92,20 @@ impl FlatMem {
         }
     }
 
+    fn slot(&mut self, addr: Addr) -> &mut Value {
+        if (addr as usize) < self.dense.len() {
+            &mut self.dense[addr as usize]
+        } else {
+            self.above.entry(addr).or_insert(0)
+        }
+    }
+}
+
+impl Space for FlatMem {
+    fn capacity(&self) -> Option<usize> {
+        None
+    }
+
     fn read(&self, addr: Addr) -> Value {
         match self.dense.get(addr as usize) {
             Some(v) => *v,
@@ -103,12 +113,9 @@ impl FlatMem {
         }
     }
 
-    fn slot(&mut self, addr: Addr) -> &mut Value {
-        if (addr as usize) < self.dense.len() {
-            &mut self.dense[addr as usize]
-        } else {
-            self.above.entry(addr).or_insert(0)
-        }
+    fn update(&mut self, addr: Addr, value: Value, mode: WriteMode) {
+        let slot = self.slot(addr);
+        *slot = mode.apply(*slot, value);
     }
 }
 
@@ -131,10 +138,8 @@ const TASK_LIMIT: u64 = 50_000_000;
 /// non-terminating spawn loop.
 pub fn execute_untimed<P: Program + ?Sized>(program: &mut P) -> Result<OracleOutcome, String> {
     let mut st = OracleState::new(program);
-    let mut next_pipe = 0;
-    let mut spawner = Spawner::new(next_pipe);
+    let mut spawner = Spawner::new(st.next_pipe);
     program.initial(&mut spawner);
-    next_pipe = spawner.next_pipe_id();
     st.absorb(spawner)?;
 
     loop {
@@ -149,15 +154,13 @@ pub fn execute_untimed<P: Program + ?Sized>(program: &mut P) -> Result<OracleOut
                         "oracle exceeded {TASK_LIMIT} tasks; spawn loop never terminates"
                     ));
                 }
-                let mut spawner = Spawner::new(next_pipe);
+                let mut spawner = Spawner::new(st.next_pipe);
                 program.on_complete(&done, &mut spawner);
-                next_pipe = spawner.next_pipe_id();
                 st.absorb(spawner)?;
             }
             None if st.queue.is_empty() => {
-                let mut spawner = Spawner::new(next_pipe);
+                let mut spawner = Spawner::new(st.next_pipe);
                 let more = program.on_quiescent(&mut spawner);
-                next_pipe = spawner.next_pipe_id();
                 let spawned = spawner.spawned_len() > 0;
                 st.absorb(spawner)?;
                 if !more && !spawned {
@@ -171,7 +174,7 @@ pub fn execute_untimed<P: Program + ?Sized>(program: &mut P) -> Result<OracleOut
     }
     Ok(OracleOutcome {
         tasks_completed: st.tasks_completed,
-        dram: st.dram,
+        dram: st.mem.dram,
     })
 }
 
@@ -238,15 +241,15 @@ pub fn check_equivalence(timed: &RunReport, oracle: &OracleOutcome) -> Result<()
 
 struct OracleState {
     types: Vec<TaskType>,
-    dram: FlatMem,
-    /// One shared scratchpad (the timed machine replicates the image
-    /// per tile; programs in the test suite treat spad as read-mostly,
-    /// so a single copy sees the same values).
-    spad: FlatMem,
+    /// DRAM and one shared scratchpad: programs treat the scratchpad
+    /// image as read-mostly, so a single copy sees the values every
+    /// tile's copy would.
+    mem: Memory<FlatMem>,
     /// Declared pipes and their recorded payloads.
     pipes: FxHashMap<PipeId, Option<Vec<Value>>>,
     queue: VecDeque<(TaskId, TaskInstance)>,
     next_task: u64,
+    next_pipe: u64,
     tasks_completed: u64,
 }
 
@@ -255,16 +258,20 @@ impl OracleState {
         let image = program.memory_image();
         OracleState {
             types: program.task_types(),
-            dram: FlatMem::new(&image.dram),
-            spad: FlatMem::new(&image.spad),
+            mem: Memory {
+                dram: FlatMem::new(&image.dram),
+                spad: FlatMem::new(&image.spad),
+            },
             pipes: FxHashMap::default(),
             queue: VecDeque::new(),
             next_task: 0,
+            next_pipe: 0,
             tasks_completed: 0,
         }
     }
 
     fn absorb(&mut self, spawner: Spawner) -> Result<(), String> {
+        self.next_pipe = spawner.next_pipe_id();
         let (tasks, pipes) = spawner.take();
         for decl in pipes {
             if self.pipes.insert(decl.id, None).is_some() {
@@ -272,60 +279,14 @@ impl OracleState {
             }
         }
         for inst in tasks {
-            self.validate(&inst)?;
             let id = TaskId(self.next_task);
+            let ty = self
+                .types
+                .get(inst.ty.0)
+                .map(|t| (t.name.as_str(), &t.kernel));
+            functional::validate_spawn(id, &inst, ty, |p| self.pipes.contains_key(&p))?;
             self.next_task += 1;
-            // Same check order (inputs, then outputs) and message as the
-            // timed machine, so differential tests compare them verbatim.
-            for p in inst.input_pipes() {
-                if !self.pipes.contains_key(&p) {
-                    return Err(crate::dispatch::undeclared_pipe_msg(id, "input", p));
-                }
-            }
-            for p in inst.output_pipes() {
-                if !self.pipes.contains_key(&p) {
-                    return Err(crate::dispatch::undeclared_pipe_msg(id, "output", p));
-                }
-            }
             self.queue.push_back((id, inst));
-        }
-        Ok(())
-    }
-
-    /// Mirrors the timed machine's instance validation.
-    fn validate(&self, inst: &TaskInstance) -> Result<(), String> {
-        let Some(ty) = self.types.get(inst.ty.0) else {
-            return Err(format!("unknown task type {:?}", inst.ty));
-        };
-        if inst.inputs.len() != ty.kernel.input_count() {
-            return Err(format!(
-                "task type '{}' expects {} inputs, got {}",
-                ty.name,
-                ty.kernel.input_count(),
-                inst.inputs.len()
-            ));
-        }
-        if inst.outputs.len() != ty.kernel.output_count() {
-            return Err(format!(
-                "task type '{}' expects {} outputs, got {}",
-                ty.name,
-                ty.kernel.output_count(),
-                inst.outputs.len()
-            ));
-        }
-        for (port, out) in inst.outputs.iter().enumerate() {
-            if let OutputBinding::Scatter { addr_port, .. } = out {
-                if *addr_port >= inst.outputs.len() || *addr_port == port {
-                    return Err(format!(
-                        "scatter on port {port} names invalid addr_port {addr_port}"
-                    ));
-                }
-                if !matches!(inst.outputs[*addr_port], OutputBinding::Discard) {
-                    return Err(format!(
-                        "scatter addr_port {addr_port} must be bound Discard"
-                    ));
-                }
-            }
         }
         Ok(())
     }
@@ -369,182 +330,35 @@ impl OracleState {
     }
 
     fn execute(&mut self, id: TaskId, inst: TaskInstance) -> Result<CompletedTask, String> {
-        // cheap clones (the kernel is an `Arc` inside) so `self` stays
-        // free for the mutable memory updates below
-        let ty_name = self.types[inst.ty.0].name.clone();
-        let kernel = self.types[inst.ty.0].kernel.clone();
-        let mut input_data: Vec<Vec<Value>> = Vec::with_capacity(inst.inputs.len());
-        for b in &inst.inputs {
-            let data = match b {
-                InputBinding::Stream(d) | InputBinding::Shared { desc: d, .. } => {
-                    self.materialize(d)
-                }
-                InputBinding::Pipe(p) => self
-                    .pipes
-                    .get(p)
-                    .and_then(|d| d.clone())
-                    .ok_or_else(|| format!("pipe {p:?} read before its producer ran"))?,
-            };
-            input_data.push(data);
-        }
-
-        let outputs = match &kernel {
-            TaskKernel::Dfg(d) => {
-                interp::execute(d, &inst.params, &input_data)
-                    .map_err(|e| format!("{ty_name}: {e}"))?
-                    .outputs
-            }
-            TaskKernel::Native(n) => n.run(&inst.params, &input_data).outputs,
-        };
-
-        for (port, binding) in inst.outputs.iter().enumerate() {
-            let values = &outputs[port];
-            match binding {
-                OutputBinding::Memory { desc, mode } => {
-                    let addrs = self.write_addrs(desc, values.len())?;
-                    for (a, v) in addrs.iter().zip(values) {
-                        self.update(desc_space(desc), *a, *v, *mode);
-                    }
-                }
-                OutputBinding::Scatter {
-                    src,
-                    base,
-                    scale,
-                    addr_port,
-                    mode,
-                } => {
-                    let idxs = &outputs[*addr_port];
-                    if idxs.len() != values.len() {
-                        return Err(format!(
-                            "{ty_name}: scatter ports emit {} values vs {} indices",
-                            values.len(),
-                            idxs.len()
-                        ));
-                    }
-                    for (idx, v) in idxs.iter().zip(values) {
-                        let a = (*base as i64 + idx.wrapping_mul(*scale)) as Addr;
-                        self.update(*src, a, *v, *mode);
-                    }
-                }
-                OutputBinding::Pipe(p) => {
-                    self.pipes.insert(*p, Some(values.clone()));
-                }
-                OutputBinding::Discard => {}
+        let ty = &self.types[inst.ty.0];
+        let pipes = &self.pipes;
+        let run = functional::run_task(&mut self.mem, &ty.name, &ty.kernel, &inst, |p| {
+            pipes
+                .get(&p)
+                .and_then(|d| d.clone())
+                .ok_or_else(|| format!("pipe {p:?} read before its producer ran"))
+        })?;
+        for (b, values) in inst.outputs.iter().zip(&run.outputs) {
+            if let OutputBinding::Pipe(p) = b {
+                self.pipes.insert(*p, Some(values.clone()));
             }
         }
-
         Ok(CompletedTask {
             id,
             ty: inst.ty,
             params: inst.params,
             affinity: inst.affinity,
-            outputs,
+            outputs: run.outputs,
         })
-    }
-
-    fn read(&self, src: DataSrc, addr: Addr) -> Value {
-        match src {
-            DataSrc::Dram => self.dram.read(addr),
-            DataSrc::Spad => self.spad.read(addr),
-        }
-    }
-
-    fn update(&mut self, src: DataSrc, addr: Addr, value: Value, mode: WriteMode) {
-        let slot = match src {
-            DataSrc::Dram => self.dram.slot(addr),
-            DataSrc::Spad => self.spad.slot(addr),
-        };
-        *slot = match mode {
-            WriteMode::Overwrite => value,
-            WriteMode::Min => (*slot).min(value),
-            WriteMode::Add => slot.wrapping_add(value),
-        };
-    }
-
-    fn materialize(&self, desc: &StreamDesc) -> Vec<Value> {
-        match desc {
-            StreamDesc::Literal(v) => v.as_ref().clone(),
-            StreamDesc::Iota { start, step, len } => {
-                let mut out = Vec::with_capacity(*len as usize);
-                let mut v = *start;
-                for _ in 0..*len {
-                    out.push(v);
-                    v = v.wrapping_add(*step);
-                }
-                out
-            }
-            StreamDesc::Affine { src, pattern } => {
-                pattern.iter().map(|a| self.read(*src, a)).collect()
-            }
-            StreamDesc::Indirect {
-                src,
-                base,
-                scale,
-                index,
-                index_src,
-            } => index
-                .iter()
-                .map(|a| {
-                    let i = self.read(*index_src, a);
-                    let addr = (*base as i64 + i.wrapping_mul(*scale)) as Addr;
-                    self.read(*src, addr)
-                })
-                .collect(),
-        }
-    }
-
-    fn write_addrs(&self, desc: &StreamDesc, n: usize) -> Result<Vec<Addr>, String> {
-        match desc {
-            StreamDesc::Affine { pattern, .. } => {
-                if (n as u64) > pattern.len() {
-                    return Err(format!(
-                        "output produced {n} words but descriptor covers {}",
-                        pattern.len()
-                    ));
-                }
-                Ok(pattern.iter().take(n).collect())
-            }
-            StreamDesc::Indirect {
-                base,
-                scale,
-                index,
-                index_src,
-                ..
-            } => {
-                if (n as u64) > index.len() {
-                    return Err(format!(
-                        "output produced {n} words but index covers {}",
-                        index.len()
-                    ));
-                }
-                Ok(index
-                    .iter()
-                    .take(n)
-                    .map(|a| {
-                        let i = self.read(*index_src, a);
-                        (*base as i64 + i.wrapping_mul(*scale)) as Addr
-                    })
-                    .collect())
-            }
-            other => Err(format!(
-                "writes need an addressable descriptor, got {other:?}"
-            )),
-        }
-    }
-}
-
-fn desc_space(desc: &StreamDesc) -> DataSrc {
-    match desc {
-        StreamDesc::Affine { src, .. } | StreamDesc::Indirect { src, .. } => *src,
-        _ => DataSrc::Dram,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taskstream_model::{MemoryImage, TaskTypeId};
+    use taskstream_model::{MemoryImage, TaskKernel, TaskTypeId};
     use ts_dfg::DfgBuilder;
+    use ts_stream::StreamDesc;
 
     /// Doubles 4 DRAM words into a second region.
     struct Doubler;

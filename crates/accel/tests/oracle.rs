@@ -5,13 +5,14 @@
 
 use proptest::prelude::*;
 use taskstream_model::{
-    CompletedTask, MemoryImage, Program, Spawner, TaskInstance, TaskKernel, TaskType, TaskTypeId,
+    CompletedTask, MemoryImage, PipeId, Program, Spawner, TaskInstance, TaskKernel, TaskType,
+    TaskTypeId,
 };
 use ts_delta::oracle::{check_equivalence, execute_untimed};
 use ts_delta::{Accelerator, DeltaConfig, RunReport};
 use ts_dfg::DfgBuilder;
 use ts_mem::WriteMode;
-use ts_stream::StreamDesc;
+use ts_stream::{DataSrc, StreamDesc};
 
 fn reduce_type(name: &str) -> TaskType {
     let mut b = DfgBuilder::new(name);
@@ -276,54 +277,124 @@ fn pipe_chains_match_oracle_with_pipelining_disabled() {
     );
 }
 
-/// A task referencing a pipe nobody declared: both engines must
-/// reject it at load time, with the *same* message naming the task and
-/// the pipe (the wedge this used to cause — `is_ready` returning false
-/// forever — is exactly what load-time validation exists to prevent).
-#[test]
-fn undeclared_pipe_error_is_identical_in_both_engines() {
-    struct Bad {
-        output_side: bool,
-    }
-    impl Program for Bad {
-        fn name(&self) -> &str {
-            "bad"
-        }
-        fn task_types(&self) -> Vec<TaskType> {
-            vec![inc_type("inc")]
-        }
-        fn memory_image(&self) -> MemoryImage {
-            MemoryImage::new().dram_segment(0, vec![1i64; 4])
-        }
-        fn initial(&mut self, s: &mut Spawner) {
-            let phantom = taskstream_model::PipeId(7777);
-            let inst = TaskInstance::new(TaskTypeId(0));
-            let inst = if self.output_side {
-                inst.input_stream(StreamDesc::dram(0, 4))
-                    .output_pipe(phantom)
-            } else {
-                inst.input_pipe(phantom).output_discard()
-            };
-            s.spawn(inst);
-        }
-        fn on_complete(&mut self, _d: &CompletedTask, _s: &mut Spawner) {}
-    }
+/// One task spawned by `spawn` over a 4-word DRAM image. Its types:
+/// 0 `inc` (1 in, 1 out), 1 `split` (1 in; `x`, `x`), 2 `ragged` (1 in;
+/// `x`, then the sum on the last firing), 3 `scaled` (`x * param 0`).
+struct Contract {
+    spawn: Spawn,
+}
 
-    for output_side in [false, true] {
-        let timed_err = Accelerator::new(DeltaConfig::delta(2))
-            .run(&mut Bad { output_side })
-            .unwrap_err();
-        let ts_delta::RunError::Program(timed_msg) = timed_err else {
-            panic!("expected a program error, got {timed_err}");
+type Spawn = fn() -> TaskInstance;
+
+impl Program for Contract {
+    fn name(&self) -> &str {
+        "contract"
+    }
+    fn task_types(&self) -> Vec<TaskType> {
+        let mut split = DfgBuilder::new("split");
+        let x = split.input();
+        split.output(x);
+        split.output(x);
+        let mut ragged = DfgBuilder::new("ragged");
+        let x = ragged.input();
+        let sum = ragged.acc(x);
+        ragged.output(x);
+        ragged.output_on_last(sum);
+        let mut scaled = DfgBuilder::new("scaled");
+        let x = scaled.input();
+        let k = scaled.param(0);
+        let y = scaled.mul(x, k);
+        scaled.output(y);
+        let dfg = |b: DfgBuilder| TaskKernel::dfg(b.finish().unwrap());
+        vec![
+            inc_type("inc"),
+            TaskType::new("split", dfg(split)),
+            TaskType::new("ragged", dfg(ragged)),
+            TaskType::new("scaled", dfg(scaled)),
+        ]
+    }
+    fn memory_image(&self) -> MemoryImage {
+        MemoryImage::new().dram_segment(0, vec![1i64; 4])
+    }
+    fn initial(&mut self, s: &mut Spawner) {
+        s.spawn((self.spawn)());
+    }
+    fn on_complete(&mut self, _d: &CompletedTask, _s: &mut Spawner) {}
+}
+
+/// Every program-contract violation is one check in the shared
+/// functional core, so both engines reject it with the *same* message.
+/// Each case also names a fragment of the message it must produce, so a
+/// case that trips an earlier check fails.
+#[test]
+fn contract_errors_are_identical_in_both_engines() {
+    fn ty(t: usize) -> TaskInstance {
+        TaskInstance::new(TaskTypeId(t))
+    }
+    fn input() -> StreamDesc {
+        StreamDesc::dram(0, 4)
+    }
+    const PHANTOM: PipeId = PipeId(7777);
+    let cases: [(&str, Spawn); 12] = [
+        ("unknown task type TaskTypeId(9)", || ty(9)),
+        ("'inc' expects 1 inputs, got 0", || ty(0).output_discard()),
+        ("'inc' expects 1 outputs, got 0", || {
+            ty(0).input_stream(input())
+        }),
+        ("scatter on port 0 names invalid addr_port 2", || {
+            ty(1)
+                .input_stream(input())
+                .output_scatter(DataSrc::Dram, 100, 1, 2, WriteMode::Add)
+                .output_discard()
+        }),
+        ("scatter on port 0 names invalid addr_port 0", || {
+            ty(1)
+                .input_stream(input())
+                .output_scatter(DataSrc::Dram, 100, 1, 0, WriteMode::Add)
+                .output_discard()
+        }),
+        ("scatter addr_port 1 must be bound Discard", || {
+            ty(1)
+                .input_stream(input())
+                .output_scatter(DataSrc::Dram, 100, 1, 1, WriteMode::Add)
+                .output_memory(StreamDesc::dram(100, 4), WriteMode::Overwrite)
+        }),
+        (
+            "task TaskId(0) uses undeclared input pipe PipeId(7777)",
+            || ty(0).input_pipe(PHANTOM).output_discard(),
+        ),
+        (
+            "task TaskId(0) uses undeclared output pipe PipeId(7777)",
+            || ty(0).input_stream(input()).output_pipe(PHANTOM),
+        ),
+        ("output produced 4 words but descriptor covers 2", || {
+            ty(0)
+                .input_stream(input())
+                .output_memory(StreamDesc::dram(100, 2), WriteMode::Overwrite)
+        }),
+        ("writes need an addressable descriptor, got Literal", || {
+            ty(0)
+                .input_stream(input())
+                .output_memory(StreamDesc::literal(vec![0; 4]), WriteMode::Overwrite)
+        }),
+        ("ragged: scatter ports emit 4 values vs 1 indices", || {
+            ty(2)
+                .input_stream(input())
+                .output_scatter(DataSrc::Dram, 100, 1, 1, WriteMode::Add)
+                .output_discard()
+        }),
+        ("scaled: graph references 1 params but 0 supplied", || {
+            ty(3).input_stream(input()).output_discard()
+        }),
+    ];
+    for (want, spawn) in cases {
+        let timed = Accelerator::new(DeltaConfig::delta(2)).run(&mut Contract { spawn });
+        let Err(ts_delta::RunError::Program(timed_msg)) = timed else {
+            panic!("{want}: expected a program error, got {timed:?}");
         };
-        let oracle_msg = execute_untimed(&mut Bad { output_side }).unwrap_err();
+        let oracle_msg = execute_untimed(&mut Contract { spawn }).unwrap_err();
         assert_eq!(timed_msg, oracle_msg, "engines disagree on the error");
-        assert!(
-            timed_msg.contains("TaskId(0)") && timed_msg.contains("7777"),
-            "error names neither task nor pipe: {timed_msg}"
-        );
-        let dir = if output_side { "output" } else { "input" };
-        assert!(timed_msg.contains(dir), "direction missing: {timed_msg}");
+        assert!(timed_msg.contains(want), "{want}: got {timed_msg}");
     }
 }
 

@@ -614,9 +614,9 @@ pub fn load(key: &str, faulted: bool) -> Option<FaultOutcome> {
 /// reader sees either the whole entry or none of it. IO failure is
 /// silent (the cache is an accelerator, not a correctness surface) —
 /// it just doesn't count as a store. A key this process already stored
-/// since the last [`reset_stats`] (two in-flight jobs of one sweep with
-/// the same key) is rewritten but not counted again, so the store
-/// count is the number of entries written.
+/// since the last [`reset_stats`] (the same job in two concurrent
+/// sweeps) is rewritten but not counted again, so the store count is
+/// the number of entries written.
 pub fn store(key: &str, outcome: &FaultOutcome) {
     let d = dir();
     if fs::create_dir_all(&d).is_err() {

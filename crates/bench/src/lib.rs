@@ -50,7 +50,7 @@ use ts_delta::{oracle, Accelerator, DeltaConfig, RunError, RunReport};
 use ts_workloads::Workload;
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Runs one workload on one configuration and validates the result.
 ///
@@ -216,17 +216,13 @@ fn job_key(j: &SweepJob, inputs: &KeyInputs) -> String {
 }
 
 /// Executes one flattened sweep job, consulting the persistent result
-/// cache when the sweep has key inputs (the cache is on) and the run is
-/// untraced: hash the config and program content, return the disk
-/// entry on a hit, otherwise simulate and persist. A cache hit carries
-/// the original simulation's full [`RunReport`], profile counters
-/// included, so `--profile` and the bench JSON sum the same counters
-/// warm or cold.
-fn run_sweep_job(j: &SweepJob, inputs: Option<&KeyInputs>) -> FaultOutcome {
-    let key = inputs
-        .filter(|_| !j.cfg.trace)
-        .map(|inputs| job_key(j, inputs));
-    if let Some(out) = key.as_deref().and_then(|k| cache::load(k, j.faulted)) {
+/// cache under `key` when it has one (the cache is on and the run is
+/// untraced): return the disk entry on a hit, otherwise simulate and
+/// persist. A cache hit carries the original simulation's full
+/// [`RunReport`], profile counters included, so `--profile` and the
+/// bench JSON sum the same counters warm or cold.
+fn run_sweep_job(j: &SweepJob, key: Option<&str>) -> FaultOutcome {
+    if let Some(out) = key.and_then(|k| cache::load(k, j.faulted)) {
         return out;
     }
     let out = if j.faulted {
@@ -238,15 +234,16 @@ fn run_sweep_job(j: &SweepJob, inputs: Option<&KeyInputs>) -> FaultOutcome {
             j.baseline,
         )))
     };
-    if let Some(k) = &key {
+    if let Some(k) = key {
         cache::store(k, &out);
     }
     out
 }
 
 /// Executes a flattened sweep — every job from every experiment as one
-/// stealable task in a single global pool — returning outcomes **in
-/// job order**. Validated (non-`faulted`) jobs always come back
+/// stealable task in a single global pool (two batches with the cache
+/// on, see `run_cached`) — returning outcomes **in job order**.
+/// Validated (non-`faulted`) jobs always come back
 /// [`FaultOutcome::Completed`].
 ///
 /// Parallel output is byte-identical to `--jobs 1`: each job's RNG
@@ -255,8 +252,42 @@ fn run_sweep_job(j: &SweepJob, inputs: Option<&KeyInputs>) -> FaultOutcome {
 /// order-preserving collect keeps outcome `i` paired with job `i`
 /// regardless of which worker ran it.
 pub fn run_jobs(jobs: &[SweepJob]) -> Vec<FaultOutcome> {
-    let inputs = cache::is_enabled().then(|| key_inputs(jobs));
-    ts_pool::map(jobs, |j| run_sweep_job(j, inputs.as_ref()))
+    match cache::is_enabled() {
+        true => run_cached(jobs, &key_inputs(jobs)),
+        false => ts_pool::map(jobs, |j| run_sweep_job(j, None)),
+    }
+}
+
+/// [`run_jobs`] with the cache on. A job whose key another job of the
+/// sweep is simulating right now waits for a second pool batch, when
+/// that job's entry is on disk, instead of simulating it again: a cold
+/// sweep simulates each distinct key once however the workers
+/// interleave, and every job still makes one lookup. Traced jobs have
+/// no key.
+fn run_cached(jobs: &[SweepJob], inputs: &KeyInputs) -> Vec<FaultOutcome> {
+    let in_flight: Mutex<HashSet<String>> = Mutex::default();
+    let lock = || in_flight.lock().expect("in-flight keys poisoned");
+    let outcomes = ts_pool::map(jobs, |j| {
+        let key = (!j.cfg.trace).then(|| job_key(j, inputs));
+        if key.as_ref().is_some_and(|k| !lock().insert(k.clone())) {
+            return None;
+        }
+        let out = run_sweep_job(j, key.as_deref());
+        if let Some(k) = &key {
+            lock().remove(k);
+        }
+        Some(out)
+    });
+    // the waiting jobs' outcomes fill the gaps in job order
+    let waiting = jobs.iter().zip(&outcomes).filter(|(_, out)| out.is_none());
+    let late = ts_pool::map(waiting, |(j, _)| {
+        run_sweep_job(j, Some(&job_key(j, inputs)))
+    });
+    let mut late = late.into_iter();
+    outcomes
+        .into_iter()
+        .map(|out| out.or_else(|| late.next()).expect("a waiting job ran late"))
+        .collect()
 }
 
 /// Builds and hashes each distinct program of a sweep once, in
@@ -310,6 +341,35 @@ pub(crate) fn fmt_x(v: f64) -> String {
 mod tests {
     use super::*;
     use ts_workloads::Scale;
+
+    /// A cold sweep simulates each distinct cache key once and answers
+    /// every repeat from disk, on every run, however the two workers
+    /// interleave: every job still makes exactly one lookup.
+    #[test]
+    fn a_cold_sweep_simulates_each_distinct_key_once() {
+        let wl: Arc<dyn Workload> = Arc::new(ts_workloads::sparse_chain::SparseChain::tiny(
+            experiments::SEED,
+        ));
+        let jobs: Vec<SweepJob> = [2, 3, 2, 2, 3, 4]
+            .into_iter()
+            .map(|tiles| SweepJob::new(Arc::clone(&wl), DeltaConfig::delta(tiles)))
+            .collect();
+        let (distinct, repeats) = (3, 3);
+        let dir = std::env::temp_dir().join(format!("ts-bench-dedup-{}", std::process::id()));
+        cache::set_dir(dir.clone());
+        ts_pool::configure(2);
+        for _ in 0..4 {
+            let _ = std::fs::remove_dir_all(&dir);
+            let before = cache::stats();
+            let outcomes = run_cached(&jobs, &key_inputs(&jobs));
+            let after = cache::stats();
+            assert_eq!(outcomes.len(), jobs.len());
+            assert_eq!(after.misses - before.misses, distinct, "{after:?}");
+            assert_eq!(after.hits - before.hits, repeats, "{after:?}");
+        }
+        ts_pool::configure(0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     /// The pool-computed fingerprints and salt give every job of a tiny
     /// sweep the same program fingerprint and cache key as computing

@@ -34,6 +34,17 @@ pub enum WriteMode {
     Add,
 }
 
+impl WriteMode {
+    /// The word a write of `value` leaves over `old`.
+    pub fn apply(self, old: Value, value: Value) -> Value {
+        match self {
+            WriteMode::Overwrite => value,
+            WriteMode::Min => old.min(value),
+            WriteMode::Add => old.wrapping_add(value),
+        }
+    }
+}
+
 impl Storage {
     /// Creates a zero-initialized store of `words` words.
     pub fn new(words: usize) -> Self {
@@ -81,11 +92,7 @@ impl Storage {
     #[inline]
     pub fn update(&mut self, addr: Addr, value: Value, mode: WriteMode) {
         let i = self.check(addr);
-        self.words[i] = match mode {
-            WriteMode::Overwrite => value,
-            WriteMode::Min => self.words[i].min(value),
-            WriteMode::Add => self.words[i].wrapping_add(value),
-        };
+        self.words[i] = mode.apply(self.words[i], value);
     }
 
     /// Copies a slice into memory starting at `base`.
