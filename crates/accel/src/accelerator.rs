@@ -363,7 +363,7 @@ impl RunState {
 
         let (w, h) = cfg.mesh_dims();
         let mesh = Mesh::new(w, h, cfg.noc_queue);
-        let picker = TilePicker::new(cfg.effective_policy(), cfg.tiles, cfg.seed);
+        let picker = TilePicker::new(cfg.policy, cfg.tiles, cfg.seed);
         let pipes = PipeTable::new(spill_base, SPILL_RESERVE);
 
         let fsched = cfg

@@ -3,9 +3,9 @@
 //!
 //! [`DeltaConfig`]'s fields stay readable, but the sanctioned way to
 //! *customize* a configuration is the fluent surface: start from a
-//! named preset ([`DeltaConfig::delta`], [`DeltaConfig::static_baseline`],
-//! [`DeltaConfig::ablation`]) or from [`DeltaConfig::builder`], chain
-//! setters, and [`DeltaConfigBuilder::build`] validates the result.
+//! named preset ([`DeltaConfig::delta`], [`DeltaConfig::static_parallel`])
+//! or from [`DeltaConfig::builder`], chain setters, and
+//! [`DeltaConfigBuilder::build`] validates the result.
 
 use crate::faults::FaultsConfig;
 use crate::tenancy::TenancyConfig;
@@ -14,12 +14,11 @@ use taskstream_model::Policy;
 use ts_cgra::FabricConfig;
 use ts_mem::DramConfig;
 
-/// The three TaskStream mechanisms, individually toggleable (the
-/// ablation axes of the evaluation).
+/// The two TaskStream data-movement mechanisms, individually
+/// toggleable. With the placement [`Policy`] (work-aware or not) they
+/// are the ablation axes of the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Features {
-    /// Work-aware load balancing (vs. the configured fallback policy).
-    pub work_aware: bool,
     /// Pipelined inter-task dependences (vs. serializing through DRAM).
     pub pipelining: bool,
     /// Multicast of shared reads (vs. one DRAM read per sharer).
@@ -30,7 +29,6 @@ impl Features {
     /// All mechanisms on (Delta).
     pub fn all() -> Self {
         Features {
-            work_aware: true,
             pipelining: true,
             multicast: true,
         }
@@ -39,7 +37,6 @@ impl Features {
     /// All mechanisms off (the static-parallel design).
     pub fn none() -> Self {
         Features {
-            work_aware: false,
             pipelining: false,
             multicast: false,
         }
@@ -93,8 +90,8 @@ pub struct DeltaConfig {
     /// Depth 1 = only the running task; higher values overlap stream
     /// setup with the previous task at the cost of contending with it.
     pub prefetch_depth: usize,
-    /// Placement policy used when `features.work_aware` is false; when
-    /// it is true the policy is forced to [`Policy::WorkAware`].
+    /// Placement policy ([`Policy::WorkAware`] is TaskStream's
+    /// work-aware load balancing).
     pub policy: Policy,
     /// TaskStream mechanism toggles.
     pub features: Features,
@@ -184,18 +181,6 @@ impl DeltaConfig {
         cfg
     }
 
-    /// Canonical name for the static-parallel comparison point
-    /// (alias of [`DeltaConfig::static_parallel`]).
-    pub fn static_baseline(tiles: usize) -> Self {
-        Self::static_parallel(tiles)
-    }
-
-    /// An ablation point: the Delta preset with a chosen subset of the
-    /// TaskStream mechanisms (policy synced to `work_aware`).
-    pub fn ablation(tiles: usize, features: Features) -> Self {
-        Self::delta(tiles).with_features(features)
-    }
-
     /// Starts a fluent builder from the Delta preset.
     pub fn builder(tiles: usize) -> DeltaConfigBuilder {
         DeltaConfigBuilder {
@@ -218,34 +203,16 @@ impl DeltaConfig {
         Self::static_parallel(8)
     }
 
-    /// Returns a copy with a different placement policy (and
-    /// `work_aware` synced to whether that policy is
-    /// [`Policy::WorkAware`]).
+    /// Returns a copy with a different placement policy.
     pub fn with_policy(mut self, policy: Policy) -> Self {
         self.policy = policy;
-        self.features.work_aware = policy == Policy::WorkAware;
         self
     }
 
-    /// Returns a copy with different feature toggles (policy synced for
-    /// `work_aware`).
+    /// Returns a copy with different mechanism toggles.
     pub fn with_features(mut self, features: Features) -> Self {
         self.features = features;
-        if features.work_aware {
-            self.policy = Policy::WorkAware;
-        } else if self.policy == Policy::WorkAware {
-            self.policy = Policy::RoundRobin;
-        }
         self
-    }
-
-    /// The effective placement policy.
-    pub fn effective_policy(&self) -> Policy {
-        if self.features.work_aware {
-            Policy::WorkAware
-        } else {
-            self.policy
-        }
     }
 
     /// Mesh dimensions `(width, height)` fitting tiles + memory
@@ -521,17 +488,15 @@ impl DeltaConfigBuilder {
         self
     }
 
-    /// Placement policy (syncs `features.work_aware`, like
-    /// [`DeltaConfig::with_policy`]).
+    /// Placement policy.
     pub fn policy(mut self, policy: Policy) -> Self {
-        self.cfg = self.cfg.with_policy(policy);
+        self.cfg.policy = policy;
         self
     }
 
-    /// Feature toggles (syncs the policy, like
-    /// [`DeltaConfig::with_features`]).
+    /// Mechanism toggles.
     pub fn features(mut self, features: Features) -> Self {
-        self.cfg = self.cfg.with_features(features);
+        self.cfg.features = features;
         self
     }
 
@@ -602,8 +567,8 @@ mod tests {
         assert_eq!(d.dram.words_per_cycle, s.dram.words_per_cycle);
         assert_eq!(d.features, Features::all());
         assert_eq!(s.features, Features::none());
-        assert_eq!(s.effective_policy(), Policy::StaticHash);
-        assert_eq!(d.effective_policy(), Policy::WorkAware);
+        assert_eq!(s.policy, Policy::StaticHash);
+        assert_eq!(d.policy, Policy::WorkAware);
     }
 
     #[test]
@@ -618,22 +583,14 @@ mod tests {
     }
 
     #[test]
-    fn with_features_syncs_policy() {
-        let c = DeltaConfig::delta(4).with_features(Features {
-            work_aware: false,
-            pipelining: true,
-            multicast: true,
-        });
-        assert_eq!(c.effective_policy(), Policy::RoundRobin);
-        let d = DeltaConfig::static_parallel(4).with_features(Features::all());
-        assert_eq!(d.effective_policy(), Policy::WorkAware);
-    }
-
-    #[test]
-    fn with_policy_syncs_work_aware() {
+    fn policy_and_features_are_independent() {
         let c = DeltaConfig::delta(4).with_policy(Policy::Random);
-        assert!(!c.features.work_aware);
-        assert_eq!(c.effective_policy(), Policy::Random);
+        assert_eq!((c.policy, c.features), (Policy::Random, Features::all()));
+        let d = DeltaConfig::static_parallel(4).with_features(Features::all());
+        assert_eq!(
+            (d.policy, d.features),
+            (Policy::StaticHash, Features::all())
+        );
     }
 
     #[test]
@@ -643,13 +600,10 @@ mod tests {
         let a = DeltaConfig::delta(8);
         let b = DeltaConfig::builder(8).build();
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        let c = DeltaConfig::static_baseline(8);
-        let d = DeltaConfig::static_parallel(8);
-        assert_eq!(format!("{c:?}"), format!("{d:?}"));
     }
 
     #[test]
-    fn builder_setters_land_and_sync() {
+    fn builder_setters_land() {
         let c = DeltaConfig::builder(4)
             .tile_queue(9)
             .policy(Policy::StaticHash)
@@ -658,24 +612,16 @@ mod tests {
             .faults(FaultsConfig::chaos())
             .build();
         assert_eq!(c.tile_queue, 9);
-        assert!(!c.features.work_aware);
-        assert_eq!(c.effective_policy(), Policy::StaticHash);
+        assert_eq!(c.policy, Policy::StaticHash);
         assert!(c.work_stealing);
         assert_eq!(c.stall_limit, 1234);
         assert!(c.faults.is_active());
 
-        let d = DeltaConfig::ablation(
-            4,
-            Features {
-                work_aware: false,
-                pipelining: true,
-                multicast: true,
-            },
+        let d = c.to_builder().features(Features::none()).build();
+        assert_eq!(
+            (d.policy, d.features),
+            (Policy::StaticHash, Features::none())
         );
-        assert_eq!(d.effective_policy(), Policy::RoundRobin);
-
-        let e = d.to_builder().features(Features::all()).build();
-        assert_eq!(e.effective_policy(), Policy::WorkAware);
     }
 
     #[test]

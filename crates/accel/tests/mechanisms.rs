@@ -235,7 +235,6 @@ fn pipe_chain_is_correct_with_and_without_pipelining() {
     for cfg in [
         DeltaConfig::delta(4),
         DeltaConfig::delta(4).with_features(Features {
-            work_aware: true,
             pipelining: false,
             multicast: true,
         }),
@@ -253,7 +252,6 @@ fn pipe_chain_is_correct_with_and_without_pipelining() {
 fn pipelining_overlaps_producer_and_consumer() {
     let run = |pipelining: bool| {
         let cfg = DeltaConfig::delta(4).with_features(Features {
-            work_aware: true,
             pipelining,
             multicast: true,
         });
@@ -334,7 +332,6 @@ impl Program for SharedReaders {
 fn multicast_cuts_dram_reads_and_helps_performance() {
     let run = |multicast: bool| {
         let cfg = DeltaConfig::delta(8).with_features(Features {
-            work_aware: true,
             pipelining: true,
             multicast,
         });

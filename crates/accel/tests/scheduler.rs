@@ -556,10 +556,6 @@ fn full_owner_queue_freed_by_a_steal_agrees() {
     // idles and steals from it, and the pending tasks take the owner
     // slots those steals free.
     let cfg = DeltaConfig::builder(2)
-        .features(Features {
-            work_aware: false,
-            ..Features::all()
-        })
         .policy(Policy::StaticHash)
         .work_stealing(true)
         .tile_queue(3)

@@ -199,18 +199,94 @@ enum GoldenMode {
     Bless,
 }
 
-/// Flags shared by `sweep` and `goldens`.
+/// Everything a subcommand's arguments can set.
 #[derive(Default)]
-struct Common {
+struct Args {
     tiny: bool,
     jobs: Option<usize>,
     show_profile: bool,
     bench_json: Option<String>,
     no_cache: bool,
     out_dir: Option<String>,
+    rate: Option<f64>,
+    speedups: Vec<String>,
+    /// Experiment ids, named positionally or by `--only`.
+    wanted: Vec<String>,
 }
 
-impl Common {
+/// The flags `sweep` and `goldens` take.
+const SWEEP_FLAGS: &[&str] = &[
+    "--tiny",
+    "--jobs",
+    "--only",
+    "--profile",
+    "--bench-json",
+    "--out-dir",
+    "--no-cache",
+];
+
+impl Args {
+    /// Parses one subcommand's arguments: experiment ids and the flags
+    /// in `allowed`. Any other `--` argument is an unknown flag (exit
+    /// 2); `None` means `--help` printed the usage.
+    fn parse(
+        args: impl IntoIterator<Item = String>,
+        allowed: &[&str],
+        usage: &str,
+    ) -> Option<Self> {
+        let mut a = Args::default();
+        let mut it = args.into_iter();
+        while let Some(arg) = it.next() {
+            if arg == "--help" || arg == "-h" {
+                println!("{usage}");
+                return None;
+            }
+            if !arg.starts_with("--") {
+                a.wanted.push(arg);
+                continue;
+            }
+            if !allowed.contains(&arg.as_str()) {
+                die(&format!("unknown flag '{arg}'"), usage);
+            }
+            let mut value = || {
+                it.next()
+                    .unwrap_or_else(|| die(&format!("{arg} needs a value"), usage))
+            };
+            match arg.as_str() {
+                "--tiny" => a.tiny = true,
+                "--no-cache" => a.no_cache = true,
+                "--profile" => a.show_profile = true,
+                "--jobs" => {
+                    let n = value().parse();
+                    a.jobs =
+                        Some(n.unwrap_or_else(|_| die("--jobs value must be an integer", usage)));
+                }
+                "--rate" => {
+                    let r = value().parse();
+                    a.rate =
+                        Some(r.unwrap_or_else(|_| die("--rate value must be a number", usage)));
+                }
+                "--bench-json" => a.bench_json = Some(value()),
+                "--out-dir" => a.out_dir = Some(value()),
+                "--speedup" => a.speedups.push(value()),
+                "--only" => {
+                    let v = value();
+                    let ids: Vec<&str> = v
+                        .split(',')
+                        .map(str::trim)
+                        .filter(|s| !s.is_empty())
+                        .collect();
+                    if ids.is_empty() {
+                        die("--only needs at least one experiment id", usage);
+                    }
+                    a.wanted.extend(ids.into_iter().map(str::to_string));
+                }
+                other => unreachable!("no subcommand handles {other}"),
+            }
+        }
+        Some(a)
+    }
+
     fn scale(&self) -> Scale {
         if self.tiny {
             Scale::Tiny
@@ -248,61 +324,18 @@ impl Common {
         }
     }
 
-    /// Tries to consume `arg` (and, for valued flags, the next
-    /// argument) as one of the shared flags.
-    fn eat(&mut self, arg: &str, it: &mut std::vec::IntoIter<String>, usage: &str) -> bool {
-        match arg {
-            "--tiny" => self.tiny = true,
-            "--no-cache" => self.no_cache = true,
-            "--profile" => self.show_profile = true,
-            "--jobs" => {
-                let v = take_value(it, "--jobs", usage);
-                self.jobs = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| die("--jobs value must be an integer", usage)),
-                );
-            }
-            "--bench-json" => self.bench_json = Some(take_value(it, "--bench-json", usage)),
-            "--out-dir" => self.out_dir = Some(take_value(it, "--out-dir", usage)),
-            _ => return false,
-        }
-        true
+    /// The one experiment id `trace` and `faults` take.
+    fn single_id(&self, usage: &str) -> String {
+        let [id] = self.wanted.as_slice() else {
+            die("expected exactly one experiment id", usage);
+        };
+        resolve_ids(std::slice::from_ref(id), usage).remove(0)
     }
 }
 
 fn die(msg: &str, usage: &str) -> ! {
     eprintln!("error: {msg}\n\n{usage}");
     std::process::exit(2);
-}
-
-fn take_value(it: &mut std::vec::IntoIter<String>, flag: &str, usage: &str) -> String {
-    it.next()
-        .unwrap_or_else(|| die(&format!("{flag} needs a value"), usage))
-}
-
-/// Tries to consume `arg` as the `--only <id>[,<id>...]` selection
-/// flag, splitting the comma-separated value into `wanted`.
-fn eat_only(
-    arg: &str,
-    it: &mut std::vec::IntoIter<String>,
-    wanted: &mut Vec<String>,
-    usage: &str,
-) -> bool {
-    if arg != "--only" {
-        return false;
-    }
-    let v = take_value(it, "--only", usage);
-    let ids: Vec<String> = v
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect();
-    if ids.is_empty() {
-        die("--only needs at least one experiment id", usage);
-    }
-    wanted.extend(ids);
-    true
 }
 
 /// Expands a possibly-empty id selection to the run list, rejecting
@@ -380,25 +413,12 @@ fn main() {
 }
 
 fn cmd_sweep(args: Vec<String>) {
-    let mut common = Common::default();
-    let mut wanted = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--help" || a == "-h" {
-            println!("{SWEEP_USAGE}");
-            return;
-        }
-        if common.eat(&a, &mut it, SWEEP_USAGE) || eat_only(&a, &mut it, &mut wanted, SWEEP_USAGE) {
-            continue;
-        }
-        if a.starts_with("--") {
-            die(&format!("unknown flag '{a}'"), SWEEP_USAGE);
-        }
-        wanted.push(a);
-    }
-    let ids = resolve_ids(&wanted, SWEEP_USAGE);
-    common.apply();
-    run_experiments(&ids, &common, GoldenMode::Off);
+    let Some(a) = Args::parse(args, SWEEP_FLAGS, SWEEP_USAGE) else {
+        return;
+    };
+    let ids = resolve_ids(&a.wanted, SWEEP_USAGE);
+    a.apply();
+    run_experiments(&ids, &a, GoldenMode::Off);
 }
 
 fn cmd_goldens(args: Vec<String>) {
@@ -416,26 +436,12 @@ fn cmd_goldens(args: Vec<String>) {
         ),
         None => die("expected 'check' or 'bless'", GOLDENS_USAGE),
     };
-    let mut common = Common::default();
-    let mut wanted = Vec::new();
-    while let Some(a) = it.next() {
-        if a == "--help" || a == "-h" {
-            println!("{GOLDENS_USAGE}");
-            return;
-        }
-        if common.eat(&a, &mut it, GOLDENS_USAGE)
-            || eat_only(&a, &mut it, &mut wanted, GOLDENS_USAGE)
-        {
-            continue;
-        }
-        if a.starts_with("--") {
-            die(&format!("unknown flag '{a}'"), GOLDENS_USAGE);
-        }
-        wanted.push(a);
-    }
-    let ids = resolve_ids(&wanted, GOLDENS_USAGE);
-    common.apply();
-    run_experiments(&ids, &common, mode);
+    let Some(a) = Args::parse(it, SWEEP_FLAGS, GOLDENS_USAGE) else {
+        return;
+    };
+    let ids = resolve_ids(&a.wanted, GOLDENS_USAGE);
+    a.apply();
+    run_experiments(&ids, &a, mode);
 }
 
 fn cmd_cache(args: Vec<String>) {
@@ -472,146 +478,57 @@ fn cmd_cache(args: Vec<String>) {
 }
 
 fn cmd_trace(args: Vec<String>) {
-    let mut common = Common::default();
-    let mut wanted = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--help" || a == "-h" {
-            println!("{TRACE_USAGE}");
-            return;
-        }
-        if a == "--tiny" {
-            common.tiny = true;
-            continue;
-        }
-        if a == "--out-dir" {
-            common.out_dir = Some(take_value(&mut it, "--out-dir", TRACE_USAGE));
-            continue;
-        }
-        if a.starts_with("--") {
-            die(&format!("unknown flag '{a}'"), TRACE_USAGE);
-        }
-        wanted.push(a);
+    if let Some(a) = Args::parse(args, &["--tiny", "--out-dir"], TRACE_USAGE) {
+        run_trace(&a.single_id(TRACE_USAGE), &a);
     }
-    let [id] = wanted.as_slice() else {
-        die("expected exactly one experiment id", TRACE_USAGE);
-    };
-    let ids = resolve_ids(std::slice::from_ref(id), TRACE_USAGE);
-    run_trace(&ids[0], &common);
 }
 
 fn cmd_faults(args: Vec<String>) {
-    let mut common = Common::default();
-    let mut rate: Option<f64> = None;
-    let mut wanted = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--help" || a == "-h" {
-            println!("{FAULTS_USAGE}");
-            return;
-        }
-        if a == "--tiny" {
-            common.tiny = true;
-            continue;
-        }
-        if a == "--out-dir" {
-            common.out_dir = Some(take_value(&mut it, "--out-dir", FAULTS_USAGE));
-            continue;
-        }
-        if a == "--rate" {
-            let v = take_value(&mut it, "--rate", FAULTS_USAGE);
-            rate = Some(
-                v.parse()
-                    .unwrap_or_else(|_| die("--rate value must be a number", FAULTS_USAGE)),
-            );
-            continue;
-        }
-        if a.starts_with("--") {
-            die(&format!("unknown flag '{a}'"), FAULTS_USAGE);
-        }
-        wanted.push(a);
+    if let Some(a) = Args::parse(args, &["--tiny", "--rate", "--out-dir"], FAULTS_USAGE) {
+        run_faults(&a.single_id(FAULTS_USAGE), &a);
     }
-    let [id] = wanted.as_slice() else {
-        die("expected exactly one experiment id", FAULTS_USAGE);
-    };
-    let ids = resolve_ids(std::slice::from_ref(id), FAULTS_USAGE);
-    run_faults(&ids[0], &common, rate);
 }
 
 fn cmd_whatif(args: Vec<String>) {
-    let mut common = Common::default();
-    let mut speedups: Vec<String> = Vec::new();
-    let mut wanted = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--help" || a == "-h" {
-            println!("{WHATIF_USAGE}");
-            return;
-        }
-        if eat_only(&a, &mut it, &mut wanted, WHATIF_USAGE) {
-            continue;
-        }
-        match a.as_str() {
-            "--tiny" => common.tiny = true,
-            "--speedup" => speedups.push(take_value(&mut it, "--speedup", WHATIF_USAGE)),
-            "--out-dir" => common.out_dir = Some(take_value(&mut it, "--out-dir", WHATIF_USAGE)),
-            "--bench-json" => {
-                common.bench_json = Some(take_value(&mut it, "--bench-json", WHATIF_USAGE))
-            }
-            s if s.starts_with("--") => die(&format!("unknown flag '{s}'"), WHATIF_USAGE),
-            _ => wanted.push(a),
-        }
+    let flags = ["--only", "--tiny", "--speedup", "--out-dir", "--bench-json"];
+    if let Some(a) = Args::parse(args, &flags, WHATIF_USAGE) {
+        run_whatif(&resolve_ids(&a.wanted, WHATIF_USAGE), &a);
     }
-    let ids = resolve_ids(&wanted, WHATIF_USAGE);
-    run_whatif(&ids, &common, &speedups);
 }
 
-/// Runs the selected experiments as **one flattened sweep** — every
-/// experiment's grid cells pooled into a single work-stealing run —
-/// then assembles and prints each table and handles goldens,
-/// profiles, and the bench-json output per `common`/`mode`.
-fn run_experiments(ids: &[String], common: &Common, mode: GoldenMode) {
-    let scale = common.scale();
+/// Runs the selected experiments as **one flattened sweep**
+/// ([`experiments::run_docs`]), then prints each table and handles
+/// goldens, profiles, and the bench-json output per `args`/`mode`.
+fn run_experiments(ids: &[String], args: &Args, mode: GoldenMode) {
+    let scale = args.scale();
     let golden_dir = goldens_root().join(experiments::scale_name(scale));
     if mode == GoldenMode::Bless {
         std::fs::create_dir_all(&golden_dir).expect("creating the goldens directory");
     }
 
     let t_all = Instant::now();
-    // Plan first: materialize every experiment's job grid without
-    // simulating, and pool all of it so a straggler cell in one
-    // experiment never idles workers that could run another's cells.
-    let mut plans: Vec<experiments::Plan> =
-        ids.iter().map(|id| experiments::plan(id, scale)).collect();
-    let mut all_jobs = Vec::new();
-    let mut counts = Vec::with_capacity(plans.len());
-    for p in &mut plans {
-        counts.push(p.jobs.len());
-        all_jobs.append(&mut p.jobs);
-    }
-    let t_sweep = Instant::now();
-    let outcomes = ts_bench::run_jobs(&all_jobs);
-    let sweep_secs = t_sweep.elapsed().as_secs_f64();
+    let ids: Vec<&str> = ids.iter().map(String::as_str).collect();
+    let sweep = experiments::run_docs(&ids, scale);
 
     // Cycle attribution comes from each outcome's embedded profile:
-    // summed per plan slice for each experiment, and over every
-    // experiment for the whole run. Wedged fault runs carry no report,
-    // so they count toward neither the profile nor `simulations`.
+    // summed per experiment, and over every experiment for the whole
+    // run. Wedged fault runs carry no report, so they count toward
+    // neither the profile nor `simulations`.
     type Tallies = Vec<(String, String)>;
-    let mut results: Vec<(String, usize, SimProfile, Tallies)> = Vec::new();
+    let mut results: Vec<(&str, usize, SimProfile, Tallies)> = Vec::new();
     let mut violations: Vec<String> = Vec::new();
     let mut tally = SimProfile::default();
-    let mut offset = 0;
-    for (p, n) in plans.into_iter().zip(counts) {
-        let slice = &outcomes[offset..offset + n];
-        offset += n;
-        let id = p.id.to_string();
+    let (mut jobs, mut runs) = (0, 0);
+    for (doc, outcomes) in &sweep.docs {
+        let id = doc.id.as_str();
+        let n = outcomes.len();
         let mut prof = SimProfile::default();
-        for r in slice.iter().filter_map(|o| o.report()) {
+        for r in outcomes.iter().filter_map(|o| o.report()) {
             prof.add(&r.profile);
+            runs += 1;
         }
+        jobs += n;
         tally.add(&prof);
-        let doc = p.finish(slice);
         // Deterministic per-tenant tallies (admission/completion
         // counts) ride along into the bench json, where the perf gate
         // locks them down like the host cache counters.
@@ -621,10 +538,10 @@ fn run_experiments(ids: &[String], common: &Common, mode: GoldenMode) {
             .filter(|(k, _)| k.starts_with("tenant"))
             .cloned()
             .collect();
-        let out = experiments::render_doc(&doc);
+        let out = experiments::render_doc(doc);
         println!("=== {id} ===");
         println!("{out}");
-        if common.show_profile && n > 0 {
+        if args.show_profile && n > 0 {
             println!("  profile: {}", prof.summary());
         }
         println!();
@@ -639,7 +556,7 @@ fn run_experiments(ids: &[String], common: &Common, mode: GoldenMode) {
             GoldenMode::Check => {
                 match std::fs::read_to_string(&golden_path) {
                     Ok(text) => match GoldenDoc::from_json(&text) {
-                        Ok(golden) => violations.extend(golden.diff(&doc)),
+                        Ok(golden) => violations.extend(golden.diff(doc)),
                         Err(e) => violations.push(format!(
                             "{id} ({}): unreadable golden {}: {e}",
                             doc.scale,
@@ -659,8 +576,8 @@ fn run_experiments(ids: &[String], common: &Common, mode: GoldenMode) {
         results.push((id, n, prof, tallies));
     }
     let total = t_all.elapsed().as_secs_f64();
-    let runs = outcomes.iter().filter(|o| o.report().is_some()).count();
-    if common.show_profile {
+    let sweep_secs = sweep.run_secs;
+    if args.show_profile {
         println!("=== profile (whole run, {runs} simulations) ===");
         println!("  {}\n", tally.summary());
     }
@@ -671,17 +588,12 @@ fn run_experiments(ids: &[String], common: &Common, mode: GoldenMode) {
     let pool = ts_pool::pool_stats();
     let cache_stats = ts_bench::cache::stats();
     eprintln!(
-        "{} simulation job(s) in {sweep_secs:.3}s ({total:.3}s total): \
+        "{jobs} simulation job(s) in {sweep_secs:.3}s ({total:.3}s total): \
          {} steal(s), {} park(s); cache {} hit(s) / {} miss(es) / {} stored",
-        all_jobs.len(),
-        pool.steals,
-        pool.parks,
-        cache_stats.hits,
-        cache_stats.misses,
-        cache_stats.stores
+        pool.steals, pool.parks, cache_stats.hits, cache_stats.misses, cache_stats.stores
     );
 
-    if let Some(path) = &common.bench_json {
+    if let Some(path) = &args.bench_json {
         let mut json = String::from("{\n");
         json.push_str(&format!(
             "  \"scale\": \"{}\",\n",
@@ -717,7 +629,7 @@ fn run_experiments(ids: &[String], common: &Common, mode: GoldenMode) {
     }
 
     if mode == GoldenMode::Check {
-        let diff_path = common.out_path("GOLDEN_diff.txt");
+        let diff_path = args.out_path("GOLDEN_diff.txt");
         if violations.is_empty() {
             // A previous failing run may have left its report behind;
             // a green check must not leave a stale diff lying around.
@@ -744,10 +656,10 @@ fn run_experiments(ids: &[String], common: &Common, mode: GoldenMode) {
 
 /// Runs `repro trace <id>`: one traced simulation, the Perfetto JSON
 /// on disk, and the two derived text reports on stdout.
-fn run_trace(id: &str, common: &Common) {
+fn run_trace(id: &str, args: &Args) {
     use ts_bench::trace_report;
 
-    let scale = common.scale();
+    let scale = args.scale();
     let t0 = Instant::now();
     let run = experiments::trace_run(id, scale);
     let records = &run.report.trace;
@@ -763,7 +675,7 @@ fn run_trace(id: &str, common: &Common) {
         run.report.trace_dropped
     );
 
-    let path = common.out_path(&format!("TRACE_{id}.json"));
+    let path = args.out_path(&format!("TRACE_{id}.json"));
     let json = trace_report::perfetto_json(&run.workload, run.cfg.tiles, records);
     std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     println!(
@@ -783,10 +695,10 @@ fn run_trace(id: &str, common: &Common) {
 
 /// Runs `repro faults <id>`: one chaos-preset fault-injected
 /// simulation, the summary on stdout and in `FAULTS_<id>.txt`.
-fn run_faults(id: &str, common: &Common, rate: Option<f64>) {
-    let scale = common.scale();
+fn run_faults(id: &str, args: &Args) {
+    let scale = args.scale();
     let t0 = Instant::now();
-    let fr = experiments::fault_run(id, scale, rate);
+    let fr = experiments::fault_run(id, scale, args.rate);
     let header = format!(
         "=== faults {id} ({}, workload {}, {} cycles) ===",
         experiments::scale_name(scale),
@@ -795,7 +707,7 @@ fn run_faults(id: &str, common: &Common, rate: Option<f64>) {
     );
     println!("{header}");
     println!("{}", fr.summary);
-    let path = common.out_path(&format!("FAULTS_{id}.txt"));
+    let path = args.out_path(&format!("FAULTS_{id}.txt"));
     std::fs::write(&path, format!("{header}\n{}", fr.summary))
         .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     println!("  wrote {}", path.display());
@@ -807,19 +719,19 @@ fn run_faults(id: &str, common: &Common, rate: Option<f64>) {
 /// bottlenecks, virtual-speedup queries) on stdout and in
 /// `WHATIF_<id>.txt`. With `--bench-json`, the per-experiment summary
 /// rows are spliced into the sweep JSON as a `"whatif"` section.
-fn run_whatif(ids: &[String], common: &Common, speedups: &[String]) {
+fn run_whatif(ids: &[String], args: &Args) {
     use ts_bench::whatif_report as wr;
 
-    let scale = common.scale();
+    let scale = args.scale();
     let t0 = Instant::now();
     let mut rows: Vec<String> = Vec::new();
     for id in ids {
         let run = experiments::trace_run(id, scale);
         let w = wr::analyze(&run);
-        let queries: Vec<wr::LabeledQuery> = if speedups.is_empty() {
+        let queries: Vec<wr::LabeledQuery> = if args.speedups.is_empty() {
             wr::default_queries(&run.type_names)
         } else {
-            speedups
+            args.speedups
                 .iter()
                 .map(|s| {
                     wr::parse_speedup(s, &run.type_names).unwrap_or_else(|e| die(&e, WHATIF_USAGE))
@@ -838,12 +750,12 @@ fn run_whatif(ids: &[String], common: &Common, speedups: &[String]) {
         text.push_str("--- virtual speedups ---\n");
         text.push_str(&format!("{}\n", wr::query_table(&w, &queries)));
         print!("{text}");
-        let path = common.out_path(&format!("WHATIF_{id}.txt"));
+        let path = args.out_path(&format!("WHATIF_{id}.txt"));
         std::fs::write(&path, &text).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
         eprintln!("wrote {}", path.display());
         rows.push(wr::summary_json(id, &run, &w, &queries));
     }
-    if let Some(path) = &common.bench_json {
+    if let Some(path) = &args.bench_json {
         let existing = std::fs::read_to_string(path).ok();
         let merged = wr::merge_section(existing.as_deref(), &rows);
         std::fs::write(path, merged).unwrap_or_else(|e| panic!("writing {path}: {e}"));

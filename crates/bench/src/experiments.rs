@@ -15,6 +15,16 @@
 //! ([`derive_seed`]), never from execution order, so `repro --jobs N`
 //! output is byte-identical to `--jobs 1` — and, with the result cache
 //! on, to a warm re-run answered from disk.
+//!
+//! **Adding an experiment.** Write a `plan_<name>(scale) -> Plan`,
+//! list its id in [`ALL`] and in [`plan`]'s match, and bless its
+//! golden. Take stock workloads from the catalogue through `stocks`
+//! (one shared `Arc` per scale and name, so a sweep fingerprints each
+//! stock program once), and build jobs with the two seeded helpers:
+//! `job` for one validated run at a design point (struct-update it for
+//! a baseline or faulted run) and `delta_vs_static` for the headline
+//! Delta-vs-static-parallel pair. A sweep of one knob over a few
+//! workloads is a `Knob` handed to `plan_knob`.
 
 use crate::golden::GoldenDoc;
 use crate::{fmt_x, run_faulted, run_jobs, FaultOutcome, SweepJob, Table};
@@ -22,14 +32,12 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use taskstream_model::Policy;
 use ts_delta::{
-    area, DeltaConfig, DrainPolicy, FaultsConfig, Features, PartitionPolicy, RunReport,
-    TenancyConfig,
+    area, DeltaConfig, DeltaConfigBuilder, DrainPolicy, FaultsConfig, Features, PartitionPolicy,
+    RunReport, TenancyConfig,
 };
 use ts_sim::stats::geomean;
 use ts_workloads::{
-    bfs::Bfs, dtree::DTree, gemm::Gemm, hash_join::HashJoin, kmeans::KMeans, merge_sort::MergeSort,
-    query_plan::QueryPlan, request_server::RequestServer, spmv::Spmv, streams_suite, suite, Scale,
-    Workload,
+    request_server::RequestServer, spmv::Spmv, Scale, Workload, STREAMS_SUITE, SUITE,
 };
 
 /// Default experiment seed (all experiments are reproducible from it).
@@ -60,6 +68,56 @@ pub fn derive_seed(base: u64, key: &str) -> u64 {
 /// A design point with the job's derived seed applied.
 fn seeded(cfg: DeltaConfig, wl: &dyn Workload) -> DeltaConfig {
     cfg.to_builder().seed(derive_seed(SEED, wl.name())).build()
+}
+
+/// One validated job: `wl`'s natural program at design point `cfg`,
+/// seeded for `wl`. Struct-update the result for a baseline or a
+/// faulted run.
+fn job(wl: &Arc<dyn Workload>, cfg: DeltaConfig) -> SweepJob {
+    SweepJob::new(Arc::clone(wl), seeded(cfg, wl.as_ref()))
+}
+
+/// The evaluation's headline pair at `tiles`: Delta on `wl`'s natural
+/// program, then the static-parallel design on its static formulation.
+fn delta_vs_static(wl: &Arc<dyn Workload>, tiles: usize) -> [SweepJob; 2] {
+    [
+        job(wl, DeltaConfig::delta(tiles)),
+        SweepJob {
+            baseline: true,
+            ..job(wl, DeltaConfig::static_parallel(tiles))
+        },
+    ]
+}
+
+/// The catalogue workload `name` at `scale`, seeded with [`SEED`] and
+/// built on first use. Every plan gets the *same* `Arc`, so the sweep
+/// runner computes each stock program's cache fingerprint once per
+/// sweep instead of once per experiment. (Construction is seeded, so
+/// sharing instances cannot change any result.)
+fn stock(scale: Scale, name: &'static str) -> Arc<dyn Workload> {
+    type Memo = Mutex<HashMap<(&'static str, &'static str), Arc<dyn Workload>>>;
+    static MEMO: OnceLock<Memo> = OnceLock::new();
+    let mut memo = MEMO
+        .get_or_init(Memo::default)
+        .lock()
+        .expect("workload memo lock poisoned");
+    memo.entry((scale_name(scale), name))
+        .or_insert_with(|| Arc::from(ts_workloads::workload(name, scale, SEED)))
+        .clone()
+}
+
+/// [`stock`] for each of `names`, in order.
+fn stocks(scale: Scale, names: &[&'static str]) -> Vec<Arc<dyn Workload>> {
+    names.iter().map(|&name| stock(scale, name)).collect()
+}
+
+/// The multi-tenant request server at `scale`: `tenants` query streams
+/// arriving every `period` cycles (0 floods).
+fn request_server(scale: Scale, tenants: usize, period: u64) -> RequestServer {
+    match scale {
+        Scale::Tiny => RequestServer::tiny(tenants, period, SEED),
+        Scale::Small => RequestServer::small(tenants, period, SEED),
+    }
 }
 
 /// The assembly half of an experiment: outcomes (in job order) to
@@ -140,41 +198,15 @@ fn completed(outcomes: &[FaultOutcome]) -> Vec<&RunReport> {
         .collect()
 }
 
-/// The workload suite as shareable handles (jobs and the assembly
-/// closure both need them). Memoized per scale: every plan in a sweep
-/// asks for the same suite, and handing them the *same* `Arc`s lets
-/// the sweep runner compute each workload's cache fingerprint once for
-/// the whole sweep instead of once per experiment. (Construction is
-/// seeded, so sharing instances cannot change any result.)
-fn arc_suite(scale: Scale) -> Vec<Arc<dyn Workload>> {
-    type SuiteMemo = Mutex<HashMap<&'static str, Vec<Arc<dyn Workload>>>>;
-    static SUITES: OnceLock<SuiteMemo> = OnceLock::new();
-    let mut suites = SUITES
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("suite memo lock poisoned");
-    suites
-        .entry(scale_name(scale))
-        .or_insert_with(|| suite(scale, SEED).into_iter().map(Arc::from).collect())
-        .clone()
-}
-
 /// `fig_overall` — the headline: Delta vs. the equivalent
 /// static-parallel design, per workload. Extras carry the suite and
 /// irregular-subset geomeans.
 fn plan_overall(scale: Scale) -> Plan {
-    let wls = arc_suite(scale);
-    let mut jobs = Vec::new();
-    for wl in &wls {
-        jobs.push(SweepJob::new(
-            wl.clone(),
-            seeded(DeltaConfig::delta(TILES), wl.as_ref()),
-        ));
-        jobs.push(SweepJob::baseline(
-            wl.clone(),
-            seeded(DeltaConfig::static_parallel(TILES), wl.as_ref()),
-        ));
-    }
+    let wls = stocks(scale, SUITE);
+    let jobs = wls
+        .iter()
+        .flat_map(|wl| delta_vs_static(wl, TILES))
+        .collect();
     Plan::new("fig_overall", scale, jobs, move |outcomes| {
         let results = completed(outcomes);
         let mut table = Table::new(&[
@@ -239,40 +271,28 @@ fn plan_overall(scale: Scale) -> Plan {
 /// `+balance` = work-aware placement; `+pipeline` = direct pipes;
 /// `+multicast` = shared-read recovery (= Delta).
 fn plan_ablation(scale: Scale) -> Plan {
-    let steps: [(&str, Features, Policy); 4] = [
-        ("+tasks", Features::none(), Policy::StaticHash),
-        (
-            "+balance",
-            Features {
-                work_aware: true,
-                pipelining: false,
-                multicast: false,
-            },
-            Policy::WorkAware,
-        ),
-        (
-            "+pipeline",
-            Features {
-                work_aware: true,
-                pipelining: true,
-                multicast: false,
-            },
-            Policy::WorkAware,
-        ),
-        ("+multicast", Features::all(), Policy::WorkAware),
+    let pipelined = Features {
+        pipelining: true,
+        multicast: false,
+    };
+    let steps = [
+        (Policy::StaticHash, Features::none()),
+        (Policy::WorkAware, Features::none()),
+        (Policy::WorkAware, pipelined),
+        (Policy::WorkAware, Features::all()),
     ];
-    let wls = arc_suite(scale);
+    let wls = stocks(scale, SUITE);
     let mut jobs = Vec::new();
     for wl in &wls {
-        jobs.push(SweepJob::baseline(
-            wl.clone(),
-            seeded(DeltaConfig::static_parallel(TILES), wl.as_ref()),
-        ));
-        for (_, features, policy) in steps {
+        jobs.push(SweepJob {
+            baseline: true,
+            ..job(wl, DeltaConfig::static_parallel(TILES))
+        });
+        for (policy, features) in steps {
             let cfg = DeltaConfig::static_parallel(TILES)
                 .with_policy(policy)
                 .with_features(features);
-            jobs.push(SweepJob::new(wl.clone(), seeded(cfg, wl.as_ref())));
+            jobs.push(job(wl, cfg));
         }
     }
     let group_len = 1 + steps.len();
@@ -301,31 +321,11 @@ fn plan_ablation(scale: Scale) -> Plan {
 /// `fig_tiles` — tile-count scaling, Delta vs static-parallel.
 fn plan_tiles(scale: Scale, tile_counts: &[usize]) -> Plan {
     let tile_counts = tile_counts.to_vec();
-    let wls: Vec<Arc<dyn Workload>> = match scale {
-        Scale::Tiny => vec![
-            Arc::new(Spmv::tiny(SEED)),
-            Arc::new(Bfs::tiny(SEED)),
-            Arc::new(DTree::tiny(SEED)),
-            Arc::new(Gemm::tiny(SEED)),
-        ],
-        Scale::Small => vec![
-            Arc::new(Spmv::small(SEED)),
-            Arc::new(Bfs::small(SEED)),
-            Arc::new(DTree::small(SEED)),
-            Arc::new(Gemm::small(SEED)),
-        ],
-    };
+    let wls = stocks(scale, &["spmv", "bfs", "dtree", "gemm"]);
     let mut jobs = Vec::new();
     for wl in &wls {
         for &t in &tile_counts {
-            jobs.push(SweepJob::new(
-                wl.clone(),
-                seeded(DeltaConfig::delta(t), wl.as_ref()),
-            ));
-            jobs.push(SweepJob::baseline(
-                wl.clone(),
-                seeded(DeltaConfig::static_parallel(t), wl.as_ref()),
-            ));
+            jobs.extend(delta_vs_static(wl, t));
         }
     }
     Plan::new("fig_tiles", scale, jobs, move |outcomes| {
@@ -362,17 +362,10 @@ fn plan_grain(scale: Scale) -> Plan {
         .collect();
     let tasks: Vec<u64> = wls.iter().map(|wl| wl.info().tasks).collect();
     let grains: Vec<usize> = grains.to_vec();
-    let mut jobs = Vec::new();
-    for wl in &wls {
-        jobs.push(SweepJob::new(
-            wl.clone(),
-            seeded(DeltaConfig::delta(TILES), wl.as_ref()),
-        ));
-        jobs.push(SweepJob::baseline(
-            wl.clone(),
-            seeded(DeltaConfig::static_parallel(TILES), wl.as_ref()),
-        ));
-    }
+    let jobs = wls
+        .iter()
+        .flat_map(|wl| delta_vs_static(wl, TILES))
+        .collect();
     Plan::new("fig_grain", scale, jobs, move |outcomes| {
         let results = completed(outcomes);
         let mut table = Table::new(&["rows/task", "tasks", "delta cyc", "static cyc", "speedup"]);
@@ -392,21 +385,11 @@ fn plan_grain(scale: Scale) -> Plan {
 
 /// `fig_imbalance` — per-tile busy cycles under both designs.
 fn plan_imbalance(scale: Scale) -> Plan {
-    let wls: Vec<Arc<dyn Workload>> = match scale {
-        Scale::Tiny => vec![Arc::new(Spmv::tiny(SEED)), Arc::new(Bfs::tiny(SEED))],
-        Scale::Small => vec![Arc::new(Spmv::small(SEED)), Arc::new(Bfs::small(SEED))],
-    };
-    let mut jobs = Vec::new();
-    for wl in &wls {
-        jobs.push(SweepJob::new(
-            wl.clone(),
-            seeded(DeltaConfig::delta(TILES), wl.as_ref()),
-        ));
-        jobs.push(SweepJob::baseline(
-            wl.clone(),
-            seeded(DeltaConfig::static_parallel(TILES), wl.as_ref()),
-        ));
-    }
+    let wls = stocks(scale, &["spmv", "bfs"]);
+    let jobs = wls
+        .iter()
+        .flat_map(|wl| delta_vs_static(wl, TILES))
+        .collect();
     Plan::new("fig_imbalance", scale, jobs, move |outcomes| {
         let results = completed(outcomes);
         let mut table = Table::new(&[
@@ -436,36 +419,15 @@ fn plan_imbalance(scale: Scale) -> Plan {
 
 /// `fig_noc` — DRAM words and NoC flit-hops with and without multicast.
 fn plan_noc(scale: Scale) -> Plan {
-    let wls: Vec<Arc<dyn Workload>> = match scale {
-        Scale::Tiny => vec![
-            Arc::new(DTree::tiny(SEED)),
-            Arc::new(KMeans::tiny(SEED)),
-            Arc::new(HashJoin::tiny(SEED)),
-        ],
-        Scale::Small => vec![
-            Arc::new(DTree::small(SEED)),
-            Arc::new(KMeans::small(SEED)),
-            Arc::new(HashJoin::small(SEED)),
-        ],
-    };
+    let wls = stocks(scale, &["dtree", "kmeans", "hash_join"]);
     let unicast = Features {
-        work_aware: true,
         pipelining: true,
         multicast: false,
     };
     let mut jobs = Vec::new();
     for wl in &wls {
-        jobs.push(SweepJob::new(
-            wl.clone(),
-            seeded(DeltaConfig::delta(TILES), wl.as_ref()),
-        ));
-        jobs.push(SweepJob::new(
-            wl.clone(),
-            seeded(
-                DeltaConfig::delta(TILES).with_features(unicast),
-                wl.as_ref(),
-            ),
-        ));
+        jobs.push(job(wl, DeltaConfig::delta(TILES)));
+        jobs.push(job(wl, DeltaConfig::delta(TILES).with_features(unicast)));
     }
     Plan::new("fig_noc", scale, jobs, move |outcomes| {
         let results = completed(outcomes);
@@ -499,24 +461,11 @@ fn plan_noc(scale: Scale) -> Plan {
 /// work-aware; `least-queued` isolates the value of the *work* hint
 /// (it balances task counts but not task sizes).
 fn plan_policy(scale: Scale) -> Plan {
-    let wls: Vec<Arc<dyn Workload>> = match scale {
-        Scale::Tiny => vec![Arc::new(Spmv::tiny(SEED)), Arc::new(Bfs::tiny(SEED))],
-        Scale::Small => vec![Arc::new(Spmv::small(SEED)), Arc::new(Bfs::small(SEED))],
-    };
+    let wls = stocks(scale, &["spmv", "bfs"]);
     let mut jobs = Vec::new();
     for wl in &wls {
-        jobs.push(SweepJob::new(
-            wl.clone(),
-            seeded(
-                DeltaConfig::delta(TILES).with_policy(Policy::WorkAware),
-                wl.as_ref(),
-            ),
-        ));
-        for pol in Policy::ALL {
-            jobs.push(SweepJob::new(
-                wl.clone(),
-                seeded(DeltaConfig::delta(TILES).with_policy(pol), wl.as_ref()),
-            ));
+        for pol in std::iter::once(Policy::WorkAware).chain(Policy::ALL) {
+            jobs.push(job(wl, DeltaConfig::delta(TILES).with_policy(pol)));
         }
     }
     Plan::new("fig_policy", scale, jobs, move |outcomes| {
@@ -541,39 +490,52 @@ fn plan_policy(scale: Scale) -> Plan {
     })
 }
 
-/// Shared shape of the four base-point-relative single-knob ablations
-/// (`fig_window` / `fig_prefetch` / `fig_batch` / `fig_queue`-style):
-/// for each workload, one job at the default setting (the divisor),
-/// then one per swept value.
+/// A single-knob sweep over a few stock workloads: one table row per
+/// (workload, swept value), with the cycles and their ratio to the
+/// workload's base run.
+struct Knob<K> {
+    /// Catalogue names of the swept workloads.
+    workloads: &'static [&'static str],
+    /// A setting run first as every workload's base; its own row is not
+    /// shown. Without one, the first swept value is the base.
+    base: Option<K>,
+    /// The swept settings, one row each.
+    values: Vec<K>,
+    /// Applies one setting to the Delta preset.
+    set: fn(DeltaConfigBuilder, K) -> DeltaConfigBuilder,
+    /// Column headers: workload, setting, cycles, ratio.
+    headers: [&'static str; 4],
+    /// The ratio column from (base cycles, row cycles).
+    ratio: fn(f64, f64) -> f64,
+}
+
+/// Plans a [`Knob`] sweep: for each workload, the base job (if any) and
+/// then one job per swept value.
 fn plan_knob<K: Copy + ToString + Send + 'static>(
     id: &'static str,
     scale: Scale,
-    wls: Vec<Arc<dyn Workload>>,
-    default: K,
-    values: Vec<K>,
-    make_cfg: impl Fn(usize, K) -> DeltaConfig,
-    headers: [&'static str; 4],
+    knob: Knob<K>,
 ) -> Plan {
+    let wls = stocks(scale, knob.workloads);
+    let settings: Vec<K> = knob.base.iter().chain(&knob.values).copied().collect();
     let mut jobs = Vec::new();
     for wl in &wls {
-        for &v in std::iter::once(&default).chain(values.iter()) {
-            jobs.push(SweepJob::new(
-                wl.clone(),
-                seeded(make_cfg(TILES, v), wl.as_ref()),
-            ));
+        for &v in &settings {
+            jobs.push(job(wl, (knob.set)(DeltaConfig::builder(TILES), v).build()));
         }
     }
+    let lead = usize::from(knob.base.is_some());
     Plan::new(id, scale, jobs, move |outcomes| {
         let results = completed(outcomes);
-        let mut table = Table::new(&headers);
-        for (wl, group) in wls.iter().zip(results.chunks(1 + values.len())) {
-            let base = group[0];
-            for (&v, r) in values.iter().zip(&group[1..]) {
+        let mut table = Table::new(&knob.headers);
+        for (wl, group) in wls.iter().zip(results.chunks(settings.len())) {
+            let base = group[0].cycles as f64;
+            for (&v, r) in knob.values.iter().zip(&group[lead..]) {
                 table.row(vec![
                     wl.name().into(),
                     v.to_string(),
                     r.cycles.to_string(),
-                    fmt_x(base.cycles as f64 / r.cycles as f64),
+                    fmt_x((knob.ratio)(base, r.cycles as f64)),
                 ]);
             }
         }
@@ -586,75 +548,59 @@ fn plan_knob<K: Copy + ToString + Send + 'static>(
 /// dispatcher searches for ready/placeable tasks, multicast sharers and
 /// pipe chains).
 fn plan_window(scale: Scale) -> Plan {
-    let wls: Vec<Arc<dyn Workload>> = match scale {
-        Scale::Tiny => vec![Arc::new(DTree::tiny(SEED)), Arc::new(Bfs::tiny(SEED))],
-        Scale::Small => vec![Arc::new(DTree::small(SEED)), Arc::new(Bfs::small(SEED))],
+    let knob = Knob {
+        workloads: &["dtree", "bfs"],
+        base: Some(32),
+        values: vec![1, 4, 16, 32, 64],
+        set: DeltaConfigBuilder::dispatch_window,
+        headers: ["workload", "window", "cycles", "vs 32"],
+        ratio: |base, cycles| base / cycles,
     };
-    plan_knob(
-        "fig_window",
-        scale,
-        wls,
-        32usize,
-        vec![1, 4, 16, 32, 64],
-        |tiles, w| DeltaConfig::builder(tiles).dispatch_window(w).build(),
-        ["workload", "window", "cycles", "vs 32"],
-    )
+    plan_knob("fig_window", scale, knob)
 }
 
 /// `fig_prefetch` — stream prefetch-depth ablation (how many queue
 /// positions may issue DRAM streams; deep prefetch steals bandwidth
 /// from the running task).
 fn plan_prefetch(scale: Scale) -> Plan {
-    let wls: Vec<Arc<dyn Workload>> = match scale {
-        Scale::Tiny => vec![Arc::new(Spmv::tiny(SEED)), Arc::new(Gemm::tiny(SEED))],
-        Scale::Small => vec![Arc::new(Spmv::small(SEED)), Arc::new(Gemm::small(SEED))],
+    let knob = Knob {
+        workloads: &["spmv", "gemm"],
+        base: Some(2),
+        values: vec![1, 2, 4],
+        set: DeltaConfigBuilder::prefetch_depth,
+        headers: ["workload", "depth", "cycles", "vs 2"],
+        ratio: |base, cycles| base / cycles,
     };
-    plan_knob(
-        "fig_prefetch",
-        scale,
-        wls,
-        2usize,
-        vec![1, 2, 4],
-        |tiles, d| DeltaConfig::builder(tiles).prefetch_depth(d).build(),
-        ["workload", "depth", "cycles", "vs 2"],
-    )
+    plan_knob("fig_prefetch", scale, knob)
 }
 
 /// `fig_queue` — tile task-queue depth sensitivity (Delta).
 fn plan_queue(scale: Scale) -> Plan {
-    let wls: Vec<Arc<dyn Workload>> = match scale {
-        Scale::Tiny => vec![Arc::new(Spmv::tiny(SEED)), Arc::new(HashJoin::tiny(SEED))],
-        Scale::Small => vec![Arc::new(Spmv::small(SEED)), Arc::new(HashJoin::small(SEED))],
+    let knob = Knob {
+        workloads: &["spmv", "hash_join"],
+        base: Some(4),
+        values: vec![1, 2, 4, 8],
+        set: DeltaConfigBuilder::tile_queue,
+        headers: ["workload", "depth", "cycles", "vs depth=4"],
+        ratio: |base, cycles| base / cycles,
     };
-    plan_knob(
-        "fig_queue",
-        scale,
-        wls,
-        4usize,
-        vec![1, 2, 4, 8],
-        |tiles, depth| DeltaConfig::builder(tiles).tile_queue(depth).build(),
-        ["workload", "depth", "cycles", "vs depth=4"],
-    )
+    plan_knob("fig_queue", scale, knob)
 }
 
 /// `fig_batch` — multicast batching-window ablation (how long a shared
 /// read waits for sharers to join before it starts streaming).
 fn plan_batch(scale: Scale) -> Plan {
     let windows: Vec<u64> = vec![0, 8, 24, 64, 256];
-    let wl: Arc<dyn Workload> = match scale {
-        Scale::Tiny => Arc::new(DTree::tiny(SEED)),
-        Scale::Small => Arc::new(DTree::small(SEED)),
-    };
-    let mut jobs = Vec::new();
-    for &w in std::iter::once(&24u64).chain(windows.iter()) {
-        jobs.push(SweepJob::new(
-            wl.clone(),
-            seeded(
+    let wl = stock(scale, "dtree");
+    let jobs = std::iter::once(24)
+        .chain(windows.iter().copied())
+        .map(|w| {
+            job(
+                &wl,
                 DeltaConfig::builder(TILES).mcast_batch_window(w).build(),
-                wl.as_ref(),
-            ),
-        ));
-    }
+            )
+        })
+        .collect();
     Plan::new("fig_batch", scale, jobs, move |outcomes| {
         let results = completed(outcomes);
         let mut table = Table::new(&["window cyc", "cycles", "dram reads", "vs 24"]);
@@ -675,81 +621,29 @@ fn plan_batch(scale: Scale) -> Plan {
 /// notification latency sweep). Dynamically spawning workloads feel
 /// this; statically spawned ones shrug it off.
 fn plan_spawn(scale: Scale) -> Plan {
-    let latencies: Vec<u64> = vec![0, 12, 48, 192, 768];
-    let wls: Vec<Arc<dyn Workload>> = match scale {
-        Scale::Tiny => vec![Arc::new(Bfs::tiny(SEED)), Arc::new(Spmv::tiny(SEED))],
-        Scale::Small => vec![Arc::new(Bfs::small(SEED)), Arc::new(Spmv::small(SEED))],
+    let knob = Knob {
+        workloads: &["bfs", "spmv"],
+        base: None,
+        values: vec![0u64, 12, 48, 192, 768],
+        set: |b, lat| b.spawn_latency(lat).host_latency(lat),
+        headers: ["workload", "latency", "cycles", "slowdown"],
+        ratio: |base, cycles| cycles / base,
     };
-    let mut jobs = Vec::new();
-    for wl in &wls {
-        for &lat in &latencies {
-            jobs.push(SweepJob::new(
-                wl.clone(),
-                seeded(
-                    DeltaConfig::builder(TILES)
-                        .spawn_latency(lat)
-                        .host_latency(lat)
-                        .build(),
-                    wl.as_ref(),
-                ),
-            ));
-        }
-    }
-    Plan::new("fig_spawn", scale, jobs, move |outcomes| {
-        let results = completed(outcomes);
-        let mut table = Table::new(&["workload", "latency", "cycles", "slowdown"]);
-        for (wl, group) in wls.iter().zip(results.chunks(latencies.len())) {
-            let base = group[0].cycles;
-            for (&lat, r) in latencies.iter().zip(group) {
-                table.row(vec![
-                    wl.name().into(),
-                    lat.to_string(),
-                    r.cycles.to_string(),
-                    fmt_x(r.cycles as f64 / base as f64),
-                ]);
-            }
-        }
-        (table, Vec::new())
-    })
+    plan_knob("fig_spawn", scale, knob)
 }
 
 /// `fig_reconfig` — reconfiguration-cost sensitivity (workloads with
 /// multiple task types sharing tiles).
 fn plan_reconfig(scale: Scale) -> Plan {
-    let costs: Vec<u64> = vec![0, 2, 8, 32, 128];
-    let wls: Vec<Arc<dyn Workload>> = match scale {
-        Scale::Tiny => vec![
-            Arc::new(HashJoin::tiny(SEED)),
-            Arc::new(MergeSort::tiny(SEED)),
-        ],
-        Scale::Small => vec![
-            Arc::new(HashJoin::small(SEED)),
-            Arc::new(MergeSort::small(SEED)),
-        ],
+    let knob = Knob {
+        workloads: &["hash_join", "merge_sort"],
+        base: None,
+        values: vec![0u64, 2, 8, 32, 128],
+        set: DeltaConfigBuilder::fabric_config_per_pe,
+        headers: ["workload", "cfg cyc/PE", "delta cyc", "slowdown"],
+        ratio: |base, cycles| cycles / base,
     };
-    let mut jobs = Vec::new();
-    for wl in &wls {
-        for &c in &costs {
-            let cfg = DeltaConfig::builder(TILES).fabric_config_per_pe(c).build();
-            jobs.push(SweepJob::new(wl.clone(), seeded(cfg, wl.as_ref())));
-        }
-    }
-    Plan::new("fig_reconfig", scale, jobs, move |outcomes| {
-        let results = completed(outcomes);
-        let mut table = Table::new(&["workload", "cfg cyc/PE", "delta cyc", "slowdown"]);
-        for (wl, group) in wls.iter().zip(results.chunks(costs.len())) {
-            let base = group[0].cycles;
-            for (&c, r) in costs.iter().zip(group) {
-                table.row(vec![
-                    wl.name().into(),
-                    c.to_string(),
-                    r.cycles.to_string(),
-                    fmt_x(r.cycles as f64 / base as f64),
-                ]);
-            }
-        }
-        (table, Vec::new())
-    })
+    plan_knob("fig_reconfig", scale, knob)
 }
 
 /// `fig_steal` — extension study: can tile-side work stealing replace
@@ -762,10 +656,7 @@ fn plan_steal(scale: Scale) -> Plan {
         (Policy::WorkAware, false),
         (Policy::WorkAware, true),
     ];
-    let wls: Vec<Arc<dyn Workload>> = match scale {
-        Scale::Tiny => vec![Arc::new(Spmv::tiny(SEED)), Arc::new(Bfs::tiny(SEED))],
-        Scale::Small => vec![Arc::new(Spmv::small(SEED)), Arc::new(Bfs::small(SEED))],
-    };
+    let wls = stocks(scale, &["spmv", "bfs"]);
     let mut jobs = Vec::new();
     for wl in &wls {
         for (policy, steal) in combos {
@@ -773,7 +664,7 @@ fn plan_steal(scale: Scale) -> Plan {
                 .policy(policy)
                 .work_stealing(steal)
                 .build();
-            jobs.push(SweepJob::new(wl.clone(), seeded(cfg, wl.as_ref())));
+            jobs.push(job(wl, cfg));
         }
     }
     Plan::new("fig_steal", scale, jobs, move |outcomes| {
@@ -800,63 +691,26 @@ fn plan_steal(scale: Scale) -> Plan {
 /// up to `lanes` firings retire per cycle). Compute-bound workloads
 /// scale until the memory system becomes the wall.
 fn plan_lanes(scale: Scale) -> Plan {
-    let lanes: Vec<u32> = vec![1, 2, 4, 8];
-    let wls: Vec<Arc<dyn Workload>> = match scale {
-        Scale::Tiny => vec![
-            Arc::new(Gemm::tiny(SEED)),
-            Arc::new(DTree::tiny(SEED)),
-            Arc::new(Spmv::tiny(SEED)),
-        ],
-        Scale::Small => vec![
-            Arc::new(Gemm::small(SEED)),
-            Arc::new(DTree::small(SEED)),
-            Arc::new(Spmv::small(SEED)),
-        ],
+    let knob = Knob {
+        workloads: &["gemm", "dtree", "spmv"],
+        base: None,
+        values: vec![1u32, 2, 4, 8],
+        set: DeltaConfigBuilder::fabric_lanes,
+        headers: ["workload", "lanes", "cycles", "speedup vs 1"],
+        ratio: |base, cycles| base / cycles,
     };
-    let mut jobs = Vec::new();
-    for wl in &wls {
-        for &l in &lanes {
-            let cfg = DeltaConfig::builder(TILES).fabric_lanes(l).build();
-            jobs.push(SweepJob::new(wl.clone(), seeded(cfg, wl.as_ref())));
-        }
-    }
-    Plan::new("fig_lanes", scale, jobs, move |outcomes| {
-        let results = completed(outcomes);
-        let mut table = Table::new(&["workload", "lanes", "cycles", "speedup vs 1"]);
-        for (wl, group) in wls.iter().zip(results.chunks(lanes.len())) {
-            let base = group[0].cycles;
-            for (&l, r) in lanes.iter().zip(group) {
-                table.row(vec![
-                    wl.name().into(),
-                    l.to_string(),
-                    r.cycles.to_string(),
-                    fmt_x(base as f64 / r.cycles as f64),
-                ]);
-            }
-        }
-        (table, Vec::new())
-    })
+    plan_knob("fig_lanes", scale, knob)
 }
 
 /// `fig_timeline` — tile-occupancy sparklines over the run (the classic
 /// utilization figure): Delta keeps tiles busy; static placement shows
 /// the straggler tail / sweep troughs.
 fn plan_timeline(scale: Scale) -> Plan {
-    let wls: Vec<Arc<dyn Workload>> = match scale {
-        Scale::Tiny => vec![Arc::new(Spmv::tiny(SEED)), Arc::new(Bfs::tiny(SEED))],
-        Scale::Small => vec![Arc::new(Spmv::small(SEED)), Arc::new(Bfs::small(SEED))],
-    };
-    let mut jobs = Vec::new();
-    for wl in &wls {
-        jobs.push(SweepJob::new(
-            wl.clone(),
-            seeded(DeltaConfig::delta(TILES), wl.as_ref()),
-        ));
-        jobs.push(SweepJob::baseline(
-            wl.clone(),
-            seeded(DeltaConfig::static_parallel(TILES), wl.as_ref()),
-        ));
-    }
+    let wls = stocks(scale, &["spmv", "bfs"]);
+    let jobs = wls
+        .iter()
+        .flat_map(|wl| delta_vs_static(wl, TILES))
+        .collect();
     Plan::new("fig_timeline", scale, jobs, move |outcomes| {
         let results = completed(outcomes);
         let mut table = Table::new(&["workload", "design", "occupancy over time"]);
@@ -895,6 +749,16 @@ fn fault_point(cfg: DeltaConfig, rate: f64, recovery: bool, window: u64) -> Delt
     cfg.to_builder().faults(faults).stall_limit(80_000).build()
 }
 
+/// The cycle window fail-stops are drawn from (1..=window) in fault
+/// runs: inside the run at either scale, so every swept rate actually
+/// injects.
+fn fail_window(scale: Scale) -> u64 {
+    match scale {
+        Scale::Tiny => 256,
+        Scale::Small => 8192,
+    }
+}
+
 /// `fig_faults` — graceful degradation under injected faults: Delta
 /// with task-level recovery vs the static-parallel baseline, sweeping
 /// the fault rate (see [`fault_point`]). Both sides see the *same*
@@ -905,30 +769,20 @@ fn fault_point(cfg: DeltaConfig, rate: f64, recovery: bool, window: u64) -> Delt
 /// wedges, rendered as `wedged`.
 fn plan_faults(scale: Scale) -> Plan {
     let rates: Vec<f64> = vec![0.0, 0.125, 0.25, 0.5];
-    // fail-stop cycles are drawn from 1..=window; keep the window
-    // inside the run so every swept rate actually injects
-    let (wl, window): (Arc<dyn Workload>, u64) = match scale {
-        Scale::Tiny => (Arc::new(Spmv::tiny(SEED)), 256),
-        Scale::Small => (Arc::new(Spmv::small(SEED)), 8192),
-    };
+    let (wl, window) = (stock(scale, "spmv"), fail_window(scale));
     let mut jobs = Vec::new();
     for &r in &rates {
-        jobs.push(SweepJob::faulted(
-            wl.clone(),
-            seeded(
-                fault_point(DeltaConfig::delta(TILES), r, true, window),
-                wl.as_ref(),
-            ),
-            false,
-        ));
-        jobs.push(SweepJob::faulted(
-            wl.clone(),
-            seeded(
-                fault_point(DeltaConfig::static_baseline(TILES), r, false, window),
-                wl.as_ref(),
-            ),
-            true,
-        ));
+        let delta = fault_point(DeltaConfig::delta(TILES), r, true, window);
+        let baseline = fault_point(DeltaConfig::static_parallel(TILES), r, false, window);
+        jobs.push(SweepJob {
+            faulted: true,
+            ..job(&wl, delta)
+        });
+        jobs.push(SweepJob {
+            baseline: true,
+            faulted: true,
+            ..job(&wl, baseline)
+        });
     }
     Plan::new("fig_faults", scale, jobs, move |outcomes| {
         let delta_base = outcomes[0]
@@ -993,27 +847,26 @@ fn plan_tenancy(scale: Scale) -> Plan {
     let mut jobs = Vec::new();
     let mut insts: Vec<(usize, u64, Arc<RequestServer>)> = Vec::new();
     for &(tenants, p) in &grid {
-        let wl = Arc::new(match scale {
-            Scale::Tiny => RequestServer::tiny(tenants, p, SEED),
-            Scale::Small => RequestServer::small(tenants, p, SEED),
-        });
+        let wl = Arc::new(request_server(scale, tenants, p));
         // isolated baselines: a lone tenant owns the whole machine
         // under either policy, so one (shared-fabric) run per tenant
         // serves both partitioning rows
         for t in 0..tenants {
-            let iso = Arc::new(wl.isolated(t));
-            let cfg = seeded(DeltaConfig::delta(TILES), iso.as_ref())
-                .to_builder()
-                .tenancy(iso.tenancy(PartitionPolicy::Shared, admit, DrainPolicy::Block))
-                .build();
-            jobs.push(SweepJob::new(iso, cfg));
+            let iso = wl.isolated(t);
+            let tenancy = iso.tenancy(PartitionPolicy::Shared, admit, DrainPolicy::Block);
+            let iso: Arc<dyn Workload> = Arc::new(iso);
+            jobs.push(job(
+                &iso,
+                DeltaConfig::builder(TILES).tenancy(tenancy).build(),
+            ));
         }
+        let co: Arc<dyn Workload> = wl.clone();
         for part in parts {
-            let cfg = seeded(DeltaConfig::delta(TILES), wl.as_ref())
-                .to_builder()
-                .tenancy(wl.tenancy(part, admit, DrainPolicy::Block))
-                .build();
-            jobs.push(SweepJob::new(wl.clone(), cfg));
+            let tenancy = wl.tenancy(part, admit, DrainPolicy::Block);
+            jobs.push(job(
+                &co,
+                DeltaConfig::builder(TILES).tenancy(tenancy).build(),
+            ));
         }
         insts.push((tenants, p, wl));
     }
@@ -1091,21 +944,11 @@ fn plan_tenancy(scale: Scale) -> Plan {
 /// pipe split that shows how much of each chain the scheduler managed
 /// to co-schedule.
 fn plan_streams(scale: Scale) -> Plan {
-    let wls: Vec<Arc<dyn Workload>> = streams_suite(scale, SEED)
-        .into_iter()
-        .map(Arc::from)
+    let wls = stocks(scale, STREAMS_SUITE);
+    let jobs = wls
+        .iter()
+        .flat_map(|wl| delta_vs_static(wl, TILES))
         .collect();
-    let mut jobs = Vec::new();
-    for wl in &wls {
-        jobs.push(SweepJob::new(
-            wl.clone(),
-            seeded(DeltaConfig::delta(TILES), wl.as_ref()),
-        ));
-        jobs.push(SweepJob::baseline(
-            wl.clone(),
-            seeded(DeltaConfig::static_parallel(TILES), wl.as_ref()),
-        ));
-    }
     Plan::new("fig_streams", scale, jobs, move |outcomes| {
         let results = completed(outcomes);
         let mut table = Table::new(&[
@@ -1147,7 +990,7 @@ fn plan_streams(scale: Scale) -> Plan {
 /// `tbl_workloads` — workload characteristics (no simulations).
 fn plan_workloads(scale: Scale) -> Plan {
     let mut table = Table::new(&["workload", "tasks", "elements", "grain", "stresses"]);
-    for wl in suite(scale, SEED) {
+    for wl in stocks(scale, SUITE) {
         let i = wl.info();
         table.row(vec![
             i.name.into(),
@@ -1213,27 +1056,21 @@ fn plan_config(scale: Scale) -> Plan {
 /// `tbl_energy` — per-workload energy, Delta vs static-parallel
 /// (analytical event-energy model; see `ts_delta::energy`).
 fn plan_energy(scale: Scale) -> Plan {
-    let wls = arc_suite(scale);
-    let mut jobs = Vec::new();
-    for wl in &wls {
-        jobs.push(SweepJob::new(
-            wl.clone(),
-            seeded(DeltaConfig::delta(TILES), wl.as_ref()),
-        ));
-        jobs.push(SweepJob::baseline(
-            wl.clone(),
-            seeded(DeltaConfig::static_parallel(TILES), wl.as_ref()),
-        ));
-    }
+    let wls = stocks(scale, SUITE);
+    let jobs: Vec<SweepJob> = wls
+        .iter()
+        .flat_map(|wl| delta_vs_static(wl, TILES))
+        .collect();
+    let cfgs: Vec<DeltaConfig> = jobs.iter().map(|j| j.cfg.clone()).collect();
     Plan::new("tbl_energy", scale, jobs, move |outcomes| {
-        let results = completed(outcomes);
+        let uj: Vec<f64> = completed(outcomes)
+            .into_iter()
+            .zip(&cfgs)
+            .map(|(r, cfg)| ts_delta::energy::breakdown(cfg, r).total_uj())
+            .collect();
         let mut table = Table::new(&["workload", "delta uJ", "static uJ", "savings"]);
-        for (wl, pair) in wls.iter().zip(results.chunks(2)) {
-            let (d, s) = (pair[0], pair[1]);
-            let dcfg = seeded(DeltaConfig::delta(TILES), wl.as_ref());
-            let scfg = seeded(DeltaConfig::static_parallel(TILES), wl.as_ref());
-            let de = ts_delta::energy::breakdown(&dcfg, d).total_uj();
-            let se = ts_delta::energy::breakdown(&scfg, s).total_uj();
+        for (wl, pair) in wls.iter().zip(uj.chunks(2)) {
+            let (de, se) = (pair[0], pair[1]);
             table.row(vec![
                 wl.name().into(),
                 format!("{de:.1}"),
@@ -1356,6 +1193,16 @@ pub fn run_doc(id: &str, scale: Scale) -> GoldenDoc {
     p.finish(&outcomes)
 }
 
+/// What [`run_docs`] ran.
+#[derive(Debug)]
+pub struct Sweep {
+    /// Each experiment's document with the outcomes of its own jobs, in
+    /// the order the ids were given.
+    pub docs: Vec<(GoldenDoc, Vec<FaultOutcome>)>,
+    /// Wall-clock seconds of the one [`run_jobs`] call.
+    pub run_secs: f64,
+}
+
 /// Runs a whole sweep as **one flattened job pool**: plans every id,
 /// concatenates all jobs, executes them in a single [`run_jobs`] call
 /// (every simulation an independently stealable task), then hands each
@@ -1366,22 +1213,22 @@ pub fn run_doc(id: &str, scale: Scale) -> GoldenDoc {
 /// # Panics
 ///
 /// Panics on an unknown id (the caller lists [`ALL`]).
-pub fn run_docs(ids: &[&str], scale: Scale) -> Vec<GoldenDoc> {
+pub fn run_docs(ids: &[&str], scale: Scale) -> Sweep {
     let mut plans: Vec<Plan> = ids.iter().map(|id| plan(id, scale)).collect();
-    let mut all_jobs: Vec<SweepJob> = Vec::new();
-    let mut counts = Vec::with_capacity(plans.len());
-    for p in &mut plans {
-        counts.push(p.jobs.len());
-        all_jobs.append(&mut p.jobs);
-    }
-    let outcomes = run_jobs(&all_jobs);
-    let mut docs = Vec::with_capacity(plans.len());
-    let mut offset = 0;
-    for (p, n) in plans.into_iter().zip(counts) {
-        docs.push(p.finish(&outcomes[offset..offset + n]));
-        offset += n;
-    }
-    docs
+    let counts: Vec<usize> = plans.iter().map(|p| p.jobs.len()).collect();
+    let jobs: Vec<SweepJob> = plans.iter_mut().flat_map(|p| p.jobs.drain(..)).collect();
+    let t0 = std::time::Instant::now();
+    let mut outcomes = run_jobs(&jobs).into_iter();
+    let run_secs = t0.elapsed().as_secs_f64();
+    let docs = plans
+        .into_iter()
+        .zip(counts)
+        .map(|(p, n)| {
+            let own: Vec<FaultOutcome> = outcomes.by_ref().take(n).collect();
+            (p.finish(&own), own)
+        })
+        .collect();
+    Sweep { docs, run_secs }
 }
 
 /// Renders a captured experiment exactly as [`run`] prints it.
@@ -1408,6 +1255,20 @@ pub fn run(id: &str, scale: Scale) -> String {
     render_doc(&run_doc(id, scale))
 }
 
+/// The catalogue workload that `repro trace`, `faults` and `whatif` run
+/// for experiment `id` (`fig_tenancy` runs its own request server): the
+/// multicast-heavy experiments run `dtree`, the stealing experiment
+/// `merge_sort`, the streaming-graph experiment `query_plan`, and
+/// everything else `spmv`.
+fn representative(id: &str) -> &'static str {
+    match id {
+        "fig_noc" | "fig_batch" => "dtree",
+        "fig_steal" => "merge_sort",
+        "fig_streams" => "query_plan",
+        _ => "spmv",
+    }
+}
+
 /// Output of `repro faults <experiment>`: one chaos-preset run of the
 /// experiment's representative workload, completed, validated, and
 /// summarized (see [`fault_run`]).
@@ -1425,7 +1286,7 @@ pub struct FaultRun {
 /// all-faults chaos preset ([`FaultsConfig::chaos`], every fault class
 /// active, recovery on) and returns the validated report plus a
 /// summary table. `fail_rate` overrides the preset's tile fail-stop
-/// rate. The workload choice mirrors [`trace_run`].
+/// rate. The workload choice is [`trace_run`]'s.
 ///
 /// # Panics
 ///
@@ -1442,33 +1303,19 @@ pub fn fault_run(id: &str, scale: Scale, fail_rate: Option<f64>) -> FaultRun {
     // on, so one tenant's re-dispatch storm cannot starve its
     // neighbor — asserted below on per-tenant completion counts
     type StormSpec = (TenancyConfig, Vec<u64>);
-    let (wl, tenancy): (Box<dyn Workload>, Option<StormSpec>) = match (id, scale) {
-        ("fig_noc" | "fig_batch", Scale::Tiny) => (Box::new(DTree::tiny(SEED)), None),
-        ("fig_noc" | "fig_batch", Scale::Small) => (Box::new(DTree::small(SEED)), None),
-        ("fig_steal", Scale::Tiny) => (Box::new(MergeSort::tiny(SEED)), None),
-        ("fig_steal", Scale::Small) => (Box::new(MergeSort::small(SEED)), None),
-        ("fig_streams", Scale::Tiny) => (Box::new(QueryPlan::tiny(SEED)), None),
-        ("fig_streams", Scale::Small) => (Box::new(QueryPlan::small(SEED)), None),
-        ("fig_tenancy", _) => {
-            let w = match scale {
-                Scale::Tiny => RequestServer::tiny(2, 0, SEED),
-                Scale::Small => RequestServer::small(2, 0, SEED),
-            };
-            let tc = w.tenancy(PartitionPolicy::Shared, 4, DrainPolicy::Block);
-            let offered = w.tenants.iter().map(|l| l.queries as u64).collect();
-            (Box::new(w), Some((tc, offered)))
-        }
-        (_, Scale::Tiny) => (Box::new(Spmv::tiny(SEED)), None),
-        (_, Scale::Small) => (Box::new(Spmv::small(SEED)), None),
+    let (wl, tenancy): (Arc<dyn Workload>, Option<StormSpec>) = if id == "fig_tenancy" {
+        let w = request_server(scale, 2, 0);
+        let tc = w.tenancy(PartitionPolicy::Shared, 4, DrainPolicy::Block);
+        let offered = w.tenants.iter().map(|l| l.queries as u64).collect();
+        (Arc::new(w), Some((tc, offered)))
+    } else {
+        (stock(scale, representative(id)), None)
     };
     let faults = FaultsConfig {
         tile_fail_rate: fail_rate.unwrap_or(FaultsConfig::chaos().tile_fail_rate),
         // keep the fail-stop window inside the run at test scale so
         // the smoke actually exercises victimization and re-dispatch
-        tile_fail_window: match scale {
-            Scale::Tiny => 256,
-            Scale::Small => 8192,
-        },
+        tile_fail_window: fail_window(scale),
         ..FaultsConfig::chaos()
     };
     let mut b = seeded(DeltaConfig::delta(TILES), wl.as_ref())
@@ -1560,25 +1407,18 @@ pub fn trace_run(id: &str, scale: Scale) -> TraceRun {
         ALL.contains(&id),
         "unknown experiment '{id}' (known: {ALL:?})"
     );
-    let (wl, tenancy): (Box<dyn Workload>, Option<TenancyConfig>) = match (id, scale) {
-        ("fig_noc" | "fig_batch", Scale::Tiny) => (Box::new(DTree::tiny(SEED)), None),
-        ("fig_noc" | "fig_batch", Scale::Small) => (Box::new(DTree::small(SEED)), None),
-        ("fig_steal", Scale::Tiny) => (Box::new(MergeSort::tiny(SEED)), None),
-        ("fig_steal", Scale::Small) => (Box::new(MergeSort::small(SEED)), None),
-        ("fig_streams", Scale::Tiny) => (Box::new(QueryPlan::tiny(SEED)), None),
-        ("fig_streams", Scale::Small) => (Box::new(QueryPlan::small(SEED)), None),
-        ("fig_tenancy", _) => {
-            // trace the thing the experiment is about: co-resident
-            // paced tenants (TaskTenant events tag every spawn)
-            let w = match scale {
-                Scale::Tiny => RequestServer::tiny(2, 64, SEED),
-                Scale::Small => RequestServer::small(2, 192, SEED),
-            };
-            let tc = w.tenancy(PartitionPolicy::Shared, 6, DrainPolicy::Block);
-            (Box::new(w), Some(tc))
-        }
-        (_, Scale::Tiny) => (Box::new(Spmv::tiny(SEED)), None),
-        (_, Scale::Small) => (Box::new(Spmv::small(SEED)), None),
+    let (wl, tenancy): (Arc<dyn Workload>, Option<TenancyConfig>) = if id == "fig_tenancy" {
+        // trace the thing the experiment is about: co-resident
+        // paced tenants (TaskTenant events tag every spawn)
+        let period = match scale {
+            Scale::Tiny => 64,
+            Scale::Small => 192,
+        };
+        let w = request_server(scale, 2, period);
+        let tc = w.tenancy(PartitionPolicy::Shared, 6, DrainPolicy::Block);
+        (Arc::new(w), Some(tc))
+    } else {
+        (stock(scale, representative(id)), None)
     };
     let mut b = seeded(DeltaConfig::delta(TILES), wl.as_ref())
         .to_builder()
@@ -1637,8 +1477,27 @@ mod tests {
         // The global-pool path must change wall-clock, never bytes.
         let ids = ["tbl_config", "fig_noc", "tbl_workloads"];
         let merged = run_docs(&ids, Scale::Tiny);
-        for (id, doc) in ids.iter().zip(&merged) {
+        for (id, (doc, outcomes)) in ids.iter().zip(&merged.docs) {
             assert_eq!(doc, &run_doc(id, Scale::Tiny));
+            assert_eq!(outcomes.len(), plan(id, Scale::Tiny).jobs.len());
+        }
+    }
+
+    /// Every tiny plan except the two that build their own instances
+    /// (`fig_grain`'s re-grained SpMVs, `fig_tenancy`'s request
+    /// servers) takes its workloads from the catalogue: each job holds
+    /// the one shared `Arc` for its name, so a warm sweep fingerprints
+    /// each stock program once.
+    #[test]
+    fn plans_share_the_catalogue_workloads() {
+        for id in ALL {
+            if matches!(*id, "fig_grain" | "fig_tenancy") {
+                continue;
+            }
+            for j in plan(id, Scale::Tiny).jobs {
+                let shared = stock(Scale::Tiny, j.wl.name());
+                assert!(Arc::ptr_eq(&j.wl, &shared), "{id}: {}", j.wl.name());
+            }
         }
     }
 

@@ -4,9 +4,10 @@
 //! Every experiment's rendered table is captured as a [`GoldenDoc`] —
 //! the column headers, every cell, and any trailer values (the
 //! headline geomeans) — and serialized to a committed `goldens/*.json`
-//! file. `repro --check-goldens` re-runs the experiments and diffs the
+//! file. `repro goldens check` re-runs the experiments and diffs the
 //! fresh docs cell by cell against the committed ones;
-//! `repro --bless` regenerates them after an intentional model change.
+//! `repro goldens bless` regenerates them after an intentional model
+//! change.
 //!
 //! The documents double as executable paper claims:
 //! [`GoldenDoc::shape_violations`] asserts the machine-level shapes the
@@ -323,8 +324,8 @@ pub fn parse_pct(s: &str) -> Option<f64> {
 }
 
 /// Escapes and quotes one JSON string. Non-ASCII text (the timeline
-/// sparklines) passes through as raw UTF-8. Shared with the result
-/// cache's on-disk format (`crate::cache`).
+/// sparklines) passes through as raw UTF-8. Shared with the Perfetto
+/// trace writer (`crate::trace_report`).
 pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -345,30 +346,29 @@ pub(crate) fn json_str(s: &str) -> String {
 
 /// The sliver of JSON the golden format uses: strings, arrays, and
 /// string-keyed objects. Numbers are deliberately absent — everything
-/// numeric is encoded as a string by the writers. Shared with the
-/// result cache's on-disk format (`crate::cache`).
-pub(crate) enum Json {
+/// numeric is encoded as a string by the writers.
+enum Json {
     Str(String),
     Arr(Vec<Json>),
     Obj(Vec<(String, Json)>),
 }
 
 impl Json {
-    pub(crate) fn as_str(&self) -> Option<&str> {
+    fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
             _ => None,
         }
     }
 
-    pub(crate) fn as_arr(&self) -> Option<&[Json]> {
+    fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(a) => Some(a),
             _ => None,
         }
     }
 
-    pub(crate) fn as_obj(&self) -> Option<&[(String, Json)]> {
+    fn as_obj(&self) -> Option<&[(String, Json)]> {
         match self {
             Json::Obj(o) => Some(o),
             _ => None,
@@ -377,25 +377,25 @@ impl Json {
 }
 
 /// Byte-indexed recursive-descent parser for the strings-only JSON
-/// subset. Operates directly on the UTF-8 bytes (goldens and cache
-/// entries are ASCII-heavy; multi-byte sequences only ever appear
+/// subset. Operates directly on the UTF-8 bytes (goldens are
+/// ASCII-heavy; multi-byte sequences only ever appear
 /// inside string literals, where their bytes are >= 0x80 and can never
 /// be mistaken for a quote or backslash), with a copy-free fast path
 /// for escape-free strings — the overwhelmingly common case.
-pub(crate) struct Parser<'a> {
+struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
-    pub(crate) fn new(text: &'a str) -> Self {
+    fn new(text: &'a str) -> Self {
         Parser {
             bytes: text.as_bytes(),
             pos: 0,
         }
     }
 
-    pub(crate) fn parse(mut self) -> Result<Json, String> {
+    fn parse(mut self) -> Result<Json, String> {
         let v = self.value()?;
         self.skip_ws();
         if self.pos != self.bytes.len() {

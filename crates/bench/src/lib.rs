@@ -3,9 +3,9 @@
 //! One function per table/figure of the evaluation (see DESIGN.md's
 //! experiment index). Each experiment runs real simulations, validates
 //! every result against the workload references, and returns printable
-//! rows; `cargo bench` (the `repro` bench target) regenerates the whole
-//! evaluation, and `cargo run -p ts-bench --release --bin repro --
-//! <experiment>` regenerates one.
+//! rows; `cargo run -p ts-bench --release --bin repro -- sweep`
+//! regenerates the whole evaluation, and `repro sweep <experiment>`
+//! regenerates one.
 //!
 //! | Id | Reproduces |
 //! |----|------------|
@@ -61,21 +61,10 @@ use std::sync::{Arc, Mutex};
 /// ([`RunReport::check_conservation`]) — a harness that silently
 /// benchmarks wrong answers would be worthless.
 pub fn run_validated(wl: &dyn Workload, cfg: DeltaConfig, baseline_program: bool) -> RunReport {
-    let tiles = cfg.tiles;
-    let mut program: Box<dyn Program> = if baseline_program {
-        wl.make_baseline_program()
-    } else {
-        wl.make_program()
-    };
-    let report = Accelerator::new(cfg)
-        .run(program.as_mut())
-        .unwrap_or_else(|e| panic!("{} failed: {e}", wl.name()));
-    wl.validate(&report)
-        .unwrap_or_else(|e| panic!("{} produced wrong results: {e}", wl.name()));
-    report
-        .check_conservation(tiles)
-        .unwrap_or_else(|e| panic!("{}: {e}", wl.name()));
-    report
+    match run_checked(wl, cfg, baseline_program, false) {
+        FaultOutcome::Completed(report) => *report,
+        FaultOutcome::Wedged { .. } => unreachable!("a fault-free run panics on a timeout"),
+    }
 }
 
 /// What a fault-injected run came to: completion (validated like any
@@ -119,29 +108,39 @@ impl FaultOutcome {
 /// Panics on any error other than a stall/cycle-limit timeout, or if a
 /// completed run fails any of the three checks.
 pub fn run_faulted(wl: &dyn Workload, cfg: DeltaConfig, baseline_program: bool) -> FaultOutcome {
-    let tiles = cfg.tiles;
+    run_checked(wl, cfg, baseline_program, true)
+}
+
+/// The one checked run behind [`run_validated`], [`run_faulted`] and
+/// the sweep: simulate, then validate against the workload reference
+/// and the conservation invariants. A `faulted` run treats a timeout as
+/// a wedge and must also match the untimed oracle.
+fn run_checked(wl: &dyn Workload, cfg: DeltaConfig, baseline: bool, faulted: bool) -> FaultOutcome {
     let make = || -> Box<dyn Program> {
-        if baseline_program {
+        if baseline {
             wl.make_baseline_program()
         } else {
             wl.make_program()
         }
     };
-    let mut program = make();
-    let report = match Accelerator::new(cfg).run(program.as_mut()) {
+    let (name, tiles) = (wl.name(), cfg.tiles);
+    let under = if faulted { " under faults" } else { "" };
+    let report = match Accelerator::new(cfg).run(make().as_mut()) {
         Ok(report) => report,
-        Err(RunError::Timeout { cycles, .. }) => return FaultOutcome::Wedged { cycles },
-        Err(e) => panic!("{} failed under faults: {e}", wl.name()),
+        Err(RunError::Timeout { cycles, .. }) if faulted => return FaultOutcome::Wedged { cycles },
+        Err(e) => panic!("{name} failed{under}: {e}"),
     };
     wl.validate(&report)
-        .unwrap_or_else(|e| panic!("{} produced wrong results under faults: {e}", wl.name()));
+        .unwrap_or_else(|e| panic!("{name} produced wrong results{under}: {e}"));
     report
         .check_conservation(tiles)
-        .unwrap_or_else(|e| panic!("{}: {e}", wl.name()));
-    let truth = oracle::execute_untimed(make().as_mut())
-        .unwrap_or_else(|e| panic!("{}: oracle rejected the program: {e}", wl.name()));
-    oracle::check_equivalence(&report, &truth)
-        .unwrap_or_else(|e| panic!("{} diverged from the oracle under faults: {e}", wl.name()));
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    if faulted {
+        let truth = oracle::execute_untimed(make().as_mut())
+            .unwrap_or_else(|e| panic!("{name}: oracle rejected the program: {e}"));
+        oracle::check_equivalence(&report, &truth)
+            .unwrap_or_else(|e| panic!("{name} diverged from the oracle under faults: {e}"));
+    }
     FaultOutcome::Completed(Box::new(report))
 }
 
@@ -160,7 +159,7 @@ pub struct SweepJob {
     /// Use the static-parallel program formulation.
     pub baseline: bool,
     /// Run under [`run_faulted`] semantics (a wedge is a result, plus
-    /// the untimed-oracle check) instead of [`run_validated`].
+    /// the untimed-oracle check) instead of [`run_validated`]'s.
     pub faulted: bool,
 }
 
@@ -172,26 +171,6 @@ impl SweepJob {
             cfg,
             baseline: false,
             faulted: false,
-        }
-    }
-
-    /// A validated run of the static-parallel formulation.
-    pub fn baseline(wl: Arc<dyn Workload>, cfg: DeltaConfig) -> Self {
-        SweepJob {
-            wl,
-            cfg,
-            baseline: true,
-            faulted: false,
-        }
-    }
-
-    /// A fault-injected run ([`run_faulted`] semantics).
-    pub fn faulted(wl: Arc<dyn Workload>, cfg: DeltaConfig, baseline: bool) -> Self {
-        SweepJob {
-            wl,
-            cfg,
-            baseline,
-            faulted: true,
         }
     }
 }
@@ -225,15 +204,7 @@ fn run_sweep_job(j: &SweepJob, key: Option<&str>) -> FaultOutcome {
     if let Some(out) = key.and_then(|k| cache::load(k, j.faulted)) {
         return out;
     }
-    let out = if j.faulted {
-        run_faulted(j.wl.as_ref(), j.cfg.clone(), j.baseline)
-    } else {
-        FaultOutcome::Completed(Box::new(run_validated(
-            j.wl.as_ref(),
-            j.cfg.clone(),
-            j.baseline,
-        )))
-    };
+    let out = run_checked(j.wl.as_ref(), j.cfg.clone(), j.baseline, j.faulted);
     if let Some(k) = key {
         cache::store(k, &out);
     }

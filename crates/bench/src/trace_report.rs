@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 
+use crate::golden::json_str;
 use crate::Table;
 use ts_delta::{TraceEvent, TraceRecord};
 
@@ -263,23 +264,6 @@ fn instant(cycle: u64, tid: usize, name: &str) -> String {
         "{{\"name\":{},\"ph\":\"i\",\"ts\":{cycle},\"pid\":0,\"tid\":{tid},\"s\":\"t\"}}",
         json_str(name)
     )
-}
-
-/// Minimal JSON string encoder for the names this module generates.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Aggregates the stride-sampled [`TraceEvent::NocLink`] events into a

@@ -167,6 +167,12 @@ fn malformed_invocations_exit_two_with_usage() {
         &["faults"],
         &["faults", "tbl_config", "--rate"],
         &["trace", "tbl_config", "tbl_area"],
+        // flags that only another subcommand takes
+        &["trace", "fig_noc", "--jobs", "2"],
+        &["faults", "fig_overall", "--profile"],
+        &["sweep", "--rate", "0.1"],
+        &["whatif", "--no-cache"],
+        &["goldens", "check", "--speedup", "x:10"],
     ];
     cases.extend(fixed.iter().map(|c| c.to_vec()));
     for args in &cases {

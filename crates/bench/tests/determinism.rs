@@ -50,14 +50,16 @@ fn parallel_sweep_output_is_byte_identical_to_serial() {
 fn flattened_sweep_is_byte_identical_across_widths() {
     ts_pool::configure(1);
     let serial: Vec<String> = experiments::run_docs(IDS, Scale::Tiny)
+        .docs
         .iter()
-        .map(experiments::render_doc)
+        .map(|(doc, _)| experiments::render_doc(doc))
         .collect();
 
     ts_pool::configure(8);
     let parallel: Vec<String> = experiments::run_docs(IDS, Scale::Tiny)
+        .docs
         .iter()
-        .map(experiments::render_doc)
+        .map(|(doc, _)| experiments::render_doc(doc))
         .collect();
 
     ts_pool::configure(0);

@@ -253,7 +253,6 @@ mod tests {
             let w = DTree::tiny(6);
             let mut p = w.make_program();
             let r = Accelerator::new(DeltaConfig::delta(4).with_features(Features {
-                work_aware: true,
                 pipelining: true,
                 multicast,
             }))

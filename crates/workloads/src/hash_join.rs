@@ -438,7 +438,6 @@ mod tests {
         let w = HashJoin::tiny(4);
         let mut p = w.make_program();
         let r = Accelerator::new(DeltaConfig::delta(4).with_features(Features {
-            work_aware: true,
             pipelining: false,
             multicast: true,
         }))

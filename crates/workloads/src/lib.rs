@@ -132,51 +132,80 @@ pub enum Scale {
     Small,
 }
 
-/// The full suite at a given scale, in canonical order.
-pub fn suite(scale: Scale, seed: u64) -> Vec<Box<dyn Workload>> {
-    match scale {
-        Scale::Tiny => vec![
-            Box::new(spmv::Spmv::tiny(seed)),
-            Box::new(gemm::Gemm::tiny(seed)),
-            Box::new(hash_join::HashJoin::tiny(seed)),
-            Box::new(merge_sort::MergeSort::tiny(seed)),
-            Box::new(bfs::Bfs::tiny(seed)),
-            Box::new(sssp::Sssp::tiny(seed)),
-            Box::new(dtree::DTree::tiny(seed)),
-            Box::new(kmeans::KMeans::tiny(seed)),
-            Box::new(tri_count::TriCount::tiny(seed)),
-        ],
-        Scale::Small => vec![
-            Box::new(spmv::Spmv::small(seed)),
-            Box::new(gemm::Gemm::small(seed)),
-            Box::new(hash_join::HashJoin::small(seed)),
-            Box::new(merge_sort::MergeSort::small(seed)),
-            Box::new(bfs::Bfs::small(seed)),
-            Box::new(sssp::Sssp::small(seed)),
-            Box::new(dtree::DTree::small(seed)),
-            Box::new(kmeans::KMeans::small(seed)),
-            Box::new(tri_count::TriCount::small(seed)),
-        ],
-    }
+/// Builds [`CATALOGUE`] from `name => type` pairs; each type has
+/// `tiny(seed)` and `small(seed)` constructors.
+macro_rules! catalogue {
+    ($($name:literal => $ty:ty),* $(,)?) => {
+        /// Every stock workload by name with its constructor: the one
+        /// table [`workload`], [`suite`] and [`streams_suite`] build from.
+        const CATALOGUE: &[(&str, fn(Scale, u64) -> Box<dyn Workload>)] = &[$((
+            $name,
+            |scale, seed| match scale {
+                Scale::Tiny => Box::new(<$ty>::tiny(seed)),
+                Scale::Small => Box::new(<$ty>::small(seed)),
+            },
+        )),*];
+    };
 }
 
-/// The streaming-graph suite at a given scale, in canonical order: the
+catalogue! {
+    "spmv" => spmv::Spmv,
+    "gemm" => gemm::Gemm,
+    "hash_join" => hash_join::HashJoin,
+    "merge_sort" => merge_sort::MergeSort,
+    "bfs" => bfs::Bfs,
+    "sssp" => sssp::Sssp,
+    "dtree" => dtree::DTree,
+    "kmeans" => kmeans::KMeans,
+    "tri_count" => tri_count::TriCount,
+    "query_plan" => query_plan::QueryPlan,
+    "reduce_tree" => reduce_tree::ReduceTree,
+    "sparse_chain" => sparse_chain::SparseChain,
+}
+
+/// The core suite's workload names, in canonical order.
+pub const SUITE: &[&str] = &[
+    "spmv",
+    "gemm",
+    "hash_join",
+    "merge_sort",
+    "bfs",
+    "sssp",
+    "dtree",
+    "kmeans",
+    "tri_count",
+];
+
+/// The streaming-graph suite's workload names, in canonical order: the
 /// second-generation workloads authored natively on the declarative
-/// [`ts_graph::GraphSpec`] frontend. Kept separate from [`suite`] so
+/// [`ts_graph::GraphSpec`] frontend. Kept separate from [`SUITE`] so
 /// the headline experiments (and their goldens) are untouched.
+pub const STREAMS_SUITE: &[&str] = &["query_plan", "reduce_tree", "sparse_chain"];
+
+/// The stock workload `name` at a given scale.
+///
+/// # Panics
+///
+/// Panics if `name` is not in [`SUITE`] or [`STREAMS_SUITE`].
+pub fn workload(name: &str, scale: Scale, seed: u64) -> Box<dyn Workload> {
+    let (_, make) = CATALOGUE
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("unknown workload '{name}'"));
+    make(scale, seed)
+}
+
+/// The full suite at a given scale, in canonical order.
+pub fn suite(scale: Scale, seed: u64) -> Vec<Box<dyn Workload>> {
+    SUITE.iter().map(|n| workload(n, scale, seed)).collect()
+}
+
+/// The streaming-graph suite ([`STREAMS_SUITE`]) at a given scale.
 pub fn streams_suite(scale: Scale, seed: u64) -> Vec<Box<dyn Workload>> {
-    match scale {
-        Scale::Tiny => vec![
-            Box::new(query_plan::QueryPlan::tiny(seed)),
-            Box::new(reduce_tree::ReduceTree::tiny(seed)),
-            Box::new(sparse_chain::SparseChain::tiny(seed)),
-        ],
-        Scale::Small => vec![
-            Box::new(query_plan::QueryPlan::small(seed)),
-            Box::new(reduce_tree::ReduceTree::small(seed)),
-            Box::new(sparse_chain::SparseChain::small(seed)),
-        ],
-    }
+    STREAMS_SUITE
+        .iter()
+        .map(|n| workload(n, scale, seed))
+        .collect()
 }
 
 /// Renders everything a [`Program`] tells the accelerator — name, task

@@ -478,7 +478,6 @@ mod tests {
             let w = MergeSort::new(4, 512, 5);
             let mut p = w.make_program();
             let r = Accelerator::new(DeltaConfig::delta(8).with_features(Features {
-                work_aware: true,
                 pipelining,
                 multicast: true,
             }))

@@ -327,7 +327,6 @@ mod tests {
             let w = QueryPlan::small(5);
             let mut p = w.make_program();
             let r = Accelerator::new(DeltaConfig::delta(8).with_features(Features {
-                work_aware: true,
                 pipelining,
                 multicast: true,
             }))

@@ -287,7 +287,6 @@ mod tests {
         let run = |multicast: bool| {
             let mut p = w.make_program();
             let r = Accelerator::new(DeltaConfig::delta(4).with_features(Features {
-                work_aware: true,
                 pipelining: true,
                 multicast,
             }))

@@ -44,20 +44,22 @@ fn main() {
     let lb = run(
         wl.as_ref(),
         "+work-aware balance",
-        DeltaConfig::static_parallel(8).with_features(Features {
-            work_aware: true,
-            pipelining: false,
-            multicast: false,
-        }),
+        DeltaConfig::static_parallel(8)
+            .with_policy(Policy::WorkAware)
+            .with_features(Features {
+                pipelining: false,
+                multicast: false,
+            }),
     );
     let pipe = run(
         wl.as_ref(),
         "+pipelined handoff",
-        DeltaConfig::static_parallel(8).with_features(Features {
-            work_aware: true,
-            pipelining: true,
-            multicast: false,
-        }),
+        DeltaConfig::static_parallel(8)
+            .with_policy(Policy::WorkAware)
+            .with_features(Features {
+                pipelining: true,
+                multicast: false,
+            }),
     );
     let full = run(wl.as_ref(), "+multicast (= Delta)", DeltaConfig::delta(8));
 

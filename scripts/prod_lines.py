@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
 """Counts production Rust lines at one or more git revisions.
 
-Usage: scripts/prod_lines.py [rev ...]     (default: HEAD)
+Usage: scripts/prod_lines.py [rev ...]          (default: HEAD)
+       scripts/prod_lines.py --by-file BASE HEAD
 
-Prints one line per revision: `<rev> <count>`. The count is the number
-of non-blank lines in tracked `*.rs` files, excluding
+Prints one line per revision: `<rev> <count>`. With `--by-file`, prints
+instead the change from BASE to HEAD of every production file whose
+count changed (`<path> <+/-delta>`, by path), then `net <+/-delta>`.
+The count is the number of non-blank lines in tracked `*.rs` files,
+excluding
 
   * any path with a `tests`, `examples` or `benches` segment,
   * everything under `perfbench/`,
@@ -132,17 +136,33 @@ def count(source):
     return total
 
 
-def count_rev(rev):
+def count_files(rev):
+    """Maps each production file at `rev` to its line count."""
     paths = [p for p in git("ls-tree", "-r", "--name-only", rev).splitlines() if is_production(p)]
-    return sum(count(git("show", f"{rev}:{p}")) for p in paths)
+    return {p: count(git("show", f"{rev}:{p}")) for p in paths}
+
+
+def by_file(base, head):
+    before, after = count_files(base), count_files(head)
+    for path in sorted(before.keys() | after.keys()):
+        delta = after.get(path, 0) - before.get(path, 0)
+        if delta:
+            print(f"{path} {delta:+d}")
+    print(f"net {sum(after.values()) - sum(before.values()):+d}")
 
 
 def main(argv):
     if any(a in ("-h", "--help") for a in argv):
         print(__doc__.strip())
         return 0
+    if argv[:1] == ["--by-file"]:
+        if len(argv) != 3:
+            print("usage: scripts/prod_lines.py --by-file BASE HEAD", file=sys.stderr)
+            return 2
+        by_file(argv[1], argv[2])
+        return 0
     for rev in argv or ["HEAD"]:
-        print(f"{rev} {count_rev(rev)}")
+        print(f"{rev} {sum(count_files(rev).values())}")
     return 0
 
 

@@ -34,9 +34,10 @@
 //!   [`GraphSpec::compile`] lowers it to a runnable
 //!   [`Program`](model::Program);
 //! * configure: [`DeltaConfig`] presets ([`DeltaConfig::delta`],
-//!   [`DeltaConfig::static_baseline`], [`DeltaConfig::ablation`]) and
-//!   the fluent [`DeltaConfigBuilder`] ([`DeltaConfig::builder`]),
-//!   with [`Features`] toggles and [`FaultsConfig`] fault injection;
+//!   [`DeltaConfig::static_parallel`]) and the fluent
+//!   [`DeltaConfigBuilder`] ([`DeltaConfig::builder`]), with a placement
+//!   [`Policy`](model::Policy), [`Features`] toggles and
+//!   [`FaultsConfig`] fault injection;
 //! * run: [`Accelerator::run`], yielding a [`RunReport`] (cycles,
 //!   per-component counters, final DRAM, [`SimProfile`], [`FaultReport`]) or a
 //!   [`RunError`];

@@ -147,7 +147,6 @@ proptest! {
         let expect = p.expected_sums();
         let n = p.slices.len();
         let cfg = DeltaConfig::delta(4).with_features(Features {
-            work_aware: true,
             pipelining,
             multicast: true,
         });

@@ -1,6 +1,7 @@
 //! Cross-crate integration: every workload, both designs, end-to-end.
 
 use taskstream::delta::{Accelerator, DeltaConfig, Features};
+use taskstream::model::Policy;
 use taskstream::sim::stats::geomean;
 use taskstream::workloads::{suite, Scale, Workload};
 
@@ -34,30 +35,31 @@ fn every_workload_validates_on_the_static_baseline() {
 
 #[test]
 fn every_workload_validates_with_each_mechanism_alone() {
+    // work-aware placement alone, then each data-movement mechanism
+    // alone on a work-oblivious placement
     let singles = [
-        Features {
-            work_aware: true,
-            pipelining: false,
-            multicast: false,
-        },
-        Features {
-            work_aware: false,
-            pipelining: true,
-            multicast: false,
-        },
-        Features {
-            work_aware: false,
-            pipelining: false,
-            multicast: true,
-        },
+        (Policy::WorkAware, Features::none()),
+        (
+            Policy::RoundRobin,
+            Features {
+                pipelining: true,
+                multicast: false,
+            },
+        ),
+        (
+            Policy::RoundRobin,
+            Features {
+                pipelining: false,
+                multicast: true,
+            },
+        ),
     ];
-    for features in singles {
+    for (policy, features) in singles {
         for wl in suite(Scale::Tiny, 9) {
-            run(
-                wl.as_ref(),
-                DeltaConfig::delta(4).with_features(features),
-                false,
-            );
+            let cfg = DeltaConfig::delta(4)
+                .with_policy(policy)
+                .with_features(features);
+            run(wl.as_ref(), cfg, false);
         }
     }
 }
