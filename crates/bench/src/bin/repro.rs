@@ -24,8 +24,9 @@
 //!
 //! A sweep is **flattened**: every experiment is planned first, then
 //! every (experiment × grid-cell × fault-rate) simulation runs as one
-//! stealable task in a single global work-stealing pool, and the
-//! tables are assembled afterwards from the order-preserved outcomes.
+//! job of a single shared queue that the `--jobs` workers claim in
+//! order, and the tables are assembled afterwards from the
+//! order-preserved outcomes.
 //! `--jobs 1` reproduces the fully serial behavior; any `--jobs N`
 //! prints byte-identical tables (per-job seeds are derived from the
 //! job key, never from sweep iteration order). Tables and profiles go
@@ -121,17 +122,17 @@ experiments: omit to run all; known ids are listed in ts_bench::experiments::ALL
 const SWEEP_USAGE: &str = "\
 usage: repro sweep [experiment ...] [--only <id>[,<id>...]] [--tiny]
                    [--jobs <n>] [--profile] [--bench-json <path>]
-                   [--no-cache]
+                   [--out-dir <dir>] [--no-cache]
 
 Runs the named experiments (all of them when none are named) and
-prints their tables. All selected experiments share one flattened
-work-stealing job pool and the persistent result cache (disable with
---no-cache).";
+prints their tables. All selected experiments share one flattened job
+list, run by --jobs workers that each claim the next job in order, and
+the persistent result cache (disable with --no-cache).";
 
 const GOLDENS_USAGE: &str = "\
 usage: repro goldens <check|bless> [experiment ...] [--only <id>[,<id>...]]
                      [--tiny] [--jobs <n>] [--profile] [--bench-json <path>]
-                     [--no-cache]
+                     [--out-dir <dir>] [--no-cache]
 
 check: re-runs the experiments and diffs them cell by cell against the
 committed goldens/<scale>/ snapshots plus the shape claims; violations
@@ -224,6 +225,15 @@ const SWEEP_FLAGS: &[&str] = &[
     "--out-dir",
     "--no-cache",
 ];
+
+/// The flags `trace` takes.
+const TRACE_FLAGS: &[&str] = &["--tiny", "--out-dir"];
+
+/// The flags `faults` takes.
+const FAULTS_FLAGS: &[&str] = &["--tiny", "--rate", "--out-dir"];
+
+/// The flags `whatif` takes.
+const WHATIF_FLAGS: &[&str] = &["--only", "--tiny", "--speedup", "--out-dir", "--bench-json"];
 
 impl Args {
     /// Parses one subcommand's arguments: experiment ids and the flags
@@ -478,20 +488,19 @@ fn cmd_cache(args: Vec<String>) {
 }
 
 fn cmd_trace(args: Vec<String>) {
-    if let Some(a) = Args::parse(args, &["--tiny", "--out-dir"], TRACE_USAGE) {
+    if let Some(a) = Args::parse(args, TRACE_FLAGS, TRACE_USAGE) {
         run_trace(&a.single_id(TRACE_USAGE), &a);
     }
 }
 
 fn cmd_faults(args: Vec<String>) {
-    if let Some(a) = Args::parse(args, &["--tiny", "--rate", "--out-dir"], FAULTS_USAGE) {
+    if let Some(a) = Args::parse(args, FAULTS_FLAGS, FAULTS_USAGE) {
         run_faults(&a.single_id(FAULTS_USAGE), &a);
     }
 }
 
 fn cmd_whatif(args: Vec<String>) {
-    let flags = ["--only", "--tiny", "--speedup", "--out-dir", "--bench-json"];
-    if let Some(a) = Args::parse(args, &flags, WHATIF_USAGE) {
+    if let Some(a) = Args::parse(args, WHATIF_FLAGS, WHATIF_USAGE) {
         run_whatif(&resolve_ids(&a.wanted, WHATIF_USAGE), &a);
     }
 }
@@ -582,15 +591,14 @@ fn run_experiments(ids: &[String], args: &Args, mode: GoldenMode) {
         println!("  {}\n", tally.summary());
     }
 
-    // Host-side counters: what the pool and the cache actually did.
-    // Stderr, not stdout — steal/park counts are timing-dependent and
-    // sweep stdout stays byte-for-byte reproducible.
-    let pool = ts_pool::pool_stats();
+    // Host-side counters: what the cache actually did. Stderr, not
+    // stdout — a warm and a cold run print the same tables, and sweep
+    // stdout stays byte-for-byte reproducible.
     let cache_stats = ts_bench::cache::stats();
     eprintln!(
         "{jobs} simulation job(s) in {sweep_secs:.3}s ({total:.3}s total): \
-         {} steal(s), {} park(s); cache {} hit(s) / {} miss(es) / {} stored",
-        pool.steals, pool.parks, cache_stats.hits, cache_stats.misses, cache_stats.stores
+         cache {} hit(s) / {} miss(es) / {} stored",
+        cache_stats.hits, cache_stats.misses, cache_stats.stores
     );
 
     if let Some(path) = &args.bench_json {
@@ -604,9 +612,9 @@ fn run_experiments(ids: &[String], args: &Args, mode: GoldenMode) {
         json.push_str(&format!("  \"sweep_seconds\": {sweep_secs:.3},\n"));
         json.push_str(&format!("  \"simulations\": {runs},\n"));
         json.push_str(&format!(
-            "  \"host\": {{\"steals\": {}, \"parks\": {}, \"cache_hits\": {}, \
-             \"cache_misses\": {}, \"cache_stores\": {}}},\n",
-            pool.steals, pool.parks, cache_stats.hits, cache_stats.misses, cache_stats.stores
+            "  \"host\": {{\"cache_hits\": {}, \"cache_misses\": {}, \
+             \"cache_stores\": {}}},\n",
+            cache_stats.hits, cache_stats.misses, cache_stats.stores
         ));
         json.push_str(&format!("  \"profile\": {},\n", profile_json(&tally)));
         json.push_str("  \"experiments\": [\n");
@@ -794,4 +802,29 @@ fn profile_json(p: &SimProfile) -> String {
         })
         .collect();
     format!("{{{}}}", fields.join(", "))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every flag a subcommand accepts is listed in its `--help` text.
+    #[test]
+    fn usage_texts_list_every_accepted_flag() {
+        let commands = [
+            ("sweep", SWEEP_FLAGS, SWEEP_USAGE),
+            ("goldens", SWEEP_FLAGS, GOLDENS_USAGE),
+            ("trace", TRACE_FLAGS, TRACE_USAGE),
+            ("faults", FAULTS_FLAGS, FAULTS_USAGE),
+            ("whatif", WHATIF_FLAGS, WHATIF_USAGE),
+        ];
+        for (command, flags, usage) in commands {
+            for flag in flags {
+                assert!(
+                    usage.contains(flag),
+                    "`repro {command} --help` omits {flag}"
+                );
+            }
+        }
+    }
 }

@@ -6,10 +6,9 @@
 //! outcomes back into the printable table. Between the halves sits one
 //! call to [`crate::run_jobs`], so a whole-sweep driver
 //! ([`run_docs`]) can concatenate *every* experiment's jobs into a
-//! single global work-stealing pool: a long `fig_faults` grid cell no
-//! longer holds an entire experiment batch hostage while finished
-//! workers idle — they steal cells from whatever experiment still has
-//! work.
+//! single global job list: a long `fig_faults` grid cell no longer
+//! holds an entire experiment batch hostage while finished workers
+//! idle — they claim the next cell of whatever experiment comes next.
 //!
 //! Per-job RNG seeds derive from [`SEED`] plus a stable job key
 //! ([`derive_seed`]), never from execution order, so `repro --jobs N`
@@ -133,7 +132,7 @@ pub struct Plan {
     pub id: &'static str,
     /// Scale the plan was built for.
     pub scale: Scale,
-    /// The materialized grid, one stealable simulation per entry.
+    /// The materialized grid, one simulation per entry.
     pub jobs: Vec<SweepJob>,
     planned: usize,
     assemble: Assemble,
@@ -1205,7 +1204,7 @@ pub struct Sweep {
 
 /// Runs a whole sweep as **one flattened job pool**: plans every id,
 /// concatenates all jobs, executes them in a single [`run_jobs`] call
-/// (every simulation an independently stealable task), then hands each
+/// (every simulation an independent item), then hands each
 /// plan its slice of the order-preserved outcomes. Output is
 /// identical to mapping [`run_doc`] over `ids` — the flattening
 /// changes wall-clock, never bytes.

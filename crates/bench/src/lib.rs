@@ -146,10 +146,10 @@ fn run_checked(wl: &dyn Workload, cfg: DeltaConfig, baseline: bool, faulted: boo
 
 /// One cell of the *flattened* sweep: an owned workload at one design
 /// point, in one run mode. It borrows nothing, so the jobs of every
-/// experiment in a sweep can be concatenated into one global pool and
-/// executed as independent stealable tasks — a slow `fig_faults` grid
-/// cell never serializes behind its own experiment's batch while
-/// workers idle.
+/// experiment in a sweep can be concatenated into one global job list
+/// and executed as independent items — a slow `fig_faults` grid cell
+/// never serializes behind its own experiment's batch while workers
+/// idle.
 pub struct SweepJob {
     /// The workload to simulate (shared with the experiment's assembly
     /// closure, which still needs names/info afterwards).
@@ -212,8 +212,9 @@ fn run_sweep_job(j: &SweepJob, key: Option<&str>) -> FaultOutcome {
 }
 
 /// Executes a flattened sweep — every job from every experiment as one
-/// stealable task in a single global pool (two batches with the cache
-/// on, see `run_cached`) — returning outcomes **in job order**.
+/// item of a single [`ts_pool::map`] call, whose workers claim items in
+/// job order (two calls with the cache on, see `run_cached`) —
+/// returning outcomes **in job order**.
 /// Validated (non-`faulted`) jobs always come back
 /// [`FaultOutcome::Completed`].
 ///
@@ -230,11 +231,11 @@ pub fn run_jobs(jobs: &[SweepJob]) -> Vec<FaultOutcome> {
 }
 
 /// [`run_jobs`] with the cache on. A job whose key another job of the
-/// sweep is simulating right now waits for a second pool batch, when
-/// that job's entry is on disk, instead of simulating it again: a cold
-/// sweep simulates each distinct key once however the workers
-/// interleave, and every job still makes one lookup. Traced jobs have
-/// no key.
+/// sweep is simulating right now waits for a second [`ts_pool::map`]
+/// call, when that job's entry is on disk, instead of simulating it
+/// again: a cold sweep simulates each distinct key once however the
+/// workers interleave, and every job still makes one lookup. Traced
+/// jobs have no key.
 fn run_cached(jobs: &[SweepJob], inputs: &KeyInputs) -> Vec<FaultOutcome> {
     let in_flight: Mutex<HashSet<String>> = Mutex::default();
     let lock = || in_flight.lock().expect("in-flight keys poisoned");
@@ -263,7 +264,7 @@ fn run_cached(jobs: &[SweepJob], inputs: &KeyInputs) -> Vec<FaultOutcome> {
 
 /// Builds and hashes each distinct program of a sweep once, in
 /// parallel on the pool, and hashes the executable for the salt as one
-/// more task of the same batch. A sweep reuses each workload across
+/// more item of the same [`ts_pool::map`] call. A sweep reuses each workload across
 /// many design points (every `Arc` appears in dozens of jobs), but the
 /// program fingerprint behind the cache key depends only on (workload,
 /// formulation), so hashing once per program instead of once per job
@@ -275,8 +276,8 @@ fn key_inputs(jobs: &[SweepJob]) -> KeyInputs {
         .iter()
         .filter(|j| seen.insert(fingerprint_id(j)))
         .collect();
-    // The salt goes first: it is the batch's longest task, and the
-    // pool hands out a batch in order.
+    // The salt goes first: it is the call's longest item, and items
+    // are claimed in input order.
     let tasks: Vec<Option<&SweepJob>> = std::iter::once(None)
         .chain(distinct.iter().copied().map(Some))
         .collect();

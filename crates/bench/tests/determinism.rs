@@ -2,9 +2,9 @@
 //! `--jobs N` output is byte-identical to `--jobs 1` for the same seed.
 //!
 //! `ts_pool::configure` may reconfigure the global pool width
-//! mid-process (it drains in-flight work first), which is exactly what
-//! lets one test run the same experiments in both modes and compare the
-//! rendered text.
+//! mid-process (a `ts_pool::map` call already running keeps the width
+//! it started with), which is exactly what lets one test run the same
+//! experiments in both modes and compare the rendered text.
 
 use ts_bench::experiments;
 use ts_bench::golden::GoldenDoc;

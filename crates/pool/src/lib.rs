@@ -1,116 +1,61 @@
-//! `ts-pool` — the host-side work-stealing runtime.
+//! `ts-pool` — the host-side parallel map behind the sweep harness.
 //!
-//! The sweep harness simulates hundreds of independent design points
-//! whose durations vary by more than an order of magnitude; a static
-//! job split leaves every worker idling behind the one that drew the
-//! stragglers. This crate is the fix, and the host-side mirror of the
-//! paper's own thesis (recover structure, schedule tasks, don't let
-//! one lane serialize the machine):
+//! A sweep is one flat, ordered list of independent simulation jobs
+//! whose durations vary by more than an order of magnitude, and no job
+//! spawns another. A static split would leave every worker idling
+//! behind the one that drew the stragglers; instead, [`map`] keeps the
+//! list in one shared queue and each idle worker claims the next item,
+//! in input order, so the work balances itself without per-worker
+//! deques or stealing. This is the host-side mirror of the paper's own
+//! thesis: exploit the structure you can recover (here, a flat list)
+//! rather than pay for generality nobody uses.
 //!
-//! - [`Deque`]: a Chase–Lev work-stealing deque (owner LIFO,
-//!   thieves FIFO) in 100% safe Rust — see `deque.rs` for how the
-//!   classic racy buffer becomes per-slot `Mutex<Option<T>>` hand-offs
-//!   without giving up CAS-arbitrated stealing.
-//! - [`scope`]: scoped execution — `threads` workers for the duration
-//!   of one closure, tasks may borrow the caller's stack, spawned work
-//!   is stealable the moment it is pushed, idle workers park.
-//! - [`map`]: an order-preserving parallel map over a scope at the
-//!   configured width — the sweep harness's one entry point.
-//! - A process-global thread-count configuration ([`configure`]):
-//!   reconfiguration *drains* — it waits for in-flight scopes to
-//!   finish, then swaps the count — so repeated calls are safe and
-//!   later scopes see the new width.
-//! - Host counters ([`stats`]): successful steals and worker parks,
-//!   which the bench harness prints to stderr and records as advisory
-//!   `host` counters in its bench JSON. They are timing-dependent, so
-//!   unlike the simulator's deterministic cycle counters they are
-//!   never gated.
+//! - [`map`]: an order-preserving parallel map at the configured
+//!   width — the sweep harness's one entry point.
+//! - [`configure`] / [`current_threads`]: the process-global width.
+//! - [`PoolStats`] / [`pool_stats`]: kept for callers that record
+//!   host counters; a shared queue neither steals nor parks, so both
+//!   fields always read 0.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod deque;
-mod scope;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
+use std::sync::Mutex;
 
-pub use deque::{Deque, PushError, Steal};
-pub use scope::{scope, Scope, Worker};
-
-use std::sync::{Condvar, Mutex, OnceLock};
-
-/// Process-global pool width (`0` = one worker per available core)
-/// plus the count of scopes currently executing, so [`configure`] can
-/// drain before swapping.
-struct Gate {
-    state: Mutex<GateState>,
-    idle: Condvar,
-}
-
-struct GateState {
-    threads: usize,
-    active: usize,
-}
-
-fn gate() -> &'static Gate {
-    static GATE: OnceLock<Gate> = OnceLock::new();
-    GATE.get_or_init(|| Gate {
-        state: Mutex::new(GateState {
-            threads: 0,
-            active: 0,
-        }),
-        idle: Condvar::new(),
-    })
-}
-
-pub(crate) fn enter_scope() {
-    gate().state.lock().unwrap().active += 1;
-}
-
-pub(crate) fn exit_scope() {
-    let g = gate();
-    let mut st = g.state.lock().unwrap();
-    st.active -= 1;
-    if st.active == 0 {
-        g.idle.notify_all();
-    }
-}
+/// Process-global pool width (`0` = one worker per available core).
+static THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets the process-global pool width used by [`current_threads`]
 /// (`0` restores the default: one worker per available core).
 ///
-/// Reconfiguration is drain-and-rebuild: this call blocks until no
-/// [`scope`] is executing, then swaps the width, so an in-flight
-/// parallel region always finishes at the width it started with and
-/// the next region sees the new one. Calling it from *inside* a scope
-/// (i.e. from a pool task) would therefore deadlock — don't.
+/// [`map`] reads the width once on entry, so a call in flight finishes
+/// at the width it started with and the next call sees the new one.
 pub fn configure(threads: usize) {
-    let g = gate();
-    let mut st = g.state.lock().unwrap();
-    while st.active > 0 {
-        st = g.idle.wait(st).unwrap();
-    }
-    st.threads = threads;
+    THREADS.store(threads, Relaxed);
 }
 
 /// The configured pool width, with `0` resolved to the number of
 /// available cores (at least 1).
 pub fn current_threads() -> usize {
-    let configured = gate().state.lock().unwrap().threads;
-    if configured > 0 {
-        configured
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+    match THREADS.load(Relaxed) {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
     }
 }
 
 /// Order-preserving parallel map at the configured width
-/// ([`current_threads`]): every item becomes one stealable task in a
-/// [`scope`] and writes its result into a per-index slot, so the output
-/// is in input order whichever worker ran which item. When one item
-/// runs far longer than its neighbours, workers that finish early steal
-/// the straggler's queued work instead of idling behind it. With one
-/// thread (or one item) it maps in place, spawning nothing.
+/// ([`current_threads`]). The items sit in one shared queue; each of
+/// `min(width, items)` scoped workers claims the next item in input
+/// order whenever it is idle, so a long item never holds up the short
+/// ones queued behind it. The output is in input order whichever
+/// worker ran which item. With one thread (or one item) it maps in
+/// place, spawning nothing.
+///
+/// If an item panics, no worker starts another item, the items not yet
+/// started are dropped unrun, every worker is joined, and the panicking
+/// item's own payload resumes on the caller.
 ///
 /// # Examples
 ///
@@ -127,67 +72,70 @@ pub fn map<T: Send, R: Send>(
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let slots: Vec<Mutex<Option<R>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
-    let (slots_ref, f_ref) = (&slots, &f);
-    scope(threads, |w| {
-        for (i, item) in items.into_iter().enumerate() {
-            w.spawn(move |_| {
-                let out = f_ref(item);
-                *slots_ref[i].lock().expect("result slot poisoned") = Some(out);
-            });
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let failed = AtomicBool::new(false);
+    let work = || {
+        let mut done = Vec::new();
+        while !failed.load(Relaxed) {
+            // the guard is a temporary, so the lock is released before `f` runs
+            let Some((i, item)) = queue.lock().expect("job queue poisoned").next() else {
+                break;
+            };
+            match catch_unwind(AssertUnwindSafe(|| f(item))) {
+                Ok(out) => done.push((i, out)),
+                Err(payload) => {
+                    failed.store(true, Relaxed);
+                    resume_unwind(payload);
+                }
+            }
+        }
+        done
+    };
+    let mut results = Vec::new();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads).map(|_| s.spawn(work)).collect();
+        // Join explicitly: a worker's own panic payload only survives
+        // through its handle (an unjoined panicking scoped thread makes
+        // `thread::scope` raise a generic panic of its own instead).
+        let mut panic = None;
+        for worker in workers {
+            match worker.join() {
+                Ok(done) => results.extend(done),
+                Err(payload) => {
+                    panic.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = panic {
+            resume_unwind(payload);
         }
     });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("job produced no result")
-        })
-        .collect()
-}
-
-mod stats {
-    //! Process-global host-pool counters (monotonic, like the
-    //! simulator's profile tallies).
-
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-    static STEALS: AtomicU64 = AtomicU64::new(0);
-    static PARKS: AtomicU64 = AtomicU64::new(0);
-
-    pub(crate) fn count_steal() {
-        STEALS.fetch_add(1, Relaxed);
-    }
-
-    pub(crate) fn count_park() {
-        PARKS.fetch_add(1, Relaxed);
-    }
-
-    pub(crate) fn snapshot() -> (u64, u64) {
-        (STEALS.load(Relaxed), PARKS.load(Relaxed))
-    }
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, out)| out).collect()
 }
 
 /// Cumulative host-pool counters since process start.
+///
+/// Both fields always read 0: [`map`]'s shared queue has no deques to
+/// steal from and no idle workers to park. The struct stays because
+/// the repository benchmark still records the two counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Tasks taken from another worker's deque.
+    /// Tasks taken from another worker's deque (always 0).
     pub steals: u64,
-    /// Times a worker went to sleep after a fruitless search.
+    /// Times a worker went to sleep after a fruitless search (always 0).
     pub parks: u64,
 }
 
-/// Current [`PoolStats`] snapshot.
+/// Current [`PoolStats`] snapshot (all zero; see [`PoolStats`]).
 pub fn pool_stats() -> PoolStats {
-    let (steals, parks) = stats::snapshot();
-    PoolStats { steals, parks }
+    PoolStats::default()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::Ordering;
 
     /// Serializes tests that set the global width (the test harness
     /// runs tests concurrently).
@@ -221,7 +169,12 @@ mod tests {
         let _guard = lock_width();
         configure(1);
         assert_eq!(current_threads(), 1);
-        assert_eq!(map(vec![3u32, 1, 4], |x| x * 10), vec![30, 10, 40]);
+        let caller = std::thread::current().id();
+        let out = map(vec![3u32, 1, 4], |x| {
+            assert_eq!(std::thread::current().id(), caller);
+            x * 10
+        });
+        assert_eq!(out, vec![30, 10, 40]);
         configure(0);
     }
 
@@ -240,10 +193,10 @@ mod tests {
     }
 
     #[test]
-    fn repeated_configure_drains_and_rebuilds() {
+    fn repeated_configure_takes_effect_at_the_next_map() {
         let _guard = lock_width();
         // Flip the width back and forth around real parallel work;
-        // every region must complete fully at *some* width and results
+        // every call must complete fully at *some* width and results
         // must stay order-preserving throughout.
         for n in [1usize, 8, 2, 8, 1] {
             configure(n);
@@ -257,29 +210,22 @@ mod tests {
     }
 
     #[test]
-    fn stealing_actually_happens_on_imbalanced_load() {
-        // One long task first, then many short ones: with 4 workers
-        // pulling injector batches, shorter tasks end up in local
-        // deques and finishing workers must steal to stay busy.
-        let done = AtomicUsize::new(0);
-        let done_ref = &done;
-        scope(4, |w| {
-            for i in 0..200 {
-                w.spawn(move |_| {
-                    let spin = if i == 0 { 200_000 } else { 500 };
-                    let mut acc = 0u64;
-                    for k in 0..spin {
-                        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
-                    }
-                    assert!(acc != 1); // keep the spin from optimizing away
-                    done_ref.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(done.load(Ordering::Relaxed), 200);
-        // Steals are probabilistic per run but parks/steals counters
-        // must at least be readable and monotonic.
-        let s = pool_stats();
-        assert!(s.steals + s.parks < u64::MAX);
+    fn a_panicking_item_resumes_its_own_payload_on_the_caller() {
+        let _guard = lock_width();
+        configure(2);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            map(0..64u32, |x| {
+                if x == 3 {
+                    panic!("item {x} failed");
+                }
+                x
+            })
+        }));
+        configure(0);
+        let payload = caught.expect_err("the panic must reach the caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("the item's own String payload");
+        assert_eq!(msg, "item 3 failed");
     }
 }

@@ -6,10 +6,9 @@ Usage: bench_delta.py [--gate] <reference.json> <current.json>
 Both inputs are `repro --bench-json` outputs. Two kinds of numbers are
 compared, and they are treated very differently:
 
-* **Advisory (never blocks):** wall-clock seconds and the
-  work-stealing pool's steal/park counts. These vary with runner speed
-  and thread timing, so they are printed for the job log only, in a
-  clearly labeled non-blocking section.
+* **Advisory (never blocks):** wall-clock seconds. These vary with
+  runner speed, so they are printed for the job log only, in a clearly
+  labeled non-blocking section.
 
 * **Deterministic (blocks under --gate):** the experiment id set,
   per-experiment simulation counts, every component tick/skip/bulk
@@ -32,7 +31,6 @@ import json
 import sys
 
 COMPONENT_TICKS = ("tile_ticks", "mem_ticks", "noc_ticks")
-ADVISORY_HOST = ("steals", "parks")
 GATED_HOST = ("cache_hits", "cache_misses", "cache_stores")
 
 
@@ -56,18 +54,17 @@ def wall_clock_table(ref_doc, cur_doc):
 
 
 def host_table(ref_doc, cur_doc):
-    """Host-runtime counters: pool steals/parks and cache traffic."""
+    """Host-runtime counters: cache traffic."""
     ref, cur = ref_doc.get("host"), cur_doc.get("host")
     if not isinstance(ref, dict) or not isinstance(cur, dict):
         return
     print("host runtime counters vs reference:")
     print(f"  {'counter':<16} {'ref':>10} {'cur':>10} {'delta':>8}")
-    for key in ADVISORY_HOST + GATED_HOST:
+    for key in GATED_HOST:
         r, c = ref.get(key), cur.get(key)
         if r is None or c is None:
             continue
-        tag = " (advisory)" if key in ADVISORY_HOST else ""
-        print(f"  {key:<16} {r:>10} {c:>10} {pct(r, c):>8}{tag}")
+        print(f"  {key:<16} {r:>10} {c:>10} {pct(r, c):>8}")
 
 
 def tick_table(ref_doc, cur_doc):
@@ -192,7 +189,7 @@ def main(argv):
               " left as-is; see CONTRIBUTING.md)")
         return 1
     print("\ngate OK: deterministic counters match the reference "
-          "(wall clock and steal/park counts are advisory)")
+          "(wall clock is advisory)")
     return 0
 
 
