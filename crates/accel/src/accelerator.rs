@@ -55,6 +55,9 @@ pub enum RunError {
     Program(String),
     /// A task type's dataflow graph does not fit the fabric.
     Map(MapError),
+    /// The configuration is inconsistent (see [`DeltaConfig::validate`]);
+    /// nothing was simulated.
+    Config(String),
 }
 
 impl fmt::Display for RunError {
@@ -68,6 +71,7 @@ impl fmt::Display for RunError {
             }
             RunError::Program(msg) => write!(f, "program error: {msg}"),
             RunError::Map(e) => write!(f, "mapping error: {e}"),
+            RunError::Config(msg) => write!(f, "invalid configuration: {msg}"),
         }
     }
 }
@@ -98,14 +102,10 @@ pub struct Accelerator {
 }
 
 impl Accelerator {
-    /// Creates an accelerator from a configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent (see
-    /// [`DeltaConfig::validate`]).
+    /// Creates an accelerator from a configuration. An inconsistent
+    /// configuration is reported by [`run`](Self::run), as
+    /// [`RunError::Config`].
     pub fn new(cfg: DeltaConfig) -> Self {
-        cfg.validate();
         Accelerator { cfg }
     }
 
@@ -118,8 +118,9 @@ impl Accelerator {
     ///
     /// # Errors
     ///
-    /// Returns [`RunError`] on cycle-limit exhaustion, contract
-    /// violations by the program, or unmappable kernels.
+    /// Returns [`RunError`] on an inconsistent configuration (checked
+    /// first, by [`DeltaConfig::validate`]), cycle-limit exhaustion,
+    /// contract violations by the program, or unmappable kernels.
     pub fn run<P: Program + ?Sized>(&mut self, program: &mut P) -> Result<RunReport, RunError> {
         let mut state = RunState::build(&self.cfg, program)?;
         state.main_loop(program)
@@ -314,6 +315,7 @@ struct Victim {
 
 impl RunState {
     fn build<P: Program + ?Sized>(cfg: &DeltaConfig, program: &mut P) -> Result<Self, RunError> {
+        cfg.validate().map_err(RunError::Config)?;
         let fabric = Fabric::new(cfg.fabric.clone());
         let mut types = Vec::new();
         for tt in program.task_types() {

@@ -90,7 +90,7 @@ impl AreaBreakdown {
 /// ```
 /// use ts_delta::{area, DeltaConfig};
 ///
-/// let a = area::breakdown(&DeltaConfig::delta_8_tiles());
+/// let a = area::breakdown(&DeltaConfig::delta(8));
 /// // the paper family reports small single-digit-% task-HW overhead
 /// assert!(a.taskstream_overhead() < 0.06);
 /// ```
@@ -172,7 +172,7 @@ mod tests {
 
     #[test]
     fn overhead_matches_paper_band() {
-        let a = breakdown(&DeltaConfig::delta_8_tiles());
+        let a = breakdown(&DeltaConfig::delta(8));
         let ovh = a.taskstream_overhead();
         assert!(
             (0.02..=0.06).contains(&ovh),
@@ -192,8 +192,14 @@ mod tests {
 
     #[test]
     fn overhead_shrinks_with_bigger_spads() {
-        let small = breakdown(&DeltaConfig::builder(8).spad_words(16 * 1024).build());
-        let big = breakdown(&DeltaConfig::builder(8).spad_words(256 * 1024).build());
+        let small = breakdown(&DeltaConfig {
+            spad_words: 16 * 1024,
+            ..DeltaConfig::delta(8)
+        });
+        let big = breakdown(&DeltaConfig {
+            spad_words: 256 * 1024,
+            ..DeltaConfig::delta(8)
+        });
         assert!(big.taskstream_overhead() < small.taskstream_overhead());
     }
 }

@@ -1,11 +1,27 @@
-//! Accelerator configuration: presets, the typed builder, and the
-//! fault-injection knobs.
+//! Accelerator configuration: the design-point presets and the
+//! fault-injection and tenancy knobs.
 //!
-//! [`DeltaConfig`]'s fields stay readable, but the sanctioned way to
-//! *customize* a configuration is the fluent surface: start from a
-//! named preset ([`DeltaConfig::delta`], [`DeltaConfig::static_parallel`])
-//! or from [`DeltaConfig::builder`], chain setters, and
-//! [`DeltaConfigBuilder::build`] validates the result.
+//! A design point is a named preset ([`DeltaConfig::delta`],
+//! [`DeltaConfig::static_parallel`]) plus plain field writes, usually
+//! in struct-update syntax:
+//!
+//! ```
+//! use ts_delta::{DeltaConfig, FaultsConfig};
+//!
+//! let cfg = DeltaConfig {
+//!     tile_queue: 8,
+//!     work_stealing: true,
+//!     faults: FaultsConfig::chaos(),
+//!     seed: 7,
+//!     ..DeltaConfig::delta(4)
+//! };
+//! assert_eq!(cfg.tiles, 4);
+//! assert!(cfg.validate().is_ok());
+//! ```
+//!
+//! [`Accelerator::run`](crate::Accelerator::run) validates the
+//! configuration before it simulates, so an inconsistent one comes
+//! back as [`RunError::Config`](crate::RunError::Config).
 
 use crate::faults::FaultsConfig;
 use crate::tenancy::TenancyConfig;
@@ -181,40 +197,6 @@ impl DeltaConfig {
         cfg
     }
 
-    /// Starts a fluent builder from the Delta preset.
-    pub fn builder(tiles: usize) -> DeltaConfigBuilder {
-        DeltaConfigBuilder {
-            cfg: Self::delta(tiles),
-        }
-    }
-
-    /// Re-opens this configuration for fluent modification.
-    pub fn to_builder(self) -> DeltaConfigBuilder {
-        DeltaConfigBuilder { cfg: self }
-    }
-
-    /// Default 8-tile Delta (the paper-scale configuration).
-    pub fn delta_8_tiles() -> Self {
-        Self::delta(8)
-    }
-
-    /// Default 8-tile static-parallel baseline.
-    pub fn static_parallel_8_tiles() -> Self {
-        Self::static_parallel(8)
-    }
-
-    /// Returns a copy with a different placement policy.
-    pub fn with_policy(mut self, policy: Policy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Returns a copy with different mechanism toggles.
-    pub fn with_features(mut self, features: Features) -> Self {
-        self.features = features;
-        self
-    }
-
     /// Mesh dimensions `(width, height)` fitting tiles + memory
     /// controllers.
     pub fn mesh_dims(&self) -> (usize, usize) {
@@ -245,34 +227,45 @@ impl DeltaConfig {
 
     /// Validates internal consistency.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on nonsensical configurations (zero tiles, zero queues…).
-    pub fn validate(&self) {
-        assert!(self.tiles > 0, "need at least one tile");
-        assert!(self.mem_ctrls > 0, "need at least one memory controller");
-        assert!(self.tile_queue > 0, "tile queue must be positive");
-        assert!(self.out_buf > 0, "output buffer must be positive");
-        assert!(
+    /// Names the first nonsensical setting (zero tiles, zero queues…),
+    /// including those of [`faults`](Self::faults) and
+    /// [`tenancy`](Self::tenancy).
+    pub fn validate(&self) -> Result<(), String> {
+        ensure(self.tiles > 0, "need at least one tile")?;
+        ensure(self.mem_ctrls > 0, "need at least one memory controller")?;
+        ensure(self.tile_queue > 0, "tile queue must be positive")?;
+        ensure(self.out_buf > 0, "output buffer must be positive")?;
+        ensure(
             self.dispatch_per_cycle > 0,
-            "dispatch rate must be positive"
-        );
-        assert!(self.dispatch_window > 0, "dispatch window must be positive");
-        assert!(self.stall_limit > 0, "stall limit must be positive");
+            "dispatch rate must be positive",
+        )?;
+        ensure(self.dispatch_window > 0, "dispatch window must be positive")?;
+        ensure(self.stall_limit > 0, "stall limit must be positive")?;
         // either would leave every DRAM word unserved, so any run that
         // reads DRAM would end in a stall-limit timeout
-        assert!(
+        ensure(
             self.dram.words_per_cycle.is_finite() && self.dram.words_per_cycle > 0.0,
-            "DRAM bandwidth must be finite and positive"
-        );
-        assert!(
+            "DRAM bandwidth must be finite and positive",
+        )?;
+        ensure(
             self.dram.max_active_jobs >= 1,
-            "DRAM must serve at least one job at a time"
-        );
+            "DRAM must serve at least one job at a time",
+        )?;
         let (w, h) = self.mesh_dims();
-        assert!(w * h >= self.tiles + self.mem_ctrls, "mesh too small");
-        self.faults.validate();
-        self.tenancy.validate(self.tiles);
+        ensure(w * h >= self.tiles + self.mem_ctrls, "mesh too small")?;
+        self.faults.validate()?;
+        self.tenancy.validate(self.tiles)
+    }
+}
+
+/// One validation check: `Err(msg)` unless `ok`.
+pub(crate) fn ensure(ok: bool, msg: &str) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(msg.to_string())
     }
 }
 
@@ -344,217 +337,6 @@ impl Hash for DeltaConfig {
     }
 }
 
-/// Fluent construction surface for [`DeltaConfig`]: every knob the
-/// experiments and tests tune goes through one named setter instead of
-/// bare struct mutation. Obtain one from [`DeltaConfig::builder`] or
-/// [`DeltaConfig::to_builder`]; [`DeltaConfigBuilder::build`] validates
-/// and returns the finished configuration.
-///
-/// ```
-/// use ts_delta::{DeltaConfig, FaultsConfig};
-///
-/// let cfg = DeltaConfig::builder(4)
-///     .tile_queue(8)
-///     .work_stealing(true)
-///     .faults(FaultsConfig::chaos())
-///     .seed(7)
-///     .build();
-/// assert_eq!(cfg.tiles, 4);
-/// assert!(cfg.faults.recovery);
-/// ```
-#[derive(Debug, Clone)]
-pub struct DeltaConfigBuilder {
-    cfg: DeltaConfig,
-}
-
-impl DeltaConfigBuilder {
-    /// Number of memory-controller nodes on the mesh.
-    pub fn mem_ctrls(mut self, n: usize) -> Self {
-        self.cfg.mem_ctrls = n;
-        self
-    }
-
-    /// Replaces the per-tile CGRA fabric wholesale.
-    pub fn fabric(mut self, fabric: FabricConfig) -> Self {
-        self.cfg.fabric = fabric;
-        self
-    }
-
-    /// Vector lanes of the per-tile fabric.
-    pub fn fabric_lanes(mut self, lanes: u32) -> Self {
-        self.cfg.fabric.lanes = lanes;
-        self
-    }
-
-    /// Configuration cost per PE of the per-tile fabric.
-    pub fn fabric_config_per_pe(mut self, cycles: u64) -> Self {
-        self.cfg.fabric.config_per_pe = cycles;
-        self
-    }
-
-    /// Per-tile scratchpad size in words.
-    pub fn spad_words(mut self, words: usize) -> Self {
-        self.cfg.spad_words = words;
-        self
-    }
-
-    /// Per-tile scratchpad accesses per cycle.
-    pub fn spad_bw(mut self, bw: f64) -> Self {
-        self.cfg.spad_bw = bw;
-        self
-    }
-
-    /// Replaces the shared DRAM model wholesale.
-    pub fn dram(mut self, dram: DramConfig) -> Self {
-        self.cfg.dram = dram;
-        self
-    }
-
-    /// DRAM access latency in cycles.
-    pub fn dram_latency(mut self, cycles: u64) -> Self {
-        self.cfg.dram.latency = cycles;
-        self
-    }
-
-    /// Per-port router queue capacity.
-    pub fn noc_queue(mut self, depth: usize) -> Self {
-        self.cfg.noc_queue = depth;
-        self
-    }
-
-    /// Dispatched-task queue depth per tile.
-    pub fn tile_queue(mut self, depth: usize) -> Self {
-        self.cfg.tile_queue = depth;
-        self
-    }
-
-    /// Output-port buffer depth (words) per port.
-    pub fn out_buf(mut self, words: usize) -> Self {
-        self.cfg.out_buf = words;
-        self
-    }
-
-    /// Engine rate for locally generated streams (words/cycle).
-    pub fn engine_rate(mut self, rate: f64) -> Self {
-        self.cfg.engine_rate = rate;
-        self
-    }
-
-    /// Tasks the dispatcher can place per cycle.
-    pub fn dispatch_per_cycle(mut self, n: usize) -> Self {
-        self.cfg.dispatch_per_cycle = n;
-        self
-    }
-
-    /// Pending-queue lookahead of the dispatcher.
-    pub fn dispatch_window(mut self, n: usize) -> Self {
-        self.cfg.dispatch_window = n;
-        self
-    }
-
-    /// Cycles from a spawn decision to dispatch eligibility.
-    pub fn spawn_latency(mut self, cycles: u64) -> Self {
-        self.cfg.spawn_latency = cycles;
-        self
-    }
-
-    /// Cycles from task completion to the host seeing it.
-    pub fn host_latency(mut self, cycles: u64) -> Self {
-        self.cfg.host_latency = cycles;
-        self
-    }
-
-    /// Fixed per-task startup cost at a tile.
-    pub fn task_start_overhead(mut self, cycles: u64) -> Self {
-        self.cfg.task_start_overhead = cycles;
-        self
-    }
-
-    /// Control-path latency from a stream engine to a controller.
-    pub fn mem_req_latency(mut self, cycles: u64) -> Self {
-        self.cfg.mem_req_latency = cycles;
-        self
-    }
-
-    /// Multicast-table batching window.
-    pub fn mcast_batch_window(mut self, cycles: u64) -> Self {
-        self.cfg.mcast_batch_window = cycles;
-        self
-    }
-
-    /// Queue positions whose DRAM streams may prefetch.
-    pub fn prefetch_depth(mut self, depth: usize) -> Self {
-        self.cfg.prefetch_depth = depth;
-        self
-    }
-
-    /// Placement policy.
-    pub fn policy(mut self, policy: Policy) -> Self {
-        self.cfg.policy = policy;
-        self
-    }
-
-    /// Mechanism toggles.
-    pub fn features(mut self, features: Features) -> Self {
-        self.cfg.features = features;
-        self
-    }
-
-    /// Idle tiles steal queued tasks from the most loaded tile.
-    pub fn work_stealing(mut self, on: bool) -> Self {
-        self.cfg.work_stealing = on;
-        self
-    }
-
-    /// Record a structured event trace of the run.
-    pub fn trace(mut self, on: bool) -> Self {
-        self.cfg.trace = on;
-        self
-    }
-
-    /// Fault injection and recovery policy.
-    pub fn faults(mut self, faults: FaultsConfig) -> Self {
-        self.cfg.faults = faults;
-        self
-    }
-
-    /// Multi-tenant co-residency policy.
-    pub fn tenancy(mut self, tenancy: TenancyConfig) -> Self {
-        self.cfg.tenancy = tenancy;
-        self
-    }
-
-    /// Seed for mapper restarts, randomized policies, and fault
-    /// schedules.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Hard cycle limit.
-    pub fn max_cycles(mut self, cycles: u64) -> Self {
-        self.cfg.max_cycles = cycles;
-        self
-    }
-
-    /// Whole-machine no-progress limit before the run errors out.
-    pub fn stall_limit(mut self, cycles: u64) -> Self {
-        self.cfg.stall_limit = cycles;
-        self
-    }
-
-    /// Validates and returns the finished configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on nonsensical configurations, like
-    /// [`DeltaConfig::validate`].
-    pub fn build(self) -> DeltaConfig {
-        self.cfg.validate();
-        self.cfg
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,7 +357,7 @@ mod tests {
     fn mesh_fits_all_nodes() {
         for tiles in [1, 2, 4, 8, 16] {
             let c = DeltaConfig::delta(tiles);
-            c.validate();
+            assert_eq!(c.validate(), Ok(()));
             let (w, h) = c.mesh_dims();
             assert!(w * h >= tiles + c.mem_ctrls);
             assert!(c.mc_node(c.mem_ctrls - 1) < w * h);
@@ -583,91 +365,57 @@ mod tests {
     }
 
     #[test]
-    fn policy_and_features_are_independent() {
-        let c = DeltaConfig::delta(4).with_policy(Policy::Random);
-        assert_eq!((c.policy, c.features), (Policy::Random, Features::all()));
-        let d = DeltaConfig::static_parallel(4).with_features(Features::all());
-        assert_eq!(
-            (d.policy, d.features),
-            (Policy::StaticHash, Features::all())
-        );
-    }
-
-    #[test]
-    fn builder_roundtrips_the_preset() {
-        // an untouched builder is exactly the preset (so goldens
-        // cannot drift from the migration to the fluent surface)
-        let a = DeltaConfig::delta(8);
-        let b = DeltaConfig::builder(8).build();
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    }
-
-    #[test]
-    fn builder_setters_land() {
-        let c = DeltaConfig::builder(4)
-            .tile_queue(9)
-            .policy(Policy::StaticHash)
-            .work_stealing(true)
-            .stall_limit(1234)
-            .faults(FaultsConfig::chaos())
-            .build();
-        assert_eq!(c.tile_queue, 9);
-        assert_eq!(c.policy, Policy::StaticHash);
-        assert!(c.work_stealing);
-        assert_eq!(c.stall_limit, 1234);
-        assert!(c.faults.is_active());
-
-        let d = c.to_builder().features(Features::none()).build();
-        assert_eq!(
-            (d.policy, d.features),
-            (Policy::StaticHash, Features::none())
-        );
-    }
-
-    #[test]
-    fn builder_tenancy_lands_and_preset_stays_inert() {
-        use crate::tenancy::{PartitionPolicy, TenancyConfig, TenantSpec};
+    fn preset_tenancy_is_inert_and_shared_tenants_validate() {
+        use crate::tenancy::{TenancyConfig, TenantSpec};
 
         assert!(!DeltaConfig::delta(4).tenancy.is_active());
-        let c = DeltaConfig::builder(4)
-            .tenancy(TenancyConfig::shared(vec![TenantSpec::paced(100); 2]))
-            .build();
+        let c = DeltaConfig {
+            tenancy: TenancyConfig::shared(vec![TenantSpec::paced(100); 2]),
+            ..DeltaConfig::delta(4)
+        };
         assert!(c.tenancy.is_active());
-        assert_eq!(c.tenancy.tenant_count(), 2);
-        assert_eq!(c.tenancy.partition, PartitionPolicy::Shared);
+        assert_eq!(c.validate(), Ok(()));
+    }
+
+    /// The message `validate` rejects `c` with.
+    fn rejection(c: &DeltaConfig) -> String {
+        c.validate().expect_err("an invalid config validated")
     }
 
     #[test]
-    #[should_panic(expected = "at least one tile per tenant")]
-    fn builder_build_validates_tenancy() {
+    fn validate_rejects_more_spatial_tenants_than_tiles() {
         use crate::tenancy::{PartitionPolicy, TenancyConfig, TenantSpec};
 
-        let mut t = TenancyConfig::shared(vec![TenantSpec::flood(); 3]);
-        t.partition = PartitionPolicy::Spatial;
-        let _ = DeltaConfig::builder(2).tenancy(t).build();
+        let c = DeltaConfig {
+            tenancy: TenancyConfig {
+                partition: PartitionPolicy::Spatial,
+                ..TenancyConfig::shared(vec![TenantSpec::flood(); 3])
+            },
+            ..DeltaConfig::delta(2)
+        };
+        assert!(rejection(&c).contains("at least one tile per tenant"));
     }
 
     #[test]
-    #[should_panic(expected = "DRAM bandwidth must be finite and positive")]
     fn validate_rejects_zero_dram_bandwidth() {
         let mut c = DeltaConfig::delta(2);
         c.dram.words_per_cycle = 0.0;
-        c.validate();
+        assert_eq!(rejection(&c), "DRAM bandwidth must be finite and positive");
     }
 
     #[test]
-    #[should_panic(expected = "DRAM must serve at least one job")]
     fn validate_rejects_zero_active_dram_jobs() {
         let mut c = DeltaConfig::delta(2);
         c.dram.max_active_jobs = 0;
-        c.validate();
+        assert_eq!(rejection(&c), "DRAM must serve at least one job at a time");
     }
 
     #[test]
-    #[should_panic(expected = "must be in [0, 1]")]
-    fn builder_build_validates_faults() {
-        let mut f = FaultsConfig::none();
-        f.noc_drop_rate = 2.0;
-        let _ = DeltaConfig::builder(2).faults(f).build();
+    fn validate_rejects_an_out_of_range_fault_rate() {
+        let mut c = DeltaConfig::delta(2);
+        c.faults.noc_drop_rate = 2.0;
+        assert_eq!(rejection(&c), "noc_drop_rate must be in [0, 1]");
+        c.faults.noc_drop_rate = f64::NAN;
+        assert_eq!(rejection(&c), "noc_drop_rate must be in [0, 1]");
     }
 }

@@ -29,6 +29,7 @@
 //! in force. With every rate at zero the subsystem is inert and all
 //! reports are byte-identical to a build without it.
 
+use crate::config::ensure;
 use std::hash::{Hash, Hasher};
 use ts_sim::counter_table;
 
@@ -130,37 +131,40 @@ impl FaultsConfig {
 
     /// Validates internal consistency.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on nonsensical values (rates outside `[0, 1]`, zero
-    /// windows with nonzero rates…).
-    pub fn validate(&self) {
+    /// Names the first nonsensical value (a rate outside `[0, 1]` or
+    /// NaN, a zero window with a nonzero rate…).
+    pub fn validate(&self) -> Result<(), String> {
         for (name, r) in [
             ("tile_fail_rate", self.tile_fail_rate),
             ("tile_stall_rate", self.tile_stall_rate),
             ("noc_drop_rate", self.noc_drop_rate),
             ("dram_retry_rate", self.dram_retry_rate),
         ] {
-            assert!((0.0..=1.0).contains(&r), "{name} must be in [0, 1]");
+            if !(0.0..=1.0).contains(&r) {
+                return Err(format!("{name} must be in [0, 1]"));
+            }
         }
         if self.tile_fail_rate > 0.0 {
-            assert!(self.tile_fail_window > 0, "fail window must be positive");
+            ensure(self.tile_fail_window > 0, "fail window must be positive")?;
         }
         if self.tile_stall_rate > 0.0 {
-            assert!(self.tile_stall_epoch > 0, "stall epoch must be positive");
-            assert!(self.tile_stall_cycles > 0, "stall length must be positive");
+            ensure(self.tile_stall_epoch > 0, "stall epoch must be positive")?;
+            ensure(self.tile_stall_cycles > 0, "stall length must be positive")?;
         }
         if self.recovery {
-            assert!(
+            ensure(
                 self.watchdog_timeout > 0,
-                "watchdog timeout must be positive"
-            );
-            assert!(self.backoff_base > 0, "backoff base must be positive");
-            assert!(
+                "watchdog timeout must be positive",
+            )?;
+            ensure(self.backoff_base > 0, "backoff base must be positive")?;
+            ensure(
                 self.backoff_cap >= self.backoff_base,
-                "backoff cap below base"
-            );
+                "backoff cap below base",
+            )?;
         }
+        Ok(())
     }
 }
 
@@ -478,7 +482,7 @@ mod tests {
     fn inactive_by_default() {
         let f = FaultsConfig::none();
         assert!(!f.is_active());
-        f.validate();
+        assert_eq!(f.validate(), Ok(()));
         assert_eq!(f, FaultsConfig::default());
     }
 
@@ -487,7 +491,7 @@ mod tests {
         let f = FaultsConfig::chaos();
         assert!(f.is_active());
         assert!(f.recovery);
-        f.validate();
+        assert_eq!(f.validate(), Ok(()));
     }
 
     #[test]

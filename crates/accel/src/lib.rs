@@ -83,7 +83,7 @@ mod trace;
 pub mod whatif;
 
 pub use accelerator::{Accelerator, RunError};
-pub use config::{DeltaConfig, DeltaConfigBuilder, Features};
+pub use config::{DeltaConfig, Features};
 pub use faults::{FaultReport, FaultsConfig};
 pub use report::{
     stretch_bucket, DispatchCounters, RunCounters, RunReport, SimProfile, TenantCounters,

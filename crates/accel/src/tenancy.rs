@@ -20,6 +20,8 @@
 //! hand-off a task can take — dispatch, steal, victimization, and
 //! re-dispatch — without widening any queue entry or trace payload.
 
+use crate::config::ensure;
+
 /// Bit position of the tenant id inside a task's affinity word. The
 /// low 48 bits remain the workload's placement affinity; the high 16
 /// carry the tenant. Untagged affinities (all existing workloads) read
@@ -160,23 +162,26 @@ impl TenancyConfig {
         lo..hi
     }
 
-    /// Panics on configurations the dispatcher cannot honor.
-    pub fn validate(&self, tiles: usize) {
+    /// Validates the tenants against a `tiles`-tile fabric.
+    ///
+    /// # Errors
+    ///
+    /// Names the first setting the dispatcher cannot honor.
+    pub fn validate(&self, tiles: usize) -> Result<(), String> {
         if !self.is_active() {
-            return;
+            return Ok(());
         }
-        if self.partition == PartitionPolicy::Spatial {
-            assert!(
-                self.tenants.len() <= tiles,
+        if self.partition == PartitionPolicy::Spatial && self.tenants.len() > tiles {
+            return Err(format!(
                 "spatial partitioning needs at least one tile per tenant \
                  ({} tenants > {tiles} tiles)",
                 self.tenants.len()
-            );
+            ));
         }
-        assert!(
+        ensure(
             self.tenants.len() < (1 << (64 - TENANT_SHIFT)),
-            "too many tenants for the affinity tag bits"
-        );
+            "too many tenants for the affinity tag bits",
+        )
     }
 }
 
@@ -209,7 +214,7 @@ mod tests {
             ..TenancyConfig::none()
         };
         let tiles = 8;
-        cfg.validate(tiles);
+        assert_eq!(cfg.validate(tiles), Ok(()));
         let mut seen = vec![false; tiles];
         for t in 0..3 {
             let r = cfg.partition_range(t, tiles);
@@ -224,19 +229,24 @@ mod tests {
 
     #[test]
     fn inert_default_validates_on_any_fabric() {
-        TenancyConfig::none().validate(1);
+        assert_eq!(TenancyConfig::none().validate(1), Ok(()));
         assert!(!TenancyConfig::none().is_active());
         assert_eq!(TenancyConfig::none().tenant_count(), 1);
     }
 
     #[test]
-    #[should_panic(expected = "at least one tile per tenant")]
-    fn spatial_with_more_tenants_than_tiles_panics() {
+    fn spatial_with_more_tenants_than_tiles_is_rejected() {
         let cfg = TenancyConfig {
             tenants: vec![TenantSpec::flood(); 5],
             partition: PartitionPolicy::Spatial,
             ..TenancyConfig::none()
         };
-        cfg.validate(4);
+        assert_eq!(
+            cfg.validate(4),
+            Err(
+                "spatial partitioning needs at least one tile per tenant (5 tenants > 4 tiles)"
+                    .into()
+            )
+        );
     }
 }

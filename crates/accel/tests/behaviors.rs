@@ -7,7 +7,7 @@ use taskstream_model::{
     CompletedTask, MemoryImage, Program, RegionId, Spawner, TaskInstance, TaskKernel, TaskType,
     TaskTypeId,
 };
-use ts_delta::{Accelerator, DeltaConfig, RunError, RunReport};
+use ts_delta::{Accelerator, DeltaConfig, FaultsConfig, RunError, RunReport};
 use ts_dfg::DfgBuilder;
 use ts_mem::WriteMode;
 use ts_stream::{DataSrc, StreamDesc};
@@ -118,7 +118,10 @@ fn multicast_join_window_collects_batched_sharers() {
 fn zero_batch_window_still_correct_but_reads_more() {
     let run = |window: u64| {
         let mut p = Sharers { n: 8, len: 256 };
-        let cfg = DeltaConfig::builder(8).mcast_batch_window(window).build();
+        let cfg = DeltaConfig {
+            mcast_batch_window: window,
+            ..DeltaConfig::delta(8)
+        };
         Accelerator::new(cfg)
             .run(&mut p)
             .unwrap()
@@ -187,7 +190,10 @@ fn zero_reconfig_cost_is_supported() {
 #[test]
 fn prefetch_depth_one_still_correct() {
     let mut p = Sharers { n: 4, len: 128 };
-    let cfg = DeltaConfig::builder(2).prefetch_depth(1).build();
+    let cfg = DeltaConfig {
+        prefetch_depth: 1,
+        ..DeltaConfig::delta(2)
+    };
     let r = Accelerator::new(cfg).run(&mut p).unwrap();
     assert_eq!(r.tasks_completed, 4);
 }
@@ -383,6 +389,31 @@ fn undeclared_pipe_is_a_program_error() {
 }
 
 #[test]
+fn an_invalid_config_is_a_config_error_not_a_panic() {
+    let cfg = DeltaConfig {
+        faults: FaultsConfig {
+            tile_fail_rate: 2.0,
+            ..FaultsConfig::none()
+        },
+        ..DeltaConfig::delta(2)
+    };
+    let mut accel = Accelerator::new(cfg);
+    for err in [
+        accel.run(&mut Sharers { n: 2, len: 8 }).unwrap_err(),
+        accel.run_dense(&mut Sharers { n: 2, len: 8 }).unwrap_err(),
+    ] {
+        let RunError::Config(msg) = &err else {
+            panic!("expected a config error, got {err:?}");
+        };
+        assert_eq!(msg, "tile_fail_rate must be in [0, 1]");
+        assert_eq!(
+            err.to_string(),
+            "invalid configuration: tile_fail_rate must be in [0, 1]"
+        );
+    }
+}
+
+#[test]
 fn unknown_task_type_is_a_program_error() {
     struct Bad;
     impl Program for Bad {
@@ -527,11 +558,11 @@ fn work_stealing_rebalances_static_placement() {
         fn on_complete(&mut self, _d: &CompletedTask, _s: &mut Spawner) {}
     }
     let run = |steal: bool| {
-        let cfg = DeltaConfig::static_parallel(4)
-            .to_builder()
-            .work_stealing(steal)
-            .tile_queue(16)
-            .build();
+        let cfg = DeltaConfig {
+            work_stealing: steal,
+            tile_queue: 16,
+            ..DeltaConfig::static_parallel(4)
+        };
         Accelerator::new(cfg).run(&mut Lopsided).unwrap()
     };
     let without = run(false);
@@ -549,7 +580,10 @@ fn work_stealing_rebalances_static_placement() {
 fn stealing_preserves_correctness_across_the_board() {
     // reuse the Sharers program (DRAM reductions) with stealing on
     let mut p = Sharers { n: 12, len: 128 };
-    let cfg = DeltaConfig::builder(4).work_stealing(true).build();
+    let cfg = DeltaConfig {
+        work_stealing: true,
+        ..DeltaConfig::delta(4)
+    };
     let r = Accelerator::new(cfg).run(&mut p).unwrap();
     assert_eq!(r.tasks_completed, 12);
 }

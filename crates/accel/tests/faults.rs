@@ -114,9 +114,12 @@ fn zero_rates_leave_the_report_byte_identical() {
     // perturb the schedule, let alone the counts.
     let mut inert = FaultsConfig::none();
     inert.recovery = true;
-    let armed = Accelerator::new(DeltaConfig::builder(4).faults(inert).build())
-        .run(&mut mk())
-        .unwrap();
+    let armed = Accelerator::new(DeltaConfig {
+        faults: inert,
+        ..DeltaConfig::delta(4)
+    })
+    .run(&mut mk())
+    .unwrap();
     assert_eq!(armed.cycles, plain.cycles);
     assert_eq!(armed.tasks_completed, plain.tasks_completed);
     assert_eq!(armed.counters, plain.counters);
@@ -146,7 +149,11 @@ fn storm() -> FaultsConfig {
 #[test]
 fn same_seed_same_fault_report_across_engines() {
     let mk = || Waves::new(vec![6, 5, 6], 32);
-    let cfg = DeltaConfig::builder(4).faults(storm()).seed(11).build();
+    let cfg = DeltaConfig {
+        faults: storm(),
+        seed: 11,
+        ..DeltaConfig::delta(4)
+    };
     let dense = Accelerator::new(cfg.clone()).run_dense(&mut mk()).unwrap();
     assert!(dense.faults.injected() > 0, "storm injected nothing");
     let r = Accelerator::new(cfg.clone()).run(&mut mk()).unwrap();
@@ -172,7 +179,11 @@ fn fail_stop_recovery_completes_and_matches_the_oracle() {
         watchdog_timeout: 2_000,
         ..FaultsConfig::none()
     };
-    let cfg = DeltaConfig::builder(4).faults(faults).seed(3).build();
+    let cfg = DeltaConfig {
+        faults,
+        seed: 3,
+        ..DeltaConfig::delta(4)
+    };
     let r = run_checked(|| Waves::new(vec![6, 6, 6], 32), cfg);
     assert!(r.faults.tile_fail_stops >= 1, "no tile fail-stopped");
     assert!(
@@ -192,7 +203,11 @@ fn flit_loss_is_recovered_by_the_watchdog() {
         watchdog_timeout: 500,
         ..FaultsConfig::none()
     };
-    let cfg = DeltaConfig::builder(4).faults(faults).seed(5).build();
+    let cfg = DeltaConfig {
+        faults,
+        seed: 5,
+        ..DeltaConfig::delta(4)
+    };
     let r = run_checked(|| Waves::new(vec![5, 5, 5, 5], 48), cfg);
     assert!(
         r.faults.noc_flits_dropped + r.faults.noc_flits_corrupted > 0,
@@ -210,7 +225,13 @@ fn dram_retries_add_latency_but_never_corruption() {
         dram_retry_cycles: 50,
         ..FaultsConfig::none()
     };
-    let slow = run_checked(mk, DeltaConfig::builder(4).faults(faults).build());
+    let slow = run_checked(
+        mk,
+        DeltaConfig {
+            faults,
+            ..DeltaConfig::delta(4)
+        },
+    );
     assert!(slow.faults.dram_retries > 0, "no retries fired");
     assert_eq!(slow.tasks_completed, clean.tasks_completed);
     assert!(
@@ -251,7 +272,7 @@ proptest! {
             watchdog_timeout: 1_500,
             ..FaultsConfig::none()
         };
-        let cfg = DeltaConfig::builder(tiles).faults(faults).seed(seed).build();
+        let cfg = DeltaConfig { faults, seed, ..DeltaConfig::delta(tiles) };
         let mk = || Waves::new(widths.clone(), stream_len);
         let timed = Accelerator::new(cfg).run(&mut mk()).unwrap();
         prop_assert!(timed.check_conservation(tiles).is_ok(),
@@ -323,18 +344,23 @@ impl Program for PipePairs {
 fn pipe_consumers_redispatched_under_fail_stop() {
     let tiles = 6;
     let mk = || PipePairs { pairs: 3, len: 256 };
-    let base = DeltaConfig::builder(tiles)
-        .faults(FaultsConfig {
+    let base = DeltaConfig {
+        faults: FaultsConfig {
             tile_fail_rate: 0.5,
             tile_fail_window: 400,
             recovery: true,
             watchdog_timeout: 2_000,
             ..FaultsConfig::none()
-        })
-        .trace(true);
+        },
+        trace: true,
+        ..DeltaConfig::delta(tiles)
+    };
     let (mut replays, mut demotions) = (0, 0);
     for seed in 0..16 {
-        let cfg = base.clone().seed(seed).build();
+        let cfg = DeltaConfig {
+            seed,
+            ..base.clone()
+        };
         let r = run_checked(mk, cfg.clone());
         let dense = Accelerator::new(cfg).run_dense(&mut mk()).unwrap();
         assert_eq!(r.cycles, dense.cycles, "seed {seed}: cycles");
@@ -399,11 +425,12 @@ fn pending_work_places_on_the_cycle_a_stall_window_ends() {
         recovery: true,
         ..FaultsConfig::none()
     };
-    let cfg = DeltaConfig::builder(2)
-        .faults(faults)
-        .spawn_latency(10)
-        .trace(true)
-        .build();
+    let cfg = DeltaConfig {
+        faults,
+        spawn_latency: 10,
+        trace: true,
+        ..DeltaConfig::delta(2)
+    };
     let r = assert_engines_agree(|| Waves::new(vec![3, 2, 3], 32), cfg, "stall window");
     let first = r
         .trace
@@ -430,13 +457,18 @@ fn an_eviction_frees_queue_space_a_pending_task_takes() {
         watchdog_timeout: 500,
         ..FaultsConfig::none()
     };
-    let base = DeltaConfig::builder(2)
-        .faults(faults)
-        .tile_queue(1)
-        .trace(true);
+    let base = DeltaConfig {
+        faults,
+        tile_queue: 1,
+        trace: true,
+        ..DeltaConfig::delta(2)
+    };
     let mut taken = 0;
     for seed in 0..8 {
-        let cfg = base.clone().seed(seed).build();
+        let cfg = DeltaConfig {
+            seed,
+            ..base.clone()
+        };
         let r = assert_engines_agree(|| Waves::new(vec![6, 6], 48), cfg, &format!("seed {seed}"));
         taken += r
             .trace
@@ -468,11 +500,12 @@ fn a_static_baseline_wedges_on_the_same_cycle_in_both_engines() {
         tile_stall_epoch: 256,
         ..FaultsConfig::none()
     };
-    let cfg = DeltaConfig::builder(4)
-        .faults(faults)
-        .stall_limit(5_000)
-        .seed(3)
-        .build();
+    let cfg = DeltaConfig {
+        faults,
+        stall_limit: 5_000,
+        seed: 3,
+        ..DeltaConfig::delta(4)
+    };
     let mk = || Waves::new(vec![6, 6, 6], 32);
     let wedge = |r: Result<RunReport, RunError>| match r {
         Err(RunError::Timeout { cycles, .. }) => cycles,

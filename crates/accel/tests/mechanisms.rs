@@ -234,10 +234,13 @@ impl Program for PipeChain {
 fn pipe_chain_is_correct_with_and_without_pipelining() {
     for cfg in [
         DeltaConfig::delta(4),
-        DeltaConfig::delta(4).with_features(Features {
-            pipelining: false,
-            multicast: true,
-        }),
+        DeltaConfig {
+            features: Features {
+                pipelining: false,
+                multicast: true,
+            },
+            ..DeltaConfig::delta(4)
+        },
         DeltaConfig::static_parallel(4),
     ] {
         let mut p = PipeChain { n: 64 };
@@ -251,10 +254,13 @@ fn pipe_chain_is_correct_with_and_without_pipelining() {
 #[test]
 fn pipelining_overlaps_producer_and_consumer() {
     let run = |pipelining: bool| {
-        let cfg = DeltaConfig::delta(4).with_features(Features {
-            pipelining,
-            multicast: true,
-        });
+        let cfg = DeltaConfig {
+            features: Features {
+                pipelining,
+                multicast: true,
+            },
+            ..DeltaConfig::delta(4)
+        };
         let mut p = PipeChain { n: 512 };
         Accelerator::new(cfg).run(&mut p).unwrap()
     };
@@ -331,10 +337,13 @@ impl Program for SharedReaders {
 #[test]
 fn multicast_cuts_dram_reads_and_helps_performance() {
     let run = |multicast: bool| {
-        let cfg = DeltaConfig::delta(8).with_features(Features {
-            pipelining: true,
-            multicast,
-        });
+        let cfg = DeltaConfig {
+            features: Features {
+                pipelining: true,
+                multicast,
+            },
+            ..DeltaConfig::delta(8)
+        };
         let mut p = SharedReaders {
             tasks: 16,
             shared_len: 512,

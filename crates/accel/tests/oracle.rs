@@ -445,11 +445,12 @@ proptest! {
         work_stealing in prop::bool::ANY,
         write_out in prop::bool::ANY,
     ) {
-        let cfg = DeltaConfig::builder(tiles)
-            .spawn_latency(latency)
-            .host_latency(latency)
-            .work_stealing(work_stealing)
-            .build();
+        let cfg = DeltaConfig {
+            spawn_latency: latency,
+            host_latency: latency,
+            work_stealing,
+            ..DeltaConfig::delta(tiles)
+        };
         let timed = Accelerator::new(cfg)
             .run(&mut Waves::new(widths.clone(), stream_len, write_out))
             .unwrap();

@@ -201,10 +201,11 @@ fn assert_engines_agree<P: Program>(make: impl Fn() -> P, cfg: DeltaConfig) -> R
 fn serial_chain_jumps_quiescent_windows() {
     // Long spawn/host latencies leave windows far wider than the
     // timeline stride, so sample backfill is exercised too.
-    let cfg = DeltaConfig::builder(4)
-        .spawn_latency(700)
-        .host_latency(700)
-        .build();
+    let cfg = DeltaConfig {
+        spawn_latency: 700,
+        host_latency: 700,
+        ..DeltaConfig::delta(4)
+    };
     let ev = assert_engines_agree(|| Waves::chain(6), cfg);
     assert!(ev.skipped_cycles > 0, "never jumped; the test is vacuous");
     assert!(ev.profile.tile_skipped > 0, "never deferred an idle tile");
@@ -220,10 +221,11 @@ fn serial_chain_default_latencies_still_skip() {
 
 #[test]
 fn parallel_waves_jump_between_waves() {
-    let cfg = DeltaConfig::builder(8)
-        .spawn_latency(400)
-        .host_latency(400)
-        .build();
+    let cfg = DeltaConfig {
+        spawn_latency: 400,
+        host_latency: 400,
+        ..DeltaConfig::delta(8)
+    };
     let ev = assert_engines_agree(|| Waves::new(vec![6; 4], 32, false), cfg);
     assert!(ev.skipped_cycles > 0, "never jumped; the test is vacuous");
 }
@@ -232,10 +234,11 @@ fn parallel_waves_jump_between_waves() {
 fn partial_occupancy_defers_idle_tiles() {
     // Waves narrower than the machine: some tiles busy, some idle, so
     // the whole-machine jump rarely fires but idle tiles still sleep.
-    let cfg = DeltaConfig::builder(8)
-        .spawn_latency(200)
-        .host_latency(200)
-        .build();
+    let cfg = DeltaConfig {
+        spawn_latency: 200,
+        host_latency: 200,
+        ..DeltaConfig::delta(8)
+    };
     let ev = assert_engines_agree(|| Waves::new(vec![3, 2, 3], 32, true), cfg);
     assert!(ev.profile.tile_skipped > 0, "never deferred an idle tile");
 }
@@ -243,11 +246,12 @@ fn partial_occupancy_defers_idle_tiles() {
 #[test]
 fn work_stealing_wakes_thieves_correctly() {
     for (latency, widths, stream_len) in [(300, vec![5, 5, 5], 32), (250, vec![6, 5, 6], 24)] {
-        let cfg = DeltaConfig::builder(4)
-            .work_stealing(true)
-            .spawn_latency(latency)
-            .host_latency(latency)
-            .build();
+        let cfg = DeltaConfig {
+            work_stealing: true,
+            spawn_latency: latency,
+            host_latency: latency,
+            ..DeltaConfig::delta(4)
+        };
         let ev = assert_engines_agree(|| Waves::new(widths.clone(), stream_len, false), cfg);
         assert!(ev.profile.tile_skipped > 0 || ev.skipped_cycles > 0);
     }
@@ -256,11 +260,11 @@ fn work_stealing_wakes_thieves_correctly() {
 #[test]
 fn static_parallel_preset_agrees() {
     for (latency, widths) in [(150, vec![2, 4, 1]), (100, vec![3, 2, 3])] {
-        let cfg = DeltaConfig::static_parallel(4)
-            .to_builder()
-            .spawn_latency(latency)
-            .host_latency(latency)
-            .build();
+        let cfg = DeltaConfig {
+            spawn_latency: latency,
+            host_latency: latency,
+            ..DeltaConfig::static_parallel(4)
+        };
         let ev = assert_engines_agree(|| Waves::new(widths.clone(), 24, true), cfg);
         assert!(ev.profile.tile_skipped > 0, "never deferred an idle tile");
     }
@@ -270,11 +274,12 @@ fn static_parallel_preset_agrees() {
 fn latency_bound_waves_bulk_advance_blocked_heads() {
     // Long memory latency leaves running heads input-blocked for long
     // known stretches: the bulk-advance regime must actually engage.
-    let cfg = DeltaConfig::builder(4)
-        .dram_latency(60)
-        .spawn_latency(120)
-        .host_latency(120)
-        .build();
+    let mut cfg = DeltaConfig {
+        spawn_latency: 120,
+        host_latency: 120,
+        ..DeltaConfig::delta(4)
+    };
+    cfg.dram.latency = 60;
     let ev = assert_engines_agree(|| Waves::new(vec![3, 4, 2], 48, true), cfg);
     assert!(
         ev.profile.tile_bulk_cycles > 0,
@@ -284,11 +289,12 @@ fn latency_bound_waves_bulk_advance_blocked_heads() {
 
 #[test]
 fn traced_run_agrees() {
-    let cfg = DeltaConfig::builder(4)
-        .trace(true)
-        .spawn_latency(90)
-        .host_latency(90)
-        .build();
+    let cfg = DeltaConfig {
+        trace: true,
+        spawn_latency: 90,
+        host_latency: 90,
+        ..DeltaConfig::delta(4)
+    };
     let ev = assert_engines_agree(|| Waves::new(vec![4, 3], 32, true), cfg);
     assert!(!ev.trace.is_empty(), "traced run recorded nothing");
 }
@@ -298,12 +304,13 @@ fn traced_run_agrees() {
 /// regime crosses many ack boundaries per task.
 #[test]
 fn drain_boundary_regression() {
-    let cfg = DeltaConfig::builder(2)
-        .out_buf(2)
-        .noc_queue(2)
-        .spawn_latency(40)
-        .host_latency(40)
-        .build();
+    let cfg = DeltaConfig {
+        out_buf: 2,
+        noc_queue: 2,
+        spawn_latency: 40,
+        host_latency: 40,
+        ..DeltaConfig::delta(2)
+    };
     assert_engines_agree(|| Waves::new(vec![2; 4], 40, true), cfg);
 }
 
@@ -313,11 +320,12 @@ fn drain_boundary_regression() {
 /// reproduce.
 #[test]
 fn multicast_window_regression() {
-    let cfg = DeltaConfig::builder(4)
-        .mcast_batch_window(1)
-        .spawn_latency(30)
-        .host_latency(30)
-        .build();
+    let cfg = DeltaConfig {
+        mcast_batch_window: 1,
+        spawn_latency: 30,
+        host_latency: 30,
+        ..DeltaConfig::delta(4)
+    };
     assert_engines_agree(|| Waves::new(vec![4; 3], 48, true), cfg);
 }
 
@@ -327,12 +335,13 @@ fn chaos_faults_with_recovery_agree() {
     // recovery on) must draw per-(seed, site, time) identically when
     // tiles are deferred: watchdog strides and stall windows clamp the
     // jumps.
-    let cfg = DeltaConfig::builder(4)
-        .faults(FaultsConfig::chaos())
-        .seed(7)
-        .spawn_latency(80)
-        .host_latency(80)
-        .build();
+    let cfg = DeltaConfig {
+        faults: FaultsConfig::chaos(),
+        seed: 7,
+        spawn_latency: 80,
+        host_latency: 80,
+        ..DeltaConfig::delta(4)
+    };
     assert_engines_agree(|| Waves::new(vec![4, 3, 4], 32, true), cfg);
 }
 
@@ -342,14 +351,15 @@ fn chaos_faults_with_recovery_agree() {
 /// ticked machine did.
 #[test]
 fn watchdog_scan_on_a_stride_cycle_is_never_jumped() {
-    let cfg = DeltaConfig::builder(3)
-        .spawn_latency(117)
-        .host_latency(117)
-        .dram_latency(18)
-        .work_stealing(true)
-        .faults(FaultsConfig::chaos())
-        .seed(671)
-        .build();
+    let mut cfg = DeltaConfig {
+        spawn_latency: 117,
+        host_latency: 117,
+        work_stealing: true,
+        faults: FaultsConfig::chaos(),
+        seed: 671,
+        ..DeltaConfig::delta(3)
+    };
+    cfg.dram.latency = 18;
     let ev = assert_engines_agree(|| Waves::new(vec![2, 4, 4], 39, true), cfg);
     assert!(ev.faults.watchdog_fires > 0, "the watchdog never fired");
 }
@@ -358,15 +368,16 @@ fn watchdog_scan_on_a_stride_cycle_is_never_jumped() {
 /// traced at the jump's target instead of the cycle it failed on.
 #[test]
 fn traced_fail_stop_of_an_idle_tile_is_stamped_on_time() {
-    let cfg = DeltaConfig::builder(4)
-        .spawn_latency(130)
-        .host_latency(130)
-        .dram_latency(14)
-        .work_stealing(true)
-        .faults(FaultsConfig::chaos())
-        .trace(true)
-        .seed(849)
-        .build();
+    let mut cfg = DeltaConfig {
+        spawn_latency: 130,
+        host_latency: 130,
+        work_stealing: true,
+        faults: FaultsConfig::chaos(),
+        trace: true,
+        seed: 849,
+        ..DeltaConfig::delta(4)
+    };
+    cfg.dram.latency = 14;
     let ev = assert_engines_agree(|| Waves::new(vec![2, 4], 27, true), cfg);
     assert!(ev.faults.tile_fail_stops > 0, "no tile fail-stopped");
 }
@@ -390,17 +401,19 @@ proptest! {
         trace in prop::bool::ANY,
         seed in 0u64..1000,
     ) {
-        let mut b = DeltaConfig::builder(tiles)
-            .spawn_latency(latency)
-            .host_latency(latency)
-            .dram_latency(dram_latency)
-            .work_stealing(work_stealing)
-            .trace(trace)
-            .seed(seed);
+        let mut cfg = DeltaConfig {
+            spawn_latency: latency,
+            host_latency: latency,
+            work_stealing,
+            trace,
+            seed,
+            ..DeltaConfig::delta(tiles)
+        };
+        cfg.dram.latency = dram_latency;
         if chaos {
-            b = b.faults(FaultsConfig::chaos());
+            cfg.faults = FaultsConfig::chaos();
         }
-        let mut accel = Accelerator::new(b.build());
+        let mut accel = Accelerator::new(cfg);
         let make = || Waves::new(widths.clone(), stream_len, write_out);
         let ev = accel.run(&mut make()).unwrap();
         let dn = accel.run_dense(&mut make()).unwrap();
@@ -519,8 +532,14 @@ fn assert_blocked_dispatch_agrees<P: Program>(
     cfg: DeltaConfig,
     min_wait: u64,
 ) -> RunReport {
-    assert_engines_agree(&make, cfg.clone().to_builder().trace(false).build());
-    let ev = assert_engines_agree(&make, cfg.to_builder().trace(true).build());
+    assert_engines_agree(
+        &make,
+        DeltaConfig {
+            trace: false,
+            ..cfg.clone()
+        },
+    );
+    let ev = assert_engines_agree(&make, DeltaConfig { trace: true, ..cfg });
     let wait = longest_ready_wait(&ev);
     assert!(
         wait >= min_wait,
@@ -533,12 +552,13 @@ fn assert_blocked_dispatch_agrees<P: Program>(
 fn consumers_blocked_on_producer_completion_agree() {
     // Without pipelining a consumer dispatches only once its producer
     // completed, so consumers sit pending while producers stream.
-    let cfg = DeltaConfig::builder(4)
-        .features(Features {
+    let cfg = DeltaConfig {
+        features: Features {
             pipelining: false,
             ..Features::all()
-        })
-        .build();
+        },
+        ..DeltaConfig::delta(4)
+    };
     assert_blocked_dispatch_agrees(|| Batch::pairs(6), cfg, 100);
 }
 
@@ -546,7 +566,10 @@ fn consumers_blocked_on_producer_completion_agree() {
 fn full_tile_queues_agree() {
     // A batch far wider than the queues: pending tasks wait while every
     // tile queue is full, and completions free one slot at a time.
-    let cfg = DeltaConfig::builder(3).tile_queue(1).build();
+    let cfg = DeltaConfig {
+        tile_queue: 1,
+        ..DeltaConfig::delta(3)
+    };
     assert_blocked_dispatch_agrees(|| Batch::reductions(14), cfg, 100);
 }
 
@@ -555,11 +578,12 @@ fn full_owner_queue_freed_by_a_steal_agrees() {
     // Static hashing sends every task to one owner tile; the other tile
     // idles and steals from it, and the pending tasks take the owner
     // slots those steals free.
-    let cfg = DeltaConfig::builder(2)
-        .policy(Policy::StaticHash)
-        .work_stealing(true)
-        .tile_queue(3)
-        .build();
+    let cfg = DeltaConfig {
+        policy: Policy::StaticHash,
+        work_stealing: true,
+        tile_queue: 3,
+        ..DeltaConfig::delta(2)
+    };
     assert_blocked_dispatch_agrees(|| Batch::reductions(12), cfg, 100);
 }
 
@@ -569,13 +593,14 @@ fn spatial_tenancy_agrees() {
     // drains and idles: tenant 0's pending tasks stay unplaceable even
     // though idle tiles exist, and tenant 1's paced arrivals must still
     // place the cycle they are admitted.
-    let cfg = DeltaConfig::builder(4)
-        .tile_queue(2)
-        .tenancy(TenancyConfig {
+    let cfg = DeltaConfig {
+        tile_queue: 2,
+        tenancy: TenancyConfig {
             partition: PartitionPolicy::Spatial,
             ..TenancyConfig::shared(vec![TenantSpec::flood(), TenantSpec::paced(150)])
-        })
-        .build();
+        },
+        ..DeltaConfig::delta(4)
+    };
     let make = || Batch {
         tenant_of: |i| usize::from(i % 4 == 3),
         ..Batch::reductions(16)
@@ -588,22 +613,27 @@ fn fail_stop_schedule_agrees() {
     // Under a fault schedule the scan runs every cycle (down-tile masks
     // change with time alone); pending pairs still block on full queues
     // and on producers while tiles fail and victims re-dispatch.
-    let base = DeltaConfig::builder(4)
-        .tile_queue(2)
-        .features(Features {
+    let base = DeltaConfig {
+        tile_queue: 2,
+        features: Features {
             pipelining: false,
             ..Features::all()
-        })
-        .faults(FaultsConfig {
+        },
+        faults: FaultsConfig {
             tile_fail_rate: 0.5,
             tile_fail_window: 600,
             recovery: true,
             watchdog_timeout: 2_000,
             ..FaultsConfig::none()
-        });
+        },
+        ..DeltaConfig::delta(4)
+    };
     let mut stops = 0;
     for seed in 0..4 {
-        let cfg = base.clone().seed(seed).build();
+        let cfg = DeltaConfig {
+            seed,
+            ..base.clone()
+        };
         let ev = assert_blocked_dispatch_agrees(|| Batch::pairs(6), cfg, 100);
         stops += ev.faults.tile_fail_stops;
     }

@@ -162,7 +162,7 @@ where
     P: Program,
     F: Fn() -> P,
 {
-    let mut accel = Accelerator::new(cfg.to_builder().trace(true).build());
+    let mut accel = Accelerator::new(DeltaConfig { trace: true, ..cfg });
     let dense = accel.run_dense(&mut make()).unwrap();
     assert!(
         !dense.trace.is_empty(),
@@ -180,12 +180,13 @@ where
 #[test]
 fn tracing_never_changes_the_report() {
     let mk = || Waves::new(vec![3, 2, 4], 32, true);
-    let cfg = DeltaConfig::builder(4)
-        .spawn_latency(200)
-        .host_latency(200)
-        .build();
+    let cfg = DeltaConfig {
+        spawn_latency: 200,
+        host_latency: 200,
+        ..DeltaConfig::delta(4)
+    };
     let off = run_traced(mk(), cfg.clone());
-    let on = run_traced(mk(), cfg.to_builder().trace(true).build());
+    let on = run_traced(mk(), DeltaConfig { trace: true, ..cfg });
     assert!(off.trace.is_empty() && off.trace_dropped == 0);
     assert!(!on.trace.is_empty());
     assert_eq!(on.cycles, off.cycles);
@@ -199,7 +200,10 @@ fn tracing_never_changes_the_report() {
 fn trace_captures_the_task_lifecycle() {
     let r = run_traced(
         Waves::new(vec![2, 3], 24, true),
-        DeltaConfig::builder(4).trace(true).build(),
+        DeltaConfig {
+            trace: true,
+            ..DeltaConfig::delta(4)
+        },
     );
     let count = |f: &dyn Fn(&TraceEvent) -> bool| r.trace.iter().filter(|t| f(&t.event)).count();
     let n = r.tasks_completed as usize;
@@ -221,7 +225,10 @@ fn trace_records_pipe_resolution() {
             stages: 3,
             seg_len: 16,
         },
-        DeltaConfig::builder(2).trace(true).build(),
+        DeltaConfig {
+            trace: true,
+            ..DeltaConfig::delta(2)
+        },
     );
     let direct = r
         .trace
@@ -244,10 +251,11 @@ fn trace_records_pipe_resolution() {
 fn trace_streams_match_across_engines_on_fixed_programs() {
     assert_trace_equal_across_engines(
         || Waves::new(vec![3, 2, 3], 32, true),
-        DeltaConfig::builder(8)
-            .spawn_latency(200)
-            .host_latency(200)
-            .build(),
+        DeltaConfig {
+            spawn_latency: 200,
+            host_latency: 200,
+            ..DeltaConfig::delta(8)
+        },
     );
     assert_trace_equal_across_engines(
         || PipeChain {
@@ -263,11 +271,12 @@ fn trace_streams_match_across_engines_on_fixed_programs() {
 fn trace_streams_match_across_engines_with_stealing() {
     assert_trace_equal_across_engines(
         || Waves::new(vec![5, 5, 5], 32, false),
-        DeltaConfig::builder(4)
-            .work_stealing(true)
-            .spawn_latency(300)
-            .host_latency(300)
-            .build(),
+        DeltaConfig {
+            work_stealing: true,
+            spawn_latency: 300,
+            host_latency: 300,
+            ..DeltaConfig::delta(4)
+        },
     );
 }
 
@@ -285,12 +294,13 @@ proptest! {
         work_stealing in prop::bool::ANY,
         write_out in prop::bool::ANY,
     ) {
-        let cfg = DeltaConfig::builder(tiles)
-            .spawn_latency(latency)
-            .host_latency(latency)
-            .work_stealing(work_stealing)
-            .trace(true)
-            .build();
+        let cfg = DeltaConfig {
+            spawn_latency: latency,
+            host_latency: latency,
+            work_stealing,
+            trace: true,
+            ..DeltaConfig::delta(tiles)
+        };
         let mut accel = Accelerator::new(cfg);
         let make = || Waves::new(widths.clone(), stream_len, write_out);
         let dense = accel.run_dense(&mut make()).unwrap();

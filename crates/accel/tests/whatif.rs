@@ -223,11 +223,12 @@ impl Program for Waves {
 }
 
 fn traced_run(widths: Vec<usize>, stream_len: usize, tiles: usize, latency: u64) -> RunReport {
-    let cfg = DeltaConfig::builder(tiles)
-        .spawn_latency(latency)
-        .host_latency(latency)
-        .trace(true)
-        .build();
+    let cfg = DeltaConfig {
+        spawn_latency: latency,
+        host_latency: latency,
+        trace: true,
+        ..DeltaConfig::delta(tiles)
+    };
     Accelerator::new(cfg)
         .run(&mut Waves::new(widths, stream_len))
         .unwrap()

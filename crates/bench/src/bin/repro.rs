@@ -71,7 +71,7 @@
 //! workload reference and the untimed oracle, prints the
 //! injection/recovery summary, and writes it to
 //! `FAULTS_<experiment>.txt`. `--rate <r>` overrides the preset's tile
-//! fail-stop rate.
+//! fail-stop rate; it must be in `[0, 1]`.
 //!
 //! `whatif [experiment ...]` is the causal profiler: it reconstructs
 //! the task dependence DAG from a traced run (`ts_delta::whatif`) and
@@ -168,7 +168,7 @@ Runs the experiment's representative workload under the chaos fault
 preset (fail-stops, stalls, flit loss, DRAM retries; recovery on),
 validates the completed run against the reference and the untimed
 oracle, and writes the summary to FAULTS_<experiment>.txt. --rate
-overrides the tile fail-stop rate.";
+overrides the tile fail-stop rate (a number in [0, 1]).";
 
 const WHATIF_USAGE: &str = "\
 usage: repro whatif [experiment ...] [--only <id>[,<id>...]] [--tiny]
@@ -272,9 +272,13 @@ impl Args {
                         Some(n.unwrap_or_else(|_| die("--jobs value must be an integer", usage)));
                 }
                 "--rate" => {
-                    let r = value().parse();
-                    a.rate =
-                        Some(r.unwrap_or_else(|_| die("--rate value must be a number", usage)));
+                    let r: f64 = value()
+                        .parse()
+                        .unwrap_or_else(|_| die("--rate value must be a number", usage));
+                    if !(0.0..=1.0).contains(&r) {
+                        die("--rate value must be in [0, 1]", usage);
+                    }
+                    a.rate = Some(r);
                 }
                 "--bench-json" => a.bench_json = Some(value()),
                 "--out-dir" => a.out_dir = Some(value()),

@@ -31,8 +31,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use taskstream_model::Policy;
 use ts_delta::{
-    area, DeltaConfig, DeltaConfigBuilder, DrainPolicy, FaultsConfig, Features, PartitionPolicy,
-    RunReport, TenancyConfig,
+    area, DeltaConfig, DrainPolicy, FaultsConfig, Features, PartitionPolicy, RunReport,
+    TenancyConfig,
 };
 use ts_sim::stats::geomean;
 use ts_workloads::{
@@ -66,7 +66,10 @@ pub fn derive_seed(base: u64, key: &str) -> u64 {
 
 /// A design point with the job's derived seed applied.
 fn seeded(cfg: DeltaConfig, wl: &dyn Workload) -> DeltaConfig {
-    cfg.to_builder().seed(derive_seed(SEED, wl.name())).build()
+    DeltaConfig {
+        seed: derive_seed(SEED, wl.name()),
+        ..cfg
+    }
 }
 
 /// One validated job: `wl`'s natural program at design point `cfg`,
@@ -288,9 +291,11 @@ fn plan_ablation(scale: Scale) -> Plan {
             ..job(wl, DeltaConfig::static_parallel(TILES))
         });
         for (policy, features) in steps {
-            let cfg = DeltaConfig::static_parallel(TILES)
-                .with_policy(policy)
-                .with_features(features);
+            let cfg = DeltaConfig {
+                policy,
+                features,
+                ..DeltaConfig::static_parallel(TILES)
+            };
             jobs.push(job(wl, cfg));
         }
     }
@@ -419,14 +424,17 @@ fn plan_imbalance(scale: Scale) -> Plan {
 /// `fig_noc` — DRAM words and NoC flit-hops with and without multicast.
 fn plan_noc(scale: Scale) -> Plan {
     let wls = stocks(scale, &["dtree", "kmeans", "hash_join"]);
-    let unicast = Features {
-        pipelining: true,
-        multicast: false,
+    let unicast = DeltaConfig {
+        features: Features {
+            pipelining: true,
+            multicast: false,
+        },
+        ..DeltaConfig::delta(TILES)
     };
     let mut jobs = Vec::new();
     for wl in &wls {
         jobs.push(job(wl, DeltaConfig::delta(TILES)));
-        jobs.push(job(wl, DeltaConfig::delta(TILES).with_features(unicast)));
+        jobs.push(job(wl, unicast.clone()));
     }
     Plan::new("fig_noc", scale, jobs, move |outcomes| {
         let results = completed(outcomes);
@@ -463,8 +471,14 @@ fn plan_policy(scale: Scale) -> Plan {
     let wls = stocks(scale, &["spmv", "bfs"]);
     let mut jobs = Vec::new();
     for wl in &wls {
-        for pol in std::iter::once(Policy::WorkAware).chain(Policy::ALL) {
-            jobs.push(job(wl, DeltaConfig::delta(TILES).with_policy(pol)));
+        for policy in Policy::ALL {
+            jobs.push(job(
+                wl,
+                DeltaConfig {
+                    policy,
+                    ..DeltaConfig::delta(TILES)
+                },
+            ));
         }
     }
     Plan::new("fig_policy", scale, jobs, move |outcomes| {
@@ -477,10 +491,11 @@ fn plan_policy(scale: Scale) -> Plan {
             "random",
             "static-hash",
         ]);
-        for (wl, group) in wls.iter().zip(results.chunks(1 + Policy::ALL.len())) {
+        for (wl, group) in wls.iter().zip(results.chunks(Policy::ALL.len())) {
+            // `Policy::ALL` leads with work-aware, the baseline
             let base = group[0];
             let mut cells = vec![wl.name().to_string()];
-            for r in &group[1..] {
+            for r in group {
                 cells.push(fmt_x(r.cycles as f64 / base.cycles as f64));
             }
             table.row(cells);
@@ -491,45 +506,53 @@ fn plan_policy(scale: Scale) -> Plan {
 
 /// A single-knob sweep over a few stock workloads: one table row per
 /// (workload, swept value), with the cycles and their ratio to the
-/// workload's base run.
+/// workload's run at the base setting.
 struct Knob<K> {
     /// Catalogue names of the swept workloads.
     workloads: &'static [&'static str],
-    /// A setting run first as every workload's base; its own row is not
-    /// shown. Without one, the first swept value is the base.
-    base: Option<K>,
+    /// The swept setting every row is compared against; one of
+    /// `values`.
+    base: K,
     /// The swept settings, one row each.
     values: Vec<K>,
     /// Applies one setting to the Delta preset.
-    set: fn(DeltaConfigBuilder, K) -> DeltaConfigBuilder,
+    set: fn(&mut DeltaConfig, K),
     /// Column headers: workload, setting, cycles, ratio.
     headers: [&'static str; 4],
     /// The ratio column from (base cycles, row cycles).
     ratio: fn(f64, f64) -> f64,
 }
 
-/// Plans a [`Knob`] sweep: for each workload, the base job (if any) and
-/// then one job per swept value.
-fn plan_knob<K: Copy + ToString + Send + 'static>(
+/// Plans a [`Knob`] sweep: for each workload, one job per swept value.
+///
+/// # Panics
+///
+/// Panics if the knob's base is not one of its values.
+fn plan_knob<K: Copy + PartialEq + ToString + Send + 'static>(
     id: &'static str,
     scale: Scale,
     knob: Knob<K>,
 ) -> Plan {
     let wls = stocks(scale, knob.workloads);
-    let settings: Vec<K> = knob.base.iter().chain(&knob.values).copied().collect();
+    let lead = knob
+        .values
+        .iter()
+        .position(|&v| v == knob.base)
+        .unwrap_or_else(|| panic!("{id}: the knob's base is not a swept value"));
     let mut jobs = Vec::new();
     for wl in &wls {
-        for &v in &settings {
-            jobs.push(job(wl, (knob.set)(DeltaConfig::builder(TILES), v).build()));
+        for &v in &knob.values {
+            let mut cfg = DeltaConfig::delta(TILES);
+            (knob.set)(&mut cfg, v);
+            jobs.push(job(wl, cfg));
         }
     }
-    let lead = usize::from(knob.base.is_some());
     Plan::new(id, scale, jobs, move |outcomes| {
         let results = completed(outcomes);
         let mut table = Table::new(&knob.headers);
-        for (wl, group) in wls.iter().zip(results.chunks(settings.len())) {
-            let base = group[0].cycles as f64;
-            for (&v, r) in knob.values.iter().zip(&group[lead..]) {
+        for (wl, group) in wls.iter().zip(results.chunks(knob.values.len())) {
+            let base = group[lead].cycles as f64;
+            for (&v, r) in knob.values.iter().zip(group) {
                 table.row(vec![
                     wl.name().into(),
                     v.to_string(),
@@ -549,9 +572,9 @@ fn plan_knob<K: Copy + ToString + Send + 'static>(
 fn plan_window(scale: Scale) -> Plan {
     let knob = Knob {
         workloads: &["dtree", "bfs"],
-        base: Some(32),
+        base: 32,
         values: vec![1, 4, 16, 32, 64],
-        set: DeltaConfigBuilder::dispatch_window,
+        set: |c, v| c.dispatch_window = v,
         headers: ["workload", "window", "cycles", "vs 32"],
         ratio: |base, cycles| base / cycles,
     };
@@ -564,9 +587,9 @@ fn plan_window(scale: Scale) -> Plan {
 fn plan_prefetch(scale: Scale) -> Plan {
     let knob = Knob {
         workloads: &["spmv", "gemm"],
-        base: Some(2),
+        base: 2,
         values: vec![1, 2, 4],
-        set: DeltaConfigBuilder::prefetch_depth,
+        set: |c, v| c.prefetch_depth = v,
         headers: ["workload", "depth", "cycles", "vs 2"],
         ratio: |base, cycles| base / cycles,
     };
@@ -577,9 +600,9 @@ fn plan_prefetch(scale: Scale) -> Plan {
 fn plan_queue(scale: Scale) -> Plan {
     let knob = Knob {
         workloads: &["spmv", "hash_join"],
-        base: Some(4),
+        base: 4,
         values: vec![1, 2, 4, 8],
-        set: DeltaConfigBuilder::tile_queue,
+        set: |c, v| c.tile_queue = v,
         headers: ["workload", "depth", "cycles", "vs depth=4"],
         ratio: |base, cycles| base / cycles,
     };
@@ -590,21 +613,26 @@ fn plan_queue(scale: Scale) -> Plan {
 /// read waits for sharers to join before it starts streaming).
 fn plan_batch(scale: Scale) -> Plan {
     let windows: Vec<u64> = vec![0, 8, 24, 64, 256];
+    // the Delta preset's window, which every row is compared against
+    let lead = windows.iter().position(|&w| w == 24).expect("24 is swept");
     let wl = stock(scale, "dtree");
-    let jobs = std::iter::once(24)
-        .chain(windows.iter().copied())
-        .map(|w| {
+    let jobs = windows
+        .iter()
+        .map(|&w| {
             job(
                 &wl,
-                DeltaConfig::builder(TILES).mcast_batch_window(w).build(),
+                DeltaConfig {
+                    mcast_batch_window: w,
+                    ..DeltaConfig::delta(TILES)
+                },
             )
         })
         .collect();
     Plan::new("fig_batch", scale, jobs, move |outcomes| {
         let results = completed(outcomes);
         let mut table = Table::new(&["window cyc", "cycles", "dram reads", "vs 24"]);
-        let base = results[0];
-        for (&w, r) in windows.iter().zip(&results[1..]) {
+        let base = results[lead];
+        for (&w, r) in windows.iter().zip(&results) {
             table.row(vec![
                 w.to_string(),
                 r.cycles.to_string(),
@@ -622,9 +650,12 @@ fn plan_batch(scale: Scale) -> Plan {
 fn plan_spawn(scale: Scale) -> Plan {
     let knob = Knob {
         workloads: &["bfs", "spmv"],
-        base: None,
+        base: 0,
         values: vec![0u64, 12, 48, 192, 768],
-        set: |b, lat| b.spawn_latency(lat).host_latency(lat),
+        set: |c, lat| {
+            c.spawn_latency = lat;
+            c.host_latency = lat;
+        },
         headers: ["workload", "latency", "cycles", "slowdown"],
         ratio: |base, cycles| cycles / base,
     };
@@ -636,9 +667,9 @@ fn plan_spawn(scale: Scale) -> Plan {
 fn plan_reconfig(scale: Scale) -> Plan {
     let knob = Knob {
         workloads: &["hash_join", "merge_sort"],
-        base: None,
+        base: 0,
         values: vec![0u64, 2, 8, 32, 128],
-        set: DeltaConfigBuilder::fabric_config_per_pe,
+        set: |c, v| c.fabric.config_per_pe = v,
         headers: ["workload", "cfg cyc/PE", "delta cyc", "slowdown"],
         ratio: |base, cycles| cycles / base,
     };
@@ -659,10 +690,11 @@ fn plan_steal(scale: Scale) -> Plan {
     let mut jobs = Vec::new();
     for wl in &wls {
         for (policy, steal) in combos {
-            let cfg = DeltaConfig::builder(TILES)
-                .policy(policy)
-                .work_stealing(steal)
-                .build();
+            let cfg = DeltaConfig {
+                policy,
+                work_stealing: steal,
+                ..DeltaConfig::delta(TILES)
+            };
             jobs.push(job(wl, cfg));
         }
     }
@@ -692,9 +724,9 @@ fn plan_steal(scale: Scale) -> Plan {
 fn plan_lanes(scale: Scale) -> Plan {
     let knob = Knob {
         workloads: &["gemm", "dtree", "spmv"],
-        base: None,
+        base: 1,
         values: vec![1u32, 2, 4, 8],
-        set: DeltaConfigBuilder::fabric_lanes,
+        set: |c, v| c.fabric.lanes = v,
         headers: ["workload", "lanes", "cycles", "speedup vs 1"],
         ratio: |base, cycles| base / cycles,
     };
@@ -745,7 +777,11 @@ fn fault_point(cfg: DeltaConfig, rate: f64, recovery: bool, window: u64) -> Delt
     };
     // Tight enough that a wedged baseline gives up quickly, loose
     // enough that recovery backoff (cap 4096) never trips it.
-    cfg.to_builder().faults(faults).stall_limit(80_000).build()
+    DeltaConfig {
+        faults,
+        stall_limit: 80_000,
+        ..cfg
+    }
 }
 
 /// The cycle window fail-stops are drawn from (1..=window) in fault
@@ -856,7 +892,10 @@ fn plan_tenancy(scale: Scale) -> Plan {
             let iso: Arc<dyn Workload> = Arc::new(iso);
             jobs.push(job(
                 &iso,
-                DeltaConfig::builder(TILES).tenancy(tenancy).build(),
+                DeltaConfig {
+                    tenancy,
+                    ..DeltaConfig::delta(TILES)
+                },
             ));
         }
         let co: Arc<dyn Workload> = wl.clone();
@@ -864,7 +903,10 @@ fn plan_tenancy(scale: Scale) -> Plan {
             let tenancy = wl.tenancy(part, admit, DrainPolicy::Block);
             jobs.push(job(
                 &co,
-                DeltaConfig::builder(TILES).tenancy(tenancy).build(),
+                DeltaConfig {
+                    tenancy,
+                    ..DeltaConfig::delta(TILES)
+                },
             ));
         }
         insts.push((tenants, p, wl));
@@ -1289,7 +1331,8 @@ pub struct FaultRun {
 ///
 /// # Panics
 ///
-/// Panics on an unknown id, if the run wedges (recovery exists to
+/// Panics on an unknown id, on a `fail_rate` outside `[0, 1]` (an
+/// invalid configuration), if the run wedges (recovery exists to
 /// prevent exactly that), or if the completed run fails validation,
 /// conservation, or oracle equivalence.
 pub fn fault_run(id: &str, scale: Scale, fail_rate: Option<f64>) -> FaultRun {
@@ -1317,14 +1360,14 @@ pub fn fault_run(id: &str, scale: Scale, fail_rate: Option<f64>) -> FaultRun {
         tile_fail_window: fail_window(scale),
         ..FaultsConfig::chaos()
     };
-    let mut b = seeded(DeltaConfig::delta(TILES), wl.as_ref())
-        .to_builder()
-        .faults(faults)
-        .stall_limit(200_000);
+    let mut cfg = DeltaConfig {
+        faults,
+        stall_limit: 200_000,
+        ..seeded(DeltaConfig::delta(TILES), wl.as_ref())
+    };
     if let Some((tc, _)) = &tenancy {
-        b = b.tenancy(tc.clone());
+        cfg.tenancy = tc.clone();
     }
-    let cfg = b.build();
     let report = match run_faulted(wl.as_ref(), cfg, false) {
         FaultOutcome::Completed(r) => *r,
         FaultOutcome::Wedged { cycles } => {
@@ -1419,21 +1462,20 @@ pub fn trace_run(id: &str, scale: Scale) -> TraceRun {
     } else {
         (stock(scale, representative(id)), None)
     };
-    let mut b = seeded(DeltaConfig::delta(TILES), wl.as_ref())
-        .to_builder()
-        .trace(true);
-    if id == "fig_steal" {
-        b = b.work_stealing(true);
-    }
+    let mut cfg = DeltaConfig {
+        trace: true,
+        work_stealing: id == "fig_steal",
+        ..seeded(DeltaConfig::delta(TILES), wl.as_ref())
+    };
     if let Some(tc) = tenancy {
-        b = b.tenancy(tc);
+        cfg.tenancy = tc;
     }
     if id == "fig_faults" {
         // trace the thing the experiment is about: a run with live
         // fault injection and recovery (chaos preset)
-        b = b.faults(FaultsConfig::chaos()).stall_limit(200_000);
+        cfg.faults = FaultsConfig::chaos();
+        cfg.stall_limit = 200_000;
     }
-    let cfg = b.build();
     let type_names = wl
         .make_program()
         .task_types()

@@ -17,11 +17,9 @@ use taskstream_model::{
 };
 use ts_bench::{cache, experiments, run_jobs, FaultOutcome, SweepJob};
 use ts_cgra::FabricConfig;
-use ts_delta::{
-    DeltaConfig, DeltaConfigBuilder, FaultsConfig, Features, RunReport, TenancyConfig, TenantSpec,
-};
+use ts_delta::{DeltaConfig, FaultsConfig, RunReport, TenancyConfig, TenantSpec};
 use ts_dfg::{Dfg, DfgBuilder};
-use ts_mem::{DramConfig, WriteMode};
+use ts_mem::WriteMode;
 use ts_stream::{Affine, DataSrc, StreamDesc};
 use ts_workloads::{sparse_chain::SparseChain, spmv::Spmv, Scale, Workload, WorkloadInfo};
 
@@ -110,65 +108,54 @@ fn key_changes_with_config_seed_and_salt() {
     let cfg = DeltaConfig::delta(8);
     let base = cache::key_with_salt(&wl, &cfg, false, false, 1);
 
-    // Every config knob participates in the key: each builder setter,
-    // applied alone, must produce a key distinct from the base and from
-    // every other perturbation. The key hashes the config's byte
-    // encoding, so a field left out of it would alias distinct configs.
-    type Setter = fn(DeltaConfigBuilder) -> DeltaConfigBuilder;
+    // Every config knob participates in the key: each field (and each
+    // fabric/DRAM field a sweep tunes), changed alone, must produce a key
+    // distinct from the base and from every other perturbation. The key
+    // hashes the config's byte encoding, so a field left out of it would
+    // alias distinct configs.
+    type Setter = fn(&mut DeltaConfig);
     let setters: [(&str, Setter); 29] = [
-        ("mem_ctrls", |b| b.mem_ctrls(2)),
-        ("fabric", |b| {
-            b.fabric(FabricConfig {
+        ("mem_ctrls", |c| c.mem_ctrls = 2),
+        ("fabric", |c| {
+            c.fabric = FabricConfig {
                 rows: 5,
                 ..FabricConfig::default()
-            })
+            }
         }),
-        ("fabric_lanes", |b| b.fabric_lanes(3)),
-        ("fabric_config_per_pe", |b| b.fabric_config_per_pe(9)),
-        ("spad_words", |b| b.spad_words(1024)),
-        ("spad_bw", |b| b.spad_bw(2.5)),
-        ("dram", |b| {
-            b.dram(DramConfig {
-                gather_cost: 9,
-                ..DeltaConfig::delta(8).dram
-            })
+        ("fabric.lanes", |c| c.fabric.lanes = 3),
+        ("fabric.config_per_pe", |c| c.fabric.config_per_pe = 9),
+        ("spad_words", |c| c.spad_words = 1024),
+        ("spad_bw", |c| c.spad_bw = 2.5),
+        ("dram", |c| c.dram.gather_cost = 9),
+        ("dram.latency", |c| c.dram.latency = 61),
+        ("noc_queue", |c| c.noc_queue = 3),
+        ("tile_queue", |c| c.tile_queue = 7),
+        ("out_buf", |c| c.out_buf = 5),
+        ("engine_rate", |c| c.engine_rate = 3.0),
+        ("dispatch_per_cycle", |c| c.dispatch_per_cycle = 3),
+        ("dispatch_window", |c| c.dispatch_window = 9),
+        ("spawn_latency", |c| c.spawn_latency = 13),
+        ("host_latency", |c| c.host_latency = 13),
+        ("task_start_overhead", |c| c.task_start_overhead = 7),
+        ("mem_req_latency", |c| c.mem_req_latency = 9),
+        ("mcast_batch_window", |c| c.mcast_batch_window = 25),
+        ("prefetch_depth", |c| c.prefetch_depth = 3),
+        ("policy", |c| c.policy = Policy::RoundRobin),
+        ("features", |c| c.features.multicast = false),
+        ("work_stealing", |c| c.work_stealing = true),
+        ("trace", |c| c.trace = true),
+        ("faults", |c| c.faults = FaultsConfig::chaos()),
+        ("tenancy", |c| {
+            c.tenancy = TenancyConfig::shared(vec![TenantSpec::flood(), TenantSpec::paced(4)])
         }),
-        ("dram_latency", |b| b.dram_latency(61)),
-        ("noc_queue", |b| b.noc_queue(3)),
-        ("tile_queue", |b| b.tile_queue(7)),
-        ("out_buf", |b| b.out_buf(5)),
-        ("engine_rate", |b| b.engine_rate(3.0)),
-        ("dispatch_per_cycle", |b| b.dispatch_per_cycle(3)),
-        ("dispatch_window", |b| b.dispatch_window(9)),
-        ("spawn_latency", |b| b.spawn_latency(13)),
-        ("host_latency", |b| b.host_latency(13)),
-        ("task_start_overhead", |b| b.task_start_overhead(7)),
-        ("mem_req_latency", |b| b.mem_req_latency(9)),
-        ("mcast_batch_window", |b| b.mcast_batch_window(25)),
-        ("prefetch_depth", |b| b.prefetch_depth(3)),
-        ("policy", |b| b.policy(Policy::RoundRobin)),
-        ("features", |b| {
-            b.features(Features {
-                multicast: false,
-                ..Features::all()
-            })
-        }),
-        ("work_stealing", |b| b.work_stealing(true)),
-        ("trace", |b| b.trace(true)),
-        ("faults", |b| b.faults(FaultsConfig::chaos())),
-        ("tenancy", |b| {
-            b.tenancy(TenancyConfig::shared(vec![
-                TenantSpec::flood(),
-                TenantSpec::paced(4),
-            ]))
-        }),
-        ("seed", |b| b.seed(12345)),
-        ("max_cycles", |b| b.max_cycles(1_000_000)),
-        ("stall_limit", |b| b.stall_limit(1_000)),
+        ("seed", |c| c.seed = 12345),
+        ("max_cycles", |c| c.max_cycles = 1_000_000),
+        ("stall_limit", |c| c.stall_limit = 1_000),
     ];
     let mut keys = HashSet::from([base.clone()]);
     for (name, set) in setters {
-        let perturbed = set(cfg.clone().to_builder()).build();
+        let mut perturbed = cfg.clone();
+        set(&mut perturbed);
         assert!(
             keys.insert(cache::key_with_salt(&wl, &perturbed, false, false, 1)),
             "changing {name} must miss"

@@ -166,6 +166,10 @@ fn malformed_invocations_exit_two_with_usage() {
         &["trace"],
         &["faults"],
         &["faults", "tbl_config", "--rate"],
+        // a fail-stop rate is a probability
+        &["faults", "fig_overall", "--tiny", "--rate", "2"],
+        &["faults", "fig_overall", "--tiny", "--rate", "-0.1"],
+        &["faults", "fig_overall", "--tiny", "--rate", "nan"],
         &["trace", "tbl_config", "tbl_area"],
         // flags that only another subcommand takes
         &["trace", "fig_noc", "--jobs", "2"],

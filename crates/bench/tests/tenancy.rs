@@ -97,18 +97,18 @@ proptest! {
             DrainPolicy::Block
         };
         // spatial partitioning needs a tile per tenant
-        let mut base = DeltaConfig::builder(tiles.max(wl.tenants.len()))
-            .seed(seed)
-            .tenancy(wl.tenancy(partition, admit_limit, drain));
+        let mut cfg = DeltaConfig {
+            seed,
+            tenancy: wl.tenancy(partition, admit_limit, drain),
+            ..DeltaConfig::delta(tiles.max(wl.tenants.len()))
+        };
         if chaos {
-            base = base
-                .faults(FaultsConfig {
-                    tile_fail_window: 256,
-                    ..FaultsConfig::chaos()
-                })
-                .stall_limit(200_000);
+            cfg.faults = FaultsConfig {
+                tile_fail_window: 256,
+                ..FaultsConfig::chaos()
+            };
+            cfg.stall_limit = 200_000;
         }
-        let cfg = base.build();
         let reference = run_dense(&wl, cfg.clone());
         assert_tenants_served(&reference, &wl, "dense reference");
         let r = run_cfg(&wl, cfg, chaos);
@@ -136,15 +136,16 @@ fn whole_partition_fail_stop_spills_instead_of_wedging() {
         256,
         550,
     );
-    let cfg = DeltaConfig::builder(3)
-        .seed(550)
-        .tenancy(wl.tenancy(PartitionPolicy::Spatial, 1, DrainPolicy::Drain))
-        .faults(FaultsConfig {
+    let cfg = DeltaConfig {
+        seed: 550,
+        tenancy: wl.tenancy(PartitionPolicy::Spatial, 1, DrainPolicy::Drain),
+        faults: FaultsConfig {
             tile_fail_window: 256,
             ..FaultsConfig::chaos()
-        })
-        .stall_limit(200_000)
-        .build();
+        },
+        stall_limit: 200_000,
+        ..DeltaConfig::delta(3)
+    };
     let dense = run_dense(&wl, cfg.clone());
     let r = run_cfg(&wl, cfg, true);
     assert!(r.faults.tile_fail_stops > 0, "no tile fail-stopped");
@@ -163,17 +164,17 @@ fn per_tenant_oracle_equivalence_at_every_fault_rate() {
     for partition in [PartitionPolicy::Shared, PartitionPolicy::Spatial] {
         for rate in [0.0, 0.125, 0.25, 0.5] {
             let wl = RequestServer::tiny(2, 0, 11);
-            let cfg = DeltaConfig::delta(8)
-                .to_builder()
-                .seed(42)
-                .tenancy(wl.tenancy(partition, 4, DrainPolicy::Block))
-                .faults(FaultsConfig {
+            let cfg = DeltaConfig {
+                seed: 42,
+                tenancy: wl.tenancy(partition, 4, DrainPolicy::Block),
+                faults: FaultsConfig {
                     tile_fail_rate: rate,
                     tile_fail_window: 256,
                     ..FaultsConfig::chaos()
-                })
-                .stall_limit(200_000)
-                .build();
+                },
+                stall_limit: 200_000,
+                ..DeltaConfig::delta(8)
+            };
             let what = format!("{partition:?} @ fail rate {rate}");
             let a = run_cfg(&wl, cfg.clone(), true);
             let b = run_cfg(&wl, cfg, true);
@@ -213,11 +214,11 @@ fn admission_gate_prevents_heavy_neighbor_starvation() {
         9,
     );
     let run = |admit_limit: u64| {
-        let cfg = DeltaConfig::delta(4)
-            .to_builder()
-            .seed(42)
-            .tenancy(wl.tenancy(PartitionPolicy::Shared, admit_limit, DrainPolicy::Block))
-            .build();
+        let cfg = DeltaConfig {
+            seed: 42,
+            tenancy: wl.tenancy(PartitionPolicy::Shared, admit_limit, DrainPolicy::Block),
+            ..DeltaConfig::delta(4)
+        };
         run_cfg(&wl, cfg, false)
     };
     let ungated = run(0);
@@ -251,8 +252,11 @@ fn one_tenant_config_matches_the_inert_default() {
         Box::new(MergeSort::tiny(3)),
     ];
     for wl in &workloads {
-        let base = DeltaConfig::delta(4).to_builder().work_stealing(true);
-        let inert = run_validated(wl.as_ref(), base.clone().build(), false);
+        let base = DeltaConfig {
+            work_stealing: true,
+            ..DeltaConfig::delta(4)
+        };
+        let inert = run_validated(wl.as_ref(), base.clone(), false);
         assert!(
             inert.counters.tenants.is_empty(),
             "{}: the inert default reported tenant counters",
@@ -263,7 +267,11 @@ fn one_tenant_config_matches_the_inert_default() {
                 partition,
                 ..TenancyConfig::shared(vec![TenantSpec::flood()])
             };
-            let r = run_validated(wl.as_ref(), base.clone().tenancy(one).build(), false);
+            let tenanted = DeltaConfig {
+                tenancy: one,
+                ..base.clone()
+            };
+            let r = run_validated(wl.as_ref(), tenanted, false);
             let what = format!("{} under {partition:?}", wl.name());
             assert_eq!(r.cycles, inert.cycles, "{what}: cycles");
             assert_eq!(r.tasks_completed, inert.tasks_completed, "{what}: tasks");

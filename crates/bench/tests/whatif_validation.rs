@@ -3,7 +3,7 @@
 //! A virtual-speedup prediction is only worth printing if it agrees
 //! with reality, so these tests close the loop: make a prediction from
 //! one traced run, then actually re-run the workload with the
-//! corresponding `DeltaConfigBuilder` change and compare the measured
+//! corresponding `DeltaConfig` change and compare the measured
 //! speedup against the predicted one.
 //!
 //! Stated tolerance: the profiler's model treats queue contention and
@@ -22,7 +22,10 @@ const TOLERANCE: f64 = 0.15;
 
 /// Traced run under `cfg`: the reconstructed DAG plus measured cycles.
 fn profiled(wl: &dyn Workload, cfg: &DeltaConfig) -> (WhatIf, u64) {
-    let cfg = cfg.clone().to_builder().trace(true).build();
+    let cfg = DeltaConfig {
+        trace: true,
+        ..cfg.clone()
+    };
     let report = run_validated(wl, cfg.clone(), false);
     assert_eq!(report.trace_dropped, 0, "trace ring overflowed");
     let w = WhatIf::from_trace(&report.trace, cfg.tiles, report.cycles);
@@ -50,16 +53,20 @@ fn assert_confirmed(label: &str, predicted: f64, measured: f64) {
 #[test]
 fn spawn_speedup_prediction_matches_a_reconfigured_run() {
     let wl = Spmv::tiny(42);
-    let base = DeltaConfig::delta(8)
-        .to_builder()
-        .seed(42)
-        .spawn_latency(96)
-        .host_latency(96)
-        .build();
+    let base = DeltaConfig {
+        seed: 42,
+        spawn_latency: 96,
+        host_latency: 96,
+        ..DeltaConfig::delta(8)
+    };
     let (w, base_cycles) = profiled(&wl, &base);
 
     let predicted = w.evaluate(&[Query::SpawnScale { factor: 2.0 }]).speedup;
-    let halved = base.to_builder().spawn_latency(48).host_latency(48).build();
+    let halved = DeltaConfig {
+        spawn_latency: 48,
+        host_latency: 48,
+        ..base
+    };
     let measured = base_cycles as f64 / run_validated(&wl, halved, false).cycles as f64;
 
     assert!(
@@ -75,15 +82,16 @@ fn spawn_speedup_prediction_matches_a_reconfigured_run() {
 #[test]
 fn memory_speedup_prediction_matches_a_reconfigured_run() {
     let wl = DTree::tiny(42);
-    let base = DeltaConfig::delta(8)
-        .to_builder()
-        .seed(42)
-        .dram_latency(160)
-        .build();
+    let mut base = DeltaConfig {
+        seed: 42,
+        ..DeltaConfig::delta(8)
+    };
+    base.dram.latency = 160;
     let (w, base_cycles) = profiled(&wl, &base);
 
     let predicted = w.evaluate(&[Query::MemScale { factor: 2.0 }]).speedup;
-    let halved = base.to_builder().dram_latency(80).build();
+    let mut halved = base;
+    halved.dram.latency = 80;
     let measured = base_cycles as f64 / run_validated(&wl, halved, false).cycles as f64;
 
     assert!(
@@ -105,15 +113,15 @@ fn steal_heavy_run_carries_steal_edges_and_stays_causal() {
     use taskstream_model::Policy;
 
     let wl = MergeSort::staged(32, 32, 42);
-    let base = DeltaConfig::delta(8)
-        .to_builder()
-        .seed(42)
-        .policy(Policy::StaticHash)
-        .work_stealing(true)
-        .prefetch_depth(1)
-        .spawn_latency(96)
-        .host_latency(96)
-        .build();
+    let base = DeltaConfig {
+        seed: 42,
+        policy: Policy::StaticHash,
+        work_stealing: true,
+        prefetch_depth: 1,
+        spawn_latency: 96,
+        host_latency: 96,
+        ..DeltaConfig::delta(8)
+    };
     let (w, base_cycles) = profiled(&wl, &base);
 
     assert!(
@@ -128,7 +136,11 @@ fn steal_heavy_run_carries_steal_edges_and_stays_causal() {
     );
 
     let predicted = w.evaluate(&[Query::SpawnScale { factor: 2.0 }]).speedup;
-    let halved = base.to_builder().spawn_latency(48).host_latency(48).build();
+    let halved = DeltaConfig {
+        spawn_latency: 48,
+        host_latency: 48,
+        ..base
+    };
     let measured = base_cycles as f64 / run_validated(&wl, halved, false).cycles as f64;
     assert!(
         measured > 1.02,
@@ -143,7 +155,10 @@ fn steal_heavy_run_carries_steal_edges_and_stays_causal() {
 #[test]
 fn null_prediction_is_exact_on_an_unchanged_rerun() {
     let wl = Spmv::tiny(7);
-    let base = DeltaConfig::delta(8).to_builder().seed(7).build();
+    let base = DeltaConfig {
+        seed: 7,
+        ..DeltaConfig::delta(8)
+    };
     let (w, base_cycles) = profiled(&wl, &base);
 
     let p = w.evaluate(&[]);

@@ -137,7 +137,7 @@ fn assert_both_engines_agree(
 ) -> Result<(), proptest::TestCaseError> {
     let oracle = execute_untimed(&mut spec_of().compile().expect("spec is valid"))
         .expect("oracle completes");
-    let mut accel = Accelerator::new(DeltaConfig::builder(tiles).build());
+    let mut accel = Accelerator::new(DeltaConfig::delta(tiles));
     for dense in [false, true] {
         let mut p = spec_of().compile().expect("spec is valid");
         let timed = if dense {

@@ -252,10 +252,13 @@ mod tests {
         let run = |multicast: bool| {
             let w = DTree::tiny(6);
             let mut p = w.make_program();
-            let r = Accelerator::new(DeltaConfig::delta(4).with_features(Features {
-                pipelining: true,
-                multicast,
-            }))
+            let r = Accelerator::new(DeltaConfig {
+                features: Features {
+                    pipelining: true,
+                    multicast,
+                },
+                ..DeltaConfig::delta(4)
+            })
             .run(p.as_mut())
             .unwrap();
             w.validate(&r).unwrap();

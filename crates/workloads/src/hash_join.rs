@@ -437,10 +437,13 @@ mod tests {
     fn baseline_spills_pipes() {
         let w = HashJoin::tiny(4);
         let mut p = w.make_program();
-        let r = Accelerator::new(DeltaConfig::delta(4).with_features(Features {
-            pipelining: false,
-            multicast: true,
-        }))
+        let r = Accelerator::new(DeltaConfig {
+            features: Features {
+                pipelining: false,
+                multicast: true,
+            },
+            ..DeltaConfig::delta(4)
+        })
         .run(p.as_mut())
         .unwrap();
         let tiles = r.counters.tile_total();

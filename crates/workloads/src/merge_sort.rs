@@ -477,10 +477,13 @@ mod tests {
         let run = |pipelining: bool| {
             let w = MergeSort::new(4, 512, 5);
             let mut p = w.make_program();
-            let r = Accelerator::new(DeltaConfig::delta(8).with_features(Features {
-                pipelining,
-                multicast: true,
-            }))
+            let r = Accelerator::new(DeltaConfig {
+                features: Features {
+                    pipelining,
+                    multicast: true,
+                },
+                ..DeltaConfig::delta(8)
+            })
             .run(p.as_mut())
             .unwrap();
             w.validate(&r).unwrap();
@@ -517,12 +520,12 @@ mod tests {
         // tree exists exactly so that it can.
         let w = MergeSort::staged(16, 32, 11);
         let mut p = w.make_program();
-        let cfg = DeltaConfig::delta(4)
-            .to_builder()
-            .policy(Policy::StaticHash)
-            .work_stealing(true)
-            .prefetch_depth(1)
-            .build();
+        let cfg = DeltaConfig {
+            policy: Policy::StaticHash,
+            work_stealing: true,
+            prefetch_depth: 1,
+            ..DeltaConfig::delta(4)
+        };
         let r = Accelerator::new(cfg).run(p.as_mut()).unwrap();
         w.validate(&r).unwrap();
         assert!(

@@ -326,10 +326,13 @@ mod tests {
         let run = |pipelining: bool| {
             let w = QueryPlan::small(5);
             let mut p = w.make_program();
-            let r = Accelerator::new(DeltaConfig::delta(8).with_features(Features {
-                pipelining,
-                multicast: true,
-            }))
+            let r = Accelerator::new(DeltaConfig {
+                features: Features {
+                    pipelining,
+                    multicast: true,
+                },
+                ..DeltaConfig::delta(8)
+            })
             .run(p.as_mut())
             .unwrap();
             w.validate(&r).unwrap();

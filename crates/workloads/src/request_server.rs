@@ -299,10 +299,10 @@ mod tests {
     fn validates_under_shared_and_spatial_tenancy() {
         let w = RequestServer::tiny(2, 200, 3);
         for partition in [PartitionPolicy::Shared, PartitionPolicy::Spatial] {
-            let cfg = DeltaConfig::delta(4)
-                .to_builder()
-                .tenancy(w.tenancy(partition, 4, DrainPolicy::Block))
-                .build();
+            let cfg = DeltaConfig {
+                tenancy: w.tenancy(partition, 4, DrainPolicy::Block),
+                ..DeltaConfig::delta(4)
+            };
             let mut p = w.make_program();
             let r = Accelerator::new(cfg).run(p.as_mut()).unwrap();
             w.validate(&r).unwrap();

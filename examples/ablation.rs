@@ -36,30 +36,30 @@ fn main() {
     };
     println!("ablation: {} on 8 tiles\n", wl.name());
 
+    // each step is the previous design point plus one mechanism
     let base = run(
         wl.as_ref(),
         "static placement",
-        DeltaConfig::static_parallel(8).with_policy(Policy::StaticHash),
+        DeltaConfig::static_parallel(8),
     );
     let lb = run(
         wl.as_ref(),
         "+work-aware balance",
-        DeltaConfig::static_parallel(8)
-            .with_policy(Policy::WorkAware)
-            .with_features(Features {
-                pipelining: false,
-                multicast: false,
-            }),
+        DeltaConfig {
+            policy: Policy::WorkAware,
+            ..DeltaConfig::static_parallel(8)
+        },
     );
     let pipe = run(
         wl.as_ref(),
         "+pipelined handoff",
-        DeltaConfig::static_parallel(8)
-            .with_policy(Policy::WorkAware)
-            .with_features(Features {
+        DeltaConfig {
+            features: Features {
                 pipelining: true,
                 multicast: false,
-            }),
+            },
+            ..DeltaConfig::delta(8)
+        },
     );
     let full = run(wl.as_ref(), "+multicast (= Delta)", DeltaConfig::delta(8));
 

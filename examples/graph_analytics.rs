@@ -16,13 +16,13 @@ use taskstream::workloads::{bfs::Bfs, sssp::Sssp, Workload};
 
 fn compare(wl: &dyn Workload) {
     let mut task_parallel = wl.make_program();
-    let delta = Accelerator::new(DeltaConfig::delta_8_tiles())
+    let delta = Accelerator::new(DeltaConfig::delta(8))
         .run(task_parallel.as_mut())
         .expect("delta run");
     wl.validate(&delta).expect("delta results");
 
     let mut sweeps = wl.make_baseline_program();
-    let baseline = Accelerator::new(DeltaConfig::static_parallel_8_tiles())
+    let baseline = Accelerator::new(DeltaConfig::static_parallel(8))
         .run(sweeps.as_mut())
         .expect("baseline run");
     wl.validate(&baseline).expect("baseline results");

@@ -22,7 +22,7 @@ fn main() {
     // Delta: the TaskStream accelerator (work-aware balancing,
     // pipelined dependences, multicast).
     let mut program = workload.make_program();
-    let delta = Accelerator::new(DeltaConfig::delta_8_tiles())
+    let delta = Accelerator::new(DeltaConfig::delta(8))
         .run(program.as_mut())
         .expect("delta run");
     workload.validate(&delta).expect("delta results correct");
@@ -30,7 +30,7 @@ fn main() {
     // The equivalent static-parallel design: same tiles, fabric, memory
     // — tasks hashed to fixed owners, dependences through DRAM.
     let mut baseline = workload.make_baseline_program();
-    let static_run = Accelerator::new(DeltaConfig::static_parallel_8_tiles())
+    let static_run = Accelerator::new(DeltaConfig::static_parallel(8))
         .run(baseline.as_mut())
         .expect("baseline run");
     workload

@@ -33,14 +33,14 @@
 //!   typed stream edges ([`Link`]) and spawn rules ([`SpawnRule`]);
 //!   [`GraphSpec::compile`] lowers it to a runnable
 //!   [`Program`](model::Program);
-//! * configure: [`DeltaConfig`] presets ([`DeltaConfig::delta`],
-//!   [`DeltaConfig::static_parallel`]) and the fluent
-//!   [`DeltaConfigBuilder`] ([`DeltaConfig::builder`]), with a placement
-//!   [`Policy`](model::Policy), [`Features`] toggles and
-//!   [`FaultsConfig`] fault injection;
+//! * configure: a [`DeltaConfig`] preset ([`DeltaConfig::delta`],
+//!   [`DeltaConfig::static_parallel`]) plus plain field writes, such
+//!   as a placement [`Policy`](model::Policy), [`Features`] toggles
+//!   and [`FaultsConfig`] fault injection;
 //! * run: [`Accelerator::run`], yielding a [`RunReport`] (cycles,
 //!   per-component counters, final DRAM, [`SimProfile`], [`FaultReport`]) or a
-//!   [`RunError`];
+//!   [`RunError`] (an inconsistent configuration is
+//!   [`RunError::Config`]);
 //! * check: the [`oracle`] executes the same program untimed and
 //!   [`oracle::check_equivalence`] proves the timed run computed the
 //!   same thing;
@@ -64,17 +64,19 @@
 //! println!("finished in {} cycles", run.cycles);
 //! ```
 //!
-//! And a fault-injected run through the builder:
+//! And a fault-injected run, its design point written in struct-update
+//! syntax over the preset:
 //!
 //! ```
 //! use taskstream::{Accelerator, DeltaConfig, FaultsConfig};
 //! use taskstream::workloads::{spmv::Spmv, Workload};
 //!
 //! let wl = Spmv::tiny(7);
-//! let cfg = DeltaConfig::builder(4)
-//!     .faults(FaultsConfig::chaos())
-//!     .seed(7)
-//!     .build();
+//! let cfg = DeltaConfig {
+//!     faults: FaultsConfig::chaos(),
+//!     seed: 7,
+//!     ..DeltaConfig::delta(4)
+//! };
 //! let run = Accelerator::new(cfg).run(wl.make_program().as_mut()).unwrap();
 //! wl.validate(&run).unwrap(); // faults perturb timing, never function
 //! assert_eq!(run.faults.recovered(), run.faults.tasks_redispatched);
@@ -159,8 +161,8 @@ pub use ts_workloads as workloads;
 
 pub use ts_bench::experiments;
 pub use ts_delta::{
-    oracle, Accelerator, DeltaConfig, DeltaConfigBuilder, FaultReport, FaultsConfig, Features,
-    RunError, RunReport, SimProfile,
+    oracle, Accelerator, DeltaConfig, FaultReport, FaultsConfig, Features, RunError, RunReport,
+    SimProfile,
 };
 pub use ts_graph::{
     compile, CompiledGraph, Emission, GraphError, GraphSpec, Link, SpawnRule, Stage, TaskSketch,

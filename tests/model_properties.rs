@@ -146,10 +146,13 @@ proptest! {
         let mut p = RandomProgram { slices, factors, reduce: true };
         let expect = p.expected_sums();
         let n = p.slices.len();
-        let cfg = DeltaConfig::delta(4).with_features(Features {
-            pipelining,
-            multicast: true,
-        });
+        let cfg = DeltaConfig {
+            features: Features {
+                pipelining,
+                multicast: true,
+            },
+            ..DeltaConfig::delta(4)
+        };
         let r = Accelerator::new(cfg).run(&mut p).unwrap();
         prop_assert_eq!(r.dram_range(SUMS, n), &expect[..]);
     }

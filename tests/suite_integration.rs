@@ -56,9 +56,11 @@ fn every_workload_validates_with_each_mechanism_alone() {
     ];
     for (policy, features) in singles {
         for wl in suite(Scale::Tiny, 9) {
-            let cfg = DeltaConfig::delta(4)
-                .with_policy(policy)
-                .with_features(features);
+            let cfg = DeltaConfig {
+                policy,
+                features,
+                ..DeltaConfig::delta(4)
+            };
             run(wl.as_ref(), cfg, false);
         }
     }
