@@ -243,6 +243,22 @@ impl DeltaConfig {
         )?;
         ensure(self.dispatch_window > 0, "dispatch window must be positive")?;
         ensure(self.stall_limit > 0, "stall limit must be positive")?;
+        ensure(self.noc_queue > 0, "NoC queue must be positive")?;
+        let f = &self.fabric;
+        ensure(f.rows > 0 && f.cols > 0, "fabric must be non-empty")?;
+        ensure(f.ops_per_pe > 0, "fabric ops_per_pe must be positive")?;
+        ensure(f.lanes > 0, "fabric must have at least one lane")?;
+        ensure(self.dram.burst_words > 0, "DRAM burst must be positive")?;
+        // a zero rate would never serve a word, a non-finite one cannot
+        // meter at all
+        ensure(
+            self.engine_rate.is_finite() && self.engine_rate > 0.0,
+            "engine rate must be finite and positive",
+        )?;
+        ensure(
+            self.spad_bw.is_finite() && self.spad_bw > 0.0,
+            "scratchpad bandwidth must be finite and positive",
+        )?;
         // either would leave every DRAM word unserved, so any run that
         // reads DRAM would end in a stall-limit timeout
         ensure(

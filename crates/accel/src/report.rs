@@ -236,10 +236,11 @@ pub struct RunReport {
     /// Every component's modelled counters: per tile, mesh, DRAM,
     /// dispatcher and per tenant.
     pub counters: RunCounters,
-    /// Final DRAM contents — materialized eagerly by the simulator,
-    /// lazily for cache-loaded reports (the sweep pipeline reads only
-    /// the counters, so a warm cache hit should not pay for an image it
-    /// never looks at).
+    /// Final DRAM contents — dense from the simulator until
+    /// [`RunReport::compact_dram`], encoded for cache-loaded reports,
+    /// and expanded on first read in both of those cases (the sweep
+    /// pipeline reads only the counters once a run is checked, so it
+    /// should neither hold nor rebuild an image it never looks at).
     dram: LazyDram,
     /// Tasks completed over the run.
     pub tasks_completed: u64,
@@ -271,13 +272,15 @@ pub struct RunReport {
 /// DRAM image that is either dense (fresh simulation) or the compact
 /// encoding a result-cache entry carries (see
 /// [`RunReport::encode_dram_image`]), expanded on first read. A
-/// cache-loaded report whose image is never inspected keeps only the
-/// encoded bytes.
+/// cache-loaded or compacted report whose image is never inspected
+/// keeps only the encoded bytes. When both forms are present they hold
+/// the same words: a report never writes its image.
 #[derive(Debug, Clone)]
 struct LazyDram {
     dense: std::sync::OnceLock<Storage>,
-    /// `(total words, encoded image)`; present only for cache-loaded
-    /// reports, whose image was checked by [`walk_image`] on arrival.
+    /// `(total words, encoded image)`; present for cache-loaded
+    /// reports, whose image was checked by [`walk_image`] on arrival,
+    /// and for compacted ones, which encoded it themselves.
     encoded: Option<(usize, Vec<u8>)>,
 }
 
@@ -289,6 +292,17 @@ impl LazyDram {
             dense: cell,
             encoded: None,
         }
+    }
+
+    /// Encodes the dense image if it is not encoded yet, then drops it.
+    fn compact(&mut self) {
+        if self.encoded.is_none() {
+            let s = self.get();
+            let mut bytes = Vec::new();
+            encode_image(s.len(), s.read_range(0, s.touched()), &mut bytes);
+            self.encoded = Some((s.len(), bytes));
+        }
+        self.dense = std::sync::OnceLock::new();
     }
 
     fn get(&self) -> &Storage {
@@ -342,12 +356,16 @@ fn unzigzag(u: u64) -> Value {
     (u >> 1) as Value ^ -((u & 1) as Value)
 }
 
-/// Encodes a DRAM image as `varint(words)` followed by one
-/// `varint(gap) varint(n) zigzag-varint(word) × n` record per maximal
-/// non-zero segment, where `gap` counts the zero words since the end of
-/// the previous segment. Zero words are never written.
-fn encode_image(words: &[Value], out: &mut Vec<u8>) {
-    put_varint(out, words.len() as u64);
+/// Encodes a DRAM image of `len` words as `varint(len)` followed by
+/// one `varint(gap) varint(n) zigzag-varint(word) × n` record per
+/// maximal non-zero segment, where `gap` counts the zero words since
+/// the end of the previous segment. Zero words are never written, so
+/// `words` need only be a prefix of the image that holds every non-zero
+/// word ([`Storage::touched`] long): the zeros past it encode as
+/// nothing, and the bytes match those of a scan over all `len` words.
+fn encode_image(len: usize, words: &[Value], out: &mut Vec<u8>) {
+    debug_assert!(words.len() <= len, "prefix longer than the image");
+    put_varint(out, len as u64);
     let mut rest = words;
     while let Some(gap) = rest.iter().position(|&w| w != 0) {
         let seg = &rest[gap..];
@@ -467,16 +485,31 @@ impl RunReport {
     /// each maximal run of non-zero words as its offset from the
     /// previous run, its length and its words as zig-zag varints. Zero
     /// words cost nothing, so a multi-megaword image that is mostly
-    /// untouched encodes in a few kilobytes. A cache-loaded report that
-    /// was never expanded hands back its encoded bytes unchanged.
+    /// untouched encodes in a few kilobytes. A dense image is walked
+    /// only up to its [`Storage::touched`] mark, so the cost follows
+    /// the words the run wrote, not the DRAM capacity. A cache-loaded
+    /// or [compacted](RunReport::compact_dram) report copies its
+    /// encoded bytes unchanged.
     pub fn encode_dram_image(&self, out: &mut Vec<u8>) {
-        match (self.dram.dense.get(), &self.dram.encoded) {
-            (None, Some((_, bytes))) => out.extend_from_slice(bytes),
-            _ => {
+        match &self.dram.encoded {
+            Some((_, bytes)) => out.extend_from_slice(bytes),
+            None => {
                 let s = self.dram.get();
-                encode_image(s.read_range(0, s.len()), out);
+                encode_image(s.len(), s.read_range(0, s.touched()), out);
             }
         }
+    }
+
+    /// Swaps a dense final DRAM image for its compact encoding (the
+    /// bytes [`RunReport::encode_dram_image`] appends), freeing the
+    /// dense store. Reads still work: the first [`RunReport::dram`] or
+    /// [`RunReport::dram_range`] expands the image again. The sweep
+    /// calls this once a run has been checked, so the outcomes it holds
+    /// until the end cost their encoded size rather than every page the
+    /// run touched, and a cache store then copies the bytes. A no-op on
+    /// an encoded report.
+    pub fn compact_dram(&mut self) {
+        self.dram.compact();
     }
 
     /// Reassembles a report from externally persisted parts — the
@@ -485,7 +518,10 @@ impl RunReport {
     /// [`RunReport::encode_dram_image`]. Its structure is checked here,
     /// but it is expanded only on the first [`RunReport::dram`] or
     /// [`RunReport::dram_range`] call. The sweep pipeline never makes
-    /// one, so a warm cache hit skips the multi-megabyte materialize.
+    /// one, so a warm cache hit skips the multi-megabyte materialize,
+    /// and storing the report again copies `dram_image` as is. The
+    /// result is in the same state as a
+    /// [compacted](RunReport::compact_dram) fresh report.
     /// Carries no event trace (`trace` is observability output, never
     /// persisted; cached runs come back with an empty one).
     ///
@@ -651,10 +687,15 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ts_mem::WriteMode;
 
     fn report_with(words: &[Value]) -> RunReport {
         let mut dram = Storage::new(words.len());
         dram.load(0, words);
+        report_of(dram)
+    }
+
+    fn report_of(dram: Storage) -> RunReport {
         RunReport::new(
             7,
             RunCounters::default(),
@@ -745,6 +786,105 @@ mod tests {
             assert_eq!(again, bytes, "unexpanded image re-encodes as is");
             assert_eq!(lazy.dram_range(0, words.len()), &words[..]);
         }
+    }
+
+    /// The image encoder as it was before it learned the touched
+    /// prefix: a scan over every word of the capacity. Kept as the
+    /// reference the prefix encoder must match byte for byte.
+    fn full_scan_reference(words: &[Value]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_varint(&mut out, words.len() as u64);
+        let mut rest = words;
+        while let Some(gap) = rest.iter().position(|&w| w != 0) {
+            let seg = &rest[gap..];
+            let n = seg.iter().position(|&w| w == 0).unwrap_or(seg.len());
+            put_varint(&mut out, gap as u64);
+            put_varint(&mut out, n as u64);
+            for &w in &seg[..n] {
+                put_varint(&mut out, zigzag(w));
+            }
+            rest = &seg[n..];
+        }
+        out
+    }
+
+    /// Encodes `s` through a report, dense and then compacted, checks
+    /// both against the full-capacity reference, and checks the
+    /// compacted report still reads back every word.
+    fn assert_encodes_like_a_full_scan(s: Storage) {
+        let all = s.read_range(0, s.len()).to_vec();
+        let want = full_scan_reference(&all);
+        let mut report = report_of(s);
+        let mut dense = Vec::new();
+        report.encode_dram_image(&mut dense);
+        assert_eq!(dense, want, "touched-prefix encoding");
+        report.compact_dram();
+        assert!(
+            report.dram.dense.get().is_none(),
+            "compaction drops the store"
+        );
+        let mut compacted = Vec::new();
+        report.encode_dram_image(&mut compacted);
+        assert_eq!(compacted, want, "compacted encoding");
+        assert_eq!(report.dram_len(), all.len());
+        assert_eq!(report.dram_range(0, all.len()), &all[..]);
+        report.compact_dram();
+        let mut again = Vec::new();
+        report.encode_dram_image(&mut again);
+        assert_eq!(again, want, "compacting twice changes nothing");
+    }
+
+    #[test]
+    fn touched_prefix_encoding_matches_a_full_capacity_scan() {
+        // xorshift64: random sparse images without a dependency
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..300 {
+            let len = 1 + (next() % 4096) as usize;
+            let mut s = Storage::new(len);
+            for _ in 0..next() % 48 {
+                let addr = (next() % len as u64) as Addr;
+                let small = (next() % 9) as Value - 4;
+                match next() % 5 {
+                    0 => s.write(addr, 0),
+                    1 => s.write(addr, next() as Value >> (next() % 64)),
+                    2 => s.update(addr, small, WriteMode::Add),
+                    3 => s.update(addr, small, WriteMode::Min),
+                    _ => s.load(addr, &[small; 3][..(len - addr as usize).min(3)]),
+                }
+            }
+            assert_encodes_like_a_full_scan(s);
+        }
+
+        // a write to the last word
+        let mut s = Storage::new(1000);
+        s.write(999, -5);
+        assert_eq!(s.touched(), 1000);
+        assert_encodes_like_a_full_scan(s);
+
+        // Add and Min updates that leave zero words behind the mark
+        let mut s = Storage::new(1000);
+        s.write(10, 3);
+        s.update(700, 4, WriteMode::Add);
+        s.update(700, -4, WriteMode::Add);
+        s.update(800, 0, WriteMode::Min);
+        assert_eq!(s.touched(), 801);
+        assert_encodes_like_a_full_scan(s);
+
+        // an empty load at a high base touches nothing
+        let mut s = Storage::new(1000);
+        s.write(2, 1);
+        s.load(990, &[]);
+        assert_eq!(s.touched(), 3);
+        assert_encodes_like_a_full_scan(s);
+
+        // nothing touched at all
+        assert_encodes_like_a_full_scan(Storage::new(1 << 16));
     }
 
     #[test]

@@ -7,9 +7,10 @@ use taskstream_model::{
     CompletedTask, MemoryImage, Program, RegionId, Spawner, TaskInstance, TaskKernel, TaskType,
     TaskTypeId,
 };
+use ts_cgra::FabricConfig;
 use ts_delta::{Accelerator, DeltaConfig, FaultsConfig, RunError, RunReport};
 use ts_dfg::DfgBuilder;
-use ts_mem::WriteMode;
+use ts_mem::{DramConfig, WriteMode};
 use ts_stream::{DataSrc, StreamDesc};
 
 fn reduce_type(name: &str) -> TaskType {
@@ -410,6 +411,71 @@ fn an_invalid_config_is_a_config_error_not_a_panic() {
             err.to_string(),
             "invalid configuration: tile_fail_rate must be in [0, 1]"
         );
+    }
+
+    // settings that once panicked deep in the model (fabric, token
+    // bucket, router FIFO) instead of failing validation
+    let base = DeltaConfig::delta(2);
+    let fabric = |f: fn(&mut FabricConfig)| {
+        let mut cfg = base.clone();
+        f(&mut cfg.fabric);
+        cfg
+    };
+    let cases = [
+        (fabric(|f| f.rows = 0), "fabric must be non-empty"),
+        (fabric(|f| f.cols = 0), "fabric must be non-empty"),
+        (
+            fabric(|f| f.ops_per_pe = 0),
+            "fabric ops_per_pe must be positive",
+        ),
+        (
+            fabric(|f| f.lanes = 0),
+            "fabric must have at least one lane",
+        ),
+        (
+            DeltaConfig {
+                engine_rate: f64::NAN,
+                ..base.clone()
+            },
+            "engine rate must be finite and positive",
+        ),
+        (
+            DeltaConfig {
+                engine_rate: 0.0,
+                ..base.clone()
+            },
+            "engine rate must be finite and positive",
+        ),
+        (
+            DeltaConfig {
+                spad_bw: f64::INFINITY,
+                ..base.clone()
+            },
+            "scratchpad bandwidth must be finite and positive",
+        ),
+        (
+            DeltaConfig {
+                noc_queue: 0,
+                ..base.clone()
+            },
+            "NoC queue must be positive",
+        ),
+        (
+            DeltaConfig {
+                dram: DramConfig {
+                    burst_words: 0,
+                    ..base.dram.clone()
+                },
+                ..base.clone()
+            },
+            "DRAM burst must be positive",
+        ),
+    ];
+    for (cfg, want) in cases {
+        match Accelerator::new(cfg).run(&mut Sharers { n: 2, len: 8 }) {
+            Err(RunError::Config(msg)) => assert_eq!(msg, want),
+            other => panic!("expected config error {want:?}, got {other:?}"),
+        }
     }
 }
 

@@ -36,10 +36,14 @@
 //! tile, mesh, DRAM, dispatcher, each tenant), the occupancy timeline,
 //! and the DRAM image in the zero-skipping varint encoding of
 //! [`RunReport::encode_dram_image`]. Every field
-//! round-trips bit-exactly. A hit keeps the image encoded and expands
-//! it only if something reads DRAM, which the sweep pipeline never
-//! does. Event traces are never cached: a traced run bypasses the
-//! cache entirely.
+//! round-trips bit-exactly. Encoding walks the image only up to the
+//! highest word the run wrote, so a store costs what the run touched,
+//! not the multi-megaword DRAM capacity. The sweep compacts each
+//! checked report to that encoding before it stores it, so a store
+//! copies the bytes and a cold outcome holds no more memory than a
+//! warm one. A hit keeps the image encoded and expands it only if
+//! something reads DRAM, which the sweep pipeline never does. Event
+//! traces are never cached: a traced run bypasses the cache entirely.
 //!
 //! The cache is **disabled by default** and switched on by the `repro`
 //! CLI (`repro sweep`, unless `--no-cache`). Entries live under

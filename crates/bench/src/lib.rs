@@ -200,11 +200,19 @@ fn job_key(j: &SweepJob, inputs: &KeyInputs) -> String {
 /// persist. A cache hit carries the original simulation's full
 /// [`RunReport`], profile counters included, so `--profile` and the
 /// bench JSON sum the same counters warm or cold.
+///
+/// Nothing after [`run_checked`] reads a report's DRAM, so a fresh
+/// report is [compacted](RunReport::compact_dram) before it is stored
+/// or returned: the sweep holds every outcome until it ends, and both
+/// a cold and a warm outcome then keep only the encoded image.
 fn run_sweep_job(j: &SweepJob, key: Option<&str>) -> FaultOutcome {
     if let Some(out) = key.and_then(|k| cache::load(k, j.faulted)) {
         return out;
     }
-    let out = run_checked(j.wl.as_ref(), j.cfg.clone(), j.baseline, j.faulted);
+    let mut out = run_checked(j.wl.as_ref(), j.cfg.clone(), j.baseline, j.faulted);
+    if let FaultOutcome::Completed(report) = &mut out {
+        report.compact_dram();
+    }
     if let Some(k) = key {
         cache::store(k, &out);
     }

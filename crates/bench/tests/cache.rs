@@ -564,6 +564,46 @@ fn only_entry(dir: &Path, job: &SweepJob) -> (PathBuf, Vec<u8>) {
     (files[0].clone(), bytes)
 }
 
+/// The sweep keeps a freshly simulated report with its DRAM image
+/// encoded, not dense. Such a report still validates, expanding the
+/// image on first read, and it stores the same entry bytes as the
+/// report a warm run loads back.
+#[test]
+fn compacted_outcomes_validate_and_store_like_loaded_ones() {
+    let guard = CacheGuard::new("compacted");
+    let faulted = experiments::plan("fig_faults", Scale::Tiny).jobs;
+    let overall = experiments::plan("fig_overall", Scale::Tiny).jobs;
+    for job in [&overall[0], &overall[1], &faulted[0]] {
+        cache::clear().expect("clear succeeds");
+        cache::reset_stats();
+        let cold = run_jobs(std::slice::from_ref(job));
+        assert_eq!(cache::stats().stores, 1, "a cold job simulates and stores");
+        let key = cache::key(job.wl.as_ref(), &job.cfg, job.baseline, job.faulted);
+        let stored = std::fs::read(guard.dir.join(format!("{key}.bin"))).expect("entry readable");
+        let report = cold[0].report().expect("the job completes");
+        let name = job.wl.name();
+        job.wl
+            .validate(report)
+            .unwrap_or_else(|e| panic!("{name}: compacted report fails validation: {e}"));
+        report
+            .check_conservation(job.cfg.tiles)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+
+        cache::set_enabled(false);
+        let fresh = run_jobs(std::slice::from_ref(job));
+        cache::set_enabled(true);
+        let warm = run_jobs(std::slice::from_ref(job));
+        assert_eq!(cache::stats().hits, 1, "a warm job loads");
+        let entry = |tag: &str, out: &FaultOutcome| {
+            cache::store(tag, out);
+            std::fs::read(guard.dir.join(format!("{tag}.bin"))).expect("entry readable")
+        };
+        assert_eq!(entry("cold", &cold[0]), stored, "{name}: compacted");
+        assert_eq!(entry("fresh", &fresh[0]), stored, "{name}: uncached");
+        assert_eq!(entry("warm", &warm[0]), stored, "{name}: loaded");
+    }
+}
+
 /// Every truncation and every single-byte flip of a real completed
 /// entry and a real wedged one loads as a miss: no panic, no hit.
 #[test]
