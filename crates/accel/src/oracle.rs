@@ -190,9 +190,13 @@ pub fn execute_untimed<P: Program + ?Sized>(program: &mut P) -> Result<OracleOut
 /// # Errors
 ///
 /// Returns a message naming the first divergences (at most eight) on
-/// mismatch.
+/// mismatch, or saying that `timed` has no image to compare because it
+/// was [released](RunReport::release_dram).
 pub fn check_equivalence(timed: &RunReport, oracle: &OracleOutcome) -> Result<(), String> {
     const MAX_LISTED: usize = 8;
+    if timed.dram_released() {
+        return Err("the timed report's final DRAM image was released: nothing to compare".into());
+    }
     if timed.tasks_completed != oracle.tasks_completed {
         return Err(format!(
             "tasks completed diverge: timed {} vs oracle {}",
@@ -429,6 +433,19 @@ mod tests {
             err.contains("dram[100]: timed 2 vs oracle -1"),
             "unexpected: {err}"
         );
+    }
+
+    #[test]
+    fn a_released_report_is_an_error_not_a_match() {
+        use crate::{Accelerator, DeltaConfig};
+        let mut timed = Accelerator::new(DeltaConfig::delta(2))
+            .run(&mut Doubler)
+            .unwrap();
+        let oracle = execute_untimed(&mut Doubler).unwrap();
+        check_equivalence(&timed, &oracle).expect("the kept image matches");
+        timed.release_dram();
+        let err = check_equivalence(&timed, &oracle).unwrap_err();
+        assert!(err.contains("DRAM image was released"), "unexpected: {err}");
     }
 
     #[test]

@@ -236,12 +236,11 @@ pub struct RunReport {
     /// Every component's modelled counters: per tile, mesh, DRAM,
     /// dispatcher and per tenant.
     pub counters: RunCounters,
-    /// Final DRAM contents — dense from the simulator until
-    /// [`RunReport::compact_dram`], encoded for cache-loaded reports,
-    /// and expanded on first read in both of those cases (the sweep
-    /// pipeline reads only the counters once a run is checked, so it
-    /// should neither hold nor rebuild an image it never looks at).
-    dram: LazyDram,
+    /// Final DRAM contents, or `None` once
+    /// [released](RunReport::release_dram). The sweep releases the
+    /// image as soon as a run is checked, since nothing after the
+    /// checks reads DRAM; cache-loaded reports never carry one.
+    dram: Option<Storage>,
     /// Tasks completed over the run.
     pub tasks_completed: u64,
     /// Sampled occupancy: `(cycle, busy tiles)` every
@@ -269,139 +268,6 @@ pub struct RunReport {
     pub faults: FaultReport,
 }
 
-/// DRAM image that is either dense (fresh simulation) or the compact
-/// encoding a result-cache entry carries (see
-/// [`RunReport::encode_dram_image`]), expanded on first read. A
-/// cache-loaded or compacted report whose image is never inspected
-/// keeps only the encoded bytes. When both forms are present they hold
-/// the same words: a report never writes its image.
-#[derive(Debug, Clone)]
-struct LazyDram {
-    dense: std::sync::OnceLock<Storage>,
-    /// `(total words, encoded image)`; present for cache-loaded
-    /// reports, whose image was checked by [`walk_image`] on arrival,
-    /// and for compacted ones, which encoded it themselves.
-    encoded: Option<(usize, Vec<u8>)>,
-}
-
-impl LazyDram {
-    fn dense(storage: Storage) -> Self {
-        let cell = std::sync::OnceLock::new();
-        let _ = cell.set(storage);
-        LazyDram {
-            dense: cell,
-            encoded: None,
-        }
-    }
-
-    /// Encodes the dense image if it is not encoded yet, then drops it.
-    fn compact(&mut self) {
-        if self.encoded.is_none() {
-            let s = self.get();
-            let mut bytes = Vec::new();
-            encode_image(s.len(), s.read_range(0, s.touched()), &mut bytes);
-            self.encoded = Some((s.len(), bytes));
-        }
-        self.dense = std::sync::OnceLock::new();
-    }
-
-    fn get(&self) -> &Storage {
-        self.dense.get_or_init(|| {
-            let (len, bytes) = self
-                .encoded
-                .as_ref()
-                .expect("report holds either a dense image or an encoded one");
-            let mut s = Storage::new(*len);
-            walk_image(bytes, |addr, v| s.write(addr as Addr, v))
-                .expect("encoded image was checked when the report was built");
-            s
-        })
-    }
-}
-
-/// Appends `v` as an LEB128 varint.
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
-/// Reads one LEB128 varint off the front of `rest`; `None` if it is
-/// cut short or does not fit 64 bits.
-fn get_varint(rest: &mut &[u8]) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0;
-    loop {
-        let (&b, tail) = rest.split_first()?;
-        *rest = tail;
-        if shift == 63 && b > 1 {
-            return None;
-        }
-        v |= u64::from(b & 0x7f) << shift;
-        if b < 0x80 {
-            return Some(v);
-        }
-        shift += 7;
-    }
-}
-
-/// Zig-zag mapping: small negative words encode as short varints too.
-fn zigzag(v: Value) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(u: u64) -> Value {
-    (u >> 1) as Value ^ -((u & 1) as Value)
-}
-
-/// Encodes a DRAM image of `len` words as `varint(len)` followed by
-/// one `varint(gap) varint(n) zigzag-varint(word) × n` record per
-/// maximal non-zero segment, where `gap` counts the zero words since
-/// the end of the previous segment. Zero words are never written, so
-/// `words` need only be a prefix of the image that holds every non-zero
-/// word ([`Storage::touched`] long): the zeros past it encode as
-/// nothing, and the bytes match those of a scan over all `len` words.
-fn encode_image(len: usize, words: &[Value], out: &mut Vec<u8>) {
-    debug_assert!(words.len() <= len, "prefix longer than the image");
-    put_varint(out, len as u64);
-    let mut rest = words;
-    while let Some(gap) = rest.iter().position(|&w| w != 0) {
-        let seg = &rest[gap..];
-        let n = seg.iter().position(|&w| w == 0).unwrap_or(seg.len());
-        put_varint(out, gap as u64);
-        put_varint(out, n as u64);
-        for &w in &seg[..n] {
-            put_varint(out, zigzag(w));
-        }
-        rest = &seg[n..];
-    }
-}
-
-/// Walks an image written by [`encode_image`], checking every varint
-/// and bound, and hands each segment word to `word(addr, value)`.
-/// Returns the image's total word count.
-fn walk_image(mut rest: &[u8], mut word: impl FnMut(usize, Value)) -> Result<usize, String> {
-    let len = get_varint(&mut rest).ok_or("dram image: bad word count")?;
-    let mut addr = 0u64;
-    while !rest.is_empty() {
-        let gap = get_varint(&mut rest).ok_or("dram image: bad segment gap")?;
-        let n = get_varint(&mut rest).ok_or("dram image: bad segment length")?;
-        let start = addr.checked_add(gap).filter(|&s| s <= len);
-        let end = start.and_then(|s| s.checked_add(n)).filter(|&e| e <= len);
-        let (Some(start), Some(end)) = (start, end) else {
-            return Err("dram image: segment runs past the image".into());
-        };
-        for a in start..end {
-            let v = get_varint(&mut rest).ok_or("dram image: bad word")?;
-            word(a as usize, unzigzag(v));
-        }
-        addr = end;
-    }
-    usize::try_from(len).map_err(|_| "dram image: word count overflows".into())
-}
-
 impl RunReport {
     /// Cycles between occupancy samples in [`RunReport::timeline`].
     pub const TIMELINE_STRIDE: u64 = 256;
@@ -422,7 +288,7 @@ impl RunReport {
         RunReport {
             cycles,
             counters,
-            dram: LazyDram::dense(dram),
+            dram: Some(dram),
             tasks_completed,
             timeline,
             skipped_cycles,
@@ -453,100 +319,78 @@ impl RunReport {
             .collect()
     }
 
+    /// The final DRAM image. A released image panics rather than read
+    /// as zeros.
+    fn image(&self) -> &Storage {
+        self.dram
+            .as_ref()
+            .expect("the report's final DRAM image was released (RunReport::release_dram)")
+    }
+
     /// Reads one word of the final DRAM image.
     ///
     /// # Panics
     ///
-    /// Panics if the address is out of range.
+    /// Panics if the address is out of range, or if the image was
+    /// [released](RunReport::release_dram).
     pub fn dram(&self, addr: Addr) -> Value {
-        self.dram.get().read(addr)
+        self.image().read(addr)
     }
 
     /// Reads a contiguous range of the final DRAM image.
     ///
     /// # Panics
     ///
-    /// Panics if the range is out of bounds.
+    /// Panics if the range is out of bounds, or if the image was
+    /// [released](RunReport::release_dram).
     pub fn dram_range(&self, base: Addr, len: usize) -> &[Value] {
-        self.dram.get().read_range(base, len)
+        self.image().read_range(base, len)
     }
 
     /// Size of the final DRAM image, in words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image was [released](RunReport::release_dram).
     pub fn dram_len(&self) -> usize {
-        match (self.dram.dense.get(), &self.dram.encoded) {
-            (Some(s), _) => s.len(),
-            (None, Some((len, _))) => *len,
-            (None, None) => unreachable!("report holds either a dense image or an encoded one"),
-        }
+        self.image().len()
     }
 
-    /// Appends the final DRAM image in its compact encoding, the form
-    /// the bench harness's result cache persists: the word count, then
-    /// each maximal run of non-zero words as its offset from the
-    /// previous run, its length and its words as zig-zag varints. Zero
-    /// words cost nothing, so a multi-megaword image that is mostly
-    /// untouched encodes in a few kilobytes. A dense image is walked
-    /// only up to its [`Storage::touched`] mark, so the cost follows
-    /// the words the run wrote, not the DRAM capacity. A cache-loaded
-    /// or [compacted](RunReport::compact_dram) report copies its
-    /// encoded bytes unchanged.
-    pub fn encode_dram_image(&self, out: &mut Vec<u8>) {
-        match &self.dram.encoded {
-            Some((_, bytes)) => out.extend_from_slice(bytes),
-            None => {
-                let s = self.dram.get();
-                encode_image(s.len(), s.read_range(0, s.touched()), out);
-            }
-        }
+    /// Whether the final DRAM image was [released](RunReport::release_dram).
+    pub fn dram_released(&self) -> bool {
+        self.dram.is_none()
     }
 
-    /// Swaps a dense final DRAM image for its compact encoding (the
-    /// bytes [`RunReport::encode_dram_image`] appends), freeing the
-    /// dense store. Reads still work: the first [`RunReport::dram`] or
-    /// [`RunReport::dram_range`] expands the image again. The sweep
-    /// calls this once a run has been checked, so the outcomes it holds
-    /// until the end cost their encoded size rather than every page the
-    /// run touched, and a cache store then copies the bytes. A no-op on
-    /// an encoded report.
-    pub fn compact_dram(&mut self) {
-        self.dram.compact();
+    /// Drops the final DRAM image. The sweep calls this once a run has
+    /// passed its reference, conservation and (for faulted runs) oracle
+    /// checks: nothing after them reads DRAM, and the sweep holds every
+    /// outcome until it ends. Every other field stays; DRAM reads panic
+    /// from here on.
+    pub fn release_dram(&mut self) {
+        self.dram = None;
     }
 
     /// Reassembles a report from externally persisted parts — the
     /// constructor behind the bench harness's content-addressed result
-    /// cache. `dram_image` is the output of
-    /// [`RunReport::encode_dram_image`]. Its structure is checked here,
-    /// but it is expanded only on the first [`RunReport::dram`] or
-    /// [`RunReport::dram_range`] call. The sweep pipeline never makes
-    /// one, so a warm cache hit skips the multi-megabyte materialize,
-    /// and storing the report again copies `dram_image` as is. The
-    /// result is in the same state as a
-    /// [compacted](RunReport::compact_dram) fresh report.
-    /// Carries no event trace (`trace` is observability output, never
-    /// persisted; cached runs come back with an empty one).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if `dram_image` is not a well-formed image.
+    /// cache. The result carries no DRAM image (it is
+    /// [released](RunReport::release_dram), as the sweep leaves every
+    /// report it stores) and no event trace (`trace` is observability
+    /// output, never persisted; cached runs come back with an empty
+    /// one).
     #[allow(clippy::too_many_arguments)]
     pub fn from_cached_parts(
         cycles: u64,
         counters: RunCounters,
-        dram_image: Vec<u8>,
         tasks_completed: u64,
         timeline: Vec<(u64, u32)>,
         skipped_cycles: u64,
         profile: SimProfile,
         faults: FaultReport,
-    ) -> Result<Self, String> {
-        let len = walk_image(&dram_image, |_, _| {})?;
-        Ok(RunReport {
+    ) -> Self {
+        RunReport {
             cycles,
             counters,
-            dram: LazyDram {
-                dense: std::sync::OnceLock::new(),
-                encoded: Some((len, dram_image)),
-            },
+            dram: None,
             tasks_completed,
             timeline,
             skipped_cycles,
@@ -554,7 +398,7 @@ impl RunReport {
             trace: Vec::new(),
             trace_dropped: 0,
             faults,
-        })
+        }
     }
 
     /// Busy cycles of each tile that did any work, in tile order.
@@ -687,15 +531,10 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ts_mem::WriteMode;
 
     fn report_with(words: &[Value]) -> RunReport {
         let mut dram = Storage::new(words.len());
         dram.load(0, words);
-        report_of(dram)
-    }
-
-    fn report_of(dram: Storage) -> RunReport {
         RunReport::new(
             7,
             RunCounters::default(),
@@ -755,159 +594,36 @@ mod tests {
         assert_eq!(FaultReport::NAMES.len(), FaultReport::WORDS);
     }
 
+    /// The message of the panic `f` raises.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("the call panics");
+        err.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
     #[test]
-    fn dram_images_roundtrip_through_the_lazy_report() {
-        let images: [Vec<Value>; 5] = [
-            Vec::new(),
-            vec![0; 300],
-            vec![i64::MIN, i64::MAX, -1, 1, 0, -64, 64],
-            (0..1000)
-                .map(|i| if i % 7 < 3 { 0 } else { i * -37 })
-                .collect(),
-            vec![0, 0, 0, 9],
-        ];
-        for words in &images {
-            let mut bytes = Vec::new();
-            report_with(words).encode_dram_image(&mut bytes);
-            let lazy = RunReport::from_cached_parts(
-                7,
-                RunCounters::default(),
-                bytes.clone(),
-                0,
-                Vec::new(),
-                0,
-                SimProfile::default(),
-                FaultReport::default(),
-            )
-            .expect("encoded image is well formed");
-            assert_eq!(lazy.dram_len(), words.len());
-            let mut again = Vec::new();
-            lazy.encode_dram_image(&mut again);
-            assert_eq!(again, bytes, "unexpanded image re-encodes as is");
-            assert_eq!(lazy.dram_range(0, words.len()), &words[..]);
+    fn a_released_image_panics_instead_of_reading_zeros() {
+        let mut r = report_with(&[0, 4, 0]);
+        assert_eq!((r.dram_len(), r.dram(1)), (3, 4));
+        assert!(!r.dram_released());
+        r.release_dram();
+        assert!(r.dram_released());
+        assert_eq!(r.cycles, 7, "the rest of the report stays");
+        for msg in [
+            panic_message(|| {
+                r.dram(1);
+            }),
+            panic_message(|| {
+                r.dram_range(0, 3);
+            }),
+            panic_message(|| {
+                r.dram_len();
+            }),
+        ] {
+            assert!(msg.contains("DRAM image was released"), "{msg}");
         }
-    }
-
-    /// The image encoder as it was before it learned the touched
-    /// prefix: a scan over every word of the capacity. Kept as the
-    /// reference the prefix encoder must match byte for byte.
-    fn full_scan_reference(words: &[Value]) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_varint(&mut out, words.len() as u64);
-        let mut rest = words;
-        while let Some(gap) = rest.iter().position(|&w| w != 0) {
-            let seg = &rest[gap..];
-            let n = seg.iter().position(|&w| w == 0).unwrap_or(seg.len());
-            put_varint(&mut out, gap as u64);
-            put_varint(&mut out, n as u64);
-            for &w in &seg[..n] {
-                put_varint(&mut out, zigzag(w));
-            }
-            rest = &seg[n..];
-        }
-        out
-    }
-
-    /// Encodes `s` through a report, dense and then compacted, checks
-    /// both against the full-capacity reference, and checks the
-    /// compacted report still reads back every word.
-    fn assert_encodes_like_a_full_scan(s: Storage) {
-        let all = s.read_range(0, s.len()).to_vec();
-        let want = full_scan_reference(&all);
-        let mut report = report_of(s);
-        let mut dense = Vec::new();
-        report.encode_dram_image(&mut dense);
-        assert_eq!(dense, want, "touched-prefix encoding");
-        report.compact_dram();
-        assert!(
-            report.dram.dense.get().is_none(),
-            "compaction drops the store"
-        );
-        let mut compacted = Vec::new();
-        report.encode_dram_image(&mut compacted);
-        assert_eq!(compacted, want, "compacted encoding");
-        assert_eq!(report.dram_len(), all.len());
-        assert_eq!(report.dram_range(0, all.len()), &all[..]);
-        report.compact_dram();
-        let mut again = Vec::new();
-        report.encode_dram_image(&mut again);
-        assert_eq!(again, want, "compacting twice changes nothing");
-    }
-
-    #[test]
-    fn touched_prefix_encoding_matches_a_full_capacity_scan() {
-        // xorshift64: random sparse images without a dependency
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..300 {
-            let len = 1 + (next() % 4096) as usize;
-            let mut s = Storage::new(len);
-            for _ in 0..next() % 48 {
-                let addr = (next() % len as u64) as Addr;
-                let small = (next() % 9) as Value - 4;
-                match next() % 5 {
-                    0 => s.write(addr, 0),
-                    1 => s.write(addr, next() as Value >> (next() % 64)),
-                    2 => s.update(addr, small, WriteMode::Add),
-                    3 => s.update(addr, small, WriteMode::Min),
-                    _ => s.load(addr, &[small; 3][..(len - addr as usize).min(3)]),
-                }
-            }
-            assert_encodes_like_a_full_scan(s);
-        }
-
-        // a write to the last word
-        let mut s = Storage::new(1000);
-        s.write(999, -5);
-        assert_eq!(s.touched(), 1000);
-        assert_encodes_like_a_full_scan(s);
-
-        // Add and Min updates that leave zero words behind the mark
-        let mut s = Storage::new(1000);
-        s.write(10, 3);
-        s.update(700, 4, WriteMode::Add);
-        s.update(700, -4, WriteMode::Add);
-        s.update(800, 0, WriteMode::Min);
-        assert_eq!(s.touched(), 801);
-        assert_encodes_like_a_full_scan(s);
-
-        // an empty load at a high base touches nothing
-        let mut s = Storage::new(1000);
-        s.write(2, 1);
-        s.load(990, &[]);
-        assert_eq!(s.touched(), 3);
-        assert_encodes_like_a_full_scan(s);
-
-        // nothing touched at all
-        assert_encodes_like_a_full_scan(Storage::new(1 << 16));
-    }
-
-    #[test]
-    fn zero_words_cost_nothing() {
-        let mut bytes = Vec::new();
-        report_with(&[0; 100_000]).encode_dram_image(&mut bytes);
-        assert_eq!(bytes.len(), 3, "just the varint word count");
-    }
-
-    #[test]
-    fn malformed_images_are_errors() {
-        let ok = |b: &[u8]| walk_image(b, |_, _| {}).is_ok();
-        assert!(ok(&[2, 0, 2, 1, 1]));
-        assert!(!ok(&[]), "missing word count");
-        assert!(!ok(&[2, 1, 2, 1, 1]), "segment past the end");
-        assert!(!ok(&[2, 0, 2, 1]), "missing word");
-        assert!(!ok(&[2, 0]), "missing segment length");
-        assert!(!ok(&[0x80]), "truncated varint");
-        let mut overflow = vec![0xff; 9];
-        overflow.push(0x02);
-        assert!(!ok(&overflow), "varint past 64 bits");
-        let mut max = vec![0xff; 9];
-        max.push(0x01);
-        assert!(ok(&max), "u64::MAX words, no segments");
     }
 }

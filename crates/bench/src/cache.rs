@@ -29,21 +29,19 @@
 //!   `TS_CACHE_SALT` when they *want* cross-binary sharing or a forced
 //!   miss.
 //!
-//! **Value** = the full [`RunReport`] (or the wedged outcome of a
-//! fault run) as a compact binary entry (layout on `encode`): a magic
-//! and format header, then little-endian `u64`s for the scalars and
-//! for every counter block's flat word view (profile, faults, each
-//! tile, mesh, DRAM, dispatcher, each tenant), the occupancy timeline,
-//! and the DRAM image in the zero-skipping varint encoding of
-//! [`RunReport::encode_dram_image`]. Every field
-//! round-trips bit-exactly. Encoding walks the image only up to the
-//! highest word the run wrote, so a store costs what the run touched,
-//! not the multi-megaword DRAM capacity. The sweep compacts each
-//! checked report to that encoding before it stores it, so a store
-//! copies the bytes and a cold outcome holds no more memory than a
-//! warm one. A hit keeps the image encoded and expands it only if
-//! something reads DRAM, which the sweep pipeline never does. Event
-//! traces are never cached: a traced run bypasses the cache entirely.
+//! **Value** = what the sweep reads of a [`RunReport`] (or the wedged
+//! outcome of a fault run) as a compact binary entry (layout on
+//! `encode`): a magic and format header, then little-endian `u64`s for
+//! the scalars and for every counter block's flat word view (profile,
+//! faults, each tile, mesh, DRAM, dispatcher, each tenant), and the
+//! occupancy timeline. Every stored field round-trips bit-exactly. The
+//! final DRAM image is not stored: the sweep checks it against the
+//! workload reference, the conservation invariants and (for faulted
+//! runs) the oracle, then [releases](RunReport::release_dram) it, so a
+//! cold outcome and a loaded one hold the same fields. An entry
+//! therefore costs a few kilobytes whatever memory the run touched.
+//! Event traces are never cached: a traced run bypasses the cache
+//! entirely.
 //!
 //! The cache is **disabled by default** and switched on by the `repro`
 //! CLI (`repro sweep`, unless `--no-cache`). Entries live under
@@ -412,7 +410,7 @@ pub(crate) fn key_from_fingerprint(
 /// First bytes of every entry. The trailing digit is the entry
 /// format, versioned apart from the key canon's [`KEY_FORMAT`]: the
 /// layout below outlived the key's move to a binary canon.
-const MAGIC: &[u8; 8] = b"tscache4";
+const MAGIC: &[u8; 8] = b"tscache5";
 
 /// Header: [`MAGIC`], then the body's length and [`checksum`] as
 /// little-endian `u64`s.
@@ -432,7 +430,7 @@ fn checksum(body: &[u8]) -> u64 {
 /// Serializes a run outcome to the on-disk entry format:
 ///
 /// ```text
-/// header    magic "tscache4", body length u64, body checksum u64
+/// header    magic "tscache5", body length u64, body checksum u64
 /// body      kind u8 (0 completed, 1 wedged), cycles u64
 /// completed tasks_completed u64, skipped_cycles u64,
 ///           SimProfile words (23 × u64), FaultReport words (10 × u64),
@@ -440,8 +438,7 @@ fn checksum(body: &[u8]) -> u64 {
 ///           NocCounters (5 × u64), DramCounters (5 × u64),
 ///           DispatchCounters (6 × u64),
 ///           tenants: count u32, then TenantCounters words (7 × u64) each,
-///           timeline: count u32, then (cycle u64, busy u32) each,
-///           the DRAM image (RunReport::encode_dram_image) to the end
+///           timeline: count u32, then (cycle u64, busy u32) each
 /// ```
 ///
 /// Every integer is little-endian. A block's words are its
@@ -479,7 +476,6 @@ fn encode(outcome: &FaultOutcome) -> Vec<u8> {
                 put(&mut buf, c);
                 buf.extend_from_slice(&b.to_le_bytes());
             }
-            r.encode_dram_image(&mut buf);
         }
     }
     let body_len = (buf.len() - HEADER) as u64;
@@ -528,10 +524,10 @@ impl Reader<'_> {
 /// Parses an on-disk entry back into a run outcome. The header's length
 /// and checksum must match the body before any field is read, so a
 /// truncated or corrupted file is an error, never a wrong result.
-fn decode(mut bytes: Vec<u8>) -> Result<FaultOutcome, String> {
+fn decode(bytes: &[u8]) -> Result<FaultOutcome, String> {
     let header = bytes.get(..HEADER).ok_or("entry shorter than its header")?;
     if header[..8] != MAGIC[..] {
-        return Err("not a format-4 entry".into());
+        return Err("not a format-5 entry".into());
     }
     let word = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
     let (body_len, sum) = (word(8), word(16));
@@ -576,18 +572,18 @@ fn decode(mut bytes: Vec<u8>) -> Result<FaultOutcome, String> {
         let c = r.u64()?;
         timeline.push((c, u32::from_le_bytes(r.take()?)));
     }
-    let image_at = bytes.len() - r.0.len();
-    bytes.drain(..image_at);
+    if !r.0.is_empty() {
+        return Err("trailing bytes after the timeline".into());
+    }
     let report = RunReport::from_cached_parts(
         cycles,
         counters,
-        bytes,
         tasks_completed,
         timeline,
         skipped_cycles,
         profile,
         faults,
-    )?;
+    );
     Ok(FaultOutcome::Completed(Box::new(report)))
 }
 
@@ -604,7 +600,7 @@ fn entry_path(key: &str) -> PathBuf {
 pub fn load(key: &str, faulted: bool) -> Option<FaultOutcome> {
     let loaded = fs::read(entry_path(key))
         .ok()
-        .and_then(|bytes| decode(bytes).ok())
+        .and_then(|bytes| decode(&bytes).ok())
         .filter(|out| faulted || matches!(out, FaultOutcome::Completed(_)));
     match &loaded {
         Some(_) => HITS.fetch_add(1, Ordering::Relaxed),
@@ -715,8 +711,6 @@ fn sha256_hex(data: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taskstream_model::{CompletedTask, MemoryImage, TaskType, Value};
-    use ts_delta::Accelerator;
     use ts_workloads::spmv::Spmv;
 
     #[test]
@@ -736,54 +730,25 @@ mod tests {
         );
     }
 
-    /// A program that spawns no tasks, so its final DRAM image is its
-    /// initial image: a real simulator report holding chosen words.
-    struct Image(Vec<Value>);
-
-    impl Program for Image {
-        fn name(&self) -> &str {
-            "image"
-        }
-
-        fn task_types(&self) -> Vec<TaskType> {
-            Vec::new()
-        }
-
-        fn memory_image(&self) -> MemoryImage {
-            MemoryImage::new().dram_segment(100, self.0.clone())
-        }
-
-        fn initial(&mut self, _: &mut Spawner) {}
-
-        fn on_complete(&mut self, _: &CompletedTask, _: &mut Spawner) {}
-    }
-
-    fn simulate_image(words: Vec<Value>) -> RunReport {
-        Accelerator::new(DeltaConfig::delta(2))
-            .run(&mut Image(words))
-            .expect("an empty program runs")
-    }
-
-    /// Compares every field of two reports bit for bit.
+    /// Compares every stored field of two reports bit for bit, and
+    /// checks that the loaded one carries no image and no trace.
     fn assert_identical(a: &RunReport, b: &RunReport) {
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.counters, b.counters);
-        assert_eq!(a.dram_len(), b.dram_len());
-        assert_eq!(a.dram_range(0, a.dram_len()), b.dram_range(0, b.dram_len()));
         assert_eq!(a.tasks_completed, b.tasks_completed);
         assert_eq!(a.timeline, b.timeline);
         assert_eq!(a.skipped_cycles, b.skipped_cycles);
         assert_eq!(a.profile, b.profile);
         assert_eq!(a.faults, b.faults);
+        assert!(b.dram_released(), "a loaded report has no image");
         assert!(b.trace.is_empty() && b.trace_dropped == 0);
     }
 
-    /// Real reports through the production codec. The simulator always
-    /// allocates a spill region, so it never produces an empty (0-word)
-    /// image; the image codec's own tests in `ts-delta` cover that one.
+    /// Real reports through the production codec.
     #[test]
     fn entries_roundtrip_every_field_bit_exactly() {
-        let mut workload = crate::run_validated(&Spmv::tiny(42), DeltaConfig::delta(4), false);
+        let spmv = || crate::run_validated(&Spmv::tiny(42), DeltaConfig::delta(4), false);
+        let mut workload = spmv();
         // Full-width words in every block, and a tenant section.
         let c = &mut workload.counters;
         c.tiles[3] = TileCounters::from_words(&std::array::from_fn(|i| u64::MAX - i as u64));
@@ -794,23 +759,16 @@ mod tests {
             TenantCounters::from_words(&std::array::from_fn(|i| 1u64 << (8 * i))),
             TenantCounters::default(),
         ];
-        let reports = [
-            workload,
-            simulate_image(vec![-1, i64::MIN, i64::MAX, 0, 0, -300, 7, i64::MIN + 1]),
-            simulate_image(Vec::new()), // all-zero image
-        ];
-        assert!(reports[2]
-            .dram_range(0, reports[2].dram_len())
-            .iter()
-            .all(|&w| w == 0));
-        for r in reports {
+        workload.timeline.push((u64::MAX, u32::MAX));
+        for r in [workload, spmv()] {
             let bytes = encode(&FaultOutcome::Completed(Box::new(r.clone())));
-            let back = decode(bytes.clone()).expect("fresh entry decodes");
-            // Unexpanded, the loaded report re-encodes its image as is.
-            assert_eq!(encode(&back), bytes);
+            let back = decode(&bytes).expect("fresh entry decodes");
             assert_identical(&r, back.report().expect("completed"));
-            // Expanded (by the comparison above), it re-encodes the same.
-            assert_eq!(encode(&back), bytes);
+            assert_eq!(encode(&back), bytes, "a loaded report stores as it loaded");
+            let mut released = r;
+            released.release_dram();
+            let again = encode(&FaultOutcome::Completed(Box::new(released)));
+            assert_eq!(again, bytes, "the image never reaches the entry");
         }
     }
 
@@ -819,7 +777,7 @@ mod tests {
         let out = FaultOutcome::Wedged {
             cycles: u64::MAX - 7,
         };
-        match decode(encode(&out)).unwrap() {
+        match decode(&encode(&out)).unwrap() {
             FaultOutcome::Wedged { cycles } => assert_eq!(cycles, u64::MAX - 7),
             _ => panic!("wrong kind"),
         }
@@ -948,51 +906,43 @@ mod tests {
 
     #[test]
     fn malformed_entries_are_rejected() {
-        assert!(decode(Vec::new()).is_err());
-        assert!(decode(MAGIC.to_vec()).is_err());
-        assert!(
-            decode(b"{\"format\": \"1\", \"kind\": \"wedged\", \"cycles\": \"1\"}".to_vec())
-                .is_err()
-        );
+        assert!(decode(&[]).is_err());
+        assert!(decode(MAGIC).is_err());
+        assert!(decode(b"{\"format\": \"1\", \"kind\": \"wedged\", \"cycles\": \"1\"}").is_err());
 
         // A well-formed entry of the previous format.
         let wedged = encode(&FaultOutcome::Wedged { cycles: 9 });
         let mut old = wedged.clone();
-        old[..8].copy_from_slice(b"tscache3");
-        assert!(decode(old).is_err(), "format-3 entry");
+        old[..8].copy_from_slice(b"tscache4");
+        assert!(decode(&old).is_err(), "format-4 entry");
 
         // Well-framed bodies whose content is wrong.
         let mut body = wedged[HEADER..].to_vec();
-        assert!(decode(seal(&body)).is_ok());
+        assert!(decode(&seal(&body)).is_ok());
         body[0] = 7;
-        assert!(decode(seal(&body)).is_err(), "unknown kind");
+        assert!(decode(&seal(&body)).is_err(), "unknown kind");
         body[0] = KIND_WEDGED;
         body.push(0);
-        assert!(decode(seal(&body)).is_err(), "trailing bytes after a wedge");
+        assert!(
+            decode(&seal(&body)).is_err(),
+            "trailing bytes after a wedge"
+        );
 
-        let report = simulate_image(vec![5, 6]);
-        let mut image = Vec::new();
-        report.encode_dram_image(&mut image);
+        let report = crate::run_validated(&Spmv::tiny(42), DeltaConfig::delta(2), false);
         let done = encode(&FaultOutcome::Completed(Box::new(report)));
         let body = &done[HEADER..];
+        assert!(decode(&seal(body)).is_ok());
         let tiles_at = 1 + 8 * (3 + SimProfile::WORDS + FaultReport::WORDS);
         let mut huge = body.to_vec();
         huge[tiles_at..tiles_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode(seal(&huge)).is_err(), "tile count past the body");
-        let head = &body[..body.len() - image.len()];
-        let with_image = |img: &[u8]| seal(&[head, img].concat());
-        assert!(decode(with_image(&image)).is_ok());
+        assert!(decode(&seal(&huge)).is_err(), "tile count past the body");
         assert!(
-            decode(with_image(&[4, 3, 2, 1, 1])).is_err(),
-            "segment past the image"
+            decode(&seal(&[body, &[0]].concat())).is_err(),
+            "trailing bytes after the timeline"
         );
         assert!(
-            decode(with_image(&image[..image.len() - 1])).is_err(),
-            "image cut short"
-        );
-        assert!(
-            decode(with_image(&[0xff; 11])).is_err(),
-            "varint past 64 bits"
+            decode(&seal(&body[..body.len() - 1])).is_err(),
+            "timeline cut short"
         );
     }
 }

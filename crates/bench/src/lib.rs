@@ -202,16 +202,16 @@ fn job_key(j: &SweepJob, inputs: &KeyInputs) -> String {
 /// bench JSON sum the same counters warm or cold.
 ///
 /// Nothing after [`run_checked`] reads a report's DRAM, so a fresh
-/// report is [compacted](RunReport::compact_dram) before it is stored
-/// or returned: the sweep holds every outcome until it ends, and both
-/// a cold and a warm outcome then keep only the encoded image.
+/// report's image is [released](RunReport::release_dram) before it is
+/// stored or returned: the sweep holds every outcome until it ends,
+/// and a cold outcome then holds what a warm one loads.
 fn run_sweep_job(j: &SweepJob, key: Option<&str>) -> FaultOutcome {
     if let Some(out) = key.and_then(|k| cache::load(k, j.faulted)) {
         return out;
     }
     let mut out = run_checked(j.wl.as_ref(), j.cfg.clone(), j.baseline, j.faulted);
     if let FaultOutcome::Completed(report) = &mut out {
-        report.compact_dram();
+        report.release_dram();
     }
     if let Some(k) = key {
         cache::store(k, &out);

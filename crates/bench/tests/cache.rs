@@ -17,7 +17,10 @@ use taskstream_model::{
 };
 use ts_bench::{cache, experiments, run_jobs, FaultOutcome, SweepJob};
 use ts_cgra::FabricConfig;
-use ts_delta::{DeltaConfig, FaultsConfig, RunReport, TenancyConfig, TenantSpec};
+use ts_delta::{
+    DeltaConfig, DispatchCounters, DramCounters, FaultReport, FaultsConfig, NocCounters, RunReport,
+    SimProfile, TenancyConfig, TenantCounters, TenantSpec, TileCounters,
+};
 use ts_dfg::{Dfg, DfgBuilder};
 use ts_mem::WriteMode;
 use ts_stream::{Affine, DataSrc, StreamDesc};
@@ -564,13 +567,28 @@ fn only_entry(dir: &Path, job: &SweepJob) -> (PathBuf, Vec<u8>) {
     (files[0].clone(), bytes)
 }
 
-/// The sweep keeps a freshly simulated report with its DRAM image
-/// encoded, not dense. Such a report still validates, expanding the
-/// image on first read, and it stores the same entry bytes as the
-/// report a warm run loads back.
+/// Bytes of a format-5 completed entry for `r`: header, kind, the
+/// scalars and counter blocks, and the timeline, with nothing after it.
+fn image_free_len(r: &RunReport) -> usize {
+    let c = &r.counters;
+    let words = 3
+        + SimProfile::WORDS
+        + FaultReport::WORDS
+        + c.tiles.len() * TileCounters::WORDS
+        + NocCounters::WORDS
+        + DramCounters::WORDS
+        + DispatchCounters::WORDS
+        + c.tenants.len() * TenantCounters::WORDS;
+    24 + 1 + 8 * words + 3 * 4 + 12 * r.timeline.len()
+}
+
+/// The sweep releases a fresh report's DRAM image once the report is
+/// checked. So the cold, the uncached and the warm outcome of one job
+/// hold no image, they store byte-identical entries, and an entry ends
+/// with the timeline: no image reaches the disk.
 #[test]
-fn compacted_outcomes_validate_and_store_like_loaded_ones() {
-    let guard = CacheGuard::new("compacted");
+fn cold_uncached_and_warm_outcomes_store_one_image_free_entry() {
+    let guard = CacheGuard::new("released");
     let faulted = experiments::plan("fig_faults", Scale::Tiny).jobs;
     let overall = experiments::plan("fig_overall", Scale::Tiny).jobs;
     for job in [&overall[0], &overall[1], &faulted[0]] {
@@ -580,28 +598,86 @@ fn compacted_outcomes_validate_and_store_like_loaded_ones() {
         assert_eq!(cache::stats().stores, 1, "a cold job simulates and stores");
         let key = cache::key(job.wl.as_ref(), &job.cfg, job.baseline, job.faulted);
         let stored = std::fs::read(guard.dir.join(format!("{key}.bin"))).expect("entry readable");
-        let report = cold[0].report().expect("the job completes");
         let name = job.wl.name();
-        job.wl
-            .validate(report)
-            .unwrap_or_else(|e| panic!("{name}: compacted report fails validation: {e}"));
-        report
-            .check_conservation(job.cfg.tiles)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let report = cold[0].report().expect("the job completes");
+        assert_eq!(stored.len(), image_free_len(report), "{name}: entry size");
 
         cache::set_enabled(false);
-        let fresh = run_jobs(std::slice::from_ref(job));
+        let uncached = run_jobs(std::slice::from_ref(job));
         cache::set_enabled(true);
         let warm = run_jobs(std::slice::from_ref(job));
         assert_eq!(cache::stats().hits, 1, "a warm job loads");
-        let entry = |tag: &str, out: &FaultOutcome| {
+        for (tag, out) in [
+            ("cold", &cold[0]),
+            ("uncached", &uncached[0]),
+            ("warm", &warm[0]),
+        ] {
+            let report = out.report().expect("the job completes");
+            assert!(
+                report.dram_released(),
+                "{name}: the {tag} outcome kept its image"
+            );
             cache::store(tag, out);
-            std::fs::read(guard.dir.join(format!("{tag}.bin"))).expect("entry readable")
-        };
-        assert_eq!(entry("cold", &cold[0]), stored, "{name}: compacted");
-        assert_eq!(entry("fresh", &fresh[0]), stored, "{name}: uncached");
-        assert_eq!(entry("warm", &warm[0]), stored, "{name}: loaded");
+            let entry = std::fs::read(guard.dir.join(format!("{tag}.bin"))).expect("readable");
+            assert_eq!(entry, stored, "{name}: the {tag} outcome's entry");
+        }
     }
+}
+
+/// The entry checksum: the cache's word-at-a-time hash of the body's
+/// length and bytes.
+fn entry_checksum(body: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |w: u64| h = (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
+    mix(body.len() as u64);
+    for chunk in body.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        mix(u64::from_le_bytes(word));
+    }
+    h
+}
+
+/// An entry that a format-4 build left at a key's path (today's layout
+/// followed by a DRAM image, under a valid header) is a miss, and the
+/// job's next store replaces it.
+#[test]
+fn a_format_4_entry_is_a_miss_and_the_next_store_replaces_it() {
+    let guard = CacheGuard::new("format4");
+    let job = &experiments::plan("fig_overall", Scale::Tiny).jobs[0];
+    let key = cache::key(job.wl.as_ref(), &job.cfg, job.baseline, job.faulted);
+    let (path, current) = only_entry(&guard.dir, job);
+    assert_eq!(&current[..8], b"tscache5");
+    assert_eq!(
+        current[16..24],
+        entry_checksum(&current[24..]).to_le_bytes(),
+        "the checksum above is the cache's"
+    );
+    // a 4-word image whose words 1 and 2 are 3 and -3 (zig-zag 6 and 5)
+    let mut body = current[24..].to_vec();
+    body.extend_from_slice(&[4, 1, 2, 6, 5]);
+    let old = [
+        &b"tscache4"[..],
+        &(body.len() as u64).to_le_bytes(),
+        &entry_checksum(&body).to_le_bytes(),
+        &body,
+    ]
+    .concat();
+    std::fs::write(&path, &old).expect("plant the format-4 entry");
+
+    cache::reset_stats();
+    assert!(
+        cache::load(&key, job.faulted).is_none(),
+        "a format-4 entry hit"
+    );
+    run_jobs(std::slice::from_ref(job));
+    let s = cache::stats();
+    assert_eq!((s.hits, s.misses, s.stores), (0, 2, 1), "{s:?}");
+    assert_eq!(std::fs::read(&path).expect("entry readable"), current);
+    assert!(
+        cache::load(&key, job.faulted).is_some(),
+        "the new entry hits"
+    );
 }
 
 /// Every truncation and every single-byte flip of a real completed

@@ -284,7 +284,7 @@ impl Dram {
     /// when the final report takes ownership of memory contents — the
     /// store can be tens of MiB, and the DRAM is dropped right after,
     /// so a clone would be pure memcpy waste. The store keeps its
-    /// [`Storage::touched`] mark.
+    /// touched mark.
     pub fn take_storage(&mut self) -> Storage {
         std::mem::replace(&mut self.storage, Storage::new(0))
     }

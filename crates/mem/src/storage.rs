@@ -24,12 +24,11 @@ thread_local! {
 /// is always a workload-construction bug and silently returning zero
 /// would hide it.
 ///
-/// The store also remembers how far writes have reached:
-/// [`Storage::touched`] is one past the highest word any
-/// [`write`](Storage::write), [`update`](Storage::update) or
-/// [`load`](Storage::load) has touched, so every word at or above it
-/// is still zero. Callers that walk the contents (the result cache's
-/// image encoder) stop there instead of scanning the whole capacity,
+/// The store also remembers how far writes have reached: its touched
+/// mark is one past the highest word any [`write`](Storage::write),
+/// [`update`](Storage::update) or [`load`](Storage::load) has touched,
+/// so every word at or above it is still zero. A large store dropped
+/// for reuse is cleared only up to there, not over the whole capacity,
 /// most of which a run never touches.
 ///
 /// # Examples
@@ -41,7 +40,6 @@ thread_local! {
 /// s.write(3, -7);
 /// assert_eq!(s.read(3), -7);
 /// assert_eq!(s.read(4), 0); // untouched words read as zero
-/// assert_eq!(s.touched(), 4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Storage {
@@ -108,7 +106,8 @@ impl Storage {
     /// word from here to [`len`](Storage::len) reads as zero. A write
     /// of zero still counts, so this is an upper bound on the non-zero
     /// words, not an exact one.
-    pub fn touched(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn touched(&self) -> usize {
         self.touched
     }
 
