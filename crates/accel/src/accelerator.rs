@@ -146,6 +146,8 @@ impl Accelerator {
     }
 }
 
+/// DRAM words above the image set aside for pipe spill buffers. The
+/// capacity covers them; the store allocates only what spills write.
 const SPILL_RESERVE: u64 = 1 << 20;
 
 struct RunState {
@@ -342,8 +344,10 @@ impl RunState {
             .max((spill_base + SPILL_RESERVE + 4096) as usize);
         let mc_nodes: Vec<usize> = (0..cfg.mem_ctrls).map(|m| cfg.mc_node(m)).collect();
         let mut memctrl = MemCtrl::new(dram_cfg, mc_nodes, cfg.mesh_dims().0);
+        let dram = memctrl.dram_mut().storage_mut();
+        dram.reserve(spill_base as usize);
         for (base, words) in &image.dram {
-            memctrl.dram_mut().storage_mut().load(*base, words);
+            dram.load(*base, words);
         }
 
         let mut tiles: Vec<Tile> = (0..cfg.tiles)

@@ -35,6 +35,7 @@
 //!   compared.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use taskstream_model::{
     CompletedTask, OutputBinding, PipeId, Program, Spawner, TaskId, TaskInstance, TaskType, Value,
@@ -76,7 +77,7 @@ struct FlatMem {
 impl FlatMem {
     /// Loads image `segments`; the dense array ends at their high-water
     /// mark.
-    fn new(segments: &[(Addr, Vec<Value>)]) -> Self {
+    fn new(segments: &[(Addr, Arc<[Value]>)]) -> Self {
         let high_water = segments
             .iter()
             .map(|(b, w)| b + w.len() as u64)
@@ -206,8 +207,8 @@ pub fn check_equivalence(timed: &RunReport, oracle: &OracleOutcome) -> Result<()
     let len = timed.dram_len();
     let mem = &oracle.dram;
     let shared = mem.dense.len().min(len);
-    let dense = timed
-        .dram_range(0, shared)
+    let timed_dense = timed.dram_range(0, shared);
+    let dense = timed_dense
         .iter()
         .zip(&mem.dense)
         .enumerate()

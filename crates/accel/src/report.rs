@@ -2,6 +2,7 @@
 
 use crate::faults::FaultReport;
 use crate::trace::TraceRecord;
+use std::borrow::Cow;
 use taskstream_model::Value;
 use ts_mem::{DramCounters, Storage};
 use ts_noc::NocCounters;
@@ -337,13 +338,14 @@ impl RunReport {
         self.image().read(addr)
     }
 
-    /// Reads a contiguous range of the final DRAM image.
+    /// Reads a contiguous range of the final DRAM image; words past the
+    /// highest one the run wrote read as zero (see [`Storage::read_range`]).
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds, or if the image was
     /// [released](RunReport::release_dram).
-    pub fn dram_range(&self, base: Addr, len: usize) -> &[Value] {
+    pub fn dram_range(&self, base: Addr, len: usize) -> Cow<'_, [Value]> {
         self.image().read_range(base, len)
     }
 
@@ -532,8 +534,9 @@ impl RunReport {
 mod tests {
     use super::*;
 
-    fn report_with(words: &[Value]) -> RunReport {
-        let mut dram = Storage::new(words.len());
+    /// A report whose DRAM of `capacity` words starts with `words`.
+    fn report_with(words: &[Value], capacity: usize) -> RunReport {
+        let mut dram = Storage::new(capacity);
         dram.load(0, words);
         RunReport::new(
             7,
@@ -605,8 +608,17 @@ mod tests {
     }
 
     #[test]
+    fn ranges_over_the_unwritten_tail_read_zeros() {
+        let r = report_with(&[5, 6], 8);
+        assert_eq!(r.dram_len(), 8, "the length is the capacity");
+        assert_eq!(r.dram_range(0, 8), &[5, 6, 0, 0, 0, 0, 0, 0][..]);
+        assert_eq!(r.dram_range(6, 2), &[0, 0][..]);
+        assert_eq!(r.dram(7), 0);
+    }
+
+    #[test]
     fn a_released_image_panics_instead_of_reading_zeros() {
-        let mut r = report_with(&[0, 4, 0]);
+        let mut r = report_with(&[0, 4, 0], 3);
         assert_eq!((r.dram_len(), r.dram(1)), (3, 4));
         assert!(!r.dram_released());
         r.release_dram();

@@ -90,11 +90,6 @@ impl TaskNode {
         self.ready.saturating_sub(self.spawn)
     }
 
-    /// Dispatcher-queue segment (contention, excluded from the DAG).
-    pub fn queue_wait(&self) -> u64 {
-        self.dispatch.saturating_sub(self.ready)
-    }
-
     /// Tile-residency segment (dispatch → complete).
     pub fn service(&self) -> u64 {
         self.complete.saturating_sub(self.dispatch)
@@ -272,7 +267,6 @@ pub struct WhatIf {
     pub clamped_segments: u64,
     /// Node indices in topological order (computed once).
     topo: Vec<usize>,
-    id_index: HashMap<u64, usize>,
 }
 
 impl WhatIf {
@@ -531,13 +525,7 @@ impl WhatIf {
             mcast_joins,
             clamped_segments,
             topo,
-            id_index,
         }
-    }
-
-    /// Node index for a task id, if the task completed.
-    pub fn index_of(&self, task: u64) -> Option<usize> {
-        self.id_index.get(&task).copied()
     }
 
     /// Total work: Σ service cycles over all nodes.

@@ -10,7 +10,7 @@
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use taskstream_model::{
     CompletedTask, InputBinding, MemoryImage, MergeKernel, OutputBinding, PipeId, Policy, Program,
     RegionId, Spawner, TaskInstance, TaskKernel, TaskType, TaskTypeId,
@@ -24,7 +24,9 @@ use ts_delta::{
 use ts_dfg::{Dfg, DfgBuilder};
 use ts_mem::WriteMode;
 use ts_stream::{Affine, DataSrc, StreamDesc};
-use ts_workloads::{sparse_chain::SparseChain, spmv::Spmv, Scale, Workload, WorkloadInfo};
+use ts_workloads::{
+    bfs::Bfs, sparse_chain::SparseChain, spmv::Spmv, Scale, Workload, WorkloadInfo,
+};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -191,6 +193,34 @@ fn key_changes_with_config_seed_and_salt() {
     // And the key is stable where it should be: same inputs, same key.
     assert_eq!(base, cache::key_with_salt(&wl, &cfg, false, false, 1));
     assert_eq!(base.len(), 64, "sha-256 hex");
+}
+
+/// The keys of three stock programs, pinned at a fixed salt: how a
+/// program and its memory image hash is part of the cache format, so a
+/// change to it (a segment's type, a field's order) must move these
+/// strings on purpose, not by accident.
+#[test]
+fn stock_program_keys_are_pinned() {
+    let key = |wl: &dyn Workload, cfg: &DeltaConfig, baseline: bool| {
+        cache::key_with_salt(wl, cfg, baseline, false, 7)
+    };
+    let delta = DeltaConfig::delta(8);
+    assert_eq!(
+        key(&Spmv::tiny(experiments::SEED), &delta, false),
+        "22f182864fda77fed10ca672bed0337c26c2d91dfa9db5a2f9a84d63af11127b"
+    );
+    assert_eq!(
+        key(&SparseChain::tiny(experiments::SEED), &delta, false),
+        "5f7dcb4ccbad577b5a73bcc9e9fd8bafa161e285fa9e615605e5de9b5387c1c2"
+    );
+    assert_eq!(
+        key(
+            &Bfs::tiny(experiments::SEED),
+            &DeltaConfig::static_parallel(8),
+            true
+        ),
+        "edef31527b183fde617c40d983abef8c92c6e8c403d49adde76bf8b508c0d49f"
+    );
 }
 
 /// Two programs that differ only in a DFG constant are two programs:
@@ -489,8 +519,12 @@ fn every_program_field_reaches_the_key() {
         }),
         // Pipes, memory image and kernels.
         ("capacity_hint", |h| h.pipes[0] = 65),
-        ("DRAM word", |h| h.image.dram[0].1[2] = 9),
-        ("scratchpad word", |h| h.image.spad[0].1[1] = 9),
+        ("DRAM word", |h| {
+            Arc::make_mut(&mut h.image.dram[0].1)[2] = 9
+        }),
+        ("scratchpad word", |h| {
+            Arc::make_mut(&mut h.image.spad[0].1)[1] = 9
+        }),
         ("DFG constant", |h| {
             h.types[0].kernel = TaskKernel::dfg(axpy(4, false));
         }),

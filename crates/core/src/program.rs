@@ -11,17 +11,24 @@
 
 use crate::task::{PipeId, TaskId, TaskInstance, TaskType, TaskTypeId};
 use crate::Value;
+use std::sync::Arc;
 use ts_stream::Addr;
 
 /// Initial memory contents for a run.
+///
+/// Segments are shared, not owned: a workload builds its segments once
+/// and every [`Program::memory_image`] call hands out clones of the
+/// same [`Arc`]s, so the image costs reference counts rather than
+/// copies however many runs, oracle checks and fingerprints read it.
+/// An `Arc<[Value]>` hashes like the `Vec<Value>` it was made from.
 #[derive(Debug, Clone, Default, Hash)]
 pub struct MemoryImage {
     /// `(base, words)` segments loaded into DRAM before the run.
-    pub dram: Vec<(Addr, Vec<Value>)>,
+    pub dram: Vec<(Addr, Arc<[Value]>)>,
     /// `(base, words)` segments replicated into *every* tile's
     /// scratchpad before the run (read-mostly tables: hash tables,
     /// tree nodes, centroids).
-    pub spad: Vec<(Addr, Vec<Value>)>,
+    pub spad: Vec<(Addr, Arc<[Value]>)>,
 }
 
 impl MemoryImage {
@@ -31,13 +38,13 @@ impl MemoryImage {
     }
 
     /// Adds a DRAM segment.
-    pub fn dram_segment(mut self, base: Addr, words: impl Into<Vec<Value>>) -> Self {
+    pub fn dram_segment(mut self, base: Addr, words: impl Into<Arc<[Value]>>) -> Self {
         self.dram.push((base, words.into()));
         self
     }
 
     /// Adds a replicated scratchpad segment.
-    pub fn spad_segment(mut self, base: Addr, words: impl Into<Vec<Value>>) -> Self {
+    pub fn spad_segment(mut self, base: Addr, words: impl Into<Arc<[Value]>>) -> Self {
         self.spad.push((base, words.into()));
         self
     }
@@ -45,15 +52,6 @@ impl MemoryImage {
     /// Highest DRAM word touched plus one (for sizing).
     pub fn dram_high_water(&self) -> u64 {
         self.dram
-            .iter()
-            .map(|(b, w)| b + w.len() as u64)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Highest scratchpad word touched plus one (for sizing).
-    pub fn spad_high_water(&self) -> u64 {
-        self.spad
             .iter()
             .map(|(b, w)| b + w.len() as u64)
             .max()
@@ -144,7 +142,9 @@ pub trait Program {
     /// reference.
     fn task_types(&self) -> Vec<TaskType>;
 
-    /// Initial DRAM/scratchpad contents.
+    /// Initial DRAM/scratchpad contents. Called for every run, oracle
+    /// check and cache fingerprint, so it should hand out clones of
+    /// segments built once rather than build them anew.
     fn memory_image(&self) -> MemoryImage;
 
     /// Seeds the run with initial tasks (and pipes).
@@ -197,8 +197,7 @@ mod tests {
             .dram_segment(10, vec![1, 2, 3])
             .dram_segment(100, vec![5])
             .spad_segment(0, vec![7; 8]);
-        assert_eq!(img.dram_high_water(), 101);
-        assert_eq!(img.spad_high_water(), 8);
+        assert_eq!(img.dram_high_water(), 101, "scratchpad words don't count");
         assert_eq!(MemoryImage::new().dram_high_water(), 0);
     }
 }

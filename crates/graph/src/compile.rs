@@ -98,18 +98,6 @@ pub struct CompiledGraph {
     triggers: Vec<Vec<usize>>,
 }
 
-impl CompiledGraph {
-    /// Tasks spawned at program start.
-    pub fn initial_task_count(&self) -> usize {
-        self.initial_tasks.len()
-    }
-
-    /// Pipes declared at program start.
-    pub fn initial_pipe_count(&self) -> usize {
-        self.initial_pipes.len()
-    }
-}
-
 impl fmt::Debug for CompiledGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledGraph")

@@ -283,8 +283,7 @@ impl Dram {
     /// Moves the backing store out, leaving an empty one behind. Used
     /// when the final report takes ownership of memory contents — the
     /// store can be tens of MiB, and the DRAM is dropped right after,
-    /// so a clone would be pure memcpy waste. The store keeps its
-    /// touched mark.
+    /// so a clone would be pure memcpy waste.
     pub fn take_storage(&mut self) -> Storage {
         std::mem::replace(&mut self.storage, Storage::new(0))
     }
@@ -708,10 +707,9 @@ mod tests {
         assert!(outs[0].is_write_ack && outs[0].last);
         assert_eq!(d.storage().read(3), 30);
         assert_eq!(d.storage().read(4), 40);
-        // the served write marks its words touched, and the mark moves
-        // out with the store
-        assert_eq!(d.take_storage().touched(), 5);
-        assert_eq!(d.storage().touched(), 0);
+        // the written words move out with the store
+        assert_eq!(d.take_storage().read_range(3, 2), &[30, 40][..]);
+        assert!(d.storage().is_empty());
     }
 
     #[test]

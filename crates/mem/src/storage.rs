@@ -1,35 +1,19 @@
 //! Functional word-addressed backing store.
 
 use crate::{Addr, Value};
-use std::cell::Cell;
-
-/// Stores of at least this many words are recycled (see [`SPARE`]).
-/// Smaller ones, scratchpads among them, are cheap to allocate afresh.
-const RECYCLE_WORDS: usize = 1 << 16;
-
-thread_local! {
-    /// The last large store this thread dropped, already zeroed, for
-    /// the next large [`Storage::new`]. A DRAM store spans millions of
-    /// words of which a run touches a small share. Allocated afresh,
-    /// each one is either mapped anew (page faults on every touched
-    /// page) or, once the allocator has seen such a block freed,
-    /// carved from its heap and zeroed in full. Recycled, it costs a
-    /// clear of the words the previous run touched.
-    static SPARE: Cell<Vec<Value>> = const { Cell::new(Vec::new()) };
-}
+use std::borrow::Cow;
 
 /// A flat, word-addressed store of `i64` values.
 ///
-/// Reads outside the configured capacity panic: an out-of-range address
-/// is always a workload-construction bug and silently returning zero
-/// would hide it.
+/// Its capacity bounds the addresses it accepts: an access at or past
+/// it panics, because an out-of-range address is always a
+/// workload-construction bug and silently returning zero would hide it.
 ///
-/// The store also remembers how far writes have reached: its touched
-/// mark is one past the highest word any [`write`](Storage::write),
-/// [`update`](Storage::update) or [`load`](Storage::load) has touched,
-/// so every word at or above it is still zero. A large store dropped
-/// for reuse is cleared only up to there, not over the whole capacity,
-/// most of which a run never touches.
+/// Memory follows what a run writes, not the capacity: the backing
+/// words end at the highest word any [`write`](Storage::write),
+/// [`update`](Storage::update) or [`load`](Storage::load) has reached,
+/// and every word past them reads as zero. A DRAM store spans millions
+/// of words of which a run touches a small share.
 ///
 /// # Examples
 ///
@@ -43,9 +27,9 @@ thread_local! {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Storage {
+    /// Words from address zero up to the highest one written.
     words: Vec<Value>,
-    /// One past the highest word ever written; zero for a fresh store.
-    touched: usize,
+    capacity: usize,
 }
 
 /// Read-modify-write modes supported by the memory system's update units.
@@ -71,44 +55,23 @@ impl WriteMode {
 }
 
 impl Storage {
-    /// Creates a zero-initialized store of `words` words. A large one
-    /// reuses the allocation of the last large store this thread
-    /// dropped, which was cleared up to its touched mark on the way
-    /// out, so making a DRAM store costs what the previous run wrote
-    /// rather than a fresh multi-megabyte allocation.
+    /// Creates a zero-initialized store of `words` words. Nothing is
+    /// allocated until a word is written.
     pub fn new(words: usize) -> Self {
-        let mut spare = Vec::new();
-        if words >= RECYCLE_WORDS {
-            spare = SPARE.try_with(Cell::take).unwrap_or_default();
-        }
-        if spare.is_empty() {
-            spare = vec![0; words];
-        } else {
-            spare.resize(words, 0);
-        }
         Storage {
-            words: spare,
-            touched: 0,
+            words: Vec::new(),
+            capacity: words,
         }
     }
 
     /// Capacity in words.
     pub fn len(&self) -> usize {
-        self.words.len()
+        self.capacity
     }
 
     /// True when capacity is zero.
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
-    /// One past the highest word ever written (zero if none was): every
-    /// word from here to [`len`](Storage::len) reads as zero. A write
-    /// of zero still counts, so this is an upper bound on the non-zero
-    /// words, not an exact one.
-    #[cfg(test)]
-    pub(crate) fn touched(&self) -> usize {
-        self.touched
+        self.capacity == 0
     }
 
     /// Reads one word.
@@ -118,7 +81,7 @@ impl Storage {
     /// Panics if `addr` is out of range.
     #[inline]
     pub fn read(&self, addr: Addr) -> Value {
-        self.words[self.check(addr)]
+        self.words.get(self.check(addr)).copied().unwrap_or(0)
     }
 
     /// Writes one word.
@@ -128,9 +91,7 @@ impl Storage {
     /// Panics if `addr` is out of range.
     #[inline]
     pub fn write(&mut self, addr: Addr, value: Value) {
-        let i = self.check(addr);
-        self.words[i] = value;
-        self.touched = self.touched.max(i + 1);
+        *self.slot(addr) = value;
     }
 
     /// Applies a read-modify-write.
@@ -140,42 +101,89 @@ impl Storage {
     /// Panics if `addr` is out of range.
     #[inline]
     pub fn update(&mut self, addr: Addr, value: Value, mode: WriteMode) {
-        let i = self.check(addr);
-        self.words[i] = mode.apply(self.words[i], value);
-        self.touched = self.touched.max(i + 1);
+        let word = self.slot(addr);
+        *word = mode.apply(*word, value);
     }
 
-    /// Copies a slice into memory starting at `base`. An empty slice
-    /// touches nothing.
+    /// Allocates room for the words below `end` (at most the capacity)
+    /// ahead of the [`load`](Storage::load)s that will write them, so
+    /// an image loads into one allocation of exactly its size.
+    pub fn reserve(&mut self, end: usize) {
+        let end = end.min(self.capacity);
+        self.words
+            .reserve_exact(end.saturating_sub(self.words.len()));
+    }
+
+    /// Copies a slice into memory starting at `base`, growing the
+    /// backing words to its end. An empty slice touches nothing.
     ///
     /// # Panics
     ///
     /// Panics if the slice does not fit.
     pub fn load(&mut self, base: Addr, data: &[Value]) {
         let start = self.check_span(base, data.len());
-        self.words[start..start + data.len()].copy_from_slice(data);
-        if !data.is_empty() {
-            self.touched = self.touched.max(start + data.len());
+        if data.is_empty() {
+            return;
+        }
+        if start >= self.words.len() {
+            self.words.resize(start, 0);
+            self.words.extend_from_slice(data);
+        } else {
+            let end = start + data.len();
+            if end > self.words.len() {
+                self.words.resize(end, 0);
+            }
+            self.words[start..end].copy_from_slice(data);
         }
     }
 
-    /// Reads `len` consecutive words starting at `base`.
+    /// Reads `len` consecutive words starting at `base`: borrowed when
+    /// they were all written, a zero-padded copy when the range runs
+    /// past the highest word written.
     ///
     /// # Panics
     ///
     /// Panics if the range does not fit.
-    pub fn read_range(&self, base: Addr, len: usize) -> &[Value] {
+    pub fn read_range(&self, base: Addr, len: usize) -> Cow<'_, [Value]> {
         let start = self.check_span(base, len);
-        &self.words[start..start + len]
+        match self.words.get(start..start + len) {
+            Some(words) => Cow::Borrowed(words),
+            None => {
+                let mut words = self.words.get(start..).unwrap_or_default().to_vec();
+                words.resize(len, 0);
+                Cow::Owned(words)
+            }
+        }
+    }
+
+    /// The word at `addr`, growing the backing words to reach it.
+    #[inline]
+    fn slot(&mut self, addr: Addr) -> &mut Value {
+        let i = self.check(addr);
+        if i >= self.words.len() {
+            self.grow(i + 1);
+        }
+        &mut self.words[i]
+    }
+
+    /// Extends the backing words to `end`, at least doubling the
+    /// allocation (so a run of writes up an address range costs
+    /// amortized constant time) but never past the capacity.
+    #[cold]
+    fn grow(&mut self, end: usize) {
+        let len = self.words.len();
+        let target = end.max(2 * len).min(self.capacity);
+        self.words.reserve_exact(target - len);
+        self.words.resize(end, 0);
     }
 
     #[inline]
     fn check(&self, addr: Addr) -> usize {
         let i = addr as usize;
         assert!(
-            i < self.words.len(),
+            i < self.capacity,
             "address {addr} out of range (capacity {})",
-            self.words.len()
+            self.capacity
         );
         i
     }
@@ -185,24 +193,11 @@ impl Storage {
         assert!(
             start
                 .checked_add(len)
-                .is_some_and(|end| end <= self.words.len()),
+                .is_some_and(|end| end <= self.capacity),
             "range {base}+{len} out of range (capacity {})",
-            self.words.len()
+            self.capacity
         );
         start
-    }
-}
-
-impl Drop for Storage {
-    /// Hands a large store back for reuse, cleared up to its touched
-    /// mark (every word above it is zero already).
-    fn drop(&mut self) {
-        if self.words.len() >= RECYCLE_WORDS {
-            self.words[..self.touched].fill(0);
-            let words = std::mem::take(&mut self.words);
-            // a thread that is exiting frees the store instead
-            let _ = SPARE.try_with(|spare| spare.set(words));
-        }
     }
 }
 
@@ -249,47 +244,62 @@ mod tests {
     fn load_and_read_range() {
         let mut s = Storage::new(10);
         s.load(4, &[5, 6, 7]);
-        assert_eq!(s.read_range(4, 3), &[5, 6, 7]);
+        assert_eq!(s.read_range(4, 3), &[5, 6, 7][..]);
         assert_eq!(s.read(3), 0);
     }
 
     #[test]
-    fn touched_follows_the_highest_write() {
-        let mut s = Storage::new(100);
-        assert_eq!(s.touched(), 0);
-        s.write(9, 0);
-        assert_eq!(s.touched(), 10, "a zero write still touches its word");
-        s.write(3, 1);
-        assert_eq!(s.touched(), 10, "a lower write does not shrink it");
-        s.update(19, 5, WriteMode::Add);
-        assert_eq!(s.touched(), 20);
-        s.update(19, -5, WriteMode::Add);
-        assert_eq!(s.touched(), 20, "an update back to zero keeps it");
-        s.update(29, 0, WriteMode::Min);
-        assert_eq!(s.touched(), 30);
-        s.load(90, &[]);
-        assert_eq!(s.touched(), 30, "an empty load touches nothing");
-        s.load(40, &[1, 2]);
-        assert_eq!(s.touched(), 42);
-        s.write(99, 7);
-        assert_eq!(s.touched(), 100, "the last word");
+    fn writes_grow_the_store_and_unwritten_words_read_zero() {
+        let mut s = Storage::new(1000);
+        assert!(s.words.is_empty(), "a fresh store allocates nothing");
+        s.write(990, 5);
+        assert_eq!(s.words.len(), 991, "the write near capacity grew it");
+        assert_eq!(s.read(990), 5);
+        assert_eq!((s.read(0), s.read(989)), (0, 0), "below the write");
+        assert_eq!(s.read(999), 0, "past the grown end");
+        s.update(995, -3, WriteMode::Add);
+        assert_eq!(s.read(995), -3);
+        assert!(s.words.capacity() <= 1000, "growth stops at capacity");
         let copy = s.clone();
-        assert_eq!(copy.touched(), 100);
-        assert_eq!(Storage::new(8).touched(), 0);
+        assert_eq!((copy.read(990), copy.read(995)), (5, -3));
     }
 
     #[test]
-    fn a_recycled_store_reads_as_zero() {
-        let n = RECYCLE_WORDS + 100;
-        // same size, shrunk, regrown within the old allocation, grown
-        for words in [n, n, n - 20, n, n + 300] {
-            let mut s = Storage::new(words);
-            assert_eq!(s.touched(), 0);
-            assert!(s.read_range(0, words).iter().all(|&w| w == 0));
-            s.write(0, 1);
-            s.load(500, &[3; 10]);
-            s.update(words as Addr - 50, 5, WriteMode::Add);
-            s.write(words as Addr - 1, -1);
+    fn the_allocation_follows_the_writes_not_the_capacity() {
+        let mut s = Storage::new(1 << 40);
+        s.reserve(103);
+        s.load(100, &[1, 2, 3]);
+        s.load(0, &[4; 100]);
+        assert_eq!(s.words.len(), 103, "the loads grew it to their end");
+        assert_eq!(s.words.capacity(), 103, "into the one reserved allocation");
+        assert_eq!((s.read(99), s.read(100), s.read(102)), (4, 1, 3));
+        s.load(7, &[]);
+        s.load(900, &[]);
+        assert_eq!(s.words.len(), 103, "an empty load touches nothing");
+        for a in 0..500 {
+            s.write(a, a as Value);
         }
+        assert_eq!(s.words.len(), 500);
+        assert!(s.words.capacity() < 1000, "doubling, not capacity");
+        assert_eq!(s.read((1 << 40) - 1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn an_address_at_capacity_panics_even_unwritten() {
+        let mut s = Storage::new(1 << 40);
+        s.write(3, 1);
+        s.read(1 << 40);
+    }
+
+    #[test]
+    fn ranges_past_the_grown_end_read_zeros() {
+        let mut s = Storage::new(64);
+        s.load(4, &[5, 6, 7]);
+        assert!(matches!(s.read_range(4, 3), Cow::Borrowed(&[5, 6, 7])));
+        assert_eq!(s.read_range(5, 6), &[6, 7, 0, 0, 0, 0][..]);
+        assert_eq!(s.read_range(40, 24), &[0; 24][..]);
+        assert_eq!(s.read_range(64, 0), &[][..]);
+        assert_eq!(Storage::new(8).read_range(0, 8), &[0; 8][..]);
     }
 }

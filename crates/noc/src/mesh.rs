@@ -304,11 +304,6 @@ impl<P: Clone> Mesh<P> {
         }
     }
 
-    /// Space left in the injection queue at `src`.
-    pub fn inject_space(&self, src: NodeId) -> usize {
-        self.queues[src][INJECT_PORT].free_space()
-    }
-
     /// Removes the oldest delivered payload at `node`, if any.
     pub fn eject(&mut self, node: NodeId) -> Option<P> {
         let p = self.eject[node].pop();

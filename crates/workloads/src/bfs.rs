@@ -10,6 +10,7 @@
 
 use crate::{check_range, Workload, WorkloadInfo};
 use std::collections::VecDeque;
+use std::iter::repeat_n;
 use taskstream_model::{
     CompletedTask, MemoryImage, Program, Spawner, TaskInstance, TaskKernel, TaskType, TaskTypeId,
 };
@@ -27,7 +28,10 @@ pub struct Bfs {
     /// Vertex count.
     pub n: usize,
     offsets: Vec<usize>,
-    adj: Vec<i64>,
+    /// Adjacency and initial distances, built once and shared by every
+    /// program; the baseline's adds the sweep's source-vertex list.
+    image: MemoryImage,
+    baseline_image: MemoryImage,
     dist_ref: Vec<i64>,
 }
 
@@ -74,12 +78,19 @@ impl Bfs {
                 }
             }
         }
-        Bfs {
+        let mut w = Bfs {
             n,
             offsets,
-            adj,
+            image: MemoryImage::new(),
+            baseline_image: MemoryImage::new(),
             dist_ref,
-        }
+        };
+        let mut dist = vec![-1i64; n];
+        dist[0] = 0;
+        w.image = MemoryImage::new()
+            .dram_segment(ADJ_BASE, adj)
+            .dram_segment(w.dist_base(), dist);
+        w.with_baseline_image()
     }
 
     /// Test-sized instance.
@@ -94,7 +105,20 @@ impl Bfs {
 
     /// Edge count.
     pub fn m(&self) -> usize {
-        self.adj.len()
+        self.offsets[self.n]
+    }
+
+    /// The dynamic program's image plus, above `dist`, each edge's
+    /// source vertex, which the static sweep streams.
+    fn with_baseline_image(mut self) -> Self {
+        let us: Vec<i64> = (0..self.n)
+            .flat_map(|v| repeat_n(v as i64, self.offsets[v + 1] - self.offsets[v]))
+            .collect();
+        self.baseline_image = self
+            .image
+            .clone()
+            .dram_segment(self.dist_base() + self.n as u64, us);
+        self
     }
 
     fn dist_base(&self) -> u64 {
@@ -166,11 +190,7 @@ impl Program for BfsProgram {
     }
 
     fn memory_image(&self) -> MemoryImage {
-        let mut dist = vec![-1i64; self.wl.n];
-        dist[0] = 0;
-        MemoryImage::new()
-            .dram_segment(ADJ_BASE, self.wl.adj.clone())
-            .dram_segment(self.wl.dist_base(), dist)
+        self.wl.image.clone()
     }
 
     fn initial(&mut self, s: &mut Spawner) {
@@ -209,7 +229,6 @@ impl Program for BfsProgram {
 /// static dataflow hardware.
 struct BfsSweepProgram {
     wl: Bfs,
-    us: Vec<i64>,
     level: i64,
     changed: bool,
     chunk: usize,
@@ -285,12 +304,7 @@ impl Program for BfsSweepProgram {
     }
 
     fn memory_image(&self) -> MemoryImage {
-        let mut dist = vec![-1i64; self.wl.n];
-        dist[0] = 0;
-        MemoryImage::new()
-            .dram_segment(ADJ_BASE, self.wl.adj.clone())
-            .dram_segment(self.wl.dist_base(), dist)
-            .dram_segment(self.wl.dist_base() + self.wl.n as u64, self.us.clone())
+        self.wl.baseline_image.clone()
     }
 
     fn initial(&mut self, s: &mut Spawner) {
@@ -331,15 +345,8 @@ impl Workload for Bfs {
     }
 
     fn make_baseline_program(&self) -> Box<dyn Program> {
-        let mut us = Vec::with_capacity(self.m());
-        for v in 0..self.n {
-            for _ in self.offsets[v]..self.offsets[v + 1] {
-                us.push(v as i64);
-            }
-        }
         Box::new(BfsSweepProgram {
             wl: self.clone(),
-            us,
             level: 0,
             changed: false,
             chunk: 512,

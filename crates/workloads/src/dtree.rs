@@ -73,7 +73,9 @@ pub struct DTree {
     /// Points per chunk (multicast group granularity).
     pub chunk: usize,
     forest: Vec<Tree>,
-    data: Vec<i64>,
+    /// Points, zeroed predictions and the forest's nodes (scratchpad),
+    /// built once and shared by every program.
+    image: MemoryImage,
     preds_ref: Vec<i64>, // trees * points
 }
 
@@ -108,15 +110,21 @@ impl DTree {
                 preds_ref.push(tree_predict(tree, &data[p * d..(p + 1) * d]));
             }
         }
-        DTree {
+        let spad: Vec<i64> = forest.iter().flat_map(|t| &t.nodes).copied().collect();
+        let mut w = DTree {
             trees,
             points,
             d,
             chunk,
             forest,
-            data,
+            image: MemoryImage::new(),
             preds_ref,
-        }
+        };
+        w.image = MemoryImage::new()
+            .dram_segment(POINTS_BASE, data)
+            .dram_segment(w.preds_base(), vec![0; trees * points])
+            .spad_segment(0, spad);
+        w
     }
 
     /// Test-sized instance.
@@ -163,17 +171,7 @@ impl Program for DTreeProgram {
     }
 
     fn memory_image(&self) -> MemoryImage {
-        let mut spad: Vec<i64> = Vec::new();
-        for tree in &self.wl.forest {
-            spad.extend_from_slice(&tree.nodes);
-        }
-        MemoryImage::new()
-            .dram_segment(POINTS_BASE, self.wl.data.clone())
-            .dram_segment(
-                self.wl.preds_base(),
-                vec![0; self.wl.trees * self.wl.points],
-            )
-            .spad_segment(0, spad)
+        self.wl.image.clone()
     }
 
     fn initial(&mut self, s: &mut Spawner) {

@@ -24,8 +24,8 @@ pub struct Gemm {
     pub n: usize,
     /// Rows of C per task.
     pub rows_per_task: usize,
-    a: Vec<i64>,
-    b: Vec<i64>,
+    /// A, B and the zeroed C, built once and shared by every program.
+    image: MemoryImage,
     c_ref: Vec<i64>,
 }
 
@@ -41,6 +41,11 @@ impl Gemm {
         let mut rng = SimRng::seed(seed ^ 0x6E33);
         let a: Vec<i64> = (0..n * n).map(|_| rng.range_i64(-4, 5)).collect();
         let b: Vec<i64> = (0..n * n).map(|_| rng.range_i64(-4, 5)).collect();
+        Self::with_matrices(n, rows_per_task, a, b)
+    }
+
+    /// Builds the instance computing `a × b`, both `n × n` row-major.
+    fn with_matrices(n: usize, rows_per_task: usize, a: Vec<i64>, b: Vec<i64>) -> Self {
         let mut c_ref = vec![0i64; n * n];
         for i in 0..n {
             for k in 0..n {
@@ -54,13 +59,17 @@ impl Gemm {
                 }
             }
         }
-        Gemm {
+        let mut w = Gemm {
             n,
             rows_per_task,
-            a,
-            b,
+            image: MemoryImage::new(),
             c_ref,
-        }
+        };
+        w.image = MemoryImage::new()
+            .dram_segment(A_BASE, a)
+            .dram_segment(w.b_base(), b)
+            .dram_segment(w.c_base(), vec![0; n * n]);
+        w
     }
 
     /// Test-sized instance.
@@ -113,10 +122,7 @@ impl Program for GemmProgram {
     }
 
     fn memory_image(&self) -> MemoryImage {
-        MemoryImage::new()
-            .dram_segment(A_BASE, self.wl.a.clone())
-            .dram_segment(self.wl.b_base(), self.wl.b.clone())
-            .dram_segment(self.wl.c_base(), vec![0; self.wl.n * self.wl.n])
+        self.wl.image.clone()
     }
 
     fn initial(&mut self, s: &mut Spawner) {
@@ -208,29 +214,21 @@ mod tests {
     #[test]
     fn identity_times_matrix_is_matrix() {
         // hand-built identity check through the same program machinery
-        let mut w = Gemm::new(4, 2, 0);
-        w.a = vec![
+        let identity = vec![
             1, 0, 0, 0, //
             0, 1, 0, 0, //
             0, 0, 1, 0, //
             0, 0, 0, 1,
         ];
-        let mut c = vec![0i64; 16];
-        for i in 0..4 {
-            for k in 0..4 {
-                for j in 0..4 {
-                    c[i * 4 + j] += w.a[i * 4 + k] * w.b[k * 4 + j];
-                }
-            }
-        }
-        w.c_ref = c.clone();
-        assert_eq!(&w.c_ref, &c);
+        let b: Vec<i64> = (-8..8).collect();
+        let w = Gemm::with_matrices(4, 2, identity, b.clone());
+        assert_eq!(w.c_ref, b);
         let mut p = w.make_program();
         let r = Accelerator::new(DeltaConfig::delta(2))
             .run(p.as_mut())
             .unwrap();
         w.validate(&r).unwrap();
-        assert_eq!(r.dram_range(w.c_base(), 16), &w.b[..]);
+        assert_eq!(r.dram_range(w.c_base(), 16), &b[..]);
     }
 
     #[test]

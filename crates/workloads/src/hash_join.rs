@@ -39,11 +39,11 @@ pub struct HashJoin {
     pub ns: usize,
     /// Probe tuples per task.
     pub chunk: usize,
-    skeys: Vec<i64>,
-    spay: Vec<i64>,
-    haddr: Vec<i64>,
-    tkeys: Vec<i64>,
-    tvals: Vec<i64>,
+    /// Hash-table slots (keys and values each).
+    table_size: usize,
+    /// Probe keys, payloads and slots, the table's keys and values and
+    /// the zeroed sums, built once and shared by every program.
+    image: MemoryImage,
     sums_ref: Vec<i64>,
 }
 
@@ -105,16 +105,21 @@ impl HashJoin {
             }
         }
 
-        HashJoin {
+        let mut w = HashJoin {
             ns,
             chunk,
-            skeys,
-            spay,
-            haddr,
-            tkeys,
-            tvals,
+            table_size,
+            image: MemoryImage::new(),
             sums_ref,
-        }
+        };
+        w.image = MemoryImage::new()
+            .dram_segment(SKEYS, skeys)
+            .dram_segment(w.spay_base(), spay)
+            .dram_segment(w.haddr_base(), haddr)
+            .dram_segment(w.tkeys_base(), tkeys)
+            .dram_segment(w.tvals_base(), tvals)
+            .dram_segment(w.sums_base(), vec![0; n_chunks]);
+        w
     }
 
     /// Test-sized instance.
@@ -144,11 +149,11 @@ impl HashJoin {
     }
 
     fn tvals_base(&self) -> u64 {
-        self.tkeys_base() + self.tkeys.len() as u64
+        self.tkeys_base() + self.table_size as u64
     }
 
     fn sums_base(&self) -> u64 {
-        self.tvals_base() + self.tvals.len() as u64
+        self.tvals_base() + self.table_size as u64
     }
 
     /// The probe pipeline as a declarative graph: a `PerElement` probe
@@ -165,15 +170,7 @@ impl HashJoin {
             (self.tkeys_base(), self.tvals_base(), self.sums_base());
         let len_of = move |c: usize| (chunk.min(ns - c * chunk)) as u64;
         let mut g = GraphSpec::new("hash_join")
-            .memory(
-                MemoryImage::new()
-                    .dram_segment(SKEYS, self.skeys.clone())
-                    .dram_segment(spay_base, self.spay.clone())
-                    .dram_segment(haddr_base, self.haddr.clone())
-                    .dram_segment(tkeys_base, self.tkeys.clone())
-                    .dram_segment(tvals_base, self.tvals.clone())
-                    .dram_segment(sums_base, vec![0; self.n_chunks()]),
-            )
+            .memory(self.image.clone())
             .emission(Emission::ElementMajor);
         let probe = g.stage(Stage::new(
             "join_probe",
@@ -279,13 +276,7 @@ impl Program for HashJoinProgram {
     }
 
     fn memory_image(&self) -> MemoryImage {
-        MemoryImage::new()
-            .dram_segment(SKEYS, self.wl.skeys.clone())
-            .dram_segment(self.wl.spay_base(), self.wl.spay.clone())
-            .dram_segment(self.wl.haddr_base(), self.wl.haddr.clone())
-            .dram_segment(self.wl.tkeys_base(), self.wl.tkeys.clone())
-            .dram_segment(self.wl.tvals_base(), self.wl.tvals.clone())
-            .dram_segment(self.wl.sums_base(), vec![0; self.wl.n_chunks()])
+        self.wl.image.clone()
     }
 
     fn initial(&mut self, s: &mut Spawner) {
@@ -399,10 +390,13 @@ mod tests {
     #[test]
     fn reference_sums_only_matches() {
         let w = HashJoin::tiny(2);
+        let [skeys, _, haddr, tkeys, ..] = &w.image.dram[..] else {
+            panic!("hash_join's image has six segments");
+        };
         // every probe with a matching key contributes; misses don't
         let mut total_hits = 0;
         for i in 0..w.ns {
-            if w.tkeys[w.haddr[i] as usize] == w.skeys[i] {
+            if tkeys.1[haddr.1[i] as usize] == skeys.1[i] {
                 total_hits += 1;
             }
         }

@@ -35,7 +35,9 @@ pub struct KMeans {
     pub iters: usize,
     /// Points per assignment task.
     pub chunk: usize,
-    data: Vec<i64>,
+    /// Points, initial centroids and zeroed outputs, built once and
+    /// shared by every program.
+    image: MemoryImage,
     init_cents: Vec<i64>,
     cents_ref: Vec<i64>,
     assign_ref: Vec<i64>,
@@ -96,17 +98,23 @@ impl KMeans {
             }
         }
 
-        KMeans {
+        let mut w = KMeans {
             n,
             d,
             k,
             iters,
             chunk,
-            data,
+            image: MemoryImage::new(),
             init_cents,
             cents_ref: cents,
             assign_ref: assign,
-        }
+        };
+        w.image = MemoryImage::new()
+            .dram_segment(POINTS_BASE, data)
+            .dram_segment(w.cents_base(), w.init_cents.clone())
+            .dram_segment(w.assign_base(), vec![0; n])
+            .dram_segment(w.partial_base(), vec![0; w.n_chunks() * w.partial_len()]);
+        w
     }
 
     /// Test-sized instance.
@@ -233,14 +241,7 @@ impl Program for KMeansProgram {
     }
 
     fn memory_image(&self) -> MemoryImage {
-        MemoryImage::new()
-            .dram_segment(POINTS_BASE, self.wl.data.clone())
-            .dram_segment(self.wl.cents_base(), self.wl.init_cents.clone())
-            .dram_segment(self.wl.assign_base(), vec![0; self.wl.n])
-            .dram_segment(
-                self.wl.partial_base(),
-                vec![0; self.wl.n_chunks() * self.wl.partial_len()],
-            )
+        self.wl.image.clone()
     }
 
     fn initial(&mut self, s: &mut Spawner) {

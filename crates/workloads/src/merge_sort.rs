@@ -47,8 +47,10 @@ pub struct MergeSort {
     /// Elements per leaf chunk.
     pub chunk: usize,
     /// Serialize levels through DRAM staging buffers instead of pipes.
-    pub staged: bool,
-    data: Vec<i64>,
+    staged: bool,
+    /// The input, the zeroed output and (staged) the zeroed staging
+    /// buffers, built once and shared by every program.
+    image: MemoryImage,
     sorted_ref: Vec<i64>,
 }
 
@@ -67,13 +69,17 @@ impl MergeSort {
         let data: Vec<i64> = (0..n).map(|_| rng.range_i64(-10_000, 10_000)).collect();
         let mut sorted_ref = data.clone();
         sorted_ref.sort_unstable();
-        MergeSort {
+        let mut w = MergeSort {
             leaves,
             chunk,
             staged: false,
-            data,
+            image: MemoryImage::new(),
             sorted_ref,
-        }
+        };
+        w.image = MemoryImage::new()
+            .dram_segment(IN_BASE, data)
+            .dram_segment(w.out_base(), vec![0; n]);
+        w
     }
 
     /// The steal-friendly twin: the same tree with every level
@@ -83,6 +89,9 @@ impl MergeSort {
     pub fn staged(leaves: usize, chunk: usize, seed: u64) -> Self {
         let mut wl = Self::new(leaves, chunk, seed);
         wl.staged = true;
+        let levels = leaves.ilog2() as usize + 1;
+        let stage = (wl.stage_base(), vec![0; wl.n() * levels]);
+        wl.image = wl.image.dram_segment(stage.0, stage.1);
         wl
     }
 
@@ -142,11 +151,7 @@ impl MergeSort {
         let leaves = self.leaves;
         let n = self.n() as u64;
         let out_base = self.out_base();
-        let mut g = GraphSpec::new("merge_sort").memory(
-            MemoryImage::new()
-                .dram_segment(IN_BASE, self.data.clone())
-                .dram_segment(out_base, vec![0; self.n()]),
-        );
+        let mut g = GraphSpec::new("merge_sort").memory(self.image.clone());
         let sort = g.stage(Stage::new(
             "sort_chunk",
             TaskKernel::native(SortKernel),
@@ -206,9 +211,7 @@ impl Program for MergeSortProgram {
     }
 
     fn memory_image(&self) -> MemoryImage {
-        MemoryImage::new()
-            .dram_segment(IN_BASE, self.wl.data.clone())
-            .dram_segment(self.wl.out_base(), vec![0; self.wl.n()])
+        self.wl.image.clone()
     }
 
     fn initial(&mut self, s: &mut Spawner) {
@@ -314,12 +317,7 @@ impl Program for StagedMergeSortProgram {
     }
 
     fn memory_image(&self) -> MemoryImage {
-        let wl = &self.wl;
-        let levels = wl.leaves.ilog2() as usize + 1;
-        MemoryImage::new()
-            .dram_segment(IN_BASE, wl.data.clone())
-            .dram_segment(wl.out_base(), vec![0; wl.n()])
-            .dram_segment(wl.stage_base(), vec![0; wl.n() * levels])
+        self.wl.image.clone()
     }
 
     fn initial(&mut self, s: &mut Spawner) {

@@ -29,11 +29,11 @@ pub struct QueryPlan {
     pub rows: usize,
     /// Rows per chunk (one pipeline of four tasks per chunk).
     pub chunk: usize,
-    price: Vec<i64>,
-    disc: Vec<i64>,
-    flag: Vec<i64>,
-    key: Vec<i64>,
-    rates: Vec<i64>,
+    /// Dimension-table rows.
+    n_dim: usize,
+    /// The fact columns, the rate table and the zeroed sums, built once
+    /// and shared by every program.
+    image: MemoryImage,
     sums_ref: Vec<i64>,
 }
 
@@ -59,16 +59,21 @@ impl QueryPlan {
                 sums_ref[i / chunk] = sums_ref[i / chunk].wrapping_add(contrib);
             }
         }
-        QueryPlan {
+        let mut w = QueryPlan {
             rows,
             chunk,
-            price,
-            disc,
-            flag,
-            key,
-            rates,
+            n_dim,
+            image: MemoryImage::new(),
             sums_ref,
-        }
+        };
+        w.image = MemoryImage::new()
+            .dram_segment(PRICE, price)
+            .dram_segment(w.disc_base(), disc)
+            .dram_segment(w.flag_base(), flag)
+            .dram_segment(w.key_base(), key)
+            .dram_segment(w.rates_base(), rates)
+            .dram_segment(w.sums_base(), vec![0; n_chunks]);
+        w
     }
 
     /// Test-sized instance. Two chunks of four stages each — eight
@@ -104,7 +109,7 @@ impl QueryPlan {
     }
 
     fn sums_base(&self) -> u64 {
-        self.rates_base() + self.rates.len() as u64
+        self.rates_base() + self.n_dim as u64
     }
 
     /// The plan as a declarative graph: four `PerElement` stages
@@ -119,15 +124,7 @@ impl QueryPlan {
         let n_chunks = self.n_chunks();
         let len_of = move |c: usize| (chunk.min(rows - c * chunk)) as u64;
         let mut g = GraphSpec::new("query_plan")
-            .memory(
-                MemoryImage::new()
-                    .dram_segment(PRICE, self.price.clone())
-                    .dram_segment(disc_base, self.disc.clone())
-                    .dram_segment(flag_base, self.flag.clone())
-                    .dram_segment(key_base, self.key.clone())
-                    .dram_segment(rates_base, self.rates.clone())
-                    .dram_segment(sums_base, vec![0; n_chunks]),
-            )
+            .memory(self.image.clone())
             .emission(Emission::ElementMajor);
         let scan = g.stage(Stage::new(
             "q_scan",
@@ -284,7 +281,8 @@ mod tests {
     #[test]
     fn reference_mixes_hits_and_misses() {
         let w = QueryPlan::tiny(2);
-        let hits = w.flag.iter().filter(|&&f| f == 1).count();
+        let flag = &w.image.dram[2].1;
+        let hits = flag.iter().filter(|&&f| f == 1).count();
         assert!(hits > 0 && hits < w.rows, "filter is degenerate");
         assert!(w.sums_ref.iter().any(|&s| s != 0));
     }

@@ -32,7 +32,9 @@ pub struct ReduceTree {
     pub leaves: usize,
     /// Elements per leaf chunk.
     pub chunk: usize,
-    data: Vec<i64>,
+    /// The input and the zeroed per-node buffers, built once and shared
+    /// by every program.
+    image: MemoryImage,
     /// Fanout per internal node, in node-creation order.
     fanouts: Vec<usize>,
     /// First child id per internal node (children are consecutive).
@@ -94,15 +96,19 @@ impl ReduceTree {
             }
             frontier = next;
         }
-        ReduceTree {
+        let mut w = ReduceTree {
             leaves,
             chunk,
-            data,
+            image: MemoryImage::new(),
             fanouts,
             child_lo,
             parent,
             node_ref,
-        }
+        };
+        w.image = MemoryImage::new()
+            .dram_segment(IN_BASE, data)
+            .dram_segment(w.buf_base(), vec![0; w.total_nodes()]);
+        w
     }
 
     /// Test-sized instance.
@@ -138,11 +144,7 @@ impl ReduceTree {
         let fanouts = self.fanouts.clone();
         let child_lo = self.child_lo.clone();
         let parent = self.parent.clone();
-        let mut g = GraphSpec::new("reduce_tree").memory(
-            MemoryImage::new()
-                .dram_segment(IN_BASE, self.data.clone())
-                .dram_segment(buf_base, vec![0; self.total_nodes()]),
-        );
+        let mut g = GraphSpec::new("reduce_tree").memory(self.image.clone());
         let leaf = g.stage(Stage::new(
             "leaf_sum",
             TaskKernel::dfg(sum_dfg("leaf_sum")),
@@ -252,7 +254,10 @@ mod tests {
         );
         assert!(w.fanouts.iter().all(|&f| (2..=4).contains(&f)));
         // the root partial is the whole input's sum
-        let total = w.data.iter().fold(0i64, |a, &b| a.wrapping_add(b));
+        let total = w.image.dram[0]
+            .1
+            .iter()
+            .fold(0i64, |a, &b| a.wrapping_add(b));
         assert_eq!(*w.node_ref.last().unwrap(), total);
         // every non-root node has a parent; exactly one root
         let roots = w.parent.iter().filter(|&&p| p < 0).count();

@@ -17,6 +17,7 @@
 //! config where the tags are simply placement hints.
 
 use crate::{check_range, Workload, WorkloadInfo};
+use std::sync::Arc;
 use taskstream_model::{
     CompletedTask, MemoryImage, Program, Spawner, TaskInstance, TaskKernel, TaskType, TaskTypeId,
 };
@@ -48,7 +49,9 @@ pub struct RequestServer {
     /// Per-tenant load specs (tenant index = position).
     pub tenants: Vec<TenantLoad>,
     table_words: usize,
-    table: Vec<i64>,
+    /// The table and zeroed result slots, built once and shared by
+    /// every program.
+    image: MemoryImage,
     /// Per tenant, per query: the scan's start offset in the table.
     starts: Vec<Vec<u64>>,
     /// Per tenant, per query: the expected result.
@@ -91,10 +94,18 @@ impl RequestServer {
         RequestServer {
             tenants,
             table_words,
-            table,
+            image: MemoryImage::new(),
             starts,
             refs,
         }
+        .with_image(table.into())
+    }
+
+    fn with_image(mut self, table: Arc<[i64]>) -> Self {
+        self.image = MemoryImage::new()
+            .dram_segment(TABLE, table)
+            .dram_segment(self.results_base(0), vec![0; self.total_queries()]);
+        self
     }
 
     /// Test-sized instance: `tenants` homogeneous tenants at
@@ -140,10 +151,11 @@ impl RequestServer {
         RequestServer {
             tenants: vec![self.tenants[t]],
             table_words: self.table_words,
-            table: self.table.clone(),
+            image: MemoryImage::new(),
             starts: vec![self.starts[t].clone()],
             refs: vec![self.refs[t].clone()],
         }
+        .with_image(self.image.dram[0].1.clone())
     }
 
     /// The tenancy configuration matching this instance's tenants.
@@ -212,9 +224,7 @@ impl Program for RequestServerProgram {
     }
 
     fn memory_image(&self) -> MemoryImage {
-        MemoryImage::new()
-            .dram_segment(TABLE, self.wl.table.clone())
-            .dram_segment(self.wl.results_base(0), vec![0; self.wl.total_queries()])
+        self.wl.image.clone()
     }
 
     fn initial(&mut self, s: &mut Spawner) {

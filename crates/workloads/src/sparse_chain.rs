@@ -32,9 +32,9 @@ pub struct SparseChain {
     /// The scale factor applied by the second stage.
     pub alpha: i64,
     row_lens: Vec<u64>,
-    vals: Vec<i64>,
-    cols: Vec<i64>,
-    x: Vec<i64>,
+    /// The matrix's values and column indices, the dense vector and the
+    /// zeroed output, built once and shared by every program.
+    image: MemoryImage,
     y_ref: Vec<i64>,
 }
 
@@ -61,16 +61,20 @@ impl SparseChain {
             }
             y_ref[r] = alpha.wrapping_mul(acc);
         }
-        SparseChain {
+        let mut w = SparseChain {
             n,
             rows_per_task,
             alpha,
             row_lens,
-            vals,
-            cols,
-            x,
+            image: MemoryImage::new(),
             y_ref,
-        }
+        };
+        w.image = MemoryImage::new()
+            .dram_segment(VALS, vals)
+            .dram_segment(w.cols_base(), cols)
+            .dram_segment(w.x_base(), x)
+            .dram_segment(w.y_base(), vec![0; n]);
+        w
     }
 
     /// Test-sized instance. Four chunks of two stages each — eight
@@ -87,7 +91,7 @@ impl SparseChain {
 
     /// Total non-zeros.
     pub fn nnz(&self) -> usize {
-        self.vals.len()
+        self.row_lens.iter().sum::<u64>() as usize
     }
 
     fn n_chunks(&self) -> usize {
@@ -125,13 +129,7 @@ impl SparseChain {
             off += row_lens[c * rpt..c * rpt + rows].iter().sum::<u64>();
         }
         let mut g = GraphSpec::new("sparse_chain")
-            .memory(
-                MemoryImage::new()
-                    .dram_segment(VALS, self.vals.clone())
-                    .dram_segment(cols_base, self.cols.clone())
-                    .dram_segment(x_base, self.x.clone())
-                    .dram_segment(y_base, vec![0; n]),
-            )
+            .memory(self.image.clone())
             .emission(Emission::ElementMajor);
         let x_group = g.group();
         let sparse = g.stage(Stage::new(
@@ -227,8 +225,23 @@ impl Workload for SparseChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use ts_delta::oracle::{check_equivalence, execute_untimed};
     use ts_delta::{Accelerator, DeltaConfig, Features};
+
+    #[test]
+    fn compiled_programs_share_the_instance_image() {
+        let w = SparseChain::tiny(4);
+        let (a, b) = (w.make_program(), w.make_program());
+        let images = [a.memory_image(), a.memory_image(), b.memory_image()];
+        for image in &images {
+            assert_eq!(image.dram.len(), w.image.dram.len());
+            for ((base, words), (want_base, want_words)) in image.dram.iter().zip(&w.image.dram) {
+                assert_eq!(base, want_base);
+                assert!(Arc::ptr_eq(words, want_words), "segment at {base} copied");
+            }
+        }
+    }
 
     #[test]
     fn shapes_vary_across_tasks() {

@@ -9,6 +9,7 @@
 //! and dynamic task creation.
 
 use crate::{check_range, Workload, WorkloadInfo};
+use std::iter::repeat_n;
 use taskstream_model::{
     CompletedTask, MemoryImage, Program, Spawner, TaskInstance, TaskKernel, TaskType, TaskTypeId,
 };
@@ -29,8 +30,11 @@ pub struct Sssp {
     /// Vertex count.
     pub n: usize,
     offsets: Vec<usize>,
-    adj: Vec<i64>,
-    weights: Vec<i64>,
+    /// Adjacency, weights and initial distances, built once and shared
+    /// by every program; the baseline's adds the sweep's source-vertex
+    /// list.
+    image: MemoryImage,
+    baseline_image: MemoryImage,
     dist_ref: Vec<i64>,
 }
 
@@ -85,13 +89,20 @@ impl Sssp {
                 break;
             }
         }
-        Sssp {
+        let mut w = Sssp {
             n,
             offsets,
-            adj,
-            weights,
+            image: MemoryImage::new(),
+            baseline_image: MemoryImage::new(),
             dist_ref,
-        }
+        };
+        let mut dist = vec![INF; n];
+        dist[0] = 0;
+        w.image = MemoryImage::new()
+            .dram_segment(ADJ_BASE, adj)
+            .dram_segment(w.weights_base(), weights)
+            .dram_segment(w.dist_base(), dist);
+        w.with_baseline_image()
     }
 
     /// Test-sized instance.
@@ -106,7 +117,20 @@ impl Sssp {
 
     /// Edge count.
     pub fn m(&self) -> usize {
-        self.adj.len()
+        self.offsets[self.n]
+    }
+
+    /// The dynamic program's image plus, above `dist`, each edge's
+    /// source vertex, which the static sweep streams.
+    fn with_baseline_image(mut self) -> Self {
+        let us: Vec<i64> = (0..self.n)
+            .flat_map(|v| repeat_n(v as i64, self.offsets[v + 1] - self.offsets[v]))
+            .collect();
+        self.baseline_image = self
+            .image
+            .clone()
+            .dram_segment(self.dist_base() + self.n as u64, us);
+        self
     }
 
     fn weights_base(&self) -> u64 {
@@ -182,12 +206,7 @@ impl Program for SsspProgram {
     }
 
     fn memory_image(&self) -> MemoryImage {
-        let mut dist = vec![INF; self.wl.n];
-        dist[0] = 0;
-        MemoryImage::new()
-            .dram_segment(ADJ_BASE, self.wl.adj.clone())
-            .dram_segment(self.wl.weights_base(), self.wl.weights.clone())
-            .dram_segment(self.wl.dist_base(), dist)
+        self.wl.image.clone()
     }
 
     fn initial(&mut self, s: &mut Spawner) {
@@ -229,7 +248,6 @@ impl Program for SsspProgram {
 /// design without dynamic task creation cannot follow the frontier.
 struct SsspSweepProgram {
     wl: Sssp,
-    us: Vec<i64>,
     changed: bool,
     rounds: usize,
     chunk: usize,
@@ -297,13 +315,7 @@ impl Program for SsspSweepProgram {
     }
 
     fn memory_image(&self) -> MemoryImage {
-        let mut dist = vec![INF; self.wl.n];
-        dist[0] = 0;
-        MemoryImage::new()
-            .dram_segment(ADJ_BASE, self.wl.adj.clone())
-            .dram_segment(self.wl.weights_base(), self.wl.weights.clone())
-            .dram_segment(self.wl.dist_base(), dist)
-            .dram_segment(self.wl.dist_base() + self.wl.n as u64, self.us.clone())
+        self.wl.baseline_image.clone()
     }
 
     fn initial(&mut self, s: &mut Spawner) {
@@ -344,15 +356,8 @@ impl Workload for Sssp {
     }
 
     fn make_baseline_program(&self) -> Box<dyn Program> {
-        let mut us = Vec::with_capacity(self.m());
-        for v in 0..self.n {
-            for _ in self.offsets[v]..self.offsets[v + 1] {
-                us.push(v as i64);
-            }
-        }
         Box::new(SsspSweepProgram {
             wl: self.clone(),
-            us,
             changed: false,
             rounds: 0,
             chunk: 512,

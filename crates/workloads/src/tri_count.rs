@@ -28,7 +28,9 @@ pub struct TriCount {
     /// Edges per counting task.
     pub edges_per_task: usize,
     offsets: Vec<usize>,
-    adj: Vec<i64>,
+    /// Adjacency lists and zeroed counts, built once and shared by
+    /// every program.
+    image: MemoryImage,
     /// Edges (u, v) with u < v, in task order.
     edges: Vec<(usize, usize)>,
     counts_ref: Vec<i64>,
@@ -91,15 +93,19 @@ impl TriCount {
             })
             .collect();
         let total_ref = counts_ref.iter().sum::<i64>() / 3; // each triangle hits 3 edges
-        TriCount {
+        let mut w = TriCount {
             n,
             edges_per_task,
             offsets,
-            adj,
+            image: MemoryImage::new(),
             edges,
             counts_ref,
             total_ref,
-        }
+        };
+        w.image = MemoryImage::new()
+            .dram_segment(ADJ_BASE, adj)
+            .dram_segment(w.counts_base(), vec![0; w.m()]);
+        w
     }
 
     /// Test-sized instance.
@@ -122,8 +128,13 @@ impl TriCount {
         self.total_ref
     }
 
+    /// Words of adjacency (each undirected edge listed at both ends).
+    fn adj_len(&self) -> usize {
+        self.offsets[self.n]
+    }
+
     fn counts_base(&self) -> u64 {
-        ADJ_BASE + self.adj.len() as u64
+        ADJ_BASE + self.adj_len() as u64
     }
 }
 
@@ -144,9 +155,7 @@ impl Program for TriCountProgram {
     }
 
     fn memory_image(&self) -> MemoryImage {
-        MemoryImage::new()
-            .dram_segment(ADJ_BASE, self.wl.adj.clone())
-            .dram_segment(self.wl.counts_base(), vec![0; self.wl.m()])
+        self.wl.image.clone()
     }
 
     fn initial(&mut self, s: &mut Spawner) {
@@ -203,8 +212,8 @@ impl Workload for TriCount {
             pattern: "many tiny skewed tasks",
             stresses: "task overhead + work-aware balancing",
             tasks: self.m() as u64,
-            elements: self.adj.len() as u64,
-            grain: (2 * self.adj.len() / self.m().max(1)) as u64,
+            elements: self.adj_len() as u64,
+            grain: (2 * self.adj_len() / self.m().max(1)) as u64,
         }
     }
 }

@@ -5,6 +5,7 @@ Usage (from the repository root):
 
     scripts/ab.py BASE HEAD --workload <w> [--workload <w> ...] \\
         --pairs <n> [--seconds <s>] [--dir <path>]
+    scripts/ab.py --trajectory
 
 Both revisions must be reachable from a branch or tag, so that every
 record names commits that outlive it. Each one is exported (`git
@@ -30,6 +31,14 @@ more than the parent's IQR.
 Each workload appends one JSON record to `BENCH_history.jsonl` at the
 repository root: both commits, the host (CPU model, `nproc`), the
 settings, every run's raw metrics and digest, and the summary.
+
+`--trajectory` chains each workload's records in file order and prints,
+per record, every metric's ratio of medians HEAD/BASE multiplied over
+all the workload's records so far: where that metric stands against the
+workload's first measured parent. A record continues the previous one
+when its BASE is the previous HEAD or descends from it through commits
+that change only records and prose (`BENCH_history.jsonl`, `*.md`);
+any other gap, a code change in particular, is an error (exit 1).
 """
 
 import argparse
@@ -117,6 +126,63 @@ def summarize(base, head, better, bound, sound=True):
         "worse_than_bound": worse,
         "gain": sound and 10 * wins >= 9 * len(base) and gain > spread,
     }
+
+
+def record_only(path):
+    """Whether a change to `path` leaves the benchmarked program alone."""
+    return path == "BENCH_history.jsonl" or path.endswith(".md")
+
+
+def gap(prev_head, base, cwd=ROOT):
+    """Why a record at `base` does not continue one at `prev_head`
+    (None when it does)."""
+    if prev_head == base:
+        return None
+    ancestor = subprocess.run(
+        ["git", "merge-base", "--is-ancestor", prev_head, base], cwd=cwd, capture_output=True
+    )
+    if ancestor.returncode != 0:
+        return f"{base[:12]} does not descend from {prev_head[:12]}"
+    log = git("log", "--format=", "--name-only", f"{prev_head}..{base}", cwd=cwd)
+    code = sorted({p for p in log.splitlines() if p and not record_only(p)})
+    if code:
+        return f"code changed between {prev_head[:12]} and {base[:12]}: {', '.join(code)}"
+    return None
+
+
+def trajectory(records, link=gap):
+    """Chains each workload's records (in order) into running products
+    of their ratios of medians, HEAD/BASE, per metric.
+
+    Returns `{workload: [(record, {metric: product so far})]}`; a metric
+    first recorded later starts its product there. Raises `ValueError`
+    where `link(previous head, base)` says a record does not continue
+    its workload's previous one.
+    """
+    chains = {}
+    for rec in records:
+        steps = chains.setdefault(rec["workload"], [])
+        product = dict(steps[-1][1]) if steps else {}
+        if steps:
+            why = link(steps[-1][0]["head"], rec["base"])
+            if why:
+                raise ValueError(f"{rec['workload']}: {why}")
+        for name, s in rec["summary"].items():
+            if name != "problems" and s["base_median"]:
+                product[name] = product.get(name, 1.0) * s["head_median"] / s["base_median"]
+        steps.append((rec, product))
+    return chains
+
+
+def print_trajectory(chains, metrics):
+    names = [m["name"] for m in metrics]
+    for workload, steps in chains.items():
+        print(f"\n{workload}: {len(steps)} record(s), ratios to the first parent")
+        print(f"{'base..head':<18}" + "".join(f"{n:>18}" for n in names))
+        for rec, product in steps:
+            cells = ("-" if product.get(n) is None else f"{product[n]:.3f}" for n in names)
+            span = f"{rec['base'][:7]}..{rec['head'][:7]}"
+            print(f"{span:<18}" + "".join(f"{c:>18}" for c in cells))
 
 
 def git(*args, cwd=ROOT):
@@ -227,21 +293,33 @@ def report(workload, runs, metrics):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("base")
-    ap.add_argument("head")
-    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("base", nargs="?")
+    ap.add_argument("head", nargs="?")
+    ap.add_argument("--workload", action="append")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float)
     ap.add_argument("--dir", default=os.path.join(ROOT, ".ab_build"))
+    ap.add_argument("--trajectory", action="store_true")
     args = ap.parse_args()
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    metrics = bench["end_to_end"]
+
+    if args.trajectory:
+        with open(HISTORY) as f:
+            records = [json.loads(line) for line in f if line.strip()]
+        try:
+            print_trajectory(trajectory(records), metrics)
+        except ValueError as e:
+            sys.exit(f"ab: the records do not chain: {e}")
+        return 0
+    if not (args.base and args.head and args.workload):
+        ap.error("BASE, HEAD and --workload are required unless --trajectory")
 
     base, head = (git("rev-parse", "--verify", f"{r}^{{commit}}") for r in (args.base, args.head))
     for sha in (base, head):
         if not reachable(sha):
             sys.exit(f"ab: no branch or tag contains {sha}; commit the change first")
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        bench = json.load(f)
-    metrics = bench["end_to_end"]
     seconds = args.seconds or bench["run_seconds"]
     sides = {"base": prepare(base, args.dir), "head": prepare(head, args.dir)}
     for workload in args.workload:

@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Unit tests of the statistics in scripts/ab.py.
+"""Unit tests of the statistics and the trajectory in scripts/ab.py.
 
 Run: python3 scripts/test_ab.py
 """
 
 import os
+import subprocess
 import sys
+import tempfile
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from ab import iqr, median, problems, quantile, summarize  # noqa: E402
+from ab import gap, iqr, median, problems, quantile, summarize, trajectory  # noqa: E402
 
 
 class Stats(unittest.TestCase):
@@ -103,6 +105,64 @@ class Stats(unittest.TestCase):
             summarize([1, 2], [1], "lower", 0.25)
         with self.assertRaises(ValueError):
             summarize([], [], "lower", 0.25)
+
+
+def record(workload, base, head, **medians):
+    """A history record whose summary holds `metric=(base, head)` medians."""
+    summary = {
+        name: {"base_median": b, "head_median": h} for name, (b, h) in medians.items()
+    }
+    summary["problems"] = []
+    return {"workload": workload, "base": base, "head": head, "summary": summary}
+
+
+class Trajectory(unittest.TestCase):
+    def test_ratios_multiply_along_each_workloads_chain(self):
+        records = [
+            record("w", "a", "b", rss=(200, 100), wall_s=(10, 12)),
+            record("v", "a", "b", rss=(50, 50)),
+            record("w", "c", "d", rss=(100, 75), wall_s=(12, 6), cpu_s=(4, 2)),
+        ]
+        links = []
+        chains = trajectory(records, link=lambda head, base: links.append((head, base)))
+        self.assertEqual(links, [("b", "c")], "only consecutive records of one workload link")
+        [(_, first), (_, second)] = chains["w"]
+        self.assertEqual(first, {"rss": 0.5, "wall_s": 1.2})
+        self.assertAlmostEqual(second["rss"], 0.375)
+        self.assertAlmostEqual(second["wall_s"], 0.6)
+        self.assertEqual(second["cpu_s"], 0.5, "a metric recorded later starts there")
+        self.assertEqual(chains["v"][0][1], {"rss": 1.0})
+
+    def test_a_record_that_does_not_continue_is_refused(self):
+        records = [record("w", "a", "b", rss=(2, 1)), record("w", "c", "d", rss=(2, 1))]
+        with self.assertRaisesRegex(ValueError, "w: code changed"):
+            trajectory(records, link=lambda head, base: "code changed")
+
+    def test_gaps_pass_only_through_record_only_commits(self):
+        with tempfile.TemporaryDirectory() as repo:
+            env = dict(os.environ, GIT_AUTHOR_NAME="t", GIT_AUTHOR_EMAIL="t@t",
+                       GIT_COMMITTER_NAME="t", GIT_COMMITTER_EMAIL="t@t")
+
+            def commit(path, text):
+                os.makedirs(os.path.dirname(os.path.join(repo, path)), exist_ok=True)
+                with open(os.path.join(repo, path), "a") as f:
+                    f.write(text)
+                for cmd in (["add", "-A"], ["commit", "-qm", path]):
+                    subprocess.run(["git", *cmd], cwd=repo, env=env, check=True)
+                return subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, env=env,
+                                      check=True, capture_output=True, text=True).stdout.strip()
+
+            subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+            code = commit("src/lib.rs", "fn a() {}\n")
+            records = commit("BENCH_history.jsonl", "{}\n")
+            prose = commit("docs/NOTES.md", "notes\n")
+            later = commit("src/lib.rs", "fn b() {}\n")
+            self.assertIsNone(gap(code, code, cwd=repo))
+            self.assertIsNone(gap(code, prose, cwd=repo), "records and prose only")
+            self.assertIn("code changed", gap(code, later, cwd=repo))
+            self.assertIn("src/lib.rs", gap(records, later, cwd=repo))
+            self.assertIn("does not descend", gap(prose, code, cwd=repo))
+            self.assertIn("does not descend", gap(code, "0" * 40, cwd=repo))
 
 
 if __name__ == "__main__":
