@@ -345,9 +345,8 @@ impl RunState {
         let mc_nodes: Vec<usize> = (0..cfg.mem_ctrls).map(|m| cfg.mc_node(m)).collect();
         let mut memctrl = MemCtrl::new(dram_cfg, mc_nodes, cfg.mesh_dims().0);
         let dram = memctrl.dram_mut().storage_mut();
-        dram.reserve(spill_base as usize);
         for (base, words) in &image.dram {
-            dram.load(*base, words);
+            dram.load_shared(*base, words);
         }
 
         let mut tiles: Vec<Tile> = (0..cfg.tiles)
@@ -363,7 +362,7 @@ impl RunState {
                 )));
             }
             for tile in &mut tiles {
-                tile.spad.storage_mut().load(*base, words);
+                tile.spad.storage_mut().load_shared(*base, words);
             }
         }
 

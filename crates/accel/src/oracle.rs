@@ -24,15 +24,18 @@
 //!   sets. Every suite workload and every differential test qualifies.
 //! * **Memory.** One scratchpad, where the timed machine replicates the
 //!   image per tile, so equivalence covers DRAM and task counts only.
-//!   Each space is a `FlatMem`: a dense word array below the image's
-//!   high-water mark plus a hash map for the few words written above
-//!   it. Untouched words read as zero, every address exists, and no
-//!   allocation is sized by a program-computed address.
-//! * **The comparison.** [`check_equivalence`] compares the dense region
-//!   against the timed DRAM image in one pass, then each word the
-//!   oracle wrote above it. The timed machine's pipe spill buffers
-//!   above the high-water mark are never written here, so never
-//!   compared.
+//!   Each space is a `FlatMem`: a paged copy-on-write
+//!   [`Storage`] below the image's high-water mark, which maps the
+//!   program's shared image segments as the timed machine's stores do
+//!   and copies only the pages a task writes, plus a hash map for the
+//!   few words written above it. Untouched words read as zero, every
+//!   address exists, and no allocation is sized by a program-computed
+//!   address.
+//! * **The comparison.** [`check_equivalence`] compares the paged
+//!   region against the timed DRAM store page by page, skipping the
+//!   pages both still map from one segment, then each word the oracle
+//!   wrote above it. The timed machine's pipe spill buffers above the
+//!   high-water mark are never written here, so never compared.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -40,7 +43,7 @@ use std::sync::Arc;
 use taskstream_model::{
     CompletedTask, OutputBinding, PipeId, Program, Spawner, TaskId, TaskInstance, TaskType, Value,
 };
-use ts_mem::WriteMode;
+use ts_mem::{Storage, WriteMode};
 use ts_sim::FxHashMap;
 use ts_stream::Addr;
 
@@ -65,40 +68,36 @@ impl OracleOutcome {
     }
 }
 
-/// One oracle address space: a dense array below the memory image's
-/// high-water mark and a map for words written above it. Untouched
-/// words read as zero.
+/// One oracle address space: a store below the memory image's
+/// high-water mark that maps the image's segments, and a map for words
+/// written above it. Untouched words read as zero.
 #[derive(Debug, Clone)]
 struct FlatMem {
-    dense: Vec<Value>,
+    image: Storage,
     above: FxHashMap<Addr, Value>,
 }
 
 impl FlatMem {
-    /// Loads image `segments`; the dense array ends at their high-water
-    /// mark.
+    /// Maps image `segments`; the store ends at their high-water mark.
     fn new(segments: &[(Addr, Arc<[Value]>)]) -> Self {
         let high_water = segments
             .iter()
             .map(|(b, w)| b + w.len() as u64)
             .max()
             .unwrap_or(0);
-        let mut dense = vec![0; high_water as usize];
+        let mut image = Storage::new(high_water as usize);
         for (base, words) in segments {
-            dense[*base as usize..][..words.len()].copy_from_slice(words);
+            image.load_shared(*base, words);
         }
         FlatMem {
-            dense,
+            image,
             above: FxHashMap::default(),
         }
     }
 
-    fn slot(&mut self, addr: Addr) -> &mut Value {
-        if (addr as usize) < self.dense.len() {
-            &mut self.dense[addr as usize]
-        } else {
-            self.above.entry(addr).or_insert(0)
-        }
+    /// True when `addr` lies in the image store rather than above it.
+    fn in_image(&self, addr: Addr) -> bool {
+        (addr as usize) < self.image.len()
     }
 }
 
@@ -108,15 +107,20 @@ impl Space for FlatMem {
     }
 
     fn read(&self, addr: Addr) -> Value {
-        match self.dense.get(addr as usize) {
-            Some(v) => *v,
-            None => self.above.get(&addr).copied().unwrap_or(0),
+        if self.in_image(addr) {
+            self.image.read(addr)
+        } else {
+            self.above.get(&addr).copied().unwrap_or(0)
         }
     }
 
     fn update(&mut self, addr: Addr, value: Value, mode: WriteMode) {
-        let slot = self.slot(addr);
-        *slot = mode.apply(*slot, value);
+        if self.in_image(addr) {
+            self.image.update(addr, value, mode);
+        } else {
+            let slot = self.above.entry(addr).or_insert(0);
+            *slot = mode.apply(*slot, value);
+        }
     }
 }
 
@@ -182,8 +186,9 @@ pub fn execute_untimed<P: Program + ?Sized>(program: &mut P) -> Result<OracleOut
 /// Compares a timed run's final state against the oracle's.
 ///
 /// Checks the completed-task count, then every DRAM word below the
-/// image's high-water mark in one pass, then every word the oracle
-/// wrote above it, in address order. Timed-only state — pipe spill
+/// image's high-water mark a page at a time (pages both stores still
+/// map from one image segment match unread), then every word the
+/// oracle wrote above it, in address order. Timed-only state — pipe spill
 /// buffers, scratchpads — is deliberately out of scope (see the module
 /// docs). A non-zero oracle word past the end of the timed image is a
 /// divergence.
@@ -206,24 +211,20 @@ pub fn check_equivalence(timed: &RunReport, oracle: &OracleOutcome) -> Result<()
     }
     let len = timed.dram_len();
     let mem = &oracle.dram;
-    let shared = mem.dense.len().min(len);
-    let timed_dense = timed.dram_range(0, shared);
-    let dense = timed_dense
-        .iter()
-        .zip(&mem.dense)
-        .enumerate()
-        .filter(|(_, (got, want))| got != want)
-        .map(|(a, (&got, &want))| (a as Addr, Some(got), want));
-    // the rest: any dense words past the timed image, then the words
-    // above the dense region; `None` marks a word past the timed image
-    let mut rest: Vec<(Addr, Option<Value>, Value)> = (shared..mem.dense.len())
-        .map(|a| (a as Addr, mem.dense[a]))
+    let paged = timed
+        .image()
+        .diff(&mem.image)
+        .map(|(a, got, want)| (a, Some(got), want));
+    // the rest: any image words past the timed store, then the words
+    // above the image; `None` marks a word past the timed store
+    let mut rest: Vec<(Addr, Option<Value>, Value)> = (len.min(mem.image.len())..mem.image.len())
+        .map(|a| (a as Addr, mem.image.read(a as Addr)))
         .chain(mem.above.iter().map(|(&a, &want)| (a, want)))
         .map(|(a, want)| (a, (a < len as Addr).then(|| timed.dram(a)), want))
         .filter(|&(_, got, want)| got.unwrap_or(0) != want)
         .collect();
     rest.sort_unstable_by_key(|&(a, ..)| a);
-    let mut diverged: Vec<String> = dense
+    let mut diverged: Vec<String> = paged
         .chain(rest)
         .take(MAX_LISTED + 1)
         .map(|(addr, got, want)| match got {
@@ -420,11 +421,11 @@ mod tests {
             .run(&mut Doubler)
             .unwrap();
         let mut oracle = execute_untimed(&mut Doubler).unwrap();
-        // the image spans words 0..4, so word 1 is in the dense region
+        // the image spans words 0..4, so word 1 is in the image store
         // and the output at 100 is above it
-        assert_eq!(oracle.dram.dense.len(), 4);
-        *oracle.dram.slot(1) = -1;
-        *oracle.dram.slot(100) = -1;
+        assert_eq!(oracle.dram.image.len(), 4);
+        oracle.dram.update(1, -1, WriteMode::Overwrite);
+        oracle.dram.update(100, -1, WriteMode::Overwrite);
         let err = check_equivalence(&timed, &oracle).unwrap_err();
         assert!(
             err.contains("dram[1]: timed 2 vs oracle -1"),
@@ -457,7 +458,7 @@ mod tests {
             .unwrap();
         let mut oracle = execute_untimed(&mut Doubler).unwrap();
         for a in (0..4).chain(100..104).chain([200, 300]) {
-            *oracle.dram.slot(a) = -9;
+            oracle.dram.update(a, -9, WriteMode::Overwrite);
         }
         let err = check_equivalence(&timed, &oracle).unwrap_err();
         assert!(
@@ -477,9 +478,9 @@ mod tests {
             .run(&mut Doubler)
             .unwrap();
         let mut oracle = execute_untimed(&mut Doubler).unwrap();
-        *oracle.dram.slot(1 << 40) = 0;
+        oracle.dram.update(1 << 40, 0, WriteMode::Overwrite);
         check_equivalence(&timed, &oracle).expect("a zero word reads as untouched");
-        *oracle.dram.slot(1 << 40) = 5;
+        oracle.dram.update(1 << 40, 5, WriteMode::Overwrite);
         let err = check_equivalence(&timed, &oracle).unwrap_err();
         assert!(
             err.contains(&format!(
@@ -524,7 +525,7 @@ mod tests {
         assert_eq!(out.dram((1 << 40) + 1), 8);
         assert_eq!(out.dram((1 << 20) + 1), 8);
         assert_eq!(out.dram((1 << 40) + 2), 0);
-        assert_eq!(out.dram.dense.len(), 4, "dense region ends at the image");
+        assert_eq!(out.dram.image.len(), 4, "the image store ends at the image");
         assert_eq!(out.dram.above.len(), 4, "one entry per written word");
     }
 

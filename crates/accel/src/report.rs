@@ -238,9 +238,11 @@ pub struct RunReport {
     /// dispatcher and per tenant.
     pub counters: RunCounters,
     /// Final DRAM contents, or `None` once
-    /// [released](RunReport::release_dram). The sweep releases the
-    /// image as soon as a run is checked, since nothing after the
-    /// checks reads DRAM; cache-loaded reports never carry one.
+    /// [released](RunReport::release_dram): the run's copy-on-write
+    /// store, which still maps the program's image pages the run never
+    /// wrote (so it holds clones of the image's segments). The sweep
+    /// releases it as soon as a run is checked, since nothing after
+    /// the checks reads DRAM; cache-loaded reports never carry one.
     dram: Option<Storage>,
     /// Tasks completed over the run.
     pub tasks_completed: u64,
@@ -322,7 +324,7 @@ impl RunReport {
 
     /// The final DRAM image. A released image panics rather than read
     /// as zeros.
-    fn image(&self) -> &Storage {
+    pub(crate) fn image(&self) -> &Storage {
         self.dram
             .as_ref()
             .expect("the report's final DRAM image was released (RunReport::release_dram)")
@@ -338,8 +340,10 @@ impl RunReport {
         self.image().read(addr)
     }
 
-    /// Reads a contiguous range of the final DRAM image; words past the
-    /// highest one the run wrote read as zero (see [`Storage::read_range`]).
+    /// Reads a contiguous range of the final DRAM image: borrowed when it
+    /// lies on one page of the store, else copied page by page (see
+    /// [`Storage::read_range`]). Words the run never wrote read as the
+    /// image's, or zero.
     ///
     /// # Panics
     ///

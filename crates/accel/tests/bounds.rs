@@ -2,7 +2,7 @@
 //! past a memory's capacity, and a scratchpad image that does not fit,
 //! are program errors naming the space, the address and the capacity.
 //! None of these runs the oracle: it accepts any address, and a far
-//! scratchpad image would size its dense array to that address.
+//! scratchpad image would size its page list to that address.
 
 use taskstream_model::{
     CompletedTask, MemoryImage, Program, Spawner, TaskInstance, TaskKernel, TaskType, TaskTypeId,

@@ -44,7 +44,8 @@
 //! cycles: the fraction of each component's cycles that were densely
 //! ticked versus replayed in closed form by the event-driven
 //! scheduler, and the fraction of machine cycles covered by next-event
-//! jumps. The same counters land in the `--bench-json` output. The
+//! jumps. The same counters land in the `--bench-json` output, beside
+//! the advisory wall-clock seconds and peak resident memory. The
 //! whole-run line sums the experiments' profiles, and its simulation
 //! count is the number of completed runs (wedged fault runs excluded).
 //!
@@ -614,6 +615,9 @@ fn run_experiments(ids: &[String], args: &Args, mode: GoldenMode) {
         json.push_str(&format!("  \"jobs\": {},\n", ts_pool::current_threads()));
         json.push_str(&format!("  \"total_seconds\": {total:.3},\n"));
         json.push_str(&format!("  \"sweep_seconds\": {sweep_secs:.3},\n"));
+        if let Some(mib) = peak_rss_mib() {
+            json.push_str(&format!("  \"peak_rss_mib\": {mib:.1},\n"));
+        }
         json.push_str(&format!("  \"simulations\": {runs},\n"));
         json.push_str(&format!(
             "  \"host\": {{\"cache_hits\": {}, \"cache_misses\": {}, \
@@ -786,6 +790,16 @@ fn goldens_root() -> PathBuf {
         return cwd;
     }
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../goldens"))
+}
+
+/// The process's resident high-water mark (`VmHWM`) in MiB, or `None`
+/// where `/proc/self/status` does not report one. Advisory, like the
+/// wall-clock fields it rides with in the bench json.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = kib.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kib / 1024.0)
 }
 
 /// Renders one profile as a JSON object, one key per counter in

@@ -20,6 +20,9 @@ use ts_stream::Addr;
 /// and every [`Program::memory_image`] call hands out clones of the
 /// same [`Arc`]s, so the image costs reference counts rather than
 /// copies however many runs, oracle checks and fingerprints read it.
+/// Runs do not copy it either: the timed machine's DRAM store and
+/// scratchpads and the oracle's memory map every 4096-word page a
+/// segment covers whole, and copy a page only when the run writes it.
 /// An `Arc<[Value]>` hashes like the `Vec<Value>` it was made from.
 #[derive(Debug, Clone, Default, Hash)]
 pub struct MemoryImage {

@@ -180,8 +180,9 @@ pub struct Dram {
     /// `read_words_unique` counter. The conservation invariant
     /// `read_words >= read_words_unique` and the multicast traffic
     /// claims both lean on distinguishing total from first-touch reads.
-    /// A flat bitmap (addresses are bounded by capacity) keeps the
-    /// first-touch test off the hot path's hash machinery.
+    /// A flat bitmap keeps the first-touch test off the hot path's
+    /// hash machinery; it grows to the highest address read, not to
+    /// the capacity.
     seen_reads: Vec<u64>,
     /// Per-served-word probability of a detected transient error; the
     /// word is retried, adding `fault_retry` cycles to its latency.
@@ -242,7 +243,7 @@ impl Dram {
             inflight: VecDeque::new(),
             inflight_words: 0,
             next_job: 0,
-            seen_reads: vec![0u64; config.words.div_ceil(64)],
+            seen_reads: Vec::new(),
             fault_rate: 0.0,
             fault_retry: 0,
             fault_seed: 0,
@@ -467,6 +468,9 @@ impl Dram {
                         self.config.words
                     );
                     let (slot, bit) = (a / 64, 1u64 << (a % 64));
+                    if slot >= self.seen_reads.len() {
+                        self.seen_reads.resize(slot + 1, 0);
+                    }
                     if self.seen_reads[slot] & bit == 0 {
                         self.seen_reads[slot] |= bit;
                         self.counters.read_words_unique += 1;

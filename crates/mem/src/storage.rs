@@ -2,33 +2,103 @@
 
 use crate::{Addr, Value};
 use std::borrow::Cow;
+use std::sync::Arc;
 
-/// A flat, word-addressed store of `i64` values.
+/// Words per page: 32 KiB, under glibc's default 128 KiB mmap
+/// threshold, so owning a page never maps fresh memory.
+const PAGE_WORDS: usize = 4096;
+
+/// What every never-written word reads as.
+static ZERO_WORDS: [Value; PAGE_WORDS] = [0; PAGE_WORDS];
+
+/// One page of a [`Storage`].
+#[derive(Debug, Clone)]
+enum Page {
+    /// Never written: reads as zero and holds no memory.
+    Zero,
+    /// Words `offset..offset + PAGE_WORDS` of a shared image segment,
+    /// mapped by [`Storage::load_shared`] and never written since.
+    Shared(Arc<[Value]>, usize),
+    /// A private copy, made by the first write to the page.
+    Owned(Box<[Value]>),
+}
+
+/// The page every address past a store's pages is on.
+static ZERO_PAGE: Page = Page::Zero;
+
+impl Page {
+    /// The page's `PAGE_WORDS` words.
+    #[inline]
+    fn words(&self) -> &[Value] {
+        match self {
+            Page::Zero => &ZERO_WORDS,
+            Page::Shared(segment, offset) => &segment[*offset..*offset + PAGE_WORDS],
+            Page::Owned(words) => words,
+        }
+    }
+
+    /// True when both pages are known to hold the same words without
+    /// reading them: both zero, or one segment's page at one offset.
+    fn same_mapping(&self, other: &Page) -> bool {
+        match (self, other) {
+            (Page::Zero, Page::Zero) => true,
+            (Page::Shared(a, i), Page::Shared(b, j)) => Arc::ptr_eq(a, b) && i == j,
+            _ => false,
+        }
+    }
+}
+
+/// Splits words `start..start + len` at page boundaries into
+/// `(page, first word within the page, words before it in the range,
+/// words)` spans.
+fn page_spans(start: usize, len: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+    let end = start + len;
+    let mut at = start;
+    std::iter::from_fn(move || {
+        (at < end).then(|| {
+            let lo = at % PAGE_WORDS;
+            let n = (end - at).min(PAGE_WORDS - lo);
+            let span = (at / PAGE_WORDS, lo, at - start, n);
+            at += n;
+            span
+        })
+    })
+}
+
+/// A paged, copy-on-write, word-addressed store of `i64` values.
 ///
 /// Its capacity bounds the addresses it accepts: an access at or past
 /// it panics, because an out-of-range address is always a
 /// workload-construction bug and silently returning zero would hide it.
 ///
-/// Memory follows what a run writes, not the capacity: the backing
-/// words end at the highest word any [`write`](Storage::write),
-/// [`update`](Storage::update) or [`load`](Storage::load) has reached,
-/// and every word past them reads as zero. A DRAM store spans millions
-/// of words of which a run touches a small share.
+/// Memory follows what a run writes, not the capacity. The store is a
+/// list of 4096-word pages, each of them zero (no memory), shared
+/// (mapped from a program's image segment by
+/// [`load_shared`](Storage::load_shared), costing a reference count) or
+/// owned. A page is copied the first time it is written, so a run that
+/// only reads its input never copies it, and the list ends at the
+/// highest page anything reached. A DRAM store spans millions of words
+/// of which a run writes a small share.
 ///
 /// # Examples
 ///
 /// ```
+/// use std::sync::Arc;
 /// use ts_mem::Storage;
 ///
-/// let mut s = Storage::new(16);
+/// let mut s = Storage::new(1 << 20);
 /// s.write(3, -7);
 /// assert_eq!(s.read(3), -7);
 /// assert_eq!(s.read(4), 0); // untouched words read as zero
+///
+/// let image: Arc<[i64]> = (0..10_000).collect();
+/// s.load_shared(8192, &image); // maps the pages it covers whole
+/// assert_eq!(s.read(8192 + 9_999), 9_999);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Storage {
-    /// Words from address zero up to the highest one written.
-    words: Vec<Value>,
+    /// Pages from address zero up to the highest one reached.
+    pages: Vec<Page>,
     capacity: usize,
 }
 
@@ -56,10 +126,10 @@ impl WriteMode {
 
 impl Storage {
     /// Creates a zero-initialized store of `words` words. Nothing is
-    /// allocated until a word is written.
+    /// allocated until a word is written or loaded.
     pub fn new(words: usize) -> Self {
         Storage {
-            words: Vec::new(),
+            pages: Vec::new(),
             capacity: words,
         }
     }
@@ -81,7 +151,8 @@ impl Storage {
     /// Panics if `addr` is out of range.
     #[inline]
     pub fn read(&self, addr: Addr) -> Value {
-        self.words.get(self.check(addr)).copied().unwrap_or(0)
+        let i = self.check(addr);
+        self.page(i / PAGE_WORDS).words()[i % PAGE_WORDS]
     }
 
     /// Writes one word.
@@ -105,76 +176,120 @@ impl Storage {
         *word = mode.apply(*word, value);
     }
 
-    /// Allocates room for the words below `end` (at most the capacity)
-    /// ahead of the [`load`](Storage::load)s that will write them, so
-    /// an image loads into one allocation of exactly its size.
-    pub fn reserve(&mut self, end: usize) {
-        let end = end.min(self.capacity);
-        self.words
-            .reserve_exact(end.saturating_sub(self.words.len()));
-    }
-
-    /// Copies a slice into memory starting at `base`, growing the
-    /// backing words to its end. An empty slice touches nothing.
+    /// Copies a slice into memory starting at `base`. An empty slice
+    /// touches nothing.
     ///
     /// # Panics
     ///
     /// Panics if the slice does not fit.
     pub fn load(&mut self, base: Addr, data: &[Value]) {
         let start = self.check_span(base, data.len());
-        if data.is_empty() {
-            return;
+        for (page, lo, at, n) in page_spans(start, data.len()) {
+            self.page_mut(page)[lo..lo + n].copy_from_slice(&data[at..at + n]);
         }
-        if start >= self.words.len() {
-            self.words.resize(start, 0);
-            self.words.extend_from_slice(data);
-        } else {
-            let end = start + data.len();
-            if end > self.words.len() {
-                self.words.resize(end, 0);
+    }
+
+    /// Loads `segment` at `base` without copying it: every page the
+    /// segment covers whole maps the segment (whatever the page held
+    /// before), and only the at most two pages it covers in part, at
+    /// its ends, are copied. An empty segment touches nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segment does not fit.
+    pub fn load_shared(&mut self, base: Addr, segment: &Arc<[Value]>) {
+        let start = self.check_span(base, segment.len());
+        for (page, lo, at, n) in page_spans(start, segment.len()) {
+            if n == PAGE_WORDS {
+                self.grow_to(page);
+                self.pages[page] = Page::Shared(Arc::clone(segment), at);
+            } else {
+                self.page_mut(page)[lo..lo + n].copy_from_slice(&segment[at..at + n]);
             }
-            self.words[start..end].copy_from_slice(data);
         }
     }
 
     /// Reads `len` consecutive words starting at `base`: borrowed when
-    /// they were all written, a zero-padded copy when the range runs
-    /// past the highest word written.
+    /// they lie on one page, else copied a page's slice at a time.
     ///
     /// # Panics
     ///
     /// Panics if the range does not fit.
     pub fn read_range(&self, base: Addr, len: usize) -> Cow<'_, [Value]> {
         let start = self.check_span(base, len);
-        match self.words.get(start..start + len) {
-            Some(words) => Cow::Borrowed(words),
-            None => {
-                let mut words = self.words.get(start..).unwrap_or_default().to_vec();
-                words.resize(len, 0);
-                Cow::Owned(words)
-            }
+        let lo = start % PAGE_WORDS;
+        if lo + len <= PAGE_WORDS {
+            return Cow::Borrowed(&self.page(start / PAGE_WORDS).words()[lo..lo + len]);
         }
+        let mut words = Vec::with_capacity(len);
+        for (page, lo, _, n) in page_spans(start, len) {
+            words.extend_from_slice(&self.page(page).words()[lo..lo + n]);
+        }
+        Cow::Owned(words)
     }
 
-    /// The word at `addr`, growing the backing words to reach it.
+    /// The words below both capacities where `self` and `other` differ,
+    /// in address order, as `(address, self's word, other's word)`.
+    /// Pages that both stores map from one segment at one offset, or
+    /// that neither ever reached, are skipped unread.
+    pub fn diff<'a>(
+        &'a self,
+        other: &'a Storage,
+    ) -> impl Iterator<Item = (Addr, Value, Value)> + 'a {
+        let end = self.capacity.min(other.capacity);
+        let pages = self.pages.len().max(other.pages.len());
+        (0..pages.min(end.div_ceil(PAGE_WORDS)))
+            .filter(move |&p| !self.page(p).same_mapping(other.page(p)))
+            .flat_map(move |p| {
+                let first = p * PAGE_WORDS;
+                let n = PAGE_WORDS.min(end - first);
+                let (a, b) = (&self.page(p).words()[..n], &other.page(p).words()[..n]);
+                a.iter()
+                    .zip(b)
+                    .enumerate()
+                    .filter(|(_, (x, y))| x != y)
+                    .map(move |(i, (&x, &y))| ((first + i) as Addr, x, y))
+            })
+    }
+
+    /// Page `p`, zero past the highest page reached.
+    #[inline]
+    fn page(&self, p: usize) -> &Page {
+        self.pages.get(p).unwrap_or(&ZERO_PAGE)
+    }
+
+    /// The word at `addr`, copying its page first if it is not owned.
     #[inline]
     fn slot(&mut self, addr: Addr) -> &mut Value {
         let i = self.check(addr);
-        if i >= self.words.len() {
-            self.grow(i + 1);
-        }
-        &mut self.words[i]
+        &mut self.page_mut(i / PAGE_WORDS)[i % PAGE_WORDS]
     }
 
-    /// Extends the backing words to `end`, at least doubling the
-    /// allocation (so a run of writes up an address range costs
-    /// amortized constant time) but never past the capacity.
+    /// Page `p`'s words, owned by this store.
+    #[inline]
+    fn page_mut(&mut self, p: usize) -> &mut [Value] {
+        if !matches!(self.pages.get(p), Some(Page::Owned(_))) {
+            self.own(p);
+        }
+        match &mut self.pages[p] {
+            Page::Owned(words) => words,
+            _ => unreachable!("own() leaves page {p} owned"),
+        }
+    }
+
+    /// Replaces page `p` with an owned copy of its words.
     #[cold]
-    fn grow(&mut self, end: usize) {
-        let len = self.words.len();
-        let target = end.max(2 * len).min(self.capacity);
-        self.words.reserve_exact(target - len);
-        self.words.resize(end, 0);
+    fn own(&mut self, p: usize) {
+        self.grow_to(p);
+        let words = self.pages[p].words().into();
+        self.pages[p] = Page::Owned(words);
+    }
+
+    /// Extends the page list through page `p`.
+    fn grow_to(&mut self, p: usize) {
+        if p >= self.pages.len() {
+            self.pages.resize(p + 1, Page::Zero);
+        }
     }
 
     #[inline]
@@ -204,6 +319,15 @@ impl Storage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Pages the store owns a copy of.
+    fn owned(s: &Storage) -> usize {
+        s.pages
+            .iter()
+            .filter(|p| matches!(p, Page::Owned(_)))
+            .count()
+    }
 
     #[test]
     fn read_write_roundtrip() {
@@ -227,6 +351,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "out of range")]
+    fn oob_shared_load_panics() {
+        Storage::new(4).load_shared(2, &Arc::from(vec![1, 2, 3]));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn an_address_at_capacity_panics_even_unwritten() {
+        let mut s = Storage::new(1 << 40);
+        s.write(3, 1);
+        s.read(1 << 40);
+    }
+
+    #[test]
     fn update_modes() {
         let mut s = Storage::new(4);
         s.write(0, 10);
@@ -241,65 +379,165 @@ mod tests {
     }
 
     #[test]
-    fn load_and_read_range() {
-        let mut s = Storage::new(10);
-        s.load(4, &[5, 6, 7]);
-        assert_eq!(s.read_range(4, 3), &[5, 6, 7][..]);
-        assert_eq!(s.read(3), 0);
+    fn a_fresh_store_owns_no_page() {
+        let s = Storage::new(1 << 40);
+        assert!(s.pages.is_empty());
+        assert_eq!((s.read(0), s.read((1 << 40) - 1)), (0, 0));
+        assert_eq!(s.read_range(100, 3 * PAGE_WORDS), vec![0; 3 * PAGE_WORDS]);
+        assert!(s.pages.is_empty(), "reads allocate nothing");
     }
 
     #[test]
-    fn writes_grow_the_store_and_unwritten_words_read_zero() {
-        let mut s = Storage::new(1000);
-        assert!(s.words.is_empty(), "a fresh store allocates nothing");
-        s.write(990, 5);
-        assert_eq!(s.words.len(), 991, "the write near capacity grew it");
-        assert_eq!(s.read(990), 5);
-        assert_eq!((s.read(0), s.read(989)), (0, 0), "below the write");
-        assert_eq!(s.read(999), 0, "past the grown end");
-        s.update(995, -3, WriteMode::Add);
-        assert_eq!(s.read(995), -3);
-        assert!(s.words.capacity() <= 1000, "growth stops at capacity");
-        let copy = s.clone();
-        assert_eq!((copy.read(990), copy.read(995)), (5, -3));
+    fn a_write_copies_exactly_one_page() {
+        let image: Arc<[Value]> = (0..3 * PAGE_WORDS as Value).collect();
+        let mut s = Storage::new(4 * PAGE_WORDS);
+        s.load_shared(0, &image);
+        assert_eq!((owned(&s), Arc::strong_count(&image)), (0, 4));
+        s.write(PAGE_WORDS as Addr + 5, -1);
+        assert_eq!(owned(&s), 1);
+        assert_eq!(Arc::strong_count(&image), 3, "the written page let go");
+        s.update(2 * PAGE_WORDS as Addr - 1, 1, WriteMode::Add);
+        assert_eq!(owned(&s), 1, "a second write to the page copies nothing");
+        assert_eq!(s.read(PAGE_WORDS as Addr + 5), -1);
+        assert_eq!(s.read(PAGE_WORDS as Addr + 6), PAGE_WORDS as Value + 6);
+        assert_eq!(s.read(2 * PAGE_WORDS as Addr - 1), 2 * PAGE_WORDS as Value);
+        s.write(4 * PAGE_WORDS as Addr - 1, 9);
+        assert_eq!(owned(&s), 2, "a write past the image owns one zero page");
+        assert_eq!(s.pages.len(), 4);
+        drop(s);
+        assert_eq!(Arc::strong_count(&image), 1);
     }
 
     #[test]
-    fn the_allocation_follows_the_writes_not_the_capacity() {
-        let mut s = Storage::new(1 << 40);
-        s.reserve(103);
-        s.load(100, &[1, 2, 3]);
-        s.load(0, &[4; 100]);
-        assert_eq!(s.words.len(), 103, "the loads grew it to their end");
-        assert_eq!(s.words.capacity(), 103, "into the one reserved allocation");
-        assert_eq!((s.read(99), s.read(100), s.read(102)), (4, 1, 3));
-        s.load(7, &[]);
-        s.load(900, &[]);
-        assert_eq!(s.words.len(), 103, "an empty load touches nothing");
-        for a in 0..500 {
-            s.write(a, a as Value);
-        }
-        assert_eq!(s.words.len(), 500);
-        assert!(s.words.capacity() < 1000, "doubling, not capacity");
-        assert_eq!(s.read((1 << 40) - 1), 0);
+    fn only_the_boundary_pages_of_a_segment_are_copied() {
+        let image: Arc<[Value]> = (1..=3 * PAGE_WORDS as Value).collect();
+        let mut s = Storage::new(5 * PAGE_WORDS);
+        s.load_shared(100, &image);
+        assert_eq!(owned(&s), 2, "the segment's first and last pages");
+        assert_eq!(Arc::strong_count(&image), 3, "two pages mapped whole");
+        assert_eq!((s.read(99), s.read(100)), (0, 1));
+        let end = 100 + 3 * PAGE_WORDS as Addr;
+        assert_eq!((s.read(end - 1), s.read(end)), (3 * PAGE_WORDS as Value, 0));
+        let range = s.read_range(PAGE_WORDS as Addr, PAGE_WORDS);
+        assert!(matches!(range, Cow::Borrowed(_)), "one page borrows");
+        assert_eq!(range[0], PAGE_WORDS as Value - 99);
+        s.load(0, &[7; 5]);
+        assert_eq!(owned(&s), 2, "a load onto an owned page copies nothing");
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn an_address_at_capacity_panics_even_unwritten() {
-        let mut s = Storage::new(1 << 40);
-        s.write(3, 1);
-        s.read(1 << 40);
-    }
-
-    #[test]
-    fn ranges_past_the_grown_end_read_zeros() {
-        let mut s = Storage::new(64);
+    fn ranges_read_across_pages_and_past_the_written_words() {
+        let mut s = Storage::new(3 * PAGE_WORDS);
         s.load(4, &[5, 6, 7]);
         assert!(matches!(s.read_range(4, 3), Cow::Borrowed(&[5, 6, 7])));
         assert_eq!(s.read_range(5, 6), &[6, 7, 0, 0, 0, 0][..]);
-        assert_eq!(s.read_range(40, 24), &[0; 24][..]);
-        assert_eq!(s.read_range(64, 0), &[][..]);
+        let edge = PAGE_WORDS as Addr - 1;
+        s.write(edge, 1);
+        s.write(edge + 1, 2);
+        assert_eq!(s.read_range(edge - 1, 4), &[0, 1, 2, 0][..]);
+        assert_eq!(s.read_range(3 * PAGE_WORDS as Addr, 0), &[][..]);
         assert_eq!(Storage::new(8).read_range(0, 8), &[0; 8][..]);
+    }
+
+    #[test]
+    fn diff_skips_pages_mapped_alike_and_finds_the_rest() {
+        let image: Arc<[Value]> = vec![3; 2 * PAGE_WORDS].into();
+        let mut a = Storage::new(3 * PAGE_WORDS);
+        a.load_shared(10, &image);
+        let mut b = a.clone();
+        assert_eq!(a.diff(&b).count(), 0);
+        b.write(PAGE_WORDS as Addr + 1, 3);
+        assert_eq!(a.diff(&b).count(), 0, "an owned copy of equal words");
+        b.write(PAGE_WORDS as Addr + 2, 4);
+        b.write(3, 5);
+        let small = Storage::new(PAGE_WORDS + 1);
+        let got: Vec<_> = b.diff(&a).collect();
+        assert_eq!(got, [(3, 5, 0), (PAGE_WORDS as Addr + 2, 4, 3)]);
+        let got: Vec<_> = b.diff(&small).collect();
+        assert_eq!(got.len(), PAGE_WORDS - 10 + 2, "up to the smaller capacity");
+        assert_eq!(got.last(), Some(&(PAGE_WORDS as Addr, 3, 0)));
+    }
+
+    /// One store operation, applied alike to a store and a dense model.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Load(Addr, Vec<Value>),
+        LoadShared(Addr, Vec<Value>),
+        Write(Addr, Value),
+        Update(Addr, Value, WriteMode),
+        Read(Addr),
+        ReadRange(Addr, usize),
+    }
+
+    /// A small capacity that ends inside a page.
+    const CAP: usize = 3 * PAGE_WORDS + 100;
+
+    /// Addresses that cluster at page boundaries half the time.
+    fn addr() -> impl Strategy<Value = Addr> {
+        prop_oneof![
+            0..CAP as Addr,
+            (1..4u64, 0..8u64).prop_map(|(p, d)| p * PAGE_WORDS as Addr - 4 + d),
+        ]
+    }
+
+    /// Segments of up to one and a half pages that fit from `base`.
+    fn segment() -> impl Strategy<Value = (Addr, Vec<Value>)> {
+        (addr(), 0..3 * PAGE_WORDS / 2, -9..9i64).prop_filter_map("fits", |(base, len, v)| {
+            (base as usize + len <= CAP).then(|| (base, (0..len as i64).map(|i| v * i).collect()))
+        })
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let mode = prop_oneof![
+            Just(WriteMode::Overwrite),
+            Just(WriteMode::Min),
+            Just(WriteMode::Add)
+        ];
+        prop_oneof![
+            segment().prop_map(|(b, w)| Op::Load(b, w)),
+            segment().prop_map(|(b, w)| Op::LoadShared(b, w)),
+            segment().prop_map(|(b, w)| Op::LoadShared(b, w)),
+            (addr(), -50..50i64).prop_map(|(a, v)| Op::Write(a, v)),
+            (addr(), -50..50i64, mode).prop_map(|(a, v, m)| Op::Update(a, v, m)),
+            addr().prop_map(Op::Read),
+            segment().prop_map(|(b, w)| Op::ReadRange(b, w.len())),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any sequence of operations, overlapping segments included
+        /// (the later one wins), reads back as a dense word array would.
+        #[test]
+        fn the_store_matches_a_dense_model(ops in prop::collection::vec(op(), 1..24)) {
+            let mut s = Storage::new(CAP);
+            let mut model = vec![0; CAP];
+            for op in ops {
+                match op {
+                    Op::Load(base, words) => {
+                        s.load(base, &words);
+                        model[base as usize..][..words.len()].copy_from_slice(&words);
+                    }
+                    Op::LoadShared(base, words) => {
+                        s.load_shared(base, &Arc::from(words.clone()));
+                        model[base as usize..][..words.len()].copy_from_slice(&words);
+                    }
+                    Op::Write(a, v) => {
+                        s.write(a, v);
+                        model[a as usize] = v;
+                    }
+                    Op::Update(a, v, mode) => {
+                        s.update(a, v, mode);
+                        model[a as usize] = mode.apply(model[a as usize], v);
+                    }
+                    Op::Read(a) => prop_assert_eq!(s.read(a), model[a as usize]),
+                    Op::ReadRange(base, len) => {
+                        prop_assert_eq!(&*s.read_range(base, len), &model[base as usize..][..len]);
+                    }
+                }
+            }
+            prop_assert_eq!(&*s.read_range(0, CAP), &model[..]);
+        }
     }
 }

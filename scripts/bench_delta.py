@@ -6,9 +6,11 @@ Usage: bench_delta.py [--gate] <reference.json> <current.json>
 Both inputs are `repro --bench-json` outputs. Two kinds of numbers are
 compared, and they are treated very differently:
 
-* **Advisory (never blocks):** wall-clock seconds. These vary with
-  runner speed, so they are printed for the job log only, in a clearly
-  labeled non-blocking section.
+* **Advisory (never blocks):** wall-clock seconds and the peak
+  resident memory (`peak_rss_mib`, absent where the host has no
+  `/proc/self/status`). These vary with the runner and its allocator,
+  so they are printed for the job log only, in a clearly labeled
+  non-blocking section.
 
 * **Deterministic (blocks under --gate):** the experiment id set,
   per-experiment simulation counts, every component tick/skip/bulk
@@ -44,9 +46,10 @@ def pct(ref, cur):
 
 
 def wall_clock_table(ref_doc, cur_doc):
-    print("wall-clock vs reference (ADVISORY, non-blocking):")
-    print(f"  {'phase':<16} {'ref s':>8} {'cur s':>8} {'delta':>8}")
-    for key, label in (("sweep_seconds", "sweep"), ("total_seconds", "total")):
+    print("wall-clock and memory vs reference (ADVISORY, non-blocking):")
+    print(f"  {'phase':<16} {'ref':>8} {'cur':>8} {'delta':>8}")
+    for key, label in (("sweep_seconds", "sweep s"), ("total_seconds", "total s"),
+                       ("peak_rss_mib", "peak RSS MiB")):
         r, c = ref_doc.get(key), cur_doc.get(key)
         if r is None or c is None:
             continue
