@@ -416,7 +416,9 @@ mod tests {
     #[test]
     fn read_job_delivers_words_to_tile() {
         let (mut mc, mut mesh) = mk();
-        mc.dram_mut().storage_mut().load(0, &[1, 2, 3]);
+        mc.dram_mut()
+            .storage_mut()
+            .load_shared(0, &vec![1, 2, 3].into());
         mc.submit_read(
             ReadReq {
                 job: 7,

@@ -541,7 +541,7 @@ mod tests {
     /// A report whose DRAM of `capacity` words starts with `words`.
     fn report_with(words: &[Value], capacity: usize) -> RunReport {
         let mut dram = Storage::new(capacity);
-        dram.load(0, words);
+        dram.load_shared(0, &words.into());
         RunReport::new(
             7,
             RunCounters::default(),

@@ -55,6 +55,7 @@ use crate::FaultOutcome;
 use std::collections::BTreeSet;
 use std::fs;
 use std::hash::{Hash, Hasher};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -320,18 +321,24 @@ impl Hasher for Canon {
 /// `TS_CACHE_SALT` overrides it (tests force hits across binaries /
 /// misses within one). Computed once per process; [`crate::run_jobs`]
 /// computes it on the pool next to the program fingerprints, so no
-/// job's key waits for it.
+/// job's key waits for it. The executable is hashed in fixed 64 KiB
+/// chunks rather than read whole, which would put a copy of the binary
+/// on every process's peak memory.
 pub(crate) fn current_salt() -> u64 {
     static SALT: OnceLock<u64> = OnceLock::new();
     *SALT.get_or_init(|| {
         let mut h = Hash64::new();
         match std::env::var("TS_CACHE_SALT") {
             Ok(s) => s.hash(&mut h),
-            Err(_) => h.write(
-                &std::env::current_exe()
-                    .and_then(fs::read)
-                    .unwrap_or_default(),
-            ),
+            Err(_) => {
+                if let Ok(mut exe) = std::env::current_exe().and_then(fs::File::open) {
+                    let mut chunk = Vec::with_capacity(1 << 16);
+                    while let Ok(1..) = (&mut exe).take(1 << 16).read_to_end(&mut chunk) {
+                        h.write(&chunk);
+                        chunk.clear();
+                    }
+                }
+            }
         }
         h.finish()
     })

@@ -133,7 +133,7 @@ mod tests {
     #[test]
     fn functional_access_is_free() {
         let mut s = Spad::new(16, 1.0);
-        s.storage_mut().load(0, &[9, 8, 7]);
+        s.storage_mut().load_shared(0, &vec![9, 8, 7].into());
         assert_eq!(s.storage().read(1), 8);
         assert_eq!(s.access_count(), 0);
     }

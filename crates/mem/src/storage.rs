@@ -176,19 +176,6 @@ impl Storage {
         *word = mode.apply(*word, value);
     }
 
-    /// Copies a slice into memory starting at `base`. An empty slice
-    /// touches nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice does not fit.
-    pub fn load(&mut self, base: Addr, data: &[Value]) {
-        let start = self.check_span(base, data.len());
-        for (page, lo, at, n) in page_spans(start, data.len()) {
-            self.page_mut(page)[lo..lo + n].copy_from_slice(&data[at..at + n]);
-        }
-    }
-
     /// Loads `segment` at `base` without copying it: every page the
     /// segment covers whole maps the segment (whatever the page held
     /// before), and only the at most two pages it covers in part, at
@@ -346,12 +333,6 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn oob_load_panics() {
-        Storage::new(4).load(2, &[1, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
     fn oob_shared_load_panics() {
         Storage::new(4).load_shared(2, &Arc::from(vec![1, 2, 3]));
     }
@@ -421,14 +402,14 @@ mod tests {
         let range = s.read_range(PAGE_WORDS as Addr, PAGE_WORDS);
         assert!(matches!(range, Cow::Borrowed(_)), "one page borrows");
         assert_eq!(range[0], PAGE_WORDS as Value - 99);
-        s.load(0, &[7; 5]);
+        s.load_shared(0, &Arc::from(vec![7; 5]));
         assert_eq!(owned(&s), 2, "a load onto an owned page copies nothing");
     }
 
     #[test]
     fn ranges_read_across_pages_and_past_the_written_words() {
         let mut s = Storage::new(3 * PAGE_WORDS);
-        s.load(4, &[5, 6, 7]);
+        s.load_shared(4, &Arc::from(vec![5, 6, 7]));
         assert!(matches!(s.read_range(4, 3), Cow::Borrowed(&[5, 6, 7])));
         assert_eq!(s.read_range(5, 6), &[6, 7, 0, 0, 0, 0][..]);
         let edge = PAGE_WORDS as Addr - 1;
@@ -462,7 +443,6 @@ mod tests {
     #[derive(Debug, Clone)]
     enum Op {
         Load(Addr, Vec<Value>),
-        LoadShared(Addr, Vec<Value>),
         Write(Addr, Value),
         Update(Addr, Value, WriteMode),
         Read(Addr),
@@ -494,9 +474,10 @@ mod tests {
             Just(WriteMode::Add)
         ];
         prop_oneof![
+            // Twice as likely as one arm, so most sequences load
+            // overlapping segments.
             segment().prop_map(|(b, w)| Op::Load(b, w)),
-            segment().prop_map(|(b, w)| Op::LoadShared(b, w)),
-            segment().prop_map(|(b, w)| Op::LoadShared(b, w)),
+            segment().prop_map(|(b, w)| Op::Load(b, w)),
             (addr(), -50..50i64).prop_map(|(a, v)| Op::Write(a, v)),
             (addr(), -50..50i64, mode).prop_map(|(a, v, m)| Op::Update(a, v, m)),
             addr().prop_map(Op::Read),
@@ -516,10 +497,6 @@ mod tests {
             for op in ops {
                 match op {
                     Op::Load(base, words) => {
-                        s.load(base, &words);
-                        model[base as usize..][..words.len()].copy_from_slice(&words);
-                    }
-                    Op::LoadShared(base, words) => {
                         s.load_shared(base, &Arc::from(words.clone()));
                         model[base as usize..][..words.len()].copy_from_slice(&words);
                     }
