@@ -601,9 +601,12 @@ fn run_experiments(ids: &[String], args: &Args, mode: GoldenMode) {
     // stdout stays byte-for-byte reproducible.
     let cache_stats = ts_bench::cache::stats();
     eprintln!(
-        "{jobs} simulation job(s) in {sweep_secs:.3}s ({total:.3}s total): \
+        "{jobs} simulation job(s), {} simulated, in {sweep_secs:.3}s ({total:.3}s total): \
          cache {} hit(s) / {} miss(es) / {} stored",
-        cache_stats.hits, cache_stats.misses, cache_stats.stores
+        ts_bench::simulations(),
+        cache_stats.hits,
+        cache_stats.misses,
+        cache_stats.stores
     );
 
     if let Some(path) = &args.bench_json {

@@ -52,13 +52,12 @@
 //! a miss, never a panic or a wrong hit.
 
 use crate::FaultOutcome;
-use std::collections::BTreeSet;
 use std::fs;
 use std::hash::{Hash, Hasher};
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use taskstream_model::{Program, Spawner};
 use ts_delta::{
     DeltaConfig, DispatchCounters, DramCounters, FaultReport, NocCounters, RunCounters, RunReport,
@@ -72,16 +71,9 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static STORES: AtomicU64 = AtomicU64::new(0);
-/// Keys stored since the last [`reset_stats`], so a key written twice
-/// counts as one store.
-static STORED_KEYS: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
 /// Makes every temp file name unique, even for two threads storing
 /// the same key.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn stored_keys() -> MutexGuard<'static, BTreeSet<String>> {
-    STORED_KEYS.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Explicit directory override (`repro --cache-dir` / tests); takes
 /// precedence over `TS_CACHE_DIR` and the `./.ts-cache` default.
@@ -132,15 +124,17 @@ pub fn dir() -> PathBuf {
 }
 
 /// In-process hit/miss/store tallies — the cache's host counters,
-/// surfaced next to the pool's steal/park counts in `repro --profile`
-/// and `BENCH_sweep.json`.
+/// printed on `repro sweep`'s stderr summary and written to the
+/// `host` block of its `--bench-json`. With the cache on, a sweep
+/// counts one hit or miss per job.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Runs answered from disk.
+    /// Runs answered without simulating: from disk, or from an
+    /// identical job of this sweep.
     pub hits: u64,
     /// Runs that had to simulate (no entry, or unreadable entry).
     pub misses: u64,
-    /// Distinct results persisted.
+    /// Results persisted.
     pub stores: u64,
 }
 
@@ -158,7 +152,6 @@ pub fn reset_stats() {
     HITS.store(0, Ordering::Relaxed);
     MISSES.store(0, Ordering::Relaxed);
     STORES.store(0, Ordering::Relaxed);
-    stored_keys().clear();
 }
 
 /// Whether a file in the cache directory belongs to the cache: a
@@ -319,9 +312,10 @@ impl Hasher for Canon {
 /// Code-version salt: a [`Hash64`] of the running executable's bytes,
 /// so a rebuilt binary addresses a fresh slice of the cache.
 /// `TS_CACHE_SALT` overrides it (tests force hits across binaries /
-/// misses within one). Computed once per process; [`crate::run_jobs`]
-/// computes it on the pool next to the program fingerprints, so no
-/// job's key waits for it. The executable is hashed in fixed 64 KiB
+/// misses within one). Computed once per process, and only by a
+/// process that keys a cache entry: [`crate::run_jobs`] computes it on
+/// the pool next to the program fingerprints when the cache is on, so
+/// no job's key waits for it. The executable is hashed in fixed 64 KiB
 /// chunks rather than read whole, which would put a copy of the binary
 /// on every process's peak memory.
 pub(crate) fn current_salt() -> u64 {
@@ -382,33 +376,36 @@ pub fn key_with_salt(
     faulted: bool,
     salt: u64,
 ) -> String {
-    key_from_fingerprint(
-        program_fingerprint(wl, baseline),
-        cfg,
-        baseline,
-        faulted,
-        salt,
-    )
+    let fingerprint = program_fingerprint(wl, baseline);
+    key_of(&identity(fingerprint, cfg, baseline, faulted), salt)
 }
 
 /// Version of the key canon; bumping it re-addresses every entry.
 const KEY_FORMAT: u8 = 4;
 
-/// The key for a run whose program fingerprint is already known — the
-/// sweep runner computes each distinct workload's fingerprint once and
-/// reuses it across every design point of that workload, since
-/// building the program to hash it costs more than a warm hit. The key
-/// is SHA-256 over the binary canon: format tag, mode, formulation,
-/// fingerprint, the config's bytes and the salt.
-pub(crate) fn key_from_fingerprint(
+/// A run's identity: the key canon without the salt — format tag,
+/// mode, formulation, program fingerprint and the config's bytes. Two
+/// runs with one identity are one simulation, so the sweep runner
+/// simulates each distinct identity once, cache on or off. It computes
+/// each distinct workload's fingerprint once and reuses it across
+/// every design point of that workload, since building the program to
+/// hash it costs more than a warm hit.
+pub(crate) fn identity(
     fingerprint: u64,
     cfg: &DeltaConfig,
     baseline: bool,
     faulted: bool,
-    salt: u64,
-) -> String {
+) -> Vec<u8> {
     let mut canon = Canon(Vec::with_capacity(512));
-    (KEY_FORMAT, faulted, baseline, fingerprint, cfg, salt).hash(&mut canon);
+    (KEY_FORMAT, faulted, baseline, fingerprint, cfg).hash(&mut canon);
+    canon.0
+}
+
+/// The key of a run with this [`identity`] under `salt`: SHA-256 over
+/// the identity's canon followed by the salt's.
+pub(crate) fn key_of(identity: &[u8], salt: u64) -> String {
+    let mut canon = Canon(identity.to_vec());
+    salt.hash(&mut canon);
     sha256_hex(&canon.0)
 }
 
@@ -616,14 +613,17 @@ pub fn load(key: &str, faulted: bool) -> Option<FaultOutcome> {
     loaded
 }
 
+/// Counts `n` hits for jobs answered by an identical job of the same
+/// sweep instead of by their own disk lookup.
+pub(crate) fn count_shared_hits(n: u64) {
+    HITS.fetch_add(n, Ordering::Relaxed);
+}
+
 /// Persists one result, best-effort and atomic: a temp file in the
 /// cache directory is renamed over the final name, so a concurrent
 /// reader sees either the whole entry or none of it. IO failure is
 /// silent (the cache is an accelerator, not a correctness surface) —
-/// it just doesn't count as a store. A key this process already stored
-/// since the last [`reset_stats`] (the same job in two concurrent
-/// sweeps) is rewritten but not counted again, so the store count is
-/// the number of entries written.
+/// it just doesn't count as a store.
 pub fn store(key: &str, outcome: &FaultOutcome) {
     let d = dir();
     if fs::create_dir_all(&d).is_err() {
@@ -636,9 +636,7 @@ pub fn store(key: &str, outcome: &FaultOutcome) {
         return;
     }
     if fs::rename(&tmp, entry_path(key)).is_ok() {
-        if stored_keys().insert(key.to_string()) {
-            STORES.fetch_add(1, Ordering::Relaxed);
-        }
+        STORES.fetch_add(1, Ordering::Relaxed);
     } else {
         let _ = fs::remove_file(&tmp);
     }

@@ -50,7 +50,8 @@ use ts_delta::{oracle, Accelerator, DeltaConfig, RunError, RunReport};
 use ts_workloads::Workload;
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Runs one workload on one configuration and validates the result.
 ///
@@ -71,7 +72,7 @@ pub fn run_validated(wl: &dyn Workload, cfg: DeltaConfig, baseline_program: bool
 /// other run) or a wedge — the machine stopped making progress before
 /// finishing, which is the expected fate of the no-recovery baseline
 /// once a tile it depends on fail-stops.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum FaultOutcome {
     /// The run finished; the report validated against the workload
     /// reference, the conservation invariants, and the untimed oracle.
@@ -111,11 +112,21 @@ pub fn run_faulted(wl: &dyn Workload, cfg: DeltaConfig, baseline_program: bool) 
     run_checked(wl, cfg, baseline_program, true)
 }
 
+static SIMULATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// How many simulations this process has run: every [`run_validated`]
+/// and [`run_faulted`] call, and every distinct sweep job that
+/// [`run_jobs`] did not answer from the cache.
+pub fn simulations() -> u64 {
+    SIMULATIONS.load(Ordering::Relaxed)
+}
+
 /// The one checked run behind [`run_validated`], [`run_faulted`] and
 /// the sweep: simulate, then validate against the workload reference
 /// and the conservation invariants. A `faulted` run treats a timeout as
 /// a wedge and must also match the untimed oracle.
 fn run_checked(wl: &dyn Workload, cfg: DeltaConfig, baseline: bool, faulted: bool) -> FaultOutcome {
+    SIMULATIONS.fetch_add(1, Ordering::Relaxed);
     let make = || -> Box<dyn Program> {
         if baseline {
             wl.make_baseline_program()
@@ -175,110 +186,96 @@ impl SweepJob {
     }
 }
 
-/// What a sweep's cache keys are made of besides each job's own config:
-/// the program fingerprints by [`fingerprint_id`] and the code-version
-/// salt.
+/// What a sweep's job identities and cache keys are made of besides
+/// each job's own config: the program fingerprints by
+/// [`fingerprint_id`] and, with the cache on, the code-version salt.
 struct KeyInputs {
     fingerprints: HashMap<(usize, bool), u64>,
-    salt: u64,
+    salt: Option<u64>,
 }
 
-/// A job's cache key, from the sweep's precomputed inputs.
-fn job_key(j: &SweepJob, inputs: &KeyInputs) -> String {
-    cache::key_from_fingerprint(
-        inputs.fingerprints[&fingerprint_id(j)],
-        &j.cfg,
-        j.baseline,
-        j.faulted,
-        inputs.salt,
-    )
-}
-
-/// Executes one flattened sweep job, consulting the persistent result
-/// cache under `key` when it has one (the cache is on and the run is
-/// untraced): return the disk entry on a hit, otherwise simulate and
-/// persist. A cache hit carries the original simulation's full
-/// [`RunReport`], profile counters included, so `--profile` and the
-/// bench JSON sum the same counters warm or cold.
-///
-/// Nothing after [`run_checked`] reads a report's DRAM, so a fresh
-/// report's image is [released](RunReport::release_dram) before it is
-/// stored or returned: the sweep holds every outcome until it ends,
-/// and a cold outcome then holds what a warm one loads.
-fn run_sweep_job(j: &SweepJob, key: Option<&str>) -> FaultOutcome {
-    if let Some(out) = key.and_then(|k| cache::load(k, j.faulted)) {
-        return out;
-    }
-    let mut out = run_checked(j.wl.as_ref(), j.cfg.clone(), j.baseline, j.faulted);
-    if let FaultOutcome::Completed(report) = &mut out {
-        report.release_dram();
-    }
-    if let Some(k) = key {
-        cache::store(k, &out);
-    }
-    out
-}
-
-/// Executes a flattened sweep — every job from every experiment as one
-/// item of a single [`ts_pool::map`] call, whose workers claim items in
-/// job order (two calls with the cache on, see `run_cached`) —
-/// returning outcomes **in job order**.
+/// Executes a flattened sweep, returning outcomes **in job order**.
 /// Validated (non-`faulted`) jobs always come back
 /// [`FaultOutcome::Completed`].
+///
+/// Jobs with the same [identity](cache::identity) are one simulation:
+/// the distinct identities, in order of first occurrence, are the items
+/// of one [`ts_pool::map`] call. Each is looked up on disk once (cache
+/// on, untraced), simulated on a miss and stored once, and every job
+/// that shares it receives a clone of its outcome. With the cache on,
+/// each job still counts one lookup: an identity's first job counts the
+/// disk hit or miss, each other job a hit. Nothing after
+/// [`run_checked`] reads a report's DRAM, so a fresh report's image is
+/// [released](RunReport::release_dram) first: a cold outcome holds
+/// what a warm one loads.
 ///
 /// Parallel output is byte-identical to `--jobs 1`: each job's RNG
 /// streams derive from its own config (see
 /// [`experiments::derive_seed`]), never from iteration order, and the
-/// order-preserving collect keeps outcome `i` paired with job `i`
-/// regardless of which worker ran it.
+/// order-preserving collect keeps each outcome paired with its
+/// identity regardless of which worker ran it.
 pub fn run_jobs(jobs: &[SweepJob]) -> Vec<FaultOutcome> {
-    match cache::is_enabled() {
-        true => run_cached(jobs, &key_inputs(jobs)),
-        false => ts_pool::map(jobs, |j| run_sweep_job(j, None)),
-    }
-}
-
-/// [`run_jobs`] with the cache on. A job whose key another job of the
-/// sweep is simulating right now waits for a second [`ts_pool::map`]
-/// call, when that job's entry is on disk, instead of simulating it
-/// again: a cold sweep simulates each distinct key once however the
-/// workers interleave, and every job still makes one lookup. Traced
-/// jobs have no key.
-fn run_cached(jobs: &[SweepJob], inputs: &KeyInputs) -> Vec<FaultOutcome> {
-    let in_flight: Mutex<HashSet<String>> = Mutex::default();
-    let lock = || in_flight.lock().expect("in-flight keys poisoned");
-    let outcomes = ts_pool::map(jobs, |j| {
-        let key = (!j.cfg.trace).then(|| job_key(j, inputs));
-        if key.as_ref().is_some_and(|k| !lock().insert(k.clone())) {
-            return None;
+    let inputs = key_inputs(jobs, cache::is_enabled());
+    let mut first = HashMap::new();
+    let mut distinct: Vec<(&SweepJob, Vec<u8>, u64)> = Vec::new();
+    let group: Vec<usize> = jobs
+        .iter()
+        .map(|j| {
+            let fingerprint = inputs.fingerprints[&fingerprint_id(j)];
+            let id = cache::identity(fingerprint, &j.cfg, j.baseline, j.faulted);
+            let g = *first.entry(id.clone()).or_insert(distinct.len());
+            if g == distinct.len() {
+                distinct.push((j, id, 0));
+            }
+            distinct[g].2 += 1;
+            g
+        })
+        .collect();
+    let outcomes = ts_pool::map(&distinct, |(j, id, sharers)| {
+        let key = inputs
+            .salt
+            .filter(|_| !j.cfg.trace)
+            .map(|s| cache::key_of(id, s));
+        if key.is_some() {
+            cache::count_shared_hits(sharers - 1);
         }
-        let out = run_sweep_job(j, key.as_deref());
+        if let Some(out) = key.as_ref().and_then(|k| cache::load(k, j.faulted)) {
+            return out;
+        }
+        let mut out = run_checked(j.wl.as_ref(), j.cfg.clone(), j.baseline, j.faulted);
+        if let FaultOutcome::Completed(report) = &mut out {
+            report.release_dram();
+        }
         if let Some(k) = &key {
-            lock().remove(k);
+            cache::store(k, &out);
         }
-        Some(out)
+        out
     });
-    // the waiting jobs' outcomes fill the gaps in job order
-    let waiting = jobs.iter().zip(&outcomes).filter(|(_, out)| out.is_none());
-    let late = ts_pool::map(waiting, |(j, _)| {
-        run_sweep_job(j, Some(&job_key(j, inputs)))
-    });
-    let mut late = late.into_iter();
-    outcomes
+    // an identity's last job takes its outcome, the others a clone
+    let mut outcomes: Vec<Option<FaultOutcome>> = outcomes.into_iter().map(Some).collect();
+    group
         .into_iter()
-        .map(|out| out.or_else(|| late.next()).expect("a waiting job ran late"))
+        .map(|g| {
+            distinct[g].2 -= 1;
+            match distinct[g].2 {
+                0 => outcomes[g].take(),
+                _ => outcomes[g].clone(),
+            }
+            .expect("an identity's outcome outlives its jobs")
+        })
         .collect()
 }
 
 /// Builds and hashes each distinct program of a sweep once, in
-/// parallel on the pool, and hashes the executable for the salt as one
-/// more item of the same [`ts_pool::map`] call. A sweep reuses each workload across
-/// many design points (every `Arc` appears in dozens of jobs), but the
-/// program fingerprint behind the cache key depends only on (workload,
-/// formulation), so hashing once per program instead of once per job
-/// is what keeps a warm cache hit cheaper than the tiny-scale
-/// simulation it replaces.
-fn key_inputs(jobs: &[SweepJob]) -> KeyInputs {
+/// parallel on the pool, and, when `salted` (the cache is on), hashes
+/// the executable for the salt as one more item of the same
+/// [`ts_pool::map`] call. A sweep reuses each workload across many
+/// design points (every `Arc` appears in dozens of jobs), but the
+/// program fingerprint behind a job's identity depends only on
+/// (workload, formulation), so hashing once per program instead of
+/// once per job is what keeps a warm cache hit cheaper than the
+/// tiny-scale simulation it replaces.
+fn key_inputs(jobs: &[SweepJob], salted: bool) -> KeyInputs {
     let mut seen = HashSet::new();
     let distinct: Vec<&SweepJob> = jobs
         .iter()
@@ -289,15 +286,15 @@ fn key_inputs(jobs: &[SweepJob]) -> KeyInputs {
     let tasks: Vec<Option<&SweepJob>> = std::iter::once(None)
         .chain(distinct.iter().copied().map(Some))
         .collect();
-    let hashes: Vec<u64> = ts_pool::map(&tasks, |task| match task {
-        None => cache::current_salt(),
-        Some(j) => cache::program_fingerprint(j.wl.as_ref(), j.baseline),
+    let hashes: Vec<Option<u64>> = ts_pool::map(&tasks, |task| match task {
+        None => salted.then(cache::current_salt),
+        Some(j) => Some(cache::program_fingerprint(j.wl.as_ref(), j.baseline)),
     });
     KeyInputs {
         fingerprints: distinct
             .iter()
             .map(|j| fingerprint_id(j))
-            .zip(hashes[1..].iter().copied())
+            .zip(hashes[1..].iter().flatten().copied())
             .collect(),
         salt: hashes[0],
     }
@@ -322,38 +319,10 @@ mod tests {
     use super::*;
     use ts_workloads::Scale;
 
-    /// A cold sweep simulates each distinct cache key once and answers
-    /// every repeat from disk, on every run, however the two workers
-    /// interleave: every job still makes exactly one lookup.
-    #[test]
-    fn a_cold_sweep_simulates_each_distinct_key_once() {
-        let wl: Arc<dyn Workload> = Arc::new(ts_workloads::sparse_chain::SparseChain::tiny(
-            experiments::SEED,
-        ));
-        let jobs: Vec<SweepJob> = [2, 3, 2, 2, 3, 4]
-            .into_iter()
-            .map(|tiles| SweepJob::new(Arc::clone(&wl), DeltaConfig::delta(tiles)))
-            .collect();
-        let (distinct, repeats) = (3, 3);
-        let dir = std::env::temp_dir().join(format!("ts-bench-dedup-{}", std::process::id()));
-        cache::set_dir(dir.clone());
-        ts_pool::configure(2);
-        for _ in 0..4 {
-            let _ = std::fs::remove_dir_all(&dir);
-            let before = cache::stats();
-            let outcomes = run_cached(&jobs, &key_inputs(&jobs));
-            let after = cache::stats();
-            assert_eq!(outcomes.len(), jobs.len());
-            assert_eq!(after.misses - before.misses, distinct, "{after:?}");
-            assert_eq!(after.hits - before.hits, repeats, "{after:?}");
-        }
-        ts_pool::configure(0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// The pool-computed fingerprints and salt give every job of a tiny
     /// sweep the same program fingerprint and cache key as computing
-    /// each job on its own.
+    /// each job on its own, and the sweep's 262 jobs have 180 distinct
+    /// identities.
     #[test]
     fn pool_fingerprints_match_serial_ones() {
         ts_pool::configure(4);
@@ -361,9 +330,14 @@ mod tests {
             .iter()
             .flat_map(|id| experiments::plan(id, Scale::Tiny).jobs)
             .collect();
-        let inputs = key_inputs(&jobs);
+        let inputs = key_inputs(&jobs, true);
         ts_pool::configure(0);
-        assert_eq!(inputs.salt, cache::current_salt());
+        let salt = cache::current_salt();
+        assert_eq!(inputs.salt, Some(salt));
+        let id = |j: &SweepJob| {
+            let fingerprint = inputs.fingerprints[&fingerprint_id(j)];
+            cache::identity(fingerprint, &j.cfg, j.baseline, j.faulted)
+        };
         for j in &jobs {
             assert_eq!(
                 inputs.fingerprints[&fingerprint_id(j)],
@@ -372,11 +346,13 @@ mod tests {
                 j.wl.name()
             );
             assert_eq!(
-                job_key(j, &inputs),
+                cache::key_of(&id(j), salt),
                 cache::key(j.wl.as_ref(), &j.cfg, j.baseline, j.faulted),
                 "{}",
                 j.wl.name()
             );
         }
+        let distinct: HashSet<Vec<u8>> = jobs.iter().map(id).collect();
+        assert_eq!((jobs.len(), distinct.len()), (262, 180));
     }
 }

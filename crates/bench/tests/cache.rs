@@ -107,6 +107,48 @@ fn faulted_outcomes_roundtrip_through_the_cache() {
     assert_eq!(cache::stats().misses, 0);
 }
 
+/// A sweep simulates each distinct job once, cache on or off, and
+/// every repeat receives the same outcome. With the cache on, every
+/// job still makes one lookup; with it off, the counters do not move.
+#[test]
+fn a_cold_sweep_simulates_each_distinct_key_once() {
+    let _guard = CacheGuard::new("dedup");
+    let wl: Arc<dyn Workload> = Arc::new(SparseChain::tiny(experiments::SEED));
+    let jobs: Vec<SweepJob> = [2, 3, 2, 2, 3, 4]
+        .into_iter()
+        .map(|tiles| SweepJob::new(Arc::clone(&wl), DeltaConfig::delta(tiles)))
+        .collect();
+    ts_pool::configure(2);
+    let run = |cached: bool| {
+        cache::set_enabled(cached);
+        let (sims, before) = (ts_bench::simulations(), cache::stats());
+        let outcomes = run_jobs(&jobs);
+        let (after, sims) = (cache::stats(), ts_bench::simulations() - sims);
+        assert_eq!(sims, 3, "cache {cached}: one simulation per distinct job");
+        let runs: Vec<(u64, SimProfile)> = outcomes
+            .iter()
+            .map(|o| {
+                o.report()
+                    .map(|r| (r.cycles, r.profile))
+                    .expect("completes")
+            })
+            .collect();
+        let counts = (
+            after.hits - before.hits,
+            after.misses - before.misses,
+            after.stores - before.stores,
+        );
+        (runs, counts)
+    };
+    let (cold, on) = run(true);
+    let (uncached, off) = run(false);
+    ts_pool::configure(0);
+    assert_eq!(on, (3, 3, 3), "cache on: (hits, misses, stores)");
+    assert_eq!(off, (0, 0, 0), "cache off: (hits, misses, stores)");
+    assert_eq!(cold, uncached, "both modes give every job the same run");
+    assert!(cold[0] == cold[2] && cold[2] == cold[3] && cold[1] == cold[4]);
+}
+
 #[test]
 fn key_changes_with_config_seed_and_salt() {
     let wl = Spmv::tiny(experiments::SEED);
